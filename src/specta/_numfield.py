@@ -1,4 +1,4 @@
-"""Exact arithmetic in Q(alpha) and root isolation over it.
+"""Exact arithmetic in Q(alpha) for a real algebraic alpha.
 
 The field is presented by a square-free defining polynomial together with
 an isolating interval for alpha; the defining polynomial is never factored
@@ -9,23 +9,19 @@ says which, and the field narrows itself to that factor.  Elements are
 polynomial representatives; zero tests are always semantic, meaning they
 ask about the value at alpha, never about the representative.
 
-On top of the field sits just enough machinery for polynomials in one
-variable y with coefficients in Q(alpha): division, gcd, square-free part,
-Sturm chains with sign evaluation at rational points, a root bound via
-interval arithmetic on the isolating interval, and root isolation.  Roots
-come back as FieldRoot values: either an exact rational or an isolating
-interval that can be refined on demand.  Rational roots are recognized
-opportunistically (an exact hit during bisection, or the simplest rational
-in a narrow interval happening to be a root); an unrecognized rational
-root simply stays in interval form, which costs nothing in correctness.
+Polynomials in y with coefficients in Q(alpha), and their roots, need no
+code of their own: the coefficient-list engine of ``arith`` (division,
+gcd, Sturm chains, root isolation, sign at a root) takes field elements as
+entries, and a root over Q(alpha) is an ``arith.AlgebraicNumber`` like a
+root over Q.  cad2d lifts its stacks through the names ``ymul``,
+``yisolate`` and ``ysign_at`` bound at the end of this module.
 """
 
 from fractions import Fraction
 
 from .arith import (
-    ArithError,
     AlgebraicNumber,
-    Polynomial,
+    _ext_gcd,
     _ival_add,
     _ival_mul,
     _sign,
@@ -34,32 +30,10 @@ from .arith import (
     _udivmod,
     _ueval,
     _uint_primitive,
-    _usub,
-    simplest_between,
-    sign_at,
+    _umul,
+    uisolate,
+    usign_at,
 )
-
-
-def _umul(a, b):
-    if not a or not b:
-        return []
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return _trim(out)
-
-
-def _ext_gcd(a, b):
-    """(g, s) with s*a congruent to g modulo b."""
-    r0, r1 = _trim(list(a)), _trim(list(b))
-    s0, s1 = [Fraction(1)], []
-    while r1:
-        q, r = _udivmod(r0, r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, _usub(s0, _umul(q, s1))
-    return r0, s0
 
 
 class NumberField:
@@ -68,28 +42,17 @@ class NumberField:
     def __init__(self, alpha: AlgebraicNumber):
         self.alpha = alpha
 
-    @classmethod
-    def rational(cls, q):
-        q = Fraction(q)
-        p = Polynomial.from_univariate("x", [-q, Fraction(1)])
-        return cls(AlgebraicNumber(p, q, q))
-
-    @property
-    def var(self) -> str:
-        return self.alpha.defining.variables[0]
-
     def defining_coeffs(self):
-        return self.alpha._coeffs()
+        return self.alpha.coeffs
 
     def degree(self) -> int:
         return _udeg(self.defining_coeffs())
 
     def reduce(self, coeffs):
-        return _udivmod(list(coeffs), self.defining_coeffs())[1]
+        return _udivmod(coeffs, self.defining_coeffs())[1]
 
     def element(self, coeffs) -> "FieldElement":
-        coeffs = [Fraction(c) for c in coeffs]
-        return FieldElement(self, tuple(_trim(self.reduce(coeffs))))
+        return FieldElement(self, tuple(self.reduce([Fraction(c) for c in coeffs])))
 
     def zero(self) -> "FieldElement":
         return FieldElement(self, ())
@@ -111,11 +74,9 @@ class NumberField:
         new_coeffs = _uint_primitive(_trim(new_coeffs))
         if _udeg(new_coeffs) == 1:
             v = -new_coeffs[0] / new_coeffs[1]
-            p = Polynomial.from_univariate(self.var, new_coeffs)
-            self.alpha = AlgebraicNumber(p, v, v)
-            return
-        p = Polynomial.from_univariate(self.var, new_coeffs)
-        self.alpha = AlgebraicNumber(p, self.alpha.lo, self.alpha.hi)
+            self.alpha = AlgebraicNumber(new_coeffs, v, v)
+        else:
+            self.alpha = AlgebraicNumber(new_coeffs, self.alpha.lo, self.alpha.hi)
 
     def __repr__(self):
         return f"NumberField({self.alpha!r})"
@@ -196,15 +157,7 @@ class FieldElement:
         raise TypeError("field elements are not hashable (semantic equality)")
 
     def sign(self) -> int:
-        rep = _trim(self.field.reduce(list(self.coeffs)))
-        if not rep:
-            return 0
-        if len(rep) == 1:
-            return _sign(rep[0])
-        a = self.field.alpha
-        if a.is_rational:
-            return _sign(_ueval(rep, a.value))
-        return sign_at(Polynomial.from_univariate(self.field.var, rep), a)
+        return usign_at(self.field.reduce(self.coeffs), self.field.alpha)
 
     def is_zero(self) -> bool:
         return self.sign() == 0
@@ -216,13 +169,12 @@ class FieldElement:
         field = self.field
         a = field.alpha
         if a.is_rational:
-            rep = _trim(self.field.reduce(list(self.coeffs)))
-            v = _ueval(rep, a.value) if rep else Fraction(0)
+            v = _ueval(field.reduce(self.coeffs), a.value)
             if v == 0:
                 raise ZeroDivisionError("inverse of zero field element")
             return field.element([1 / v])
         while True:
-            rep = _trim(field.reduce(list(self.coeffs)))
+            rep = field.reduce(self.coeffs)
             if not rep:
                 raise ZeroDivisionError("inverse of zero field element")
             g, s = _ext_gcd(rep, field.defining_coeffs())
@@ -240,7 +192,7 @@ class FieldElement:
 
     def as_rational(self):
         """The exact Fraction value, or None when the value is irrational."""
-        rep = _trim(self.field.reduce(list(self.coeffs)))
+        rep = self.field.reduce(self.coeffs)
         if not rep:
             return Fraction(0)
         if len(rep) == 1:
@@ -251,7 +203,7 @@ class FieldElement:
 
     def interval(self):
         """Rational interval containing the value, from the current alpha interval."""
-        rep = _trim(self.field.reduce(list(self.coeffs)))
+        rep = self.field.reduce(self.coeffs)
         if not rep:
             return (Fraction(0), Fraction(0))
         a = self.field.alpha
@@ -278,309 +230,5 @@ class FieldElement:
         return f"FieldElement({list(self.coeffs)})"
 
 
-# ---------------------------------------------------------------------------
-# polynomials in y over Q(alpha), as coefficient lists
-
-
-def ytrim(p):
-    p = list(p)
-    while p and p[-1].is_zero():
-        p.pop()
-    return p
-
-
-def ydeg(p) -> int:
-    return len(p) - 1
-
-
-def ypoly(field, coeffs):
-    """Coefficient list in y from rationals and/or field elements."""
-    out = []
-    for c in coeffs:
-        out.append(c if isinstance(c, FieldElement) else field.element([c]))
-    return out
-
-
-def yeval(field, p, x) -> FieldElement:
-    out = field.zero()
-    for c in reversed(p):
-        out = out * x + c
-    return out
-
-
-def ymul(field, a, b):
-    if not a or not b:
-        return []
-    out = [field.zero()] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] = out[i + j] + x * y
-    return out
-
-
-def yderiv(field, p):
-    return [c * i for i, c in enumerate(p)][1:]
-
-
-def ydivmod(field, a, b):
-    a = ytrim(a)
-    b = ytrim(b)
-    if not b:
-        raise ZeroDivisionError("division by zero polynomial")
-    inv = b[-1].inverse()
-    q = [field.zero()] * max(0, len(a) - len(b) + 1)
-    r = list(a)
-    while r and len(r) >= len(b):
-        k = r[-1] * inv
-        d = len(r) - len(b)
-        q[d] = q[d] + k
-        for i, c in enumerate(b):
-            r[d + i] = r[d + i] - c * k
-        r.pop()  # the top coefficient cancels exactly
-        r = ytrim(r)
-    return ytrim(q), r
-
-
-def ymonic(field, p):
-    p = ytrim(p)
-    if not p:
-        return p
-    inv = p[-1].inverse()
-    return [c * inv for c in p]
-
-
-def ygcd(field, a, b):
-    a, b = ytrim(a), ytrim(b)
-    while b:
-        a, b = b, ydivmod(field, a, b)[1]
-    return ymonic(field, a)
-
-
-def yexact_div(field, a, b):
-    q, r = ydivmod(field, a, b)
-    if r:
-        raise ArithError("inexact polynomial division over the field")
-    return q
-
-
-def ysquarefree(field, p):
-    p = ytrim(p)
-    if len(p) <= 2:
-        return p
-    g = ygcd(field, p, yderiv(field, p))
-    if ydeg(g) <= 0:
-        return p
-    return yexact_div(field, p, g)
-
-
-def ysturm(field, p):
-    chain = [ytrim(p), ytrim(yderiv(field, p))]
-    while chain[-1]:
-        rem = ydivmod(field, chain[-2], chain[-1])[1]
-        if not rem:
-            break
-        rem = [-c for c in rem]
-        # scale by a positive constant (1 / |lead|) to keep representatives
-        # small without disturbing any sign in the chain
-        s = rem[-1].sign()
-        rem = [c * (rem[-1] * s).inverse() for c in rem]
-        chain.append(rem)
-    return [c for c in chain if c]
-
-
-def _yvariations(field, chain, x) -> int:
-    signs = [yeval(field, p, x).sign() for p in chain]
-    signs = [s for s in signs if s != 0]
-    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
-
-
-def ycount(field, chain, a, b) -> int:
-    """Distinct roots in (a, b); endpoints must not be roots of chain[0]."""
-    return _yvariations(field, chain, a) - _yvariations(field, chain, b)
-
-
-def yroot_bound(field, p) -> Fraction:
-    """Rational B with every real root of p strictly inside (-B, B).
-
-    Refines alpha until the leading coefficient is bounded away from zero
-    on the isolating interval, then takes a Cauchy-style bound with outer
-    estimates for the other coefficients.
-    """
-    p = ytrim(p)
-    if not p:
-        raise ArithError("root bound of zero polynomial")
-    lc = p[-1]
-    while True:
-        lo, hi = lc.interval()
-        if lo > 0 or hi < 0:
-            break
-        field.alpha.refine()
-    lc_min = min(abs(lo), abs(hi))
-    m = Fraction(0)
-    for c in p[:-1]:
-        clo, chi = c.interval()
-        m = max(m, abs(clo), abs(chi))
-    return 1 + m / lc_min
-
-
-class FieldRoot:
-    """Real root of a square-free polynomial over Q(alpha).
-
-    ``lo == hi`` encodes an exact rational root; otherwise the open
-    interval isolates exactly one root and neither endpoint is one.
-    """
-
-    __slots__ = ("field", "poly", "chain", "lo", "hi")
-
-    def __init__(self, field, poly, chain, lo, hi):
-        self.field = field
-        self.poly = poly
-        self.chain = chain
-        self.lo = Fraction(lo)
-        self.hi = Fraction(hi)
-
-    @property
-    def is_rational(self) -> bool:
-        return self.lo == self.hi
-
-    @property
-    def value(self) -> Fraction:
-        if not self.is_rational:
-            raise ArithError("not an exact rational")
-        return self.lo
-
-    def refine(self):
-        if self.is_rational:
-            return
-        mid = (self.lo + self.hi) / 2
-        if yeval(self.field, self.poly, mid).sign() == 0:
-            self.lo = self.hi = mid
-            return
-        if ycount(self.field, self.chain, self.lo, mid) == 1:
-            self.hi = mid
-        else:
-            self.lo = mid
-
-    def approx(self, width=Fraction(1, 1 << 20)) -> Fraction:
-        while not self.is_rational and self.hi - self.lo > width:
-            self.refine()
-        return (self.lo + self.hi) / 2
-
-    def compare_rational(self, q) -> int:
-        """-1, 0, 1 as this root is below, equal to, or above the rational q."""
-        q = Fraction(q)
-        while True:
-            if self.is_rational:
-                return _sign(self.value - q)
-            if q <= self.lo:
-                return 1
-            if q >= self.hi:
-                return -1
-            if yeval(self.field, self.poly, q).sign() == 0:
-                # q is a root inside the isolating interval, hence the root
-                return 0
-            self.refine()
-
-    def __float__(self):
-        return float(self.approx())
-
-    def __repr__(self):
-        if self.is_rational:
-            return f"FieldRoot({self.lo})"
-        return f"FieldRoot(({self.lo}, {self.hi}))"
-
-
-def yisolate(field, p):
-    """Ordered FieldRoot list isolating every distinct real root of p."""
-    p = ytrim(p)
-    if not p:
-        raise ArithError("cannot isolate roots of the zero polynomial")
-    if len(p) == 1:
-        return []
-    psf = ymonic(field, ysquarefree(field, p))
-    chain = ysturm(field, psf)
-    bound = yroot_bound(field, psf)
-    roots = []
-
-    def sgn(x):
-        return yeval(field, psf, x).sign()
-
-    def finalize(a, b):
-        sa = sgn(a)
-        while b - a >= Fraction(1, 1024):
-            m = (a + b) / 2
-            v = sgn(m)
-            if v == 0:
-                roots.append(FieldRoot(field, psf, chain, m, m))
-                return
-            if sa * v < 0:
-                b = m
-            else:
-                a = m
-                sa = v
-        cand = simplest_between(a, b)
-        if a < cand < b and sgn(cand) == 0:
-            roots.append(FieldRoot(field, psf, chain, cand, cand))
-        else:
-            roots.append(FieldRoot(field, psf, chain, a, b))
-
-    def split(a, b):
-        n = ycount(field, chain, a, b)
-        if n == 0:
-            return
-        if n == 1:
-            finalize(a, b)
-            return
-        m = (a + b) / 2
-        if sgn(m) != 0:
-            split(a, m)
-            split(m, b)
-            return
-        step = (b - a) / 8
-        while True:
-            l2, r2 = m - step, m + step
-            if (a < l2 and r2 < b and sgn(l2) != 0 and sgn(r2) != 0
-                    and ycount(field, chain, l2, r2) == 1):
-                break
-            step /= 2
-        split(a, l2)
-        roots.append(FieldRoot(field, psf, chain, m, m))
-        split(r2, b)
-
-    split(-bound, bound)
-    roots.sort(key=lambda r: (r.lo, r.hi))
-    return roots
-
-
-def ysign_at(field, q, root) -> int:
-    """Exact sign of q (a y-polynomial over the field) at a FieldRoot.
-
-    Mirrors the rational-coefficient routine: a nontrivial gcd with the
-    root's defining polynomial certifies the zero case through a sign
-    change over the isolating interval, otherwise the interval is refined
-    until q is sign-definite on it.
-    """
-    q = ytrim(q)
-    if not q:
-        return 0
-    if isinstance(root, (int, Fraction)):
-        return yeval(field, q, Fraction(root)).sign()
-    if root.is_rational:
-        return yeval(field, q, root.value).sign()
-    if len(q) == 1:
-        return q[0].sign()
-    qsf = ysquarefree(field, q)
-    g = ygcd(field, qsf, list(root.poly))
-    if ydeg(g) >= 1:
-        # g divides the root's defining polynomial, so the endpoints are
-        # never roots of g and a sign change certifies zero
-        sl = yeval(field, g, root.lo).sign()
-        sr = yeval(field, g, root.hi).sign()
-        if sl * sr < 0:
-            return 0
-    chain = ysturm(field, qsf)
-    while ycount(field, chain, root.lo, root.hi) > 0:
-        root.refine()
-        if root.is_rational:
-            return yeval(field, q, root.value).sign()
-    return yeval(field, q, (root.lo + root.hi) / 2).sign()
+# the stack interface of cad2d: the shared engine, for lists over Q or Q(alpha)
+ymul, yisolate, ysign_at = _umul, uisolate, usign_at

@@ -1,9 +1,13 @@
 """Exact rational and polynomial arithmetic foundation.
 
-Everything here is computed over Q with fractions.Fraction: sparse
-multivariate polynomials, univariate real root isolation, resultants, and
-sign evaluation at real algebraic points.  All operations are pure and
-exact; no floating point enters any decision.
+Sparse multivariate polynomials over Q with fractions.Fraction
+coefficients, resultants, gcds and coprime square-free bases, and one
+univariate engine for little-endian coefficient lists: division, gcd,
+square-free part, Sturm chains, root isolation and sign at a real
+algebraic point.  That engine takes entries in Q or in Q(alpha) (field
+elements of ``_numfield``), so roots over both come back as the same
+``AlgebraicNumber``.  All operations are pure and exact; no floating point
+enters any decision.
 
 Conventions
 -----------
@@ -11,14 +15,14 @@ Conventions
   silent zero.
 * Univariate coefficient lists are little-endian: ``cs[i]`` multiplies ``x**i``.
 * ``resultant`` follows the Sylvester-determinant sign convention with the
-  rows of the first argument on top (see ``sylvester_matrix``); the
-  subresultant remainder sequence used internally tracks scale and sign so
-  its value equals that determinant exactly.
+  rows of the first argument on top; the subresultant remainder sequence
+  used internally tracks scale and sign so its value equals that
+  determinant exactly.  ``tests/test_arith.py`` keeps the determinant
+  route as a reference.
 * An ``AlgebraicNumber`` whose interval has width zero is an exact rational
   root; irrational roots always come with an open isolating interval whose
   endpoints are not roots of the defining polynomial.
 """
-
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -343,12 +347,36 @@ class Polynomial:
 
 
 # ---------------------------------------------------------------------------
-# univariate coefficient-list machinery (little-endian, Fraction entries)
+# univariate coefficient lists over Q or Q(alpha)
+#
+# One engine serves both coefficient domains.  Lists are little-endian and
+# their entries are Fractions or FieldElements of one Q(alpha); rationals
+# may mix in.  Only _sign, _inverse, _interval and the choice of rational
+# certification in uisolate look at an entry's type.
+# A zero test or a sign of a field element is a sign computation at alpha,
+# so the routines below make no zero test the algorithm does not need.
+
+
+def _sign(x) -> int:
+    """Sign of an entry: read off a rational, computed at alpha for a field element."""
+    if isinstance(x, (int, Fraction)):
+        n = x.numerator
+        return (n > 0) - (n < 0)
+    return x.sign()
+
+
+def _inverse(c):
+    return Fraction(1) / c if isinstance(c, (int, Fraction)) else c.inverse()
+
+
+def _interval(c):
+    """Rational interval containing the value of an entry."""
+    return (c, c) if isinstance(c, (int, Fraction)) else c.interval()
 
 
 def _trim(cs):
     cs = list(cs)
-    while cs and cs[-1] == 0:
+    while cs and not _sign(cs[-1]):
         cs.pop()
     return cs
 
@@ -357,51 +385,79 @@ def _udeg(cs):
     return len(cs) - 1
 
 
-def _ueval(cs, x: Fraction) -> Fraction:
-    out = Fraction(0)
+def _ueval(cs, x):
+    """Horner value at x.  For x the generator of Q(alpha) this is the
+    element that a rational list represents."""
+    out = x * 0
     for c in reversed(cs):
         out = out * x + c
     return out
 
 
 def _uderiv(cs):
-    return _trim([c * i for i, c in enumerate(cs)][1:])
+    return [c * i for i, c in enumerate(cs)][1:]
 
 
-def _uscale(cs, k: Fraction):
-    return [c * k for c in cs]
+def _umul(a, b):
+    if not a or not b:
+        return []
+    out = [None] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            t = x * y
+            out[i + j] = t if out[i + j] is None else out[i + j] + t
+    return out
 
 
 def _usub(a, b):
     n = max(len(a), len(b))
-    a = a + [Fraction(0)] * (n - len(a))
-    b = b + [Fraction(0)] * (n - len(b))
+    a = list(a) + [Fraction(0)] * (n - len(a))
+    b = list(b) + [Fraction(0)] * (n - len(b))
     return _trim([x - y for x, y in zip(a, b)])
 
 
 def _udivmod(a, b):
-    a = _trim(a)
-    b = _trim(b)
+    """Quotient and remainder, with one inverse of b's leading coefficient."""
+    a, b = _trim(a), _trim(b)
     if not b:
         raise ZeroDivisionError("division by zero polynomial")
-    q = [Fraction(0)] * max(0, len(a) - len(b) + 1)
-    r = list(a)
-    while r and len(r) >= len(b):
-        k = r[-1] / b[-1]
-        d = len(r) - len(b)
+    inv = _inverse(b[-1])
+    n = len(b) - 1
+    q = [inv * 0] * max(0, len(a) - n)  # zeros of the entry type
+    r = a
+    while len(r) > n:
+        k = r[-1] * inv
+        d = len(r) - 1 - n
         q[d] = k
-        r = _usub(r, [Fraction(0)] * d + _uscale(b, k))
-    return _trim(q), r
+        for i in range(n):
+            r[d + i] = r[d + i] - b[i] * k
+        r.pop()  # the top coefficient cancels exactly
+        r = _trim(r)
+    return q, r
+
+
+def _umonic(cs):
+    inv = _inverse(cs[-1])
+    return [c * inv for c in cs]
 
 
 def _ugcd(a, b):
-    """Monic gcd over Q."""
+    """Monic gcd."""
     a, b = _trim(a), _trim(b)
     while b:
         a, b = b, _udivmod(a, b)[1]
-    if not a:
-        return []
-    return _uscale(a, 1 / a[-1])
+    return _umonic(a) if a else []
+
+
+def _ext_gcd(a, b):
+    """(g, s) with s*a congruent to g modulo b, for rational lists."""
+    r0, r1 = _trim(a), _trim(b)
+    s0, s1 = [Fraction(1)], []
+    while r1:
+        q, r = _udivmod(r0, r1)
+        r0, r1 = r1, r
+        s0, s1 = s1, _usub(s0, _umul(q, s1))
+    return r0, s0
 
 
 def _usquarefree(cs):
@@ -416,30 +472,29 @@ def _usquarefree(cs):
     return q
 
 
-def _usturm(cs):
-    chain = [_trim(cs), _uderiv(cs)]
-    while chain[-1]:
+def _usturm(p):
+    """Sturm chain of a trimmed list of degree >= 1.
+
+    Each remainder is negated and scaled by 1/|lead|: a positive factor,
+    so no sign moves, and the coefficients stay small.
+    """
+    chain = [p, _uderiv(p)]
+    while True:
         rem = _udivmod(chain[-2], chain[-1])[1]
         if not rem:
-            break
-        chain.append([-c for c in rem])
-    return [c for c in chain if c]
+            return chain
+        k = _inverse(rem[-1]) * -_sign(rem[-1])
+        chain.append([c * k for c in rem])
 
 
-def _variations(signs):
-    signs = [s for s in signs if s != 0]
+def _variations(chain, x) -> int:
+    signs = [s for s in (_sign(_ueval(p, x)) for p in chain) if s]
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
-
-
-def _sign(x) -> int:
-    return (x > 0) - (x < 0)
 
 
 def _sturm_count(chain, a: Fraction, b: Fraction) -> int:
     """Distinct real roots in (a, b); a, b must not be roots of chain[0]."""
-    va = _variations([_sign(_ueval(c, a)) for c in chain])
-    vb = _variations([_sign(_ueval(c, b)) for c in chain])
-    return va - vb
+    return _variations(chain, a) - _variations(chain, b)
 
 
 def _uint_primitive(cs):
@@ -459,9 +514,16 @@ def _uint_primitive(cs):
 
 
 def _root_bound(cs) -> Fraction:
-    """Cauchy bound: every real root has absolute value strictly below this."""
-    lead = abs(cs[-1])
-    m = max((abs(c) for c in cs[:-1]), default=Fraction(0))
+    """Cauchy bound: every real root has absolute value strictly below this.
+
+    The leading coefficient must have an exact value: a rational, or the
+    one of a monic list.
+    """
+    lead = abs(_interval(cs[-1])[0])
+    m = Fraction(0)
+    for c in cs[:-1]:
+        lo, hi = _interval(c)
+        m = max(m, abs(lo), abs(hi))
     return 1 + m / lead
 
 
@@ -469,23 +531,26 @@ def _root_bound(cs) -> Fraction:
 # real algebraic numbers
 
 
-@dataclass
 class AlgebraicNumber:
-    """A real root of a square-free univariate polynomial.
+    """A real root of a square-free univariate polynomial over Q or Q(alpha).
 
-    ``lo == hi`` encodes an exact rational root.  Otherwise exactly one real
-    root of ``defining`` lies in the open interval (lo, hi) and neither
-    endpoint is a root.  ``refine`` halves the interval in place; everything
-    else is read-only.
+    ``defining`` is a Polynomial over Q or a trimmed coefficient list (see
+    above); ``coeffs`` caches its coefficient list.  ``lo == hi`` encodes an
+    exact rational root.  Otherwise exactly one real root of ``defining``
+    lies in the open interval (lo, hi) and neither endpoint is a root.
+    ``refine`` halves the interval in place; everything else is read-only.
     """
 
-    defining: Polynomial
-    lo: Fraction
-    hi: Fraction
+    __slots__ = ("defining", "coeffs", "lo", "hi")
 
-    def __post_init__(self):
-        self.lo = Fraction(self.lo)
-        self.hi = Fraction(self.hi)
+    def __init__(self, defining, lo, hi):
+        self.defining = defining
+        if isinstance(defining, Polynomial):
+            self.coeffs = _trim(defining.univariate_coeffs())
+        else:
+            self.coeffs = list(defining)
+        self.lo = Fraction(lo)
+        self.hi = Fraction(hi)
         if self.lo > self.hi:
             raise ArithError("inverted interval")
 
@@ -499,19 +564,14 @@ class AlgebraicNumber:
             raise ArithError("not an exact rational")
         return self.lo
 
-    def _coeffs(self):
-        return _trim(self.defining.univariate_coeffs())
-
     def refine(self):
         if self.is_rational:
             return
-        cs = self._coeffs()
         mid = (self.lo + self.hi) / 2
-        v = _ueval(cs, mid)
+        v = _sign(_ueval(self.coeffs, mid))
         if v == 0:
             self.lo = self.hi = mid
-            return
-        if _sign(_ueval(cs, self.lo)) * _sign(v) < 0:
+        elif _sign(_ueval(self.coeffs, self.lo)) * v < 0:
             self.hi = mid
         else:
             self.lo = mid
@@ -530,7 +590,9 @@ class AlgebraicNumber:
     def __repr__(self):
         if self.is_rational:
             return f"AlgebraicNumber({self.lo})"
-        return f"AlgebraicNumber({self.defining.to_text()} in ({self.lo},{self.hi}))"
+        d = self.defining
+        text = d.to_text() if isinstance(d, Polynomial) else d
+        return f"AlgebraicNumber({text} in ({self.lo},{self.hi}))"
 
 
 def real_compare(u, v) -> int:
@@ -545,19 +607,17 @@ def real_compare(u, v) -> int:
         return -real_compare(v, u)
     if isinstance(v, (int, Fraction)):
         c = Fraction(v)
-        cs = u._coeffs()
         while True:
             if c <= u.lo:
                 return 1
             if c >= u.hi:
                 return -1
-            if _ueval(cs, c) == 0:
+            if _sign(_ueval(u.coeffs, c)) == 0:
                 return 0  # c is the unique root inside the isolating interval
             u.refine()
             if u.is_rational:
                 return _sign(u.value - c)
-    ca, cb = u._coeffs(), v._coeffs()
-    g = _ugcd(ca, cb)
+    g = _ugcd(u.coeffs, v.coeffs)
     gchain = _usturm(g) if _udeg(g) >= 1 else None
     while True:
         if u.is_rational or v.is_rational:
@@ -579,48 +639,73 @@ def real_sign(u) -> int:
     return real_compare(u, Fraction(0))
 
 
-def isolate_real_roots(p: Polynomial):
-    """Ordered list of AlgebraicNumber isolating every distinct real root of p.
+def rational_between(lo: AlgebraicNumber, hi: AlgebraicNumber) -> Fraction:
+    """A rational strictly between two real algebraic numbers lo < hi.
 
-    Rational roots are certified exactly (width-zero intervals) without any
-    integer factorization: the interval is narrowed below the minimum spacing
-    of rationals whose denominator can divide the leading coefficient, at
-    which point the simplest rational inside is the only candidate left.
+    Both are refined while their intervals overlap, and also while they
+    touch with an exact rational root on either side: a shared endpoint
+    lies strictly between two open intervals, but is the root itself on a
+    side whose interval has width zero.
     """
-    if p.is_zero():
-        raise ZeroPolynomialError("cannot isolate roots of the zero polynomial")
-    cs = _trim(p.univariate_coeffs())
-    if len(cs) == 1:
-        return []
-    sq = _uint_primitive(_usquarefree(cs))
-    live = [v for i, v in enumerate(p.variables) if any(e[i] for e in p.terms)]
-    var = live[0]
-    defining = Polynomial.from_univariate(var, sq)
-    lead = abs(sq[-1])
-    gap = Fraction(1, int(lead * lead) + 1)
-    chain = _usturm(sq)
+    while lo.hi > hi.lo or (lo.hi == hi.lo and (lo.is_rational or hi.is_rational)):
+        lo.refine()
+        hi.refine()
+    if lo.hi == hi.lo:
+        return lo.hi
+    g = hi.lo - lo.hi
+    return simplest_between(lo.hi + g / 4, hi.lo - g / 4)
 
-    hi = Fraction(ceil(_root_bound(sq)))
-    lo = -hi
+
+def uisolate(p):
+    """Ordered AlgebraicNumber list isolating every distinct real root of a
+    coefficient list (Sturm counts and bisection).
+
+    A rational list is made integer-primitive and its rational roots are
+    certified exactly without any integer factorization: the interval is
+    narrowed below 1/(lead^2 + 1), the minimum spacing of rationals whose
+    denominator can divide the leading coefficient, at which point the
+    simplest rational inside is the only candidate left.  A list over
+    Q(alpha) is made monic, narrowed below 1/1024 and the simplest rational
+    inside is tried once; a rational root this misses stays in interval
+    form, which costs nothing in correctness.
+    """
+    p = _trim(p)
+    if not p:
+        raise ZeroPolynomialError("cannot isolate roots of the zero polynomial")
+    if len(p) == 1:
+        return []
+    sq = _usquarefree(p)
+    if all(isinstance(c, (int, Fraction)) for c in sq):
+        sq = _uint_primitive(sq)
+        gap = Fraction(1, int(sq[-1]) ** 2 + 1)
+        bound = Fraction(ceil(_root_bound(sq)))
+    else:
+        sq = _umonic(sq)
+        gap = Fraction(1, 1024)
+        bound = _root_bound(sq)
+    chain = _usturm(sq)
     roots = []
+
+    def sgn(x):
+        return _sign(_ueval(sq, x))
 
     def finalize(a, b):
         # exactly one root in (a, b); endpoints are not roots
+        sa = sgn(a)
         while b - a >= gap:
             m = (a + b) / 2
-            v = _ueval(sq, m)
+            v = sgn(m)
             if v == 0:
-                roots.append(AlgebraicNumber(defining, m, m))
+                roots.append(AlgebraicNumber(sq, m, m))
                 return
-            if _sign(_ueval(sq, a)) * _sign(v) < 0:
+            if sa * v < 0:
                 b = m
             else:
-                a = m
+                a, sa = m, v
         cand = simplest_between(a, b)
-        if _ueval(sq, cand) == 0:
-            roots.append(AlgebraicNumber(defining, cand, cand))
-        else:
-            roots.append(AlgebraicNumber(defining, a, b))
+        if a < cand < b and sgn(cand) == 0:
+            a = b = cand
+        roots.append(AlgebraicNumber(sq, a, b))
 
     def split(a, b):
         n = _sturm_count(chain, a, b)
@@ -630,7 +715,7 @@ def isolate_real_roots(p: Polynomial):
             finalize(a, b)
             return
         m = (a + b) / 2
-        if _ueval(sq, m) != 0:
+        if sgn(m) != 0:
             split(a, m)
             split(m, b)
             return
@@ -638,49 +723,64 @@ def isolate_real_roots(p: Polynomial):
         step = (b - a) / 8
         while True:
             l2, r2 = m - step, m + step
-            if (a < l2 and r2 < b and _ueval(sq, l2) != 0 and _ueval(sq, r2) != 0
+            if (a < l2 and r2 < b and sgn(l2) != 0 and sgn(r2) != 0
                     and _sturm_count(chain, l2, r2) == 1):
                 break
             step /= 2
         split(a, l2)
-        roots.append(AlgebraicNumber(defining, m, m))
+        roots.append(AlgebraicNumber(sq, m, m))
         split(r2, b)
 
-    split(lo, hi)
+    split(-bound, bound)
     roots.sort(key=lambda r: (r.lo, r.hi))
     return roots
 
 
-def sign_at(p: Polynomial, a) -> int:
-    """Exact sign of a univariate polynomial at a real algebraic point.
+def isolate_real_roots(p: Polynomial):
+    """Ordered list of AlgebraicNumber isolating every distinct real root of
+    a univariate polynomial over Q; rational roots come back exact (see
+    ``uisolate``)."""
+    if p.is_zero():
+        raise ZeroPolynomialError("cannot isolate roots of the zero polynomial")
+    return uisolate(p.univariate_coeffs())
 
-    ``a`` may be an AlgebraicNumber or a plain rational.  A gcd with the
-    defining polynomial decides the zero case; otherwise the isolating
-    interval is refined until p is sign-definite on it.
+
+def usign_at(q, root) -> int:
+    """Exact sign of a coefficient list at a rational or an AlgebraicNumber.
+
+    A nontrivial gcd with the root's defining list certifies the zero case
+    through a sign change over the isolating interval; otherwise the
+    interval is refined until q is sign-definite on it.
     """
+    q = _trim(q)
+    if not q:
+        return 0
+    if isinstance(root, (int, Fraction)):
+        return _sign(_ueval(q, Fraction(root)))
+    if root.is_rational:
+        return _sign(_ueval(q, root.value))
+    if len(q) == 1:
+        return _sign(q[0])
+    qsf = _usquarefree(q)
+    g = _ugcd(qsf, root.coeffs)
+    if _udeg(g) >= 1:
+        # roots of g are also roots of the defining list, so the interval
+        # endpoints are never roots of g; a sign change certifies 0
+        if _sign(_ueval(g, root.lo)) * _sign(_ueval(g, root.hi)) < 0:
+            return 0
+    chain = _usturm(qsf)
+    while _sturm_count(chain, root.lo, root.hi) > 0:
+        root.refine()
+        if root.is_rational:
+            return _sign(_ueval(q, root.value))
+    return _sign(_ueval(q, (root.lo + root.hi) / 2))
+
+
+def sign_at(p: Polynomial, a) -> int:
+    """Exact sign of a univariate polynomial at a rational or an AlgebraicNumber."""
     if p.is_zero():
         raise ZeroPolynomialError("sign of zero polynomial")
-    if isinstance(a, (int, Fraction)):
-        return _sign(_ueval(_trim(p.univariate_coeffs()), Fraction(a)))
-    if a.is_rational:
-        return _sign(_ueval(_trim(p.univariate_coeffs()), a.value))
-    pcs = _trim(p.univariate_coeffs())
-    if len(pcs) == 1:
-        return _sign(pcs[0])
-    dcs = a._coeffs()
-    psq = _usquarefree(pcs)
-    g = _ugcd(psq, dcs)
-    if _udeg(g) >= 1:
-        # roots of g are also roots of the defining polynomial, so the
-        # interval endpoints are never roots of g; a sign change certifies 0
-        if _sign(_ueval(g, a.lo)) * _sign(_ueval(g, a.hi)) < 0:
-            return 0
-    chain = _usturm(psq)
-    while _sturm_count(chain, a.lo, a.hi) > 0:
-        a.refine()
-        if a.is_rational:
-            return _sign(_ueval(pcs, a.value))
-    return _sign(_ueval(pcs, (a.lo + a.hi) / 2))
+    return usign_at(p.univariate_coeffs(), a)
 
 
 # ---------------------------------------------------------------------------
@@ -724,64 +824,6 @@ def _poly_exact_div(a: Polynomial, b: Polynomial) -> Polynomial:
         if not c.is_zero():
             out = out + c.embed(a2.variables) * xn ** i
     return out
-
-
-def sylvester_matrix(p: Polynomial, q: Polynomial, var):
-    """Sylvester matrix with the rows built from p on top.
-
-    Entries are Polynomials in the remaining variables.  This matrix fixes
-    the sign convention: ``resultant(p, q, var)`` equals its determinant.
-    """
-    pa, qa = p._aligned(q)
-    pc = _ptrim(pa.coeffs_in(var))
-    qc = _ptrim(qa.coeffs_in(var))
-    m = len(pc) - 1
-    n = len(qc) - 1
-    rest = pc[0].variables
-    zero = Polynomial.const(0, rest)
-    rows = []
-    prow = list(reversed(pc))
-    qrow = list(reversed(qc))
-    for i in range(n):
-        rows.append([zero] * i + prow + [zero] * (n - 1 - i))
-    for i in range(m):
-        rows.append([zero] * i + qrow + [zero] * (m - 1 - i))
-    return rows
-
-
-def _bareiss_det(rows):
-    """Fraction-free determinant over a polynomial ring (Bareiss elimination)."""
-    n = len(rows)
-    if n == 0:
-        return Polynomial.const(1)
-    a = [list(r) for r in rows]
-    vars0 = a[0][0].variables
-    sign = 1
-    prev = Polynomial.const(1, vars0)
-    for k in range(n - 1):
-        if a[k][k].is_zero():
-            for i in range(k + 1, n):
-                if not a[i][k].is_zero():
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return Polynomial.const(0, vars0)
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                num = a[i][j] * a[k][k] - a[i][k] * a[k][j]
-                a[i][j] = _poly_exact_div(num, prev)
-            a[i][k] = Polynomial.const(0, vars0)
-        prev = a[k][k]
-    det = a[n - 1][n - 1]
-    return det if sign == 1 else -det
-
-
-def sylvester_resultant(p: Polynomial, q: Polynomial, var) -> Polynomial:
-    """Resultant as the determinant of ``sylvester_matrix`` (reference route)."""
-    if p.is_zero() or q.is_zero():
-        raise ZeroPolynomialError("resultant of zero polynomial")
-    return _bareiss_det(sylvester_matrix(p, q, var))
 
 
 def _prem(a, b):
@@ -875,9 +917,10 @@ def _resultant_prs(p: Polynomial, q: Polynomial, var) -> Polynomial:
 def resultant(p: Polynomial, q: Polynomial, var) -> Polynomial:
     """Resultant of p and q with respect to ``var``.
 
-    Equals det(sylvester_matrix(p, q, var)) including sign.  Zero exactly
-    when p and q share a common factor involving ``var``.  Both inputs must
-    involve ``var``.
+    Equals the determinant of the Sylvester matrix with the rows of p on
+    top, including sign (``sylvester_resultant`` in tests/test_arith.py
+    computes it that way).  Zero exactly when p and q share a common factor
+    involving ``var``.  Both inputs must involve ``var``.
     """
     if p.is_zero() or q.is_zero():
         raise ZeroPolynomialError("resultant of zero polynomial")

@@ -9,6 +9,13 @@ value of the input formula, the satisfied cells become the marked part M
 of the complex, and cell adjacency is certified by exact root counting
 rather than floating point tracking.
 
+A stack is one vertical line: x is substituted into the basis, giving
+polynomials in y over Q at a rational x (every sector sample and every
+rational root line) and over Q(alpha) on an irrational root line, where
+x = alpha enters as the generator of a NumberField.  Both kinds go
+through the same coefficient-list engine of arith, and their sections are
+AlgebraicNumbers either way.
+
 The described set must be bounded; decompose raises UnboundedInput as
 soon as a satisfied cell stretches to infinity.  Vertical asymptotes are
 removed up front by an x -> x + lambda*y shear whenever some leading
@@ -22,17 +29,17 @@ from functools import cmp_to_key
 
 from . import _numfield as nf
 from .arith import (
-    AlgebraicNumber,
     Polynomial,
     _poly_exact_div,
+    _ueval,
     coprime_squarefree_basis,
     discriminant,
     isolate_real_roots,
     normalize_primitive,
     poly_gcd,
+    rational_between,
     real_compare,
     resultant,
-    simplest_between,
 )
 from .topology import CellComplex, serialize_complex
 
@@ -282,14 +289,16 @@ class Stack:
     """One vertical slice of the decomposition.
 
     Even indices are open sectors with a rational x sample, odd indices sit
-    on a projection root.  sections are the curve heights on the slice, in
-    increasing order; level 2j+1 is section j, even levels are the open
-    intervals in between.
+    on a projection root.  at is the value substituted for x: the rational
+    x itself, or the generator of Q(x) on an irrational root line, so the
+    curves on the slice are polynomials in y over Q or over Q(x).
+    sections are the curve heights on the slice, in increasing order;
+    level 2j+1 is section j, even levels are the open intervals in between.
     """
 
     index: int
     x: object
-    field: object
+    at: object
     sections: list
     _cache: dict = _dcfield(default_factory=dict, repr=False)
 
@@ -297,49 +306,38 @@ class Stack:
         key = p.key()
         out = self._cache.get(key)
         if out is None:
-            out = _subst_x(self.field, p)
+            out = _subst_x(self.at, p)
             self._cache[key] = out
         return out
 
 
-def _subst_x(fld, p: Polynomial):
-    return [fld.element(c.univariate_coeffs()) for c in p.coeffs_in("y")]
+def _subst_x(at, p: Polynomial):
+    return [_ueval(c.univariate_coeffs(), at) for c in p.coeffs_in("y")]
 
 
 def _fences(roots):
     """Rational values strictly interleaving an ordered list of roots.
 
-    Works for both x-axis roots and field roots: anything with lo, hi and
-    refine().  Returns len(roots)+1 values; for an empty list just [0].
+    Returns len(roots)+1 values; for an empty list just [0].
     """
     if not roots:
         return [Fraction(0)]
-    out = [roots[0].lo - 1]
-    for a, b in zip(roots, roots[1:]):
-        while a.hi > b.lo:
-            a.refine()
-            b.refine()
-        if a.hi == b.lo:
-            out.append(a.hi)
-        else:
-            g = b.lo - a.hi
-            out.append(simplest_between(a.hi + g / 4, b.lo - g / 4))
-    out.append(roots[-1].hi + 1)
-    return out
+    return ([roots[0].lo - 1]
+            + [rational_between(a, b) for a, b in zip(roots, roots[1:])]
+            + [roots[-1].hi + 1])
 
 
 def _build_stack(index, xval, basis) -> Stack:
-    if index % 2 == 0:
-        fld = nf.NumberField.rational(xval)
+    if isinstance(xval, Fraction):
+        at = xval
     elif xval.is_rational:
-        fld = nf.NumberField.rational(xval.value)
+        at = xval.value
     else:
-        fld = nf.NumberField(xval.copy())
-    prod = [fld.one()]
+        at = nf.NumberField(xval.copy()).generator()
+    prod = [Fraction(1)]
     for b in basis:
-        prod = nf.ymul(fld, prod, _subst_x(fld, b))
-    sections = nf.yisolate(fld, prod) if len(prod) > 1 else []
-    return Stack(index, xval, fld, sections)
+        prod = nf.ymul(prod, _subst_x(at, b))
+    return Stack(index, xval, at, nf.yisolate(prod))
 
 
 # ---------------------------------------------------------------------------
@@ -383,15 +381,7 @@ def _limit_assignment(Q, rstack, sstack, side, bound_root):
         for c in cands[1:]:
             if real_compare(c, best) * side < 0:
                 best = c
-        lo, hi = (best, alpha) if side < 0 else (alpha, best)
-        while lo.hi > hi.lo:
-            lo.refine()
-            hi.refine()
-        if lo.hi == hi.lo:
-            xstar = lo.hi
-        else:
-            g = hi.lo - lo.hi
-            xstar = simplest_between(lo.hi + g / 4, hi.lo - g / 4)
+        xstar = rational_between(best, alpha) if side < 0 else rational_between(alpha, best)
     croots = isolate_real_roots(Q.substitute({"x": xstar}))
     if len(croots) != K:
         raise CadError(
@@ -505,7 +495,7 @@ def decompose(formula) -> Decomposition:
                 yval = bands[lv // 2]
                 dim = 1 if on_root else 2
             sat = eval_formula(working,
-                               lambda p: nf.ysign_at(st.field, st.ypoly(p), yval))
+                               lambda p: nf.ysign_at(st.ypoly(p), yval))
             ambient[cid] = (dim, sat)
             samples[cid] = SamplePoint(st.x, yval)
 
@@ -604,7 +594,7 @@ def locate(dec: Decomposition, point) -> str:
         # on a root line the stack sections are the curve heights themselves
         lv = 2 * len(st.sections)
         for j, sec in enumerate(st.sections):
-            c = sec.compare_rational(py)
+            c = real_compare(sec, py)
             if c == 0:
                 lv = 2 * j + 1
                 break

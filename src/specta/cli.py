@@ -51,12 +51,12 @@ from .topology import (
     _id_key,
     barycentric_subdivision,
     bricks,
+    compare_fingerprints,
     eta_set,
     parse_complex,
     rho_sequence,
     serialize_complex,
     spectral_fingerprint,
-    compare_spectral_types,
 )
 
 
@@ -195,9 +195,9 @@ def _field_diffs(a: FingerprintData, b: FingerprintData):
 def _cmd_compare(args):
     K1 = parse_complex(_read(args.first))
     K2 = parse_complex(_read(args.second))
-    report = compare_spectral_types(K1, K2)
     f1 = spectral_fingerprint(K1)
     f2 = spectral_fingerprint(K2)
+    report = compare_fingerprints(f1, f2)
 
     whole = []
     for tag, a, b in (("M", f1.data, f2.data),

@@ -545,8 +545,11 @@ def compare_spectral_types(K1: CellComplex, K2: CellComplex) -> ComparisonReport
     as M: it needs N compact on top of the eta-removed fingerprints
     matching.  All other verdicts are symmetric.
     """
-    f1 = spectral_fingerprint(K1)
-    f2 = spectral_fingerprint(K2)
+    return compare_fingerprints(spectral_fingerprint(K1), spectral_fingerprint(K2))
+
+
+def compare_fingerprints(f1: Fingerprint, f2: Fingerprint) -> ComparisonReport:
+    """compare_spectral_types on fingerprints already computed; f1 is N."""
     s = CONSISTENT if f1 == f2 else RULED_OUT
     s_star = CONSISTENT if f1.minus_eta == f2.minus_eta else RULED_OUT
     if f1.data.compact and f1.minus_eta == f2.minus_eta:

@@ -26,9 +26,8 @@ from specta.arith import (
     sign_at,
     simplest_between,
     squarefree_part,
-    sylvester_matrix,
-    sylvester_resultant,
 )
+from specta.arith import _poly_exact_div, _ptrim
 
 X = Polynomial.var("x")
 XY = Polynomial.var("x", ("x", "y"))
@@ -180,6 +179,69 @@ def test_sign_multiplicative_at_algebraic_point(seed):
 
 # ---------------------------------------------------------------------------
 # resultants
+
+
+# Reference route: the Sylvester determinant, which fixes the sign
+# convention of ``resultant``.
+
+
+def sylvester_matrix(p: Polynomial, q: Polynomial, var):
+    """Sylvester matrix with the rows built from p on top.
+
+    Entries are Polynomials in the remaining variables.  This matrix fixes
+    the sign convention: ``resultant(p, q, var)`` equals its determinant.
+    """
+    pa, qa = p._aligned(q)
+    pc = _ptrim(pa.coeffs_in(var))
+    qc = _ptrim(qa.coeffs_in(var))
+    m = len(pc) - 1
+    n = len(qc) - 1
+    rest = pc[0].variables
+    zero = Polynomial.const(0, rest)
+    rows = []
+    prow = list(reversed(pc))
+    qrow = list(reversed(qc))
+    for i in range(n):
+        rows.append([zero] * i + prow + [zero] * (n - 1 - i))
+    for i in range(m):
+        rows.append([zero] * i + qrow + [zero] * (m - 1 - i))
+    return rows
+
+
+def _bareiss_det(rows):
+    """Fraction-free determinant over a polynomial ring (Bareiss elimination)."""
+    n = len(rows)
+    if n == 0:
+        return Polynomial.const(1)
+    a = [list(r) for r in rows]
+    vars0 = a[0][0].variables
+    sign = 1
+    prev = Polynomial.const(1, vars0)
+    for k in range(n - 1):
+        if a[k][k].is_zero():
+            for i in range(k + 1, n):
+                if not a[i][k].is_zero():
+                    a[k], a[i] = a[i], a[k]
+                    sign = -sign
+                    break
+            else:
+                return Polynomial.const(0, vars0)
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                num = a[i][j] * a[k][k] - a[i][k] * a[k][j]
+                a[i][j] = _poly_exact_div(num, prev)
+            a[i][k] = Polynomial.const(0, vars0)
+        prev = a[k][k]
+    det = a[n - 1][n - 1]
+    return det if sign == 1 else -det
+
+
+def sylvester_resultant(p: Polynomial, q: Polynomial, var) -> Polynomial:
+    """Resultant as the determinant of ``sylvester_matrix`` (reference route)."""
+    if p.is_zero() or q.is_zero():
+        raise ZeroPolynomialError("resultant of zero polynomial")
+    return _bareiss_det(sylvester_matrix(p, q, var))
+
 
 
 def test_resultant_linear_pair_sign_convention():

@@ -205,6 +205,51 @@ def test_strip_with_irrational_stacks():
     assert rho1 == set()
 
 
+# formulas whose projection has irrational x-roots: their root lines are
+# lifted over Q(alpha)
+TWO_ELLIPSES = "x^2+2y^2<=2 OR 2x^2+y^2<=2"
+LEMNISCATE_DISK = "(x^2+y^2)^2-2(x^2-y^2)<=0 AND x^2+y^2<=1"
+
+
+def _exact_samples_agree(text):
+    """Every exactly rational sample carries the flag contains_point gives."""
+    dec = _dec(text)
+    f = parse_formula(text)
+    checked = 0
+    for cid, sp in dec.samples.items():
+        if isinstance(sp.x, Fraction) and isinstance(sp.y, Fraction):
+            px = sp.x if dec.shear is None else sp.x + dec.shear * sp.y
+            assert cad2d.contains_point(f, (px, sp.y)) == dec.ambient_cells[cid][1], cid
+            checked += 1
+    assert checked > 0
+
+
+@pytest.mark.parametrize("text, ambient, kept, euler", [
+    (TWO_ELLIPSES, 69, 45, 1),
+    (LEMNISCATE_DISK, 85, 21, 1),
+])
+def test_irrational_stack_formulas(text, ambient, kept, euler):
+    dec = _dec(text)
+    assert sum(1 for r in dec._xroots if not r.is_rational) == 4
+    assert (dec.cell_count(), len(dec.complex.cells)) == (ambient, kept)
+    fp = topology.spectral_fingerprint(dec.complex)
+    assert (fp.data.euler, fp.data.components, fp.data.compact) == (euler, 1, True)
+    _exact_samples_agree(text)
+
+
+@pytest.mark.parametrize("text, kept, euler", [
+    # two root intervals touched at an exact rational root, and that root
+    # was taken as the rational between them
+    ("(x-1)^2+(y-1/2)^2 >= 1 AND (x-1)^2+(y-1/2)^2 <= 9", 24, 0),
+    ("x^4 + y^4 - 3x^2 y + y^2 <= 1/2 AND x^2 + y^2 <= 9", 5, 1),
+])
+def test_fence_never_lands_on_a_rational_root(text, kept, euler):
+    dec = _dec(text)
+    assert (dec.cell_count(), len(dec.complex.cells)) == (41, kept)
+    assert topology.spectral_fingerprint(dec.complex).data.euler == euler
+    _exact_samples_agree(text)
+
+
 def test_vertical_segment():
     dec = _dec(SEGMENT)
     assert dec.cell_count() == 15

@@ -11,6 +11,7 @@ import sys
 import pytest
 
 from test_cad2d import GOLDEN
+import specta
 from specta import cad2d, topology
 from specta._expr import parse_formula
 from specta.cli import main
@@ -399,6 +400,11 @@ def test_usage_errors(capsys):
 def _run_cli(tmp_path, hash_seed, *argv):
     env = dict(os.environ, PYTHONHASHSEED=str(hash_seed))
     env.pop("SPECTA_TRUNCATION", None)
+    # the child runs in tmp_path, where a relative PYTHONPATH entry no
+    # longer resolves: hand it the directory this specta was imported from
+    pkg_parent = os.path.dirname(os.path.dirname(os.path.abspath(specta.__file__)))
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (pkg_parent, env.get("PYTHONPATH")) if p)
     proc = subprocess.run(
         [sys.executable, "-m", "specta.cli", *argv],
         capture_output=True, text=True, env=env, cwd=tmp_path,

@@ -5,22 +5,31 @@ inverses and products can be checked against closed forms (for instance
 1/(1+sqrt(2)) = sqrt(2)-1).  The dynamic-splitting behavior is pinned by
 starting from the reducible (t^2-2)(t^2-3) and watching the presentation
 narrow to t^2-2 once an inverse forces the decision.
+
+Polynomials over the field are coefficient lists of field elements, run
+through the same univariate engine as rational lists.
 """
 
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from specta.arith import AlgebraicNumber, Polynomial, isolate_real_roots
-from specta._numfield import (
-    FieldElement,
-    NumberField,
-    yisolate,
-    ypoly,
-    ysign_at,
-    ysquarefree,
-    ytrim,
+from specta.arith import (
+    AlgebraicNumber,
+    Polynomial,
+    _trim,
+    _usquarefree,
+    isolate_real_roots,
+    uisolate,
+    usign_at,
 )
+from specta._numfield import FieldElement, NumberField
+
+
+def ypoly(field, coeffs):
+    """Coefficient list in y from rationals and/or field elements."""
+    return [c if isinstance(c, FieldElement) else field.element([c]) for c in coeffs]
 
 
 def sqrt2_field():
@@ -84,7 +93,8 @@ def test_reducible_presentation_narrows_on_inverse():
 
 
 def test_rational_presentation_fast_paths():
-    F = NumberField.rational(Fraction(3, 2))
+    p = Polynomial.from_univariate("x", [Fraction(-3, 2), 1])
+    F = NumberField(AlgebraicNumber(p, Fraction(3, 2), Fraction(3, 2)))
     a = F.generator()
     assert (a * a).as_rational() == Fraction(9, 4)
     assert (a - 2).sign() == -1
@@ -106,7 +116,7 @@ def test_element_interval_contains_value():
 def test_isolate_fourth_root_of_two():
     F = sqrt2_field()
     a = F.generator()
-    roots = yisolate(F, ypoly(F, [-a, 0, 1]))
+    roots = uisolate(ypoly(F, [-a, 0, 1]))
     assert len(roots) == 2
     approx = [float(r) for r in roots]
     assert abs(approx[0] + 2 ** 0.25) < 1e-5
@@ -118,7 +128,7 @@ def test_isolate_finds_exact_rational_root():
     a = F.generator()
     # (y - 1/3)(y - sqrt2) = y^2 - (1/3 + sqrt2) y + sqrt2/3
     p = [a * Fraction(1, 3), -(a + Fraction(1, 3)), F.one()]
-    roots = yisolate(F, p)
+    roots = uisolate(p)
     assert len(roots) == 2
     assert roots[0].is_rational and roots[0].value == Fraction(1, 3)
     assert not roots[1].is_rational
@@ -130,7 +140,7 @@ def test_isolate_handles_repeated_factor():
     a = F.generator()
     # (y - a)^2 has a single distinct root at sqrt(2)
     p = [a * a, -2 * a, F.one()]
-    roots = yisolate(F, p)
+    roots = uisolate(p)
     assert len(roots) == 1
     assert abs(float(roots[0]) - 2 ** 0.5) < 1e-5
 
@@ -139,7 +149,7 @@ def test_isolate_with_algebraic_leading_coefficient():
     F = sqrt2_field()
     a = F.generator()
     # a*y - 1 has the single root 1/sqrt(2)
-    roots = yisolate(F, [-F.one(), a])
+    roots = uisolate([-F.one(), a])
     assert len(roots) == 1
     assert abs(float(roots[0]) - 2 ** -0.5) < 1e-5
 
@@ -147,30 +157,30 @@ def test_isolate_with_algebraic_leading_coefficient():
 def test_sign_at_root():
     F = sqrt2_field()
     a = F.generator()
-    roots = yisolate(F, [(-a), F.zero(), F.one()])  # y^2 = sqrt2
+    roots = uisolate([(-a), F.zero(), F.one()])  # y^2 = sqrt2
     r = roots[1]  # 2^(1/4)
     # y^4 - 2 vanishes there; y^2 - 2 is negative; y - 1 is positive
     q_vanishing = ypoly(F, [-2, 0, 0, 0, 1])
-    assert ysign_at(F, q_vanishing, r) == 0
-    assert ysign_at(F, ypoly(F, [-2, 0, 1]), r) == -1
-    assert ysign_at(F, ypoly(F, [-1, 1]), r) == 1
-    assert ysign_at(F, ypoly(F, [5]), r) == 1
+    assert usign_at(q_vanishing, r) == 0
+    assert usign_at(ypoly(F, [-2, 0, 1]), r) == -1
+    assert usign_at(ypoly(F, [-1, 1]), r) == 1
+    assert usign_at(ypoly(F, [5]), r) == 1
 
 
 def test_sign_at_rational_point():
     F = sqrt2_field()
     a = F.generator()
     p = [(-a), F.one()]  # y - sqrt2
-    assert ysign_at(F, p, Fraction(1)) == -1
-    assert ysign_at(F, p, Fraction(2)) == 1
+    assert usign_at(p, Fraction(1)) == -1
+    assert usign_at(p, Fraction(2)) == 1
 
 
 def test_squarefree_collapses_repeated_root():
     F = sqrt2_field()
     a = F.generator()
     p = [a * a, -2 * a, F.one()]  # (y-a)^2
-    sf = ysquarefree(F, p)
-    assert len(ytrim(sf)) == 2  # degree dropped to 1
+    sf = _usquarefree(p)
+    assert len(_trim(sf)) == 2  # degree dropped to 1
 
 
 def test_semantic_trim_drops_vanishing_lead():
@@ -178,7 +188,7 @@ def test_semantic_trim_drops_vanishing_lead():
     a = F.generator()
     # leading coefficient a^2 - 2 is semantically zero
     p = [F.one(), F.one(), a * a - 2]
-    assert len(ytrim(p)) == 2
+    assert len(_trim(p)) == 2
 
 
 def test_field_from_isolated_root():
@@ -190,3 +200,21 @@ def test_field_from_isolated_root():
     assert (a ** 3).as_rational() == 3
     assert (a - 1).sign() == 1
     assert ((a ** 2 + a + 1) * (a - 1)).as_rational() == 2  # a^3 - 1
+
+
+# ---------------------------------------------------------------------------
+# one engine for both coefficient domains
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.lists(st.integers(min_value=-6, max_value=6), min_size=2, max_size=6))
+def test_isolation_agrees_over_q_and_q_sqrt2(coeffs):
+    rational = _usquarefree([Fraction(c) for c in coeffs])
+    if len(rational) < 2:
+        return
+    F = sqrt2_field()
+    over_q = uisolate(rational)
+    over_field = uisolate(ypoly(F, rational))
+    assert len(over_q) == len(over_field)
+    for a, b in zip(over_q, over_field):
+        assert max(a.lo, b.lo) <= min(a.hi, b.hi)
