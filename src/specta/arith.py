@@ -3,11 +3,11 @@
 Sparse multivariate polynomials over Q with fractions.Fraction
 coefficients, resultants, gcds and coprime square-free bases, and one
 univariate engine for little-endian coefficient lists: division, gcd,
-square-free part, Sturm chains, root isolation and sign at a real
-algebraic point.  That engine takes entries in Q or in Q(alpha) (field
-elements of ``_numfield``), so roots over both come back as the same
-``AlgebraicNumber``.  All operations are pure and exact; no floating point
-enters any decision.
+square-free part, Sturm chains and root counts on (a, b], root isolation
+and sign at a real algebraic point.  That engine takes entries in Q or in
+Q(alpha) (field elements of ``_numfield``), so roots over both come back
+as the same ``AlgebraicNumber``.  All operations are pure and exact; no
+floating point enters any decision.
 
 Conventions
 -----------
@@ -487,14 +487,38 @@ def _usturm(p):
         chain.append([c * k for c in rem])
 
 
-def _variations(chain, x) -> int:
-    signs = [s for s in (_sign(_ueval(p, x)) for p in chain) if s]
+def sturm_chain(cs):
+    """Sturm chain of the square-free part of a list of degree >= 1."""
+    return _usturm(_usquarefree(cs))
+
+
+def _variations(chain, x, end) -> int:
+    # x = None stands for the infinity on the side of end (+1 or -1)
+    signs = [_sign(p[-1]) * end ** (len(p) - 1) if x is None else _sign(_ueval(p, x))
+             for p in chain]
+    signs = [s for s in signs if s]
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
-def _sturm_count(chain, a: Fraction, b: Fraction) -> int:
-    """Distinct real roots in (a, b); a, b must not be roots of chain[0]."""
-    return _variations(chain, a) - _variations(chain, b)
+def sturm_count(chain, a, b) -> int:
+    """Number of distinct real roots of chain[0] in (a, b], for a <= b.
+
+    Zeros are dropped from the sign sequences, so an endpoint may be a
+    root: one at b is counted, one at a is not.  None stands for -inf as a
+    and for +inf as b, read off the leading coefficients.
+    """
+    return _variations(chain, a, -1) - _variations(chain, b, 1)
+
+
+def refine_root_free(chain, root):
+    """Refine root in place until chain[0], nonzero at the root, has no root
+    on the closed interval [root.lo, root.hi], or until root is rational.
+
+    An endpoint is never a root of root.defining but may be one of chain[0].
+    """
+    while not root.is_rational and (sturm_count(chain, root.lo, root.hi)
+                                    or not _sign(_ueval(chain[0], root.lo))):
+        root.refine()
 
 
 def _uint_primitive(cs):
@@ -629,7 +653,7 @@ def real_compare(u, v) -> int:
         olo, ohi = max(u.lo, v.lo), min(u.hi, v.hi)
         if gchain is not None and olo < ohi:
             # a root of g in the overlap is a common root, hence both numbers
-            if _sturm_count(gchain, olo, ohi) >= 1:
+            if sturm_count(gchain, olo, ohi) >= 1:
                 return 0
         u.refine()
         v.refine()
@@ -708,7 +732,7 @@ def uisolate(p):
         roots.append(AlgebraicNumber(sq, a, b))
 
     def split(a, b):
-        n = _sturm_count(chain, a, b)
+        n = sturm_count(chain, a, b)
         if n == 0:
             return
         if n == 1:
@@ -724,7 +748,7 @@ def uisolate(p):
         while True:
             l2, r2 = m - step, m + step
             if (a < l2 and r2 < b and sgn(l2) != 0 and sgn(r2) != 0
-                    and _sturm_count(chain, l2, r2) == 1):
+                    and sturm_count(chain, l2, r2) == 1):
                 break
             step /= 2
         split(a, l2)
@@ -750,7 +774,7 @@ def usign_at(q, root) -> int:
 
     A nontrivial gcd with the root's defining list certifies the zero case
     through a sign change over the isolating interval; otherwise the
-    interval is refined until q is sign-definite on it.
+    interval is refined until q has no root on it.
     """
     q = _trim(q)
     if not q:
@@ -761,18 +785,13 @@ def usign_at(q, root) -> int:
         return _sign(_ueval(q, root.value))
     if len(q) == 1:
         return _sign(q[0])
-    qsf = _usquarefree(q)
-    g = _ugcd(qsf, root.coeffs)
+    g = _ugcd(q, root.coeffs)
     if _udeg(g) >= 1:
         # roots of g are also roots of the defining list, so the interval
         # endpoints are never roots of g; a sign change certifies 0
         if _sign(_ueval(g, root.lo)) * _sign(_ueval(g, root.hi)) < 0:
             return 0
-    chain = _usturm(qsf)
-    while _sturm_count(chain, root.lo, root.hi) > 0:
-        root.refine()
-        if root.is_rational:
-            return _sign(_ueval(q, root.value))
+    refine_root_free(sturm_chain(q), root)
     return _sign(_ueval(q, (root.lo + root.hi) / 2))
 
 

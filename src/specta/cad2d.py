@@ -39,7 +39,10 @@ from .arith import (
     poly_gcd,
     rational_between,
     real_compare,
+    refine_root_free,
     resultant,
+    sturm_chain,
+    sturm_count,
 )
 from .topology import CellComplex, serialize_complex
 
@@ -294,12 +297,15 @@ class Stack:
     curves on the slice are polynomials in y over Q or over Q(x).
     sections are the curve heights on the slice, in increasing order;
     level 2j+1 is section j, even levels are the open intervals in between.
+    fences are rational heights, one inside each even level: its sample
+    height, and on a root line a separator for adjacency certification.
     """
 
     index: int
     x: object
     at: object
     sections: list
+    fences: list
     _cache: dict = _dcfield(default_factory=dict, repr=False)
 
     def ypoly(self, p: Polynomial):
@@ -337,74 +343,65 @@ def _build_stack(index, xval, basis) -> Stack:
     prod = [Fraction(1)]
     for b in basis:
         prod = nf.ymul(prod, _subst_x(at, b))
-    return Stack(index, xval, at, nf.yisolate(prod))
+    sections = nf.yisolate(prod)
+    return Stack(index, xval, at, sections, _fences(sections))
 
 
 # ---------------------------------------------------------------------------
 # certified adjacency
 
 
-def _limit_assignment(Q, rstack, sstack, side, bound_root):
+def _approach(h, alpha, xstar, side):
+    """Halve the rational xstar toward alpha until the coefficient list h
+    has no root on the closed segment from xstar to alpha's interval.
+
+    side is the side of alpha that xstar lies on, and h(alpha) must not
+    vanish.  alpha is first refined until its own closed interval is root
+    free: its endpoint on xstar's side may be a rational root of h, and no
+    halving toward a root ever certifies.
+    """
+    chain = sturm_chain(h)
+    refine_root_free(chain, alpha)
+    near = alpha.hi if side > 0 else alpha.lo
+    while True:
+        a, b = min(xstar, near), max(xstar, near)
+        if _ueval(h, a) and not sturm_count(chain, a, b):
+            return xstar
+        xstar = (xstar + near) / 2
+
+
+def _limit_assignment(Q, rstack, sstack, side):
     """For each section of the sector, the root-stack point it converges to.
 
-    side is -1 when the sector lies left of the root line, +1 when right.
-    Separator heights fence the root-stack points into boxes; a sample
-    x* is chosen so close to the root that no curve of the family crosses
-    any separator height between x* and the root (certified by excluding
-    the real roots of Q(x, separator) from that interval), so box
-    membership at x* equals the limit assignment.  Returns 1-based indices.
+    side is -1 when the sector lies left of the root line alpha, +1 when
+    right.  The root stack's fences are the separator heights e that split
+    its points into boxes; Q(alpha, e) != 0 as no fence is a curve height.
+    Starting at the sector's own sample, x* is moved toward alpha until a
+    Sturm count certifies, for every e, that Q(x, e) has no root between
+    x* and alpha: no curve crosses a separator there, so box membership at
+    x* equals the limit assignment.  One Sturm chain of Q(x*, y) counts the
+    branches in each box (a, b] of consecutive separators (no branch lies
+    on one), and the branches fill the boxes in order.  Returns 1-based
+    box indices, one per section.
     """
     K = len(sstack.sections)
-    k = len(rstack.sections)
     if K == 0:
         return []
-    if k == 0:
-        raise CadError(
-            "adjacency certification failed: curve sections approach a root "
-            "line that carries no curve point")
-    alpha = rstack.x
-    seps = _fences(rstack.sections)
-    cands = []
+    seps = rstack.fences
+    xstar = sstack.x
     for e in seps:
         h = Q.substitute({"y": e})
-        if h.is_zero():  # pragma: no cover - separators are never curve heights
-            raise CadError("adjacency certification failed: degenerate separator")
         if not h.is_constant():
-            cands.extend(r for r in isolate_real_roots(h)
-                         if real_compare(r, alpha) == side)
-    if bound_root is not None:
-        cands.append(bound_root)
-    if not cands:
-        xstar = alpha.lo - 1 if side < 0 else alpha.hi + 1
-    else:
-        best = cands[0]
-        for c in cands[1:]:
-            if real_compare(c, best) * side < 0:
-                best = c
-        xstar = rational_between(best, alpha) if side < 0 else rational_between(alpha, best)
-    croots = isolate_real_roots(Q.substitute({"x": xstar}))
-    if len(croots) != K:
+            xstar = _approach(h.univariate_coeffs(), rstack.x, xstar, side)
+    chain = sturm_chain(Q.substitute({"x": xstar}).univariate_coeffs())
+    total = sturm_count(chain, None, None)
+    counts = [sturm_count(chain, a, b) for a, b in zip(seps, seps[1:])]
+    if total != K or sum(counts) != K:
         raise CadError(
-            f"adjacency certification failed: {len(croots)} curve branches at "
-            f"x={xstar}, expected {K}")
-    ms = []
-    for r in croots:
-        below = 0
-        for e in seps:
-            c = real_compare(r, e)
-            if c == 0:  # pragma: no cover - separators are root free at xstar
-                raise CadError("adjacency certification failed: branch on separator")
-            if c > 0:
-                below += 1
-        if not 1 <= below <= k:
-            raise CadError(
-                "adjacency certification failed: a curve branch escapes past "
-                "the outermost root-stack point")
-        if ms and below < ms[-1]:
-            raise CadError(
-                "adjacency certification failed: branch order twist")
-        ms.append(below)
-    return ms
+            f"adjacency certification failed: {total} curve branches at "
+            f"x={xstar}, {sum(counts)} of them between the outer separators, "
+            f"expected {K}")
+    return [m for m, n in enumerate(counts, start=1) for _ in range(n)]
 
 
 # ---------------------------------------------------------------------------
@@ -484,7 +481,6 @@ def decompose(formula) -> Decomposition:
     samples = {}
     for st in stacks:
         K = len(st.sections)
-        bands = _fences(st.sections)
         on_root = st.index % 2 == 1
         for lv in range(2 * K + 1):
             cid = f"c{st.index}_{lv}"
@@ -492,7 +488,7 @@ def decompose(formula) -> Decomposition:
                 yval = st.sections[lv // 2]
                 dim = 0 if on_root else 1
             else:
-                yval = bands[lv // 2]
+                yval = st.fences[lv // 2]
                 dim = 1 if on_root else 2
             sat = eval_formula(working,
                                lambda p: nf.ysign_at(st.ypoly(p), yval))
@@ -528,11 +524,7 @@ def decompose(formula) -> Decomposition:
         k = len(rstack.sections)
         for side in (-1, 1):
             sstack = stacks[2 * ri + 1 + side]
-            if side < 0:
-                bound = xroots[ri - 1] if ri >= 1 else None
-            else:
-                bound = xroots[ri + 1] if ri + 1 < len(xroots) else None
-            ms = _limit_assignment(Q, rstack, sstack, side, bound)
+            ms = _limit_assignment(Q, rstack, sstack, side)
             K = len(sstack.sections)
             for j in range(1, K + 1):
                 faces.append((f"c{rstack.index}_{2 * ms[j - 1] - 1}",
@@ -624,6 +616,8 @@ def locate(dec: Decomposition, point) -> str:
 def _fmt_coord(v) -> str:
     if isinstance(v, Fraction):
         return str(v)
+    if v.is_rational:
+        return str(v.value)
     return f"~{float(v):.12g}"
 
 

@@ -123,14 +123,9 @@ def _cmd_decompose(args):
 # -- analyze ---------------------------------------------------------------
 
 
-def _fp_text(tag, d: FingerprintData):
-    return (f"fingerprint {tag}: dim={d.dim} compact={int(d.compact)}"
-            f" lc={int(d.locally_compact)} euler={d.euler}"
-            f" components={d.components} eta={d.eta_count} bricks={len(d.bricks)}")
-
-
-def _fp_record(tag, d: FingerprintData):
-    return (f"fingerprint section={tag} dim={d.dim} compact={int(d.compact)}"
+def _fp_line(head, d: FingerprintData):
+    """One fingerprint line; head is "section=TAG" (records) or "TAG:" (text)."""
+    return (f"fingerprint {head} dim={d.dim} compact={int(d.compact)}"
             f" lc={int(d.locally_compact)} euler={d.euler}"
             f" components={d.components} eta={d.eta_count} bricks={len(d.bricks)}")
 
@@ -160,7 +155,7 @@ def _cmd_analyze(args):
         lines.append(f"compact value={int(fp.data.compact)}")
         lines.append(f"lc value={int(fp.data.locally_compact)}")
         for tag, d in (("M", fp.data), ("M-eta", fp.minus_eta), ("core", fp.core)):
-            lines.append(_fp_record(tag, d))
+            lines.append(_fp_line(f"section={tag}", d))
     else:
         lines.append(f"cells: {len(K.cells)} ({len(M)} in M)")
         lines.append(f"bricks: {len(brick_list)}")
@@ -176,7 +171,7 @@ def _cmd_analyze(args):
         lines.append(f"components: {fp.data.components}")
         lines.append(f"euler: {fp.data.euler}")
         for tag, d in (("M", fp.data), ("M-eta", fp.minus_eta), ("core", fp.core)):
-            lines.append(_fp_text(tag, d))
+            lines.append(_fp_line(f"{tag}:", d))
     _emit(lines)
     return 0
 

@@ -382,10 +382,8 @@ def is_compact(K: CellComplex, subset=None) -> bool:
     for c in subset:
         if not K.in_m(c):
             raise NotInM(f"subset cell {c!r} is not in M")
-        for f in K.closure_of(c):
-            if not K.in_m(f) or f not in subset:
-                return False
-    return True
+    # every subset cell is inM, so a face inside the subset is inM as well
+    return all(K.closure_of(c) <= subset for c in subset)
 
 
 def core(K: CellComplex) -> CellComplex:
@@ -474,20 +472,12 @@ def fingerprint_data(K: CellComplex) -> FingerprintData:
     _, rho1, _ = rho_sequence(K)
     records = []
     for b in bricks(K):
-        closed = True
-        for c in b.cells:
-            for f in K.closure_of(c):
-                if f not in b.cells:
-                    closed = False
-                    break
-            if not closed:
-                break
         sub = restrict(K, b.cells)
         records.append(BrickRecord(
             dimension=b.dimension,
             components=_component_count(K, b.cells),
             euler=_euler(K, b.cells),
-            compact=K.bounded and closed,
+            compact=is_compact(K, b.cells),
             eta_count=len(eta_set(sub)),
         ))
     return FingerprintData(

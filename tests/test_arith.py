@@ -22,10 +22,13 @@ from specta.arith import (
     isolate_real_roots,
     poly_gcd,
     real_compare,
+    refine_root_free,
     resultant,
     sign_at,
     simplest_between,
     squarefree_part,
+    sturm_chain,
+    sturm_count,
 )
 from specta.arith import _poly_exact_div, _ptrim
 
@@ -115,6 +118,42 @@ def test_zero_polynomial_rejected():
 
 def test_no_real_roots():
     assert isolate_real_roots(X * X + 1) == []
+
+
+def test_sturm_count_half_open_interval():
+    F = Fraction
+    chain = sturm_chain(((X - 1) * (X - 2) * (X - 3)).univariate_coeffs())
+    assert sturm_count(chain, F(1), F(3)) == 2  # root at a left out, at b counted
+    assert sturm_count(chain, F(0), F(1)) == 1  # root at b
+    assert sturm_count(chain, F(3, 2), F(5, 2)) == 1  # root inside
+    assert sturm_count(chain, F(2), F(2)) == 0
+    assert sturm_count(chain, F(3), F(4)) == 0
+    assert sturm_count(chain, None, None) == 3
+    assert sturm_count(chain, None, F(1)) == 1
+    assert sturm_count(chain, F(3), None) == 0
+    # the chain is of the square-free part: a double root counts once
+    chain = sturm_chain(((X - 1) ** 2 * (X + 1)).univariate_coeffs())
+    assert sturm_count(chain, None, None) == 2
+    assert sturm_count(chain, F(-1), F(1)) == 1
+    # odd degree, negative lead: the infinities read off the lead's sign
+    chain = sturm_chain((2 - X ** 3).univariate_coeffs())
+    assert sturm_count(chain, None, F(1)) == 0
+    assert sturm_count(chain, F(1), None) == 1
+
+
+def test_refine_root_free_moves_an_endpoint_off_a_root():
+    sqrt2 = AlgebraicNumber(X * X - 2, Fraction(9, 8), Fraction(3, 2))
+    chain = sturm_chain((X - Fraction(9, 8)).univariate_coeffs())
+    refine_root_free(chain, sqrt2)
+    assert Fraction(9, 8) < sqrt2.lo < sqrt2.hi <= Fraction(3, 2)
+    assert real_compare(sqrt2, Fraction(141, 100)) == 1
+    sqrt2 = AlgebraicNumber(X * X - 2, Fraction(1), Fraction(3, 2))
+    chain = sturm_chain((X - Fraction(3, 2)).univariate_coeffs())
+    refine_root_free(chain, sqrt2)  # the right endpoint is the root this time
+    assert Fraction(1) <= sqrt2.lo < sqrt2.hi < Fraction(3, 2)
+    one = AlgebraicNumber(X - 1, 1, 1)
+    refine_root_free(chain, one)  # a rational root is left as it is
+    assert one.is_rational and one.value == 1
 
 
 def test_equality_across_defining_polynomials():

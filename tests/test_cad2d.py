@@ -14,7 +14,15 @@ import pytest
 import corpus
 from specta import cad2d, topology
 from specta._expr import parse_formula, parse_polynomial
-from specta.arith import Polynomial
+from specta.arith import (
+    AlgebraicNumber,
+    Polynomial,
+    isolate_real_roots,
+    rational_between,
+    real_compare,
+    sturm_chain,
+    sturm_count,
+)
 from specta.cad2d import And, Atom, CadError, Not, Or, UnboundedInput
 
 DISK = "x^2 + y^2 < 1"
@@ -217,9 +225,11 @@ def _exact_samples_agree(text):
     f = parse_formula(text)
     checked = 0
     for cid, sp in dec.samples.items():
-        if isinstance(sp.x, Fraction) and isinstance(sp.y, Fraction):
-            px = sp.x if dec.shear is None else sp.x + dec.shear * sp.y
-            assert cad2d.contains_point(f, (px, sp.y)) == dec.ambient_cells[cid][1], cid
+        x, y = (v if isinstance(v, Fraction) else v.value if v.is_rational else None
+                for v in (sp.x, sp.y))
+        if x is not None and y is not None:
+            px = x if dec.shear is None else x + dec.shear * y
+            assert cad2d.contains_point(f, (px, y)) == dec.ambient_cells[cid][1], cid
             checked += 1
     assert checked > 0
 
@@ -237,10 +247,13 @@ def test_irrational_stack_formulas(text, ambient, kept, euler):
     _exact_samples_agree(text)
 
 
+SHIFTED_ANNULUS = "(x-1)^2+(y-1/2)^2 >= 1 AND (x-1)^2+(y-1/2)^2 <= 9"
+
+
 @pytest.mark.parametrize("text, kept, euler", [
     # two root intervals touched at an exact rational root, and that root
     # was taken as the rational between them
-    ("(x-1)^2+(y-1/2)^2 >= 1 AND (x-1)^2+(y-1/2)^2 <= 9", 24, 0),
+    (SHIFTED_ANNULUS, 24, 0),
     ("x^4 + y^4 - 3x^2 y + y^2 <= 1/2 AND x^2 + y^2 <= 9", 5, 1),
 ])
 def test_fence_never_lands_on_a_rational_root(text, kept, euler):
@@ -248,6 +261,107 @@ def test_fence_never_lands_on_a_rational_root(text, kept, euler):
     assert (dec.cell_count(), len(dec.complex.cells)) == (41, kept)
     assert topology.spectral_fingerprint(dec.complex).data.euler == euler
     _exact_samples_agree(text)
+
+
+# ---------------------------------------------------------------------------
+# certified adjacency
+
+
+def _isolating_limit_assignment(Q, rstack, sstack, side, bound_root):
+    """Reference route for cad2d._limit_assignment: isolate every real root
+    of Q(x, separator), take x* between alpha and the nearest one on the
+    sector's side (or the neighbouring x-root bound_root), then isolate the
+    branches of Q(x*, y) and place each one against every separator."""
+    K = len(sstack.sections)
+    k = len(rstack.sections)
+    if K == 0:
+        return []
+    alpha = rstack.x
+    seps = cad2d._fences(rstack.sections)
+    cands = []
+    for e in seps:
+        h = Q.substitute({"y": e})
+        if not h.is_constant():
+            cands.extend(r for r in isolate_real_roots(h)
+                         if real_compare(r, alpha) == side)
+    if bound_root is not None:
+        cands.append(bound_root)
+    if not cands:
+        xstar = alpha.lo - 1 if side < 0 else alpha.hi + 1
+    else:
+        best = cands[0]
+        for c in cands[1:]:
+            if real_compare(c, best) * side < 0:
+                best = c
+        xstar = rational_between(best, alpha) if side < 0 else rational_between(alpha, best)
+    croots = isolate_real_roots(Q.substitute({"x": xstar}))
+    assert len(croots) == K
+    ms = []
+    for r in croots:
+        below = 0
+        for e in seps:
+            c = real_compare(r, e)
+            assert c != 0
+            if c > 0:
+                below += 1
+        assert 1 <= below <= k
+        assert not ms or below >= ms[-1]
+        ms.append(below)
+    return ms
+
+
+@pytest.mark.parametrize("text", GOLDEN + [TWO_ELLIPSES, LEMNISCATE_DISK, SHIFTED_ANNULUS])
+def test_limit_assignment_matches_isolating_reference(text):
+    dec = _dec(text)
+    xroots, stacks = dec._xroots, dec._stacks
+    lines = 0
+    for ri in range(len(xroots)):
+        rstack = stacks[2 * ri + 1]
+        for side in (-1, 1):
+            sstack = stacks[2 * ri + 1 + side]
+            bound = ri + side
+            bound = xroots[bound] if 0 <= bound < len(xroots) else None
+            got = cad2d._limit_assignment(dec._curve, rstack, sstack, side)
+            assert got == _isolating_limit_assignment(
+                dec._curve, rstack, sstack, side, bound), (ri, side)
+            lines += bool(got)
+    assert lines > 0 or text == EMPTY
+
+
+def _root_free_between(h, xstar, alpha):
+    """No root of h on the closed segment from xstar to alpha."""
+    roots = isolate_real_roots(Polynomial.from_univariate("x", h))
+    lo, hi = (xstar, alpha) if real_compare(xstar, alpha) < 0 else (alpha, xstar)
+    return all(real_compare(r, lo) < 0 or real_compare(r, hi) > 0 for r in roots)
+
+
+def test_approach_halts_when_the_near_endpoint_is_a_root():
+    # sqrt(2) isolated as (9/8, 3/2) on the left of the sector: the near
+    # endpoint 9/8 is the root of h, so halving toward it alone never ends
+    X = Polynomial.var("x")
+    h = [Fraction(-9, 8), Fraction(1)]
+    sqrt2 = AlgebraicNumber(X * X - 2, Fraction(9, 8), Fraction(3, 2))
+    xstar = cad2d._approach(h, sqrt2, Fraction(1), -1)
+    assert Fraction(9, 8) < xstar and real_compare(xstar, sqrt2) < 0
+    assert _root_free_between(h, xstar, sqrt2)
+    sqrt2 = AlgebraicNumber(X * X - 2, Fraction(1), Fraction(3, 2))
+    h = [Fraction(-3, 2), Fraction(1)]
+    xstar = cad2d._approach(h, sqrt2, Fraction(2), 1)
+    assert real_compare(xstar, sqrt2) > 0 and xstar < Fraction(3, 2)
+    assert _root_free_between(h, xstar, sqrt2)
+
+
+@pytest.mark.parametrize("side, start, want", [(-1, 0, Fraction(3, 4)),
+                                               (1, 2, Fraction(5, 4))])
+def test_approach_to_a_rational_root_line(side, start, want):
+    # h = (x - 1/2)(x - 3/2) has a root on each side of alpha = 1; the
+    # halvings land on those roots before the segment turns root free
+    h = [Fraction(3, 4), Fraction(-2), Fraction(1)]
+    one = AlgebraicNumber(Polynomial.var("x") - 1, 1, 1)
+    xstar = cad2d._approach(h, one, Fraction(start), side)
+    assert xstar == want
+    assert _root_free_between(h, xstar, one)
+    assert sturm_count(sturm_chain(h), min(xstar, 1), max(xstar, 1)) == 0
 
 
 def test_vertical_segment():
@@ -373,6 +487,14 @@ def test_determinism():
     a = cad2d.decompose(parse_formula(ANNULUS))
     b = cad2d.decompose(parse_formula(ANNULUS))
     assert cad2d.decomposition_text(a) == cad2d.decomposition_text(b)
+
+
+def test_exactly_rational_samples_print_as_fractions():
+    text = cad2d.decomposition_text(_dec(ANNULUS))
+    assert "# sample c3_3 x=-1/2 y=0\n" in text
+    assert "# sample c1_1 x=-1 y=0\n" in text
+    assert "# sample c4_1 x=0 y=-1\n" in text
+    assert "# sample c3_1 x=-1/2 y=~-0.866025328636\n" in text
 
 
 def test_decomposition_text_annotations():
