@@ -129,16 +129,16 @@ class _Parser:
             if tok[0] == "op" and tok[1] in "*/":
                 self._next()
                 rhs = self._factor()
-                if tok[1] == "/":
-                    if not rhs.is_constant() or rhs.constant_value() == 0:
-                        self._error(tok[2], "division only by a nonzero constant")
-                    out = out * Polynomial.const(1 / rhs.constant_value(), ())
-                else:
-                    out = out * rhs
+                out = self._divide(out, rhs, tok[2]) if tok[1] == "/" else out * rhs
             elif tok[0] in ("num", "name") or (tok[0] == "op" and tok[1] == "("):
                 out = out * self._factor()
             else:
                 return out
+
+    def _divide(self, out, rhs, pos):
+        if not rhs.is_constant() or rhs.constant_value() == 0:
+            self._error(pos, "division only by a nonzero constant")
+        return out * Polynomial.const(1 / rhs.constant_value(), ())
 
     def _poly(self):
         out = self._term()

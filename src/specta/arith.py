@@ -71,13 +71,6 @@ def _ival_mul(a, b):
     return (min(ps), max(ps))
 
 
-def _ival_pow(a, k: int):
-    out = (Fraction(1), Fraction(1))
-    for _ in range(k):
-        out = _ival_mul(out, a)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # multivariate polynomials
 
@@ -657,10 +650,6 @@ def real_compare(u, v) -> int:
                 return 0
         u.refine()
         v.refine()
-
-
-def real_sign(u) -> int:
-    return real_compare(u, Fraction(0))
 
 
 def rational_between(lo: AlgebraicNumber, hi: AlgebraicNumber) -> Fraction:

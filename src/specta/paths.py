@@ -1,11 +1,15 @@
 """Truncated Puiseux series and formal paths with exactness bookkeeping.
 
-A series is stored as finitely many rational terms c*t^(n/e) together with
-a truncation exponent T: the coefficients below T are exact, everything at
-or above T is unknown.  A series flagged exact has no unknown tail at all.
-Every operation propagates the sharpest truncation it can certify, so a
-result is only ever as precise as its inputs allow, and zero tests on
-truncated data are always reported as "zero so far", never as exact.
+A series is stored as integer exponents over one ramification index e:
+the map {n: c} stands for the terms c*t^(n/e), kept with e minimal, plus a
+truncation exponent T: the coefficients below T are exact, everything at
+or above T is unknown.  A series flagged exact (T is None) has no unknown
+tail at all.  Ring operations lift both operands to a common ramification
+once and work on integer exponents, cutting at the integer ceil(T*e);
+products stop at that cut instead of forming every pair.  Every operation
+propagates the sharpest truncation it can certify, so a result is only
+ever as precise as its inputs allow, and zero tests on truncated data are
+always reported as "zero so far", never as exact.
 
 On top of the series sit formal paths (tuples of series generated by
 polynomials, rational functions, explicit coefficient lists, or the
@@ -80,22 +84,29 @@ class _Indeterminate:
 INDETERMINATE = _Indeterminate()
 
 
-def _as_trunc(value):
-    if value is None:
-        return None
-    return Fraction(value)
-
-
 # -- truncated Puiseux series ----------------------------------------------
+
+
+def _cut(trunc: Fraction, ram: int) -> int:
+    """Least n with n/ram >= trunc: the first integer exponent over ram
+    that a truncation at trunc leaves unknown."""
+    return -(-trunc.numerator * ram // trunc.denominator)
 
 
 @dataclass(frozen=True)
 class PuiseuxSeries:
     """Finitely many exact terms c*t^(n/ram) below a truncation exponent.
 
-    ``trunc`` is the exponent up to which the coefficients are exact;
-    ``trunc is None`` means the stored terms are the whole series.
-    Exponents may be negative (the series lives in the fraction field).
+    ``coeffs`` maps int exponents n over ``ram`` to nonzero Fraction
+    coefficients; ``trunc`` is the Fraction exponent up to which they are
+    exact, and ``trunc is None`` means the stored terms are the whole
+    series.  Exponents may be negative (the series lives in the fraction
+    field).  Every instance is normalised the same way: zero coefficients
+    and every n >= ceil(trunc*ram) are dropped and ``ram`` is reduced to
+    the least index that carries the exponents, so equality is structural.
+    The public constructor coerces its arguments first; internal results
+    go through ``_make``, which trusts int keys over ``ram``, Fraction
+    coefficients and ``trunc`` a Fraction or None.
     """
 
     ram: int
@@ -106,27 +117,26 @@ class PuiseuxSeries:
         ram = int(self.ram)
         if ram < 1:
             raise PathError("ramification index must be a positive integer")
-        trunc = _as_trunc(self.trunc)
-        kept = {}
-        for n, c in self.coeffs.items():
-            c = Fraction(c)
-            if c == 0:
-                continue
-            if trunc is not None and Fraction(n, ram) >= trunc:
-                continue
-            kept[int(n)] = c
-        # minimal ramification makes equality structural
-        if kept:
-            g = ram
-            for n in kept:
-                g = math.gcd(g, abs(n))
-                if g == 1:
-                    break
-            if g > 1:
-                kept = {n // g: c for n, c in kept.items()}
-                ram //= g
+        trunc = None if self.trunc is None else Fraction(self.trunc)
+        coeffs = {int(n): Fraction(c) for n, c in self.coeffs.items()}
+        self._normalise(ram, coeffs, trunc)
+
+    @classmethod
+    def _make(cls, ram, coeffs, trunc) -> "PuiseuxSeries":
+        s = object.__new__(cls)
+        s._normalise(ram, coeffs, trunc)
+        return s
+
+    def _normalise(self, ram, coeffs, trunc):
+        if trunc is None:
+            kept = {n: c for n, c in coeffs.items() if c}
         else:
-            ram = 1
+            cut = _cut(trunc, ram)
+            kept = {n: c for n, c in coeffs.items() if c and n < cut}
+        g = math.gcd(ram, *kept) if kept else ram
+        if g > 1:
+            kept = {n // g: c for n, c in kept.items()}
+            ram //= g
         object.__setattr__(self, "ram", ram)
         object.__setattr__(self, "coeffs", kept)
         object.__setattr__(self, "trunc", trunc)
@@ -148,13 +158,11 @@ class PuiseuxSeries:
     def from_terms(pairs, trunc=None) -> "PuiseuxSeries":
         """Build from (exponent, coefficient) pairs with rational exponents."""
         pairs = [(Fraction(e), Fraction(c)) for e, c in pairs]
-        ram = 1
-        for e, _ in pairs:
-            ram = ram * e.denominator // math.gcd(ram, e.denominator)
+        ram = math.lcm(1, *(e.denominator for e, _ in pairs))
         terms = {}
         for e, c in pairs:
             n = e.numerator * (ram // e.denominator)
-            terms[n] = terms.get(n, Fraction(0)) + c
+            terms[n] = terms.get(n, 0) + c
         return PuiseuxSeries(ram, terms, trunc)
 
     @staticmethod
@@ -228,18 +236,26 @@ class PuiseuxSeries:
             return PuiseuxSeries.constant(value)
         return NotImplemented
 
+    def _lift(self, other):
+        """(ram, coeffs of self, coeffs of other) over lcm of the two rams."""
+        ram = math.lcm(self.ram, other.ram)
+        return ram, _lifted(self, ram), _lifted(other, ram)
+
     def __add__(self, other):
         other = PuiseuxSeries._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        trunc = _trunc_min(self.trunc, other.trunc)
-        pairs = list(self.items()) + list(other.items())
-        return PuiseuxSeries.from_terms(pairs, trunc)
+        ram, a, b = self._lift(other)
+        out = dict(a)
+        for n, c in b.items():
+            out[n] = out.get(n, 0) + c
+        return PuiseuxSeries._make(ram, out, _trunc_min(self.trunc, other.trunc))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return PuiseuxSeries(self.ram, {n: -c for n, c in self.coeffs.items()}, self.trunc)
+        return PuiseuxSeries._make(
+            self.ram, {n: -c for n, c in self.coeffs.items()}, self.trunc)
 
     def __sub__(self, other):
         other = PuiseuxSeries._coerce(other)
@@ -260,11 +276,19 @@ class PuiseuxSeries:
                     other.order_lower_bound() + ta,
                     ta + tb)
         trunc = None if bound == math.inf else bound
-        pairs = []
-        for ea, ca in self.items():
-            for eb, cb in other.items():
-                pairs.append((ea + eb, ca * cb))
-        return PuiseuxSeries.from_terms(pairs, trunc)
+        ram, a, b = self._lift(other)
+        cut = math.inf if trunc is None else _cut(trunc, ram)
+        a, b = sorted(a.items()), sorted(b.items())
+        out = {}
+        for na, ca in a:
+            if not b or na + b[0][0] >= cut:
+                break
+            for nb, cb in b:
+                n = na + nb
+                if n >= cut:
+                    break
+                out[n] = out.get(n, 0) + ca * cb
+        return PuiseuxSeries._make(ram, out, trunc)
 
     __rmul__ = __mul__
 
@@ -285,12 +309,13 @@ class PuiseuxSeries:
         if not isinstance(p, int) or p < 1:
             raise PathError("reparametrization exponent must be a positive integer")
         trunc = None if self.trunc is None else self.trunc * p
-        return PuiseuxSeries(self.ram, {n * p: c for n, c in self.coeffs.items()}, trunc)
+        return PuiseuxSeries._make(
+            self.ram, {n * p: c for n, c in self.coeffs.items()}, trunc)
 
     def truncated(self, T) -> "PuiseuxSeries":
         T = Fraction(T)
         trunc = T if self.trunc is None else min(self.trunc, T)
-        return PuiseuxSeries(self.ram, dict(self.coeffs), trunc)
+        return PuiseuxSeries._make(self.ram, self.coeffs, trunc)
 
     # -- text --------------------------------------------------------------
 
@@ -321,6 +346,13 @@ class PuiseuxSeries:
 
     def __repr__(self):
         return f"PuiseuxSeries({self.to_text()!r})"
+
+
+def _lifted(s: PuiseuxSeries, ram: int) -> dict:
+    """The coefficients of s keyed by integer exponents over ram, a
+    multiple of s.ram."""
+    k = ram // s.ram
+    return s.coeffs if k == 1 else {n * k: c for n, c in s.coeffs.items()}
 
 
 def _trunc_min(a, b):
@@ -361,28 +393,28 @@ def series_div(num: PuiseuxSeries, den: PuiseuxSeries, cap=None) -> PuiseuxSerie
         if num.exact:
             return PuiseuxSeries.zero()
         return PuiseuxSeries.zero(bound)
-    den_items = den.items()
-    lead = den_items[0][1]
-    rest = den_items[1:]
-    remainder = dict(num.items())
-    out = []
+    ram, remainder, den_coeffs = num._lift(den)
+    remainder = dict(remainder)
+    (d0, lead), *rest = sorted(den_coeffs.items())
+    cut = _cut(bound, ram)
+    out = {}
     exact = num.exact and den.exact
     while remainder:
-        e = min(remainder)
-        shift = e - q
-        if shift >= bound:
+        n = min(remainder)
+        shift = n - d0
+        if shift >= cut:
             exact = False
             break
-        c = remainder.pop(e) / lead
-        out.append((shift, c))
-        for ed, cd in rest:
-            key = shift + ed
-            val = remainder.get(key, Fraction(0)) - c * cd
+        c = remainder.pop(n) / lead
+        out[shift] = c
+        for nd, cd in rest:
+            key = shift + nd
+            val = remainder.get(key, 0) - c * cd
             if val == 0:
                 remainder.pop(key, None)
             else:
                 remainder[key] = val
-    return PuiseuxSeries.from_terms(out, None if exact else bound)
+    return PuiseuxSeries._make(ram, out, None if exact else bound)
 
 
 def _fraction_sqrt(c: Fraction):
@@ -397,7 +429,7 @@ def series_sqrt(s: PuiseuxSeries, cap=None) -> PuiseuxSeries:
     """Square root with rational coefficients.
 
     Requires a positive leading coefficient that is the square of a
-    rational (the binomial expansion then stays rational throughout);
+    rational (the coefficient recurrence then stays rational throughout);
     odd orders double the ramification.
     """
     if s.vanishes_so_far():
@@ -413,29 +445,23 @@ def series_sqrt(s: PuiseuxSeries, cap=None) -> PuiseuxSeries:
     root = _fraction_sqrt(c)
     if root is None:
         raise PathError(f"leading coefficient {c} is not the square of a rational")
-    items = s.items()
-    if len(items) == 1 and s.exact:
+    if len(s.coeffs) == 1 and s.exact:
         return PuiseuxSeries.monomial(q / 2, root)
     cap = DEFAULT_TRUNCATION if cap is None else Fraction(cap)
     bound = cap if s.exact else min(s.trunc - q / 2, cap)
-    # s = c t^q (1 + u), sqrt via the binomial series of (1 + u)^(1/2)
-    u = PuiseuxSeries.from_terms(
-        [(e - q, cc / c) for e, cc in items if e != q],
-        None if s.exact else s.trunc - q,
-    )
-    inner_bound = bound - q / 2
-    acc = PuiseuxSeries.constant(1)
-    power = PuiseuxSeries.constant(1)
-    coeff = Fraction(1)
-    step = u.order_lower_bound()
-    i = 0
-    while step * (i + 1) < inner_bound:
-        i += 1
-        coeff *= (Fraction(1, 2) - (i - 1)) / i
-        power = (power * u).truncated(inner_bound)
-        acc = acc + coeff * power
-    out = [(e + q / 2, root * cc) for e, cc in acc.items()]
-    return PuiseuxSeries.from_terms(out, bound)
+    # s = t^(n0/ram) * sum s_i t^(i/ram) and r = t^(n0/(2 ram)) * sum r_i t^(i/ram)
+    # with r*r = s: 2 r_0 r_i = s_i - sum_{0<j<i} r_j r_(i-j)
+    n0 = min(s.coeffs)
+    terms = [root]
+    for i in range(1, (_cut(bound, 2 * s.ram) - n0 + 1) // 2):
+        acc = s.coeffs.get(n0 + i, 0)
+        for j in range(1, (i + 1) // 2):
+            acc -= 2 * terms[j] * terms[i - j]
+        if i % 2 == 0:
+            acc -= terms[i // 2] ** 2
+        terms.append(acc / (2 * root))
+    return PuiseuxSeries._make(
+        2 * s.ram, {n0 + 2 * i: r for i, r in enumerate(terms)}, bound)
 
 
 def series_abs(s: PuiseuxSeries) -> PuiseuxSeries:
@@ -447,15 +473,6 @@ def series_abs(s: PuiseuxSeries) -> PuiseuxSeries:
 
 
 # -- formal paths ----------------------------------------------------------
-
-
-def _factorial_terms(T: Fraction):
-    terms = []
-    n = 2
-    while n < T:
-        terms.append((n, Fraction(math.factorial(n))))
-        n += 1
-    return terms
 
 
 @dataclass(frozen=True)
@@ -500,7 +517,8 @@ class PathComponent:
         elif self.tag == "ratio":
             s = series_div(self.data[0], self.data[1], inner)
         elif self.tag == "factorial":
-            s = PuiseuxSeries.from_terms(_factorial_terms(inner), inner)
+            s = PuiseuxSeries._make(1, {n: Fraction(math.factorial(n))
+                                        for n in range(2, _cut(inner, 1))}, inner)
         else:
             s = self.data[0].truncated(inner)
         return s.compose_power(self.power) if self.power > 1 else s
@@ -526,13 +544,17 @@ def _component_text(part: PathComponent, T: Fraction) -> str:
 
 
 def _poly_text_t(s: PuiseuxSeries) -> str:
-    coeffs = []
-    for e, c in s.items():
-        n = int(e)
-        while len(coeffs) <= n:
-            coeffs.append(Fraction(0))
-        coeffs[n] = c
-    return Polynomial.from_univariate("t", coeffs).to_text()
+    return _poly_below(s, max(s.coeffs, default=-1) + 1).to_text()
+
+
+def _poly_below(s: PuiseuxSeries, n: int, var="t") -> Polynomial:
+    """The terms of an integer-exponent power series below t^n, as a
+    polynomial in var."""
+    coeffs = [Fraction(0)] * n
+    for e, c in s.coeffs.items():
+        if e < n:
+            coeffs[e] = c
+    return Polynomial.from_univariate(var, coeffs)
 
 
 @dataclass(frozen=True)
@@ -863,28 +885,12 @@ class _FnParser(_Parser):
             return p
         self._error(tok[2], "expected a number, a variable or a parenthesis")
 
-    def _term(self):
-        out = self._factor()
-        while True:
-            tok = self._peek()
-            if tok[0] == "op" and tok[1] in "*/":
-                self._next()
-                rhs = self._factor()
-                if tok[1] == "/":
-                    if isinstance(rhs, SAPoly) and rhs.poly.is_constant():
-                        if rhs.poly.constant_value() == 0:
-                            self._error(tok[2], "division by the constant zero")
-                        out = out * SAPoly(
-                            Polynomial.const(1 / rhs.poly.constant_value(), ())
-                        )
-                    else:
-                        out = SADiv(out, rhs)
-                else:
-                    out = out * rhs
-            elif tok[0] in ("num", "name") or (tok[0] == "op" and tok[1] == "("):
-                out = out * self._factor()
-            else:
-                return out
+    def _divide(self, out, rhs, pos):
+        if not (isinstance(rhs, SAPoly) and rhs.poly.is_constant()):
+            return SADiv(out, rhs)
+        if rhs.poly.constant_value() == 0:
+            self._error(pos, "division by the constant zero")
+        return out * SAPoly(Polynomial.const(1 / rhs.poly.constant_value(), ()))
 
 
 def parse_function(text: str) -> SAFunction:
@@ -952,15 +958,14 @@ def _eval_once(f: SAFunction, alpha: FormalPath, T: Fraction) -> PuiseuxSeries:
 def constant_term(f, alpha: FormalPath, T=None) -> Fraction:
     """Value of the expression at the basepoint: the t^0 coefficient of
     its series along the path."""
-    s = eval_on_path(f, alpha, T)
-    lb = s.order_lower_bound()
-    if lb < 0:
-        if s.coeffs and min(s.coeffs) < 0:
-            raise UnboundedAlongPath(
-                f"series along the path has negative order {s.order()}"
-            )
-        raise IndeterminateOrder(
-            f"order undetermined below 0 at truncation {s.trunc}"
+    return _value_at_zero(eval_on_path(f, alpha, T))
+
+
+def _value_at_zero(s: PuiseuxSeries) -> Fraction:
+    """The t^0 coefficient of a series that is bounded at t = 0."""
+    if s.coeffs and min(s.coeffs) < 0:
+        raise UnboundedAlongPath(
+            f"series along the path has negative order {s.order()}"
         )
     if not s.knows(0):
         raise IndeterminateOrder(
@@ -994,15 +999,7 @@ def ideal_membership(f, alpha: FormalPath, which="m_star", T=None) -> IdealVerdi
         if s.exact:
             return IdealVerdict(EXACTLY_IN_IDEAL)
         return IdealVerdict(IN_IDEAL_UP_TO_T, truncation=s.trunc)
-    if s.coeffs and min(s.coeffs) < 0:
-        raise UnboundedAlongPath(
-            f"series along the path has negative order {s.order()}"
-        )
-    if not s.knows(0):
-        raise IndeterminateOrder(
-            f"constant term not determined at truncation {s.trunc}"
-        )
-    value = s.coefficient(0)
+    value = _value_at_zero(s)
     if value != 0:
         return IdealVerdict(NOT_IN_IDEAL, Fraction(0), value, s.trunc)
     if s.exact:
@@ -1076,14 +1073,9 @@ def compact_carrier(alpha: FormalPath, polys, g=None, T=None, seed=0,
     mu = []
     diffs = []
     for s in comps:
-        coeffs = [Fraction(0)] * (k + 1)
-        for n, c in s.coeffs.items():
-            if n <= k:
-                coeffs[n] = c
-        mu.append(Polynomial.from_univariate("t", coeffs))
-        tail = PuiseuxSeries(s.ram, {n: c for n, c in s.coeffs.items() if n > k},
-                             s.trunc)
-        diffs.append(tail)
+        mu.append(_poly_below(s, k + 1))
+        diffs.append(PuiseuxSeries._make(
+            s.ram, {n: c for n, c in s.coeffs.items() if n > k}, s.trunc))
     norm2 = PuiseuxSeries.zero()
     for d in diffs:
         lb = d.order_lower_bound()
@@ -1191,12 +1183,8 @@ def neighborhood_element(alpha: FormalPath, ell: int, k: int, T=None) -> Neighbo
             raise IndeterminateOrder(
                 f"component {j + 1} not determined below t^{ell + 2}"
             )
-        coeffs = [Fraction(0)] * (ell + 2)
-        for n, c in s.coeffs.items():
-            if n < ell + 2:
-                coeffs[n] = c
-        gamma.append(Polynomial.from_univariate("t", coeffs))
-        along = Polynomial.from_univariate(names[0], coeffs)
+        gamma.append(_poly_below(s, ell + 2))
+        along = _poly_below(s, ell + 2, names[0])
         xj = Polynomial.var(names[j], (names[j],))
         spread = spread + (xj - along) ** 2
     inner = SAPoly(x1 ** (2 * ell + 2) - spread)

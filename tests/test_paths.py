@@ -7,10 +7,12 @@ frozen here as exact rationals.
 """
 
 import math
+import operator
 import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from specta._expr import ExprError, parse_polynomial, parse_polynomial_list
 from specta.arith import Polynomial
@@ -67,6 +69,97 @@ def path(text, trunc=DEFAULT_TRUNCATION):
 def _agree(a, b):
     """Equal below the common truncation (full equality when both exact)."""
     return not (a - b).coeffs
+
+
+# -- reference route: Fraction exponents, every term through from_terms ---
+#
+# The engine works on integer exponents over a common ramification and
+# stops products at the truncation.  These reach the same series another
+# way: every pair product is formed, long division runs on Fraction-keyed
+# remainders and square roots come from the binomial series.  The
+# truncation bounds are the engine's own formulas.
+
+
+def _ref_add(a, b):
+    trunc = min((t for t in (a.trunc, b.trunc) if t is not None), default=None)
+    return S(a.items() + b.items(), trunc)
+
+
+def _ref_mul(a, b):
+    ta = math.inf if a.trunc is None else a.trunc
+    tb = math.inf if b.trunc is None else b.trunc
+    bound = min(a.order_lower_bound() + tb, b.order_lower_bound() + ta, ta + tb)
+    pairs = [(ea + eb, ca * cb) for ea, ca in a.items() for eb, cb in b.items()]
+    return S(pairs, None if bound == math.inf else bound)
+
+
+def _ref_div(num, den, cap=None):
+    if den.vanishes_so_far():
+        if den.exact:
+            raise ZeroDivisionError("division by the zero series")
+        raise IndeterminateDenominator("denominator vanishes")
+    q = den.order()
+    cap = DEFAULT_TRUNCATION if cap is None else F(cap)
+    tn = math.inf if num.trunc is None else num.trunc
+    td = math.inf if den.trunc is None else den.trunc
+    bound = min(num.order_lower_bound() + td - 2 * q, tn - q, cap)
+    if num.vanishes_so_far():
+        return PuiseuxSeries.zero(None if num.exact else bound)
+    (_, lead), *rest = den.items()
+    remainder = dict(num.items())
+    out = []
+    exact = num.exact and den.exact
+    while remainder:
+        e = min(remainder)
+        shift = e - q
+        if shift >= bound:
+            exact = False
+            break
+        c = remainder.pop(e) / lead
+        out.append((shift, c))
+        for ed, cd in rest:
+            key = shift + ed
+            val = remainder.get(key, F(0)) - c * cd
+            if val == 0:
+                remainder.pop(key, None)
+            else:
+                remainder[key] = val
+    return S(out, None if exact else bound)
+
+
+def _ref_sqrt(s, cap=None):
+    if s.vanishes_so_far():
+        if s.exact:
+            return PuiseuxSeries.zero()
+        raise IndeterminateOrder("vanishes up to truncation")
+    q = s.order()
+    c = s.leading_coefficient()
+    if c < 0:
+        raise NegativeLeadingSqrt("negative leading term")
+    root = F(math.isqrt(c.numerator), math.isqrt(c.denominator))
+    if root * root != c:
+        raise PathError("leading coefficient is not a square")
+    items = s.items()
+    if len(items) == 1 and s.exact:
+        return S([(q / 2, root)])
+    cap = DEFAULT_TRUNCATION if cap is None else F(cap)
+    bound = cap if s.exact else min(s.trunc - q / 2, cap)
+    # s = c t^q (1 + u); the binomial series of (1 + u)^(1/2)
+    u = S([(e - q, cc / c) for e, cc in items if e != q],
+          None if s.exact else s.trunc - q)
+    inner_bound = bound - q / 2
+    acc = power = PuiseuxSeries.constant(1)
+    coeff = F(1)
+    step = u.order_lower_bound()
+    i = 0
+    while step * (i + 1) < inner_bound:
+        i += 1
+        coeff *= (F(1, 2) - (i - 1)) / i
+        power = _ref_mul(power, u)
+        trunc = inner_bound if power.trunc is None else min(power.trunc, inner_bound)
+        power = S(power.items(), trunc)
+        acc = _ref_add(acc, _ref_mul(PuiseuxSeries.constant(coeff), power))
+    return S([(e + q / 2, root * cc) for e, cc in acc.items()], bound)
 
 
 # -- series normalization and structure ------------------------------------
@@ -199,6 +292,75 @@ def test_sqrt_errors():
     assert series_sqrt(PuiseuxSeries.zero()).is_zero()
 
 
+@st.composite
+def _series(draw):
+    """Series over ram 1, 2, 3 or 6 with exponents down to -6/ram, a square
+    leading coefficient half the time, exact or truncated at a fraction."""
+    ram = draw(st.sampled_from([1, 2, 3, 6]))
+    lo = draw(st.integers(-6, 4))
+    coeffs = draw(st.dictionaries(
+        st.integers(lo, lo + 12),
+        st.fractions(min_value=-5, max_value=5, max_denominator=4), max_size=5))
+    if coeffs and draw(st.booleans()):
+        root = F(draw(st.integers(1, 4)), draw(st.integers(1, 3)))
+        coeffs[min(coeffs)] = root * root
+    trunc = draw(st.none() | st.builds(F, st.integers(-6, 30),
+                                       st.sampled_from([1, 2, 3, 5])))
+    return PuiseuxSeries(ram, coeffs, trunc)
+
+
+def _outcome(fn, *args):
+    try:
+        out = fn(*args)
+    except (PathError, ZeroDivisionError) as exc:
+        return type(exc)
+    return out.items(), out.trunc
+
+
+@settings(max_examples=150, deadline=None)
+@given(a=_series(), b=_series(),
+       cap=st.builds(F, st.integers(1, 12), st.sampled_from([1, 2, 3])))
+def test_integer_route_matches_fraction_reference(a, b, cap):
+    one = PuiseuxSeries.constant(1)
+    cases = [
+        (operator.add, _ref_add, (a, b)),
+        (operator.mul, _ref_mul, (a, b)),
+        (lambda x: x ** 3, lambda x: _ref_mul(_ref_mul(one, x), _ref_mul(x, x)), (a,)),
+        (series_div, _ref_div, (a, b, cap)),
+        (series_div, _ref_div, (b, a, cap)),
+        (series_sqrt, _ref_sqrt, (a, cap)),
+    ]
+    for engine, reference, args in cases:
+        assert _outcome(engine, *args) == _outcome(reference, *args)
+
+
+def test_division_cancelling_common_factor_is_exact():
+    out = series_div(S([(2, 1), (3, 1)]), S([(1, 1), (2, 1)]))
+    assert out.exact and out == S([(1, 1)])
+
+
+def test_division_by_negative_fractional_order():
+    den = S([(F(-1, 3), 1), (0, 1)])
+    out = series_div(PuiseuxSeries.constant(1), den, 2)
+    assert out.trunc == 2
+    assert out.items() == tuple((F(j + 1, 3), F((-1) ** j)) for j in range(5))
+    assert _agree(out * den, PuiseuxSeries.constant(1).truncated(2))
+
+
+def test_fractional_truncation_cut_over_ramification_two():
+    s = PuiseuxSeries(2, {0: 1, 1: 1, 2: 1, 3: 1}, F(4, 3))
+    assert s.items() == ((F(0), F(1)), (F(1, 2), F(1)), (F(1), F(1)))
+    square = S([(0, 1), (F(1, 2), 1)], F(4, 3)) * S([(0, 1), (F(1, 2), 1)])
+    assert square.trunc == F(4, 3)
+    assert square.items() == ((F(0), F(1)), (F(1, 2), F(2)), (F(1), F(1)))
+
+
+def test_sqrt_of_truncated_odd_order():
+    out = series_sqrt(S([(3, 1), (4, 1)], 6))
+    assert out.trunc == F(9, 2)
+    assert out.items() == ((F(3, 2), F(1)), (F(5, 2), F(1, 2)), (F(7, 2), F(-1, 8)))
+
+
 def test_abs():
     assert series_abs(S([(3, -2), (5, 1)])) == S([(3, 2), (5, -1)])
     assert series_abs(S([(1, 5)])) == S([(1, 5)])
@@ -324,8 +486,10 @@ def test_parse_function_calls():
 
 
 def test_parse_function_errors():
-    with pytest.raises(ExprError):
+    with pytest.raises(ExprError, match="division by the constant zero"):
         parse_function("x/0")
+    with pytest.raises(ExprError, match="division only by a nonzero constant"):
+        parse_polynomial("x/(1 + y)")
     with pytest.raises(ExprError) as err:
         parse_function("abs x")
     assert "parenthesized" in str(err.value)
