@@ -135,14 +135,9 @@ def _cmd_analyze(args):
     records = args.format == "records"
     fp = spectral_fingerprint(K)
     M = K.m_cells()
-    if M:
-        rho0, rho1, mlc = rho_sequence(K)
-        brick_list = bricks(K)
-        eta = sorted(eta_set(K), key=_id_key)
-    else:
-        rho0, rho1, mlc = set(), set(), set()
-        brick_list = []
-        eta = []
+    rho0, rho1, mlc = rho_sequence(K)
+    brick_list = bricks(K) if M else []
+    eta = sorted(eta_set(K), key=_id_key)
     lines = []
     if records:
         lines.append(f"analyze cells={len(K.cells)} inM={len(M)}")

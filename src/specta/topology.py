@@ -82,7 +82,7 @@ class CellComplex:
                 raise TopologyError(
                     f"cell {cid!r} has dimension {dim} above ambient {self.ambient_dim}")
             self.cells[cid] = (dim, bool(in_m))
-        self._direct = {cid: set() for cid in self.cells}
+        direct = {cid: set() for cid in self.cells}
         for small, big in faces:
             small, big = str(small), str(big)
             if small not in self.cells or big not in self.cells:
@@ -92,8 +92,13 @@ class CellComplex:
             if self.dim(small) >= self.dim(big):
                 raise TopologyError(
                     f"face pair ({small!r}, {big!r}) does not decrease dimension")
-            self._direct[big].add(small)
-        self._closure = self._compute_closure()
+            direct[big].add(small)
+        self._closure = {}
+        for cid in sorted(self.cells, key=self.dim):
+            acc = self._closure[cid] = set()
+            for f in direct[cid]:
+                acc.add(f)
+                acc |= self._closure[f]
         self._star = {cid: set() for cid in self.cells}
         for big, smalls in self._closure.items():
             for s in smalls:
@@ -129,17 +134,6 @@ class CellComplex:
         return out
 
     # -- internals ---------------------------------------------------------
-
-    def _compute_closure(self):
-        order = sorted(self.cells, key=lambda c: self.dim(c))
-        closure = {}
-        for cid in order:
-            acc = set()
-            for f in self._direct[cid]:
-                acc.add(f)
-                acc |= closure[f]
-            closure[cid] = acc
-        return closure
 
     def _check_regularity(self):
         for cid in self.cells:
@@ -219,18 +213,25 @@ def restrict(K: CellComplex, m_cells) -> CellComplex:
     """Sub complex on Cl(m_cells) with exactly m_cells flagged inM.
 
     m_cells must be existing cell ids; their faces are pulled in with
-    inM = false unless they are in m_cells themselves.
+    inM = false unless they are in m_cells themselves.  The restriction
+    shares its parent's validated closure tables: a kept cell's closure lies
+    inside the kept set and is taken as is, its star is cut down to the kept
+    set, and only regularity is checked again.
     """
     m_cells = {str(c) for c in m_cells}
-    unknown = m_cells - set(K.cells)
+    unknown = m_cells - K.cells.keys()
     if unknown:
         raise TopologyError(f"unknown cells in restriction: {sorted(unknown)}")
     keep = set(m_cells)
     for c in m_cells:
         keep |= K.closure_of(c)
-    cells = {cid: (K.dim(cid), cid in m_cells) for cid in keep}
-    faces = [(s, b) for b in keep for s in K.closure_of(b) if s in keep]
-    return CellComplex(K.ambient_dim, K.bounded, cells, faces)
+    sub = CellComplex.__new__(CellComplex)
+    sub.ambient_dim, sub.bounded = K.ambient_dim, K.bounded
+    sub.cells = {cid: (K.dim(cid), cid in m_cells) for cid in keep}
+    sub._closure = {cid: K._closure[cid] for cid in keep}
+    sub._star = {cid: K._star[cid] & keep for cid in keep}
+    sub._check_regularity()
+    return sub
 
 
 # ---------------------------------------------------------------------------
@@ -284,7 +285,7 @@ def bricks(K: CellComplex):
         for c in b.cells:
             if K.dim(c) == b.dimension:
                 continue
-            if not any(c in K.closure_of(t) for t in tops):
+            if not K.star_of(c) & tops:
                 raise RegularityViolation(
                     f"brick of dim {b.dimension} is not pure at cell {c!r}")
     # axiom (ii): union is M
@@ -303,7 +304,7 @@ def bricks(K: CellComplex):
         for c in b.cells:
             if c in private:
                 continue
-            if not any(c in K.closure_of(t) for t in private):
+            if not K.star_of(c) & private:
                 raise RegularityViolation(
                     f"brick of dim {b.dimension}: cell {c!r} not in closure of the "
                     "private part")
@@ -325,19 +326,13 @@ def rho_sequence(K: CellComplex):
     carrier = K.carrier()
     M = K.m_cells()
     rho0 = carrier - M
-    rho1 = set()
-    for c in M:
-        if any(c in K.closure_of(z) for z in rho0):
-            rho1.add(c)
+    rho1 = {c for c in M if K.star_of(c) & rho0}
     m_lc = M - rho1
-    if m_lc:
-        sub = restrict(K, m_lc)
-        sub_carrier = sub.carrier()
-        sub_rho0 = sub_carrier - sub.m_cells()
-        for c in sub.m_cells():
-            if any(c in sub.closure_of(z) for z in sub_rho0):
-                raise RegularityViolation(
-                    "locally compact part failed its compact-neighborhood self-check")
+    sub = restrict(K, m_lc)
+    sub_rho0 = sub.carrier() - m_lc
+    if any(sub.star_of(c) & sub_rho0 for c in m_lc):
+        raise RegularityViolation(
+            "locally compact part failed its compact-neighborhood self-check")
     return rho0, rho1, m_lc
 
 
@@ -372,12 +367,7 @@ def is_compact(K: CellComplex, subset=None) -> bool:
     if not K.bounded:
         return False
     if subset is None:
-        considered = K.m_cells()
-        for c in considered:
-            for f in K.closure_of(c):
-                if not K.in_m(f):
-                    return False
-        return True
+        subset = K.m_cells()
     subset = {str(c) for c in subset}
     for c in subset:
         if not K.in_m(c):
@@ -392,11 +382,8 @@ def core(K: CellComplex) -> CellComplex:
     Idempotent whenever the result has empty eta.
     """
     _, _, m_lc = rho_sequence(K)
-    if not m_lc:
-        return CellComplex(K.ambient_dim, K.bounded, {}, [])
     sub = restrict(K, m_lc)
-    eta = eta_set(sub)
-    return restrict(sub, m_lc - eta)
+    return restrict(sub, m_lc - eta_set(sub))
 
 
 # ---------------------------------------------------------------------------
@@ -493,15 +480,8 @@ def fingerprint_data(K: CellComplex) -> FingerprintData:
 
 def spectral_fingerprint(K: CellComplex) -> Fingerprint:
     data = fingerprint_data(K)
-    M = K.m_cells()
-    eta = eta_set(K)
-    remaining = M - eta
-    if remaining:
-        minus_eta = fingerprint_data(restrict(K, remaining))
-    else:
-        minus_eta = fingerprint_data(CellComplex(K.ambient_dim, K.bounded, {}, []))
-    core_data = fingerprint_data(core(K))
-    return Fingerprint(data=data, minus_eta=minus_eta, core=core_data)
+    minus_eta = fingerprint_data(restrict(K, K.m_cells() - eta_set(K)))
+    return Fingerprint(data=data, minus_eta=minus_eta, core=fingerprint_data(core(K)))
 
 
 RULED_OUT = "RULED_OUT"
@@ -562,14 +542,14 @@ def barycentric_subdivision(K: CellComplex) -> CellComplex:
     inM flag.  Faces are the proper nonempty subchains.
     """
     ids = sorted(K.cells, key=_id_key)
+    # _id_key can tie ("s1", "s01"); ranking by position in ids keeps ties ordered
+    rank = {cid: i for i, cid in enumerate(ids)}
     chains = []
 
     def grow(chain):
         chains.append(chain)
-        top = chain[-1]
-        for nxt in ids:
-            if top in K.closure_of(nxt):
-                grow(chain + (nxt,))
+        for nxt in sorted(K.star_of(chain[-1]), key=rank.__getitem__):
+            grow(chain + (nxt,))
 
     for cid in ids:
         grow((cid,))

@@ -196,7 +196,36 @@ def test_analyze_empty_complex(workdir, capsys):
     empty.write_text("complex ambient=2 bounded=1\n")
     code, out, _ = run(capsys, "analyze", str(empty))
     assert code == 0
-    assert "bricks: 0" in out
+    empty_fp = "dim=-1 compact=1 lc=1 euler=0 components=0 eta=0 bricks=0"
+    assert out.splitlines() == [
+        "cells: 0 (0 in M)",
+        "bricks: 0",
+        "rho0: 0 cells",
+        "rho1: 0 cells",
+        "M_lc: 0 cells",
+        "eta: none",
+        "compact: yes",
+        "locally compact: yes",
+        "components: 0",
+        "euler: 0",
+        f"fingerprint M: {empty_fp}",
+        f"fingerprint M-eta: {empty_fp}",
+        f"fingerprint core: {empty_fp}",
+    ]
+    code, out, _ = run(capsys, "analyze", str(empty), "--format", "records")
+    assert code == 0
+    assert out.splitlines() == [
+        "analyze cells=0 inM=0",
+        "rho0 count=0",
+        "rho1 count=0",
+        "mlc count=0",
+        "eta count=0 ids=",
+        "compact value=1",
+        "lc value=1",
+        f"fingerprint section=M {empty_fp}",
+        f"fingerprint section=M-eta {empty_fp}",
+        f"fingerprint section=core {empty_fp}",
+    ]
 
 
 # -- compare ---------------------------------------------------------------
@@ -423,6 +452,12 @@ def test_reports_are_byte_deterministic(tmp_path):
     second = _run_cli(tmp_path, 2, "decompose", "annulus.formula", "-o", "a2.complex")
     assert first.replace("a1.complex", "X") == second.replace("a2.complex", "X")
     assert (tmp_path / "a1.complex").read_text() == (tmp_path / "a2.complex").read_text()
+
+    _run_cli(tmp_path, 1, "decompose", "annulus.formula", "-o", "s1.complex",
+             "--simplicialize")
+    _run_cli(tmp_path, 2, "decompose", "annulus.formula", "-o", "s2.complex",
+             "--simplicialize")
+    assert (tmp_path / "s1.complex").read_text() == (tmp_path / "s2.complex").read_text()
 
     first = _run_cli(tmp_path, 1, "analyze", "a1.complex")
     second = _run_cli(tmp_path, 2, "analyze", "a1.complex")

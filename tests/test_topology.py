@@ -7,6 +7,7 @@ invariants on a seeded family of random simplicial complexes.
 """
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import corpus
 from specta.topology import (
@@ -236,6 +237,9 @@ def test_euler_characteristics():
 def test_component_counts():
     assert fingerprint_data(corpus.disconnected_union()).components == 2
     assert fingerprint_data(corpus.circle()).components == 1
+    # the boundary vertex meets the open 2-cell only across a dimension gap
+    # of 2, so counting over codimension-one faces alone would report 2
+    assert fingerprint_data(corpus.open_disk_plus_boundary_point()).components == 1
 
 
 def test_empty_m_fingerprint():
@@ -293,6 +297,30 @@ def test_circle_vs_disk_ruled_out_everywhere():
 def _all_flagged(K):
     """The ambient complex: same carrier, every cell inM."""
     return restrict(K, K.carrier())
+
+
+def _restrict_by_faces(K, m_cells):
+    """Reference restriction: cells plus face pairs through the validating constructor."""
+    m_cells = {str(c) for c in m_cells}
+    keep = set(m_cells)
+    for c in m_cells:
+        keep |= K.closure_of(c)
+    cells = {cid: (K.dim(cid), cid in m_cells) for cid in keep}
+    faces = [(s, b) for b in keep for s in K.closure_of(b) if s in keep]
+    return CellComplex(K.ambient_dim, K.bounded, cells, faces)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_sliced_restrict_matches_rebuilt_complex(data):
+    K = data.draw(st.sampled_from(corpus.handcrafted()))
+    subset = data.draw(st.sets(st.sampled_from(sorted(K.m_cells()))))
+    sliced = restrict(K, subset)
+    rebuilt = _restrict_by_faces(K, subset)
+    assert sliced == rebuilt
+    # __eq__ compares closures only; the stars are checked here
+    for c in rebuilt.cells:
+        assert sliced.star_of(c) == rebuilt.star_of(c)
 
 
 def test_corpus_brick_axioms_hold():
