@@ -9,6 +9,11 @@ Q(alpha) (field elements of ``_numfield``), so roots over both come back
 as the same ``AlgebraicNumber``.  All operations are pure and exact; no
 floating point enters any decision.
 
+Values go into polynomials two ways only: ``Polynomial.evaluate`` is the
+one multivariate evaluator (``eval_at``, ``substitute`` and the series
+evaluation of ``paths`` delegate to it) and ``_ueval`` is the one
+univariate, Horner evaluator of coefficient lists.
+
 Conventions
 -----------
 * The zero polynomial is an input error for the public operations, never a
@@ -237,34 +242,36 @@ class Polynomial:
 
     # -- evaluation and substitution --------------------------------------
 
-    def eval_at(self, assignment) -> Fraction:
-        out = Fraction(0)
+    def evaluate(self, values, zero=Fraction(0)):
+        """Value with values[name] put for every variable that occurs.
+
+        The values may lie in any ring that mixes with Fractions (Fractions,
+        Polynomials, PuiseuxSeries) and zero is that ring's zero.  Terms are
+        taken in order; each starts as zero + c and is multiplied by
+        values[name] ** k in variable order, and each power is formed once.
+        """
+        powers = {}
+        out = zero
         for e, c in self.terms.items():
-            v = c
+            term = zero + c
             for name, k in zip(self.variables, e):
                 if k:
-                    v *= Fraction(assignment[name]) ** k
-            out += v
+                    pw = powers.get((name, k))
+                    if pw is None:
+                        pw = powers[name, k] = values[name] ** k
+                    term = term * pw
+            out = out + term
         return out
+
+    def eval_at(self, assignment) -> Fraction:
+        return self.evaluate({n: Fraction(v) for n, v in assignment.items()})
 
     def substitute(self, assignment) -> "Polynomial":
         """Substitute Polynomials (or rationals) for a subset of the variables."""
         remaining = tuple(v for v in self.variables if v not in assignment)
-        out = Polynomial.const(0, remaining)
-        for e, c in self.terms.items():
-            term = Polynomial.const(c, remaining)
-            for name, k in zip(self.variables, e):
-                if not k:
-                    continue
-                if name in assignment:
-                    val = assignment[name]
-                    if isinstance(val, (int, Fraction)):
-                        val = Polynomial.const(val, remaining)
-                    term = term * val ** k
-                else:
-                    term = term * Polynomial.var(name, remaining) ** k
-            out = out + term
-        return out
+        values = {v: Polynomial.var(v, remaining) for v in remaining}
+        values.update(assignment)
+        return self.evaluate(values, Polynomial.const(0, remaining))
 
     def coeffs_in(self, name):
         """Little-endian coefficient list with respect to one variable.

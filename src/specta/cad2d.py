@@ -14,7 +14,9 @@ polynomials in y over Q at a rational x (every sector sample and every
 rational root line) and over Q(alpha) on an irrational root line, where
 x = alpha enters as the generator of a NumberField.  Both kinds go
 through the same coefficient-list engine of arith, and their sections are
-AlgebraicNumbers either way.
+AlgebraicNumbers either way.  Every cut of a polynomial along a line, be it
+a vertical stack, a horizontal separator in adjacency certification or the
+re-slice of locate, goes through _slice.
 
 The described set must be bounded; decompose raises UnboundedInput as
 soon as a satisfied cell stretches to infinity.  Vertical asymptotes are
@@ -31,6 +33,8 @@ from . import _numfield as nf
 from .arith import (
     Polynomial,
     _poly_exact_div,
+    _trim,
+    _udeg,
     _ueval,
     coprime_squarefree_basis,
     discriminant,
@@ -43,6 +47,7 @@ from .arith import (
     resultant,
     sturm_chain,
     sturm_count,
+    uisolate,
 )
 from .topology import CellComplex, serialize_complex
 
@@ -253,12 +258,8 @@ def _needs_shear(basis) -> bool:
 
 def _top_form_value(p: Polynomial, lam: Fraction) -> Fraction:
     d = p.total_degree()
-    ix = p.variables.index("x")
-    out = Fraction(0)
-    for e, c in p.terms.items():
-        if sum(e) == d:
-            out += c * lam ** e[ix]
-    return out
+    top = Polynomial(p.variables, {e: c for e, c in p.terms.items() if sum(e) == d})
+    return top.evaluate({"x": lam, "y": Fraction(1)})
 
 
 def _shear_candidates():
@@ -312,13 +313,19 @@ class Stack:
         key = p.key()
         out = self._cache.get(key)
         if out is None:
-            out = _subst_x(self.at, p)
+            out = _slice(p, "x", self.at)
             self._cache[key] = out
         return out
 
 
-def _subst_x(at, p: Polynomial):
-    return [_ueval(c.univariate_coeffs(), at) for c in p.coeffs_in("y")]
+def _slice(p: Polynomial, var, at):
+    """Coefficient list of p in the other variable on the line var = at.
+
+    at is a rational or, for var = "x" on an irrational root line, the
+    generator of Q(x); each coefficient is a Horner value at it.
+    """
+    other = "y" if var == "x" else "x"
+    return [_ueval(c.univariate_coeffs(), at) for c in p.coeffs_in(other)]
 
 
 def _fences(roots):
@@ -342,7 +349,7 @@ def _build_stack(index, xval, basis) -> Stack:
         at = nf.NumberField(xval.copy()).generator()
     prod = [Fraction(1)]
     for b in basis:
-        prod = nf.ymul(prod, _subst_x(at, b))
+        prod = nf.ymul(prod, _slice(b, "x", at))
     sections = nf.yisolate(prod)
     return Stack(index, xval, at, sections, _fences(sections))
 
@@ -390,10 +397,10 @@ def _limit_assignment(Q, rstack, sstack, side):
     seps = rstack.fences
     xstar = sstack.x
     for e in seps:
-        h = Q.substitute({"y": e})
-        if not h.is_constant():
-            xstar = _approach(h.univariate_coeffs(), rstack.x, xstar, side)
-    chain = sturm_chain(Q.substitute({"x": xstar}).univariate_coeffs())
+        h = _trim(_slice(Q, "y", e))
+        if _udeg(h) >= 1:
+            xstar = _approach(h, rstack.x, xstar, side)
+    chain = sturm_chain(_trim(_slice(Q, "x", xstar)))
     total = sturm_count(chain, None, None)
     counts = [sturm_count(chain, a, b) for a, b in zip(seps, seps[1:])]
     if total != K or sum(counts) != K:
@@ -477,6 +484,7 @@ def decompose(formula) -> Decomposition:
         xval = sector_xs[i // 2] if i % 2 == 0 else xroots[i // 2]
         stacks.append(_build_stack(i, xval, basis))
 
+    smax = 2 * len(xroots)
     ambient = {}
     samples = {}
     for st in stacks:
@@ -492,19 +500,11 @@ def decompose(formula) -> Decomposition:
                 dim = 1 if on_root else 2
             sat = eval_formula(working,
                                lambda p: nf.ysign_at(st.ypoly(p), yval))
-            ambient[cid] = (dim, sat)
-            samples[cid] = SamplePoint(st.x, yval)
-
-    smax = 2 * len(xroots)
-    for st in stacks:
-        K = len(st.sections)
-        for lv in range(2 * K + 1):
-            cid = f"c{st.index}_{lv}"
-            if not ambient[cid][1]:
-                continue
-            if st.index in (0, smax) or lv in (0, 2 * K):
+            if sat and (st.index in (0, smax) or lv in (0, 2 * K)):
                 raise UnboundedInput(
                     f"the satisfied set is unbounded (cell {cid})")
+            ambient[cid] = (dim, sat)
+            samples[cid] = SamplePoint(st.x, yval)
 
     faces = []
     for st in stacks:
@@ -567,50 +567,35 @@ def decompose(formula) -> Decomposition:
     )
 
 
+def _level(roots, v) -> int:
+    """Place v among ordered roots: 2j+1 on roots[j], 2j just below it,
+    2*len(roots) above all of them."""
+    for j, r in enumerate(roots):
+        c = real_compare(v, r)
+        if c == 0:
+            return 2 * j + 1
+        if c < 0:
+            return 2 * j
+    return 2 * len(roots)
+
+
 def locate(dec: Decomposition, point) -> str:
     """Ambient cell id containing a rational point of the original plane."""
     px, py = Fraction(point[0]), Fraction(point[1])
     if dec.shear is not None:
         px = px - dec.shear * py
-    si = 2 * len(dec._xroots)
-    for i, r in enumerate(dec._xroots):
-        c = real_compare(px, r)
-        if c == 0:
-            si = 2 * i + 1
-            break
-        if c < 0:
-            si = 2 * i
-            break
-    st = dec._stacks[si]
-    if si % 2 == 1:
+    st = dec._stacks[_level(dec._xroots, px)]
+    if st.index % 2 == 1:
         # on a root line the stack sections are the curve heights themselves
-        lv = 2 * len(st.sections)
-        for j, sec in enumerate(st.sections):
-            c = real_compare(sec, py)
-            if c == 0:
-                lv = 2 * j + 1
-                break
-            if c > 0:
-                lv = 2 * j
-                break
-        return f"c{st.index}_{lv}"
+        return f"c{st.index}_{_level(st.sections, py)}"
     # inside a sector the curves must be re-sliced at the query x; their
     # order matches the stack sections since no branches cross the sector
     if dec._curve is None:
         return f"c{st.index}_0"
-    heights = isolate_real_roots(dec._curve.substitute({"x": px}))
+    heights = uisolate(_slice(dec._curve, "x", px))
     if len(heights) != len(st.sections):  # pragma: no cover
         raise CadError("curve family is not delineable over a sector")
-    lv = 2 * len(heights)
-    for j, h in enumerate(heights):
-        c = real_compare(py, h)
-        if c == 0:
-            lv = 2 * j + 1
-            break
-        if c < 0:
-            lv = 2 * j
-            break
-    return f"c{st.index}_{lv}"
+    return f"c{st.index}_{_level(heights, py)}"
 
 
 def _fmt_coord(v) -> str:

@@ -344,13 +344,15 @@ def _cmd_path(args):
 # -- parser ----------------------------------------------------------------
 
 
-def _common_flags(p):
+def _format_flag(p):
     p.add_argument("--format", choices=("human", "records"), default="human",
                    help="report style (default human)")
-    p.add_argument("--truncation", type=Fraction, default=None, metavar="T",
+
+
+def _path_flags(a):
+    _format_flag(a)
+    a.add_argument("--truncation", type=Fraction, default=None, metavar="T",
                    help="working truncation exponent, e.g. 32 or 3/2")
-    p.add_argument("--seed", type=int, default=0,
-                   help="seed for randomized checks (default 0)")
 
 
 def _build_parser():
@@ -367,18 +369,18 @@ def _build_parser():
                    help="complex file to write (default: print to stdout)")
     p.add_argument("--simplicialize", action="store_true",
                    help="barycentrically subdivide before writing")
-    _common_flags(p)
+    _format_flag(p)
     p.set_defaults(func=_cmd_decompose)
 
     p = sub.add_parser("analyze", help="report invariants of a complex file")
     p.add_argument("complex", help="cell complex file")
-    _common_flags(p)
+    _format_flag(p)
     p.set_defaults(func=_cmd_analyze)
 
     p = sub.add_parser("compare", help="compare the spectral types of two complexes")
     p.add_argument("first")
     p.add_argument("second")
-    _common_flags(p)
+    _format_flag(p)
     p.set_defaults(func=_cmd_compare)
 
     p = sub.add_parser("path", help="run a series-toolkit action on a path file")
@@ -388,38 +390,40 @@ def _build_parser():
     a = actions.add_parser("order", help="order of one component series")
     a.add_argument("--component", type=int, default=1, metavar="J",
                    help="1-based component index (default 1)")
-    _common_flags(a)
+    _path_flags(a)
 
     a = actions.add_parser("eval", help="evaluate a function along the path")
     a.add_argument("--fn", required=True, help="expression in the path coordinates")
-    _common_flags(a)
+    _path_flags(a)
 
     a = actions.add_parser("member", help="test membership in a path ideal")
     a.add_argument("--fn", required=True)
     a.add_argument("--ideal", choices=("p_alpha", "m_star"), default="m_star")
-    _common_flags(a)
+    _path_flags(a)
 
     a = actions.add_parser("bound", help="positivity order bound for polynomials")
     a.add_argument("--polys", required=True, help="comma-separated polynomials")
-    _common_flags(a)
+    _path_flags(a)
 
     a = actions.add_parser("carrier", help="compact carrier data for positive polynomials")
     a.add_argument("--polys", required=True)
     a.add_argument("--g", default=None, help="polynomial that must vanish on the path")
-    _common_flags(a)
+    a.add_argument("--seed", type=int, default=0,
+                   help="seed for the sampled positivity checks (default 0)")
+    _path_flags(a)
 
     a = actions.add_parser("neighborhood", help="polynomial tube membership test")
     a.add_argument("--ell", type=int, required=True)
     a.add_argument("--k", type=int, required=True)
     a.add_argument("--mu", default=None,
                    help="comma-separated polynomial path to test (default: the path itself)")
-    _common_flags(a)
+    _path_flags(a)
 
     a = actions.add_parser("separate", help="least separating index against the "
                                             "rapidly growing model path")
     a.add_argument("--mu", default=None)
     a.add_argument("--kmax", type=int, default=12)
-    _common_flags(a)
+    _path_flags(a)
 
     p.set_defaults(func=_cmd_path)
     return parser

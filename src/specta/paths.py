@@ -779,14 +779,7 @@ class SAPoly(SAFunction):
                 out.add(v)
 
     def evaluate(self, env, cap):
-        total = PuiseuxSeries.zero()
-        for exps, c in self.poly.terms.items():
-            term = PuiseuxSeries.constant(c)
-            for name, e in zip(self.poly.variables, exps):
-                if e:
-                    term = term * env[name] ** e
-            total = total + term
-        return total
+        return self.poly.evaluate(env, PuiseuxSeries.zero())
 
     def to_text(self):
         return self.poly.to_text()

@@ -47,9 +47,12 @@ class RegularityViolation(TopologyError):
 
 
 def _id_key(cid: str):
-    """Numeric-aware sort key so s2 < s10 and plain numbers order naturally."""
-    return tuple((0, int(tok)) if tok.isdigit() else (1, tok)
-                 for tok in re.split(r"(\d+)", cid) if tok != "")
+    """Numeric-aware sort key so s2 < s10 and plain numbers order naturally.
+
+    The id itself breaks ties such as s1, s01, so the order is total.
+    """
+    return (tuple((0, int(tok)) if tok.isdigit() else (1, tok)
+                  for tok in re.split(r"(\d+)", cid) if tok != ""), cid)
 
 
 class CellComplex:
@@ -542,13 +545,11 @@ def barycentric_subdivision(K: CellComplex) -> CellComplex:
     inM flag.  Faces are the proper nonempty subchains.
     """
     ids = sorted(K.cells, key=_id_key)
-    # _id_key can tie ("s1", "s01"); ranking by position in ids keeps ties ordered
-    rank = {cid: i for i, cid in enumerate(ids)}
     chains = []
 
     def grow(chain):
         chains.append(chain)
-        for nxt in sorted(K.star_of(chain[-1]), key=rank.__getitem__):
+        for nxt in sorted(K.star_of(chain[-1]), key=_id_key):
             grow(chain + (nxt,))
 
     for cid in ids:

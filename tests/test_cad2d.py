@@ -5,6 +5,7 @@ were derived by hand (stack-by-stack root isolation and limit tracking)
 before the engine existed, then frozen here.
 """
 
+import hashlib
 import random
 from fractions import Fraction
 from functools import lru_cache
@@ -503,6 +504,30 @@ def test_decomposition_text_annotations():
     assert "# shear lambda=1/2" in text
     assert "# sample c" in text
     assert cad2d.decomposition_text(_dec(DISK)).count("# sample") == 5
+
+
+# sha256 of decomposition_text, samples and shear included; any change to
+# cell ids, faces, flags or sample coordinates moves one of these
+PINNED_TEXT = {
+    TWO_ELLIPSES: "4b4b7a0baaab682024961862fd08da1d65068f07f24adc1f52ac8c7bdb24b36e",
+    LEMNISCATE_DISK: "8a4bed70df9a00ba5f60f7576a2af8f8c1ea9cdf492f2121577b756136513764",
+    SHIFTED_ANNULUS: "84051806be6940a57e8754e284eb5c08812fd0fe75f0a7c3f5e0ec3651b41870",
+    DISK: "6d867b58dfec7a8727c06050287fe2ec3918b22a21a3b05c0bfffd4d1ea50dae",
+    DISK_PT: "52fb88240e614790eb6341a6a5f5a295432c89ec60a09d0bae1520e3574febb7",
+    FAR_PT: "4f9321275e10094f099db90e39434810a3314b3f65519b93cd53e83ff4028cd1",
+    ANNULUS: "7db3b610c3257980715193fdf7b2cc9d74f6fb211e4dd590cad2be31f26999c1",
+    WHISKER: "cc06cdba9b5f4583e1803d61800550571b682ca8704cd3f10326425763b2ad6c",
+    ARC: "81de7361321850786991e4d714eea708a95ce1e7472cc642677a2e9ae4d00626",
+    STRIP: "51d074dae4ad35b68fede96fd4a4a514a17e36a62d6bf3121f3bb18999d61676",
+    SEGMENT: "e32b36e9c6196fc62475e5cd77acfa3e9f0ed67097b3f162aecd61717f3c4aac",
+    EMPTY: "dd9c4e6fca4580a9bb664e2afe56165f5041f8641cefe189e18a19264bcd4679",
+}
+
+
+def test_decomposition_text_is_pinned():
+    got = {text: hashlib.sha256(cad2d.decomposition_text(_dec(text)).encode()).hexdigest()
+           for text in PINNED_TEXT}
+    assert got == PINNED_TEXT
 
 
 def test_subdivision_preserves_cad_fingerprint():

@@ -412,6 +412,16 @@ def test_path_file_errors(workdir, capsys):
     assert code == 1 and "parse error" in err
 
 
+def test_flags_a_subcommand_does_not_read_are_usage_errors(workdir, capsys):
+    # --format is everywhere, --truncation on path actions, --seed on carrier
+    assert run(capsys, "analyze", str(workdir / "interval.complex"),
+               "--seed", "1")[0] == 1
+    assert run(capsys, "decompose", str(workdir / "disk.formula"),
+               "--truncation", "5")[0] == 1
+    assert run(capsys, "path", str(workdir / "factorial.path"), "eval",
+               "--fn", "y", "--seed", "1")[0] == 1
+
+
 def test_usage_errors(capsys):
     assert main([]) == 1
     capsys.readouterr()

@@ -502,6 +502,83 @@ def test_parse_function_errors():
 # -- evaluation along paths ------------------------------------------------
 
 
+# The per-term loops that Polynomial.evaluate replaced, kept as references:
+# the old Polynomial.substitute and the old SAPoly.evaluate.
+def _ref_substitute(p, assignment):
+    remaining = tuple(v for v in p.variables if v not in assignment)
+    out = Polynomial.const(0, remaining)
+    for e, c in p.terms.items():
+        term = Polynomial.const(c, remaining)
+        for name, k in zip(p.variables, e):
+            if not k:
+                continue
+            if name in assignment:
+                val = assignment[name]
+                if isinstance(val, (int, F)):
+                    val = Polynomial.const(val, remaining)
+                term = term * val ** k
+            else:
+                term = term * Polynomial.var(name, remaining) ** k
+        out = out + term
+    return out
+
+
+def _ref_sapoly_evaluate(poly, env):
+    total = PuiseuxSeries.zero()
+    for exps, c in poly.terms.items():
+        term = PuiseuxSeries.constant(c)
+        for name, e in zip(poly.variables, exps):
+            if e:
+                term = term * env[name] ** e
+        total = total + term
+    return total
+
+
+_SMALL_Q = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+
+
+@st.composite
+def _eval_poly(draw):
+    """A polynomial in one to three of x, y, z, partial degree at most 3."""
+    names = draw(st.lists(st.sampled_from("xyz"), min_size=1, max_size=3, unique=True))
+    exps = st.tuples(*[st.integers(0, 3)] * len(names))
+    return Polynomial.make(names, draw(st.dictionaries(exps, _SMALL_Q, max_size=6)))
+
+
+@st.composite
+def _eval_series(draw):
+    """Exact or fractionally truncated series over ram 1, 2 or 3."""
+    ram = draw(st.sampled_from([1, 2, 3]))
+    coeffs = draw(st.dictionaries(st.integers(-2, 6), _SMALL_Q, max_size=4))
+    trunc = draw(st.none() | st.builds(F, st.integers(-2, 12), st.sampled_from([1, 2, 3])))
+    return PuiseuxSeries(ram, coeffs, trunc)
+
+
+_POLY_VALUE = st.builds(lambda d: Polynomial.make(("s", "t"), d),
+                        st.dictionaries(st.tuples(st.integers(0, 2), st.integers(0, 2)),
+                                        _SMALL_Q, max_size=3))
+
+
+@settings(max_examples=100, deadline=None)
+@given(p=_eval_poly(), data=st.data())
+def test_evaluate_matches_the_per_term_loops(p, data):
+    names = p.variables
+    qs = {n: data.draw(_SMALL_Q) for n in names}
+    ref = _ref_substitute(p, qs)
+    assert p.eval_at(qs) == p.evaluate(qs) == ref.constant_value()
+    assert ref.variables == ()
+
+    sub = data.draw(st.lists(st.sampled_from(names), min_size=1, unique=True))
+    polys = {n: data.draw(_POLY_VALUE | _SMALL_Q) for n in sub}
+    got, ref = p.substitute(polys), _ref_substitute(p, polys)
+    assert (got.variables, got.terms) == (ref.variables, ref.terms)
+
+    env = {n: data.draw(_eval_series()) for n in names}
+    ref = _ref_sapoly_evaluate(p, env)
+    for got in (SAPoly(p).evaluate(env, None), p.evaluate(env, PuiseuxSeries.zero())):
+        assert (got.items(), got.trunc) == (ref.items(), ref.trunc)
+
+
 def test_eval_polynomial_on_path():
     s = eval_on_path(parse_function("x^2"), path("t, t^3"))
     assert s.exact and s == S([(2, 1)])

@@ -6,10 +6,15 @@ are asserted exactly.  The corpus battery then checks the structural
 invariants on a seeded family of random simplicial complexes.
 """
 
+import os
+import subprocess
+import sys
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import corpus
+import specta
 from specta.topology import (
     CellComplex,
     NotInM,
@@ -92,6 +97,29 @@ def test_serialize_orders_numeric_ids_naturally():
     text = serialize_complex(K)
     lines = [ln for ln in text.splitlines() if ln.startswith("cell")]
     assert [ln.split()[1] for ln in lines] == ["v1", "v2", "v10"]
+
+
+_TIED_IDS = """\
+from specta.topology import CellComplex, restrict, serialize_complex
+K = CellComplex(1, True, {c: (0, True) for c in ("p1", "p01", "p001", "q1", "q01")}, [])
+print(serialize_complex(restrict(K, K.m_cells())), end="")
+"""
+
+
+def test_id_order_is_total_across_hash_seeds():
+    # p1, p01 and p001 read as the same number; a restriction inserts its
+    # cells in set order, so only a total id order keeps the output fixed
+    pkg_parent = os.path.dirname(os.path.dirname(os.path.abspath(specta.__file__)))
+    outs = set()
+    for hash_seed in ("1", "2", "3"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=pkg_parent)
+        proc = subprocess.run([sys.executable, "-c", _TIED_IDS],
+                              capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        outs.add(proc.stdout)
+    assert len(outs) == 1
+    cells = [ln.split()[1] for ln in outs.pop().splitlines() if ln.startswith("cell")]
+    assert cells == ["p001", "p01", "p1", "q01", "q1"]
 
 
 # ---------------------------------------------------------------------------
