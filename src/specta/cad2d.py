@@ -18,6 +18,14 @@ AlgebraicNumbers either way.  Every cut of a polynomial along a line, be it
 a vertical stack, a horizontal separator in adjacency certification or the
 re-slice of locate, goes through _slice.
 
+A cell is (stack, level), named c<stack>_<level>.  Cells of the outer
+stacks 0 and 2n and the outer levels 0 and 2K of a stack are unbounded:
+they get an ambient entry and a sample but stay out of the complex.  Faces
+follow from level arithmetic: a section bounds the levels beside it, and
+across a root line a bounded sector level meets a run of root-line levels
+read off the limit assignment.  The complex is the restriction of the
+bounded cells to the closure of the satisfied ones.
+
 The described set must be bounded; decompose raises UnboundedInput as
 soon as a satisfied cell stretches to infinity.  Vertical asymptotes are
 removed up front by an x -> x + lambda*y shear whenever some leading
@@ -49,7 +57,7 @@ from .arith import (
     sturm_count,
     uisolate,
 )
-from .topology import CellComplex, serialize_complex
+from .topology import CellComplex, restrict, serialize_complex
 
 
 class CadError(ValueError):
@@ -297,7 +305,8 @@ class Stack:
     x itself, or the generator of Q(x) on an irrational root line, so the
     curves on the slice are polynomials in y over Q or over Q(x).
     sections are the curve heights on the slice, in increasing order;
-    level 2j+1 is section j, even levels are the open intervals in between.
+    level 2j+1 is section j, even levels are the open intervals in between;
+    levels 0 and 2K, and every level of the outer stacks, are unbounded.
     fences are rational heights, one inside each even level: its sample
     height, and on a root line a separator for adjacency certification.
     """
@@ -322,10 +331,19 @@ def _slice(p: Polynomial, var, at):
     """Coefficient list of p in the other variable on the line var = at.
 
     at is a rational or, for var = "x" on an irrational root line, the
-    generator of Q(x); each coefficient is a Horner value at it.
+    generator of Q(x); each coefficient is a Horner value at it.  The terms
+    of p are read once into one row of Fractions per power of the other
+    variable, each row running up to its own degree in var ([0] for a
+    missing power), so the Horner values keep their representation.
     """
-    other = "y" if var == "x" else "x"
-    return [_ueval(c.univariate_coeffs(), at) for c in p.coeffs_in(other)]
+    i = p.variables.index(var)
+    j = p.variables.index("y" if var == "x" else "x")
+    rows = [[] for _ in range(max((e[j] for e in p.terms), default=0) + 1)]
+    for e, c in p.terms.items():
+        row = rows[e[j]]
+        row.extend([Fraction(0)] * (e[i] + 1 - len(row)))
+        row[e[i]] = c
+    return [_ueval(row or [Fraction(0)], at) for row in rows]
 
 
 def _fences(roots):
@@ -487,73 +505,48 @@ def decompose(formula) -> Decomposition:
     smax = 2 * len(xroots)
     ambient = {}
     samples = {}
+    bounded = {}
+    faces = []
     for st in stacks:
         K = len(st.sections)
         on_root = st.index % 2 == 1
+        inner = 0 < st.index < smax
         for lv in range(2 * K + 1):
             cid = f"c{st.index}_{lv}"
             if lv % 2 == 1:
                 yval = st.sections[lv // 2]
                 dim = 0 if on_root else 1
+                if inner:
+                    faces.extend((cid, f"c{st.index}_{b}")
+                                 for b in (lv - 1, lv + 1) if 0 < b < 2 * K)
             else:
                 yval = st.fences[lv // 2]
                 dim = 1 if on_root else 2
             sat = eval_formula(working,
                                lambda p: nf.ysign_at(st.ypoly(p), yval))
-            if sat and (st.index in (0, smax) or lv in (0, 2 * K)):
+            outer = not inner or lv in (0, 2 * K)
+            if sat and outer:
                 raise UnboundedInput(
                     f"the satisfied set is unbounded (cell {cid})")
             ambient[cid] = (dim, sat)
             samples[cid] = SamplePoint(st.x, yval)
-
-    faces = []
-    for st in stacks:
-        K = len(st.sections)
-        for t in range(K + 1):
-            big = f"c{st.index}_{2 * t}"
-            if t >= 1:
-                faces.append((f"c{st.index}_{2 * t - 1}", big))
-            if t < K:
-                faces.append((f"c{st.index}_{2 * t + 1}", big))
+            if not outer:
+                bounded[cid] = (dim, sat)
 
     Q = None
     for b in basis:
         Q = b if Q is None else Q * b
-    for ri in range(len(xroots)):
-        rstack = stacks[2 * ri + 1]
-        k = len(rstack.sections)
-        for side in (-1, 1):
-            sstack = stacks[2 * ri + 1 + side]
-            ms = _limit_assignment(Q, rstack, sstack, side)
-            K = len(sstack.sections)
-            for j in range(1, K + 1):
-                faces.append((f"c{rstack.index}_{2 * ms[j - 1] - 1}",
-                              f"c{sstack.index}_{2 * j - 1}"))
-            for t in range(K + 1):
-                mlo = ms[t - 1] if t >= 1 else None
-                mhi = ms[t] if t < K else None
-                big = f"c{sstack.index}_{2 * t}"
-                for m in range((mlo if mlo is not None else 1),
-                               (mhi if mhi is not None else k) + 1):
-                    faces.append((f"c{rstack.index}_{2 * m - 1}", big))
-                for tt in range((mlo if mlo is not None else 0),
-                                (mhi - 1 if mhi is not None else k) + 1):
-                    faces.append((f"c{rstack.index}_{2 * tt}", big))
-
-    downward = {}
-    for s, b in faces:
-        downward.setdefault(b, set()).add(s)
-    closed = {cid for cid, (_, sat) in ambient.items() if sat}
-    todo = list(closed)
-    while todo:
-        c = todo.pop()
-        for s in downward.get(c, ()):
-            if s not in closed:
-                closed.add(s)
-                todo.append(s)
-    cells = {cid: ambient[cid] for cid in ambient if cid in closed}
-    fpairs = [(s, b) for s, b in faces if s in closed and b in closed]
-    complex_ = CellComplex(2, True, cells, fpairs)
+    for st in stacks[2:smax:2]:
+        for rs in (stacks[st.index - 1], stacks[st.index + 1]):
+            ms = _limit_assignment(Q, rs, st, st.index - rs.index)
+            # section j of the sector tends to root-line level lim[j]; a band
+            # meets every level from the limit below it to the one above it
+            lim = [0] + [2 * m - 1 for m in ms] + [2 * len(rs.sections)]
+            for lv in range(1, 2 * len(ms)):
+                faces.extend((f"c{rs.index}_{r}", f"c{st.index}_{lv}")
+                             for r in range(lim[(lv + 1) // 2], lim[lv // 2 + 1] + 1))
+    complex_ = restrict(CellComplex(2, True, bounded, faces),
+                        [cid for cid, (_, sat) in bounded.items() if sat])
     return Decomposition(
         complex=complex_,
         samples=samples,

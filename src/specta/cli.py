@@ -21,7 +21,7 @@ import sys
 from fractions import Fraction
 
 from ._expr import ExprError, parse_formula, parse_polynomial, parse_polynomial_list
-from .cad2d import CadError, UnboundedInput, decompose, decomposition_text
+from .cad2d import CadError, decompose, decomposition_text
 from .paths import (
     DEFAULT_TRUNCATION,
     EXACTLY_IN_IDEAL,
@@ -30,7 +30,6 @@ from .paths import (
     NegativeLeadingSqrt,
     NormalizationRequired,
     NotPositiveOnPath,
-    PathError,
     TruncationInsufficient,
     UnboundedAlongPath,
     compact_carrier,
@@ -47,7 +46,6 @@ from .topology import (
     FingerprintData,
     NotInM,
     RegularityViolation,
-    TopologyError,
     _id_key,
     barycentric_subdivision,
     bricks,
@@ -429,6 +427,15 @@ def _build_parser():
     return parser
 
 
+# exit code of an error class, first matching row wins; any other
+# OSError or ValueError is a usage or parse failure and exits 1
+_EXIT_CODES = (
+    (2, (CadError, RegularityViolation, NotInM, NormalizationRequired,
+         NotPositiveOnPath, UnboundedAlongPath, NegativeLeadingSqrt)),
+    (3, TruncationInsufficient),
+)
+
+
 def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
@@ -436,37 +443,15 @@ def main(argv=None) -> int:
         return 0 if (exc.code or 0) == 0 else 1
     try:
         return args.func(args)
-    except ExprError as exc:
-        _err(f"parse error: {exc}")
-        return 1
-    except UnboundedInput as exc:
-        _err(f"error: {exc}")
-        return 2
-    except (RegularityViolation, NotInM) as exc:
-        _err(f"error: {exc}")
-        return 2
-    except TopologyError as exc:
-        _err(f"error: {exc}")
-        return 1
-    except CadError as exc:
-        _err(f"error: {exc}")
-        return 2
-    except TruncationInsufficient as exc:
-        _err(f"error: {exc}; hint: raise --truncation or SPECTA_TRUNCATION")
-        return 3
-    except (NormalizationRequired, NotPositiveOnPath, UnboundedAlongPath,
-            NegativeLeadingSqrt) as exc:
-        _err(f"error: {exc}")
-        return 2
-    except PathError as exc:
-        _err(f"error: {exc}")
-        return 1
-    except OSError as exc:
-        _err(f"error: {exc}")
-        return 1
-    except ValueError as exc:
-        _err(f"error: {exc}")
-        return 1
+    except (OSError, ValueError) as exc:
+        code = next((c for c, kinds in _EXIT_CODES if isinstance(exc, kinds)), 1)
+        if isinstance(exc, ExprError):
+            _err(f"parse error: {exc}")
+        elif code == 3:
+            _err(f"error: {exc}; hint: raise --truncation or SPECTA_TRUNCATION")
+        else:
+            _err(f"error: {exc}")
+        return code
 
 
 if __name__ == "__main__":

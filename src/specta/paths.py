@@ -34,6 +34,7 @@ from ._expr import ExprError, _Parser, parse_polynomial, parse_polynomial_list
 
 
 DEFAULT_TRUNCATION = Fraction(32)
+CARRIER_SAMPLES = 24  # seeded unit-ball offsets compact_carrier tries
 
 IN_IDEAL_UP_TO_T = "IN_IDEAL_UP_TO_T"
 NOT_IN_IDEAL = "NOT_IN_IDEAL"
@@ -1049,8 +1050,7 @@ class CarrierData:
     samples_checked: int
 
 
-def compact_carrier(alpha: FormalPath, polys, g=None, T=None, seed=0,
-                    sample_count=24) -> CarrierData:
+def compact_carrier(alpha: FormalPath, polys, g=None, T=None, seed=0) -> CarrierData:
     comps = alpha.series(T)
     for s in comps:
         if s.ram != 1:
@@ -1085,7 +1085,7 @@ def compact_carrier(alpha: FormalPath, polys, g=None, T=None, seed=0,
             )
         s0.append(s.coefficient(k + 1))
     checked = 0
-    for offset in _ball_grid(alpha.dimension, seed, sample_count):
+    for offset in _ball_grid(alpha.dimension, seed):
         sample = [v + d for v, d in zip(s0, offset)]
         gamma = []
         for base, sv in zip(mu, sample):
@@ -1103,16 +1103,17 @@ def compact_carrier(alpha: FormalPath, polys, g=None, T=None, seed=0,
     return CarrierData(k, tuple(mu), tuple(s0), checked)
 
 
-def _ball_grid(m, seed, count):
+def _ball_grid(m, seed):
     """Deterministic rational points of the closed unit ball: the center,
-    the half-axes, and seeded random points with denominator 8."""
+    the half-axes, and CARRIER_SAMPLES seeded random points with
+    denominator 8."""
     yield tuple(Fraction(0) for _ in range(m))
     for i in range(m):
         for v in (Fraction(1), Fraction(-1), Fraction(1, 2), Fraction(-1, 2)):
             yield tuple(v if j == i else Fraction(0) for j in range(m))
     rng = random.Random(seed)
     made = 0
-    while made < count:
+    while made < CARRIER_SAMPLES:
         point = tuple(Fraction(rng.randint(-8, 8), 8) for _ in range(m))
         if sum(v * v for v in point) <= 1:
             made += 1

@@ -216,7 +216,8 @@ def restrict(K: CellComplex, m_cells) -> CellComplex:
     """Sub complex on Cl(m_cells) with exactly m_cells flagged inM.
 
     m_cells must be existing cell ids; their faces are pulled in with
-    inM = false unless they are in m_cells themselves.  The restriction
+    inM = false unless they are in m_cells themselves.  The kept cells come
+    in their parent's order, whatever the order of m_cells.  The restriction
     shares its parent's validated closure tables: a kept cell's closure lies
     inside the kept set and is taken as is, its star is cut down to the kept
     set, and only regularity is checked again.
@@ -230,9 +231,9 @@ def restrict(K: CellComplex, m_cells) -> CellComplex:
         keep |= K.closure_of(c)
     sub = CellComplex.__new__(CellComplex)
     sub.ambient_dim, sub.bounded = K.ambient_dim, K.bounded
-    sub.cells = {cid: (K.dim(cid), cid in m_cells) for cid in keep}
-    sub._closure = {cid: K._closure[cid] for cid in keep}
-    sub._star = {cid: K._star[cid] & keep for cid in keep}
+    sub.cells = {cid: (K.dim(cid), cid in m_cells) for cid in K.cells if cid in keep}
+    sub._closure = {cid: K._closure[cid] for cid in sub.cells}
+    sub._star = {cid: K._star[cid] & keep for cid in sub.cells}
     sub._check_regularity()
     return sub
 

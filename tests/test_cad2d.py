@@ -329,6 +329,83 @@ def test_limit_assignment_matches_isolating_reference(text):
     assert lines > 0 or text == EMPTY
 
 
+def _closure_walk_complex(dec):
+    """Reference assembly of the complex from a decomposition's stacks:
+    faces inside every stack, faces from both sectors beside every root line
+    with each limit box bounded by the limits mlo/mhi of the sections around
+    it, then the closure of the satisfied cells walked by hand."""
+    stacks = dec._stacks
+    faces = []
+    for st in stacks:
+        K = len(st.sections)
+        for t in range(K + 1):
+            big = f"c{st.index}_{2 * t}"
+            if t >= 1:
+                faces.append((f"c{st.index}_{2 * t - 1}", big))
+            if t < K:
+                faces.append((f"c{st.index}_{2 * t + 1}", big))
+    for ri in range(len(dec._xroots)):
+        rstack = stacks[2 * ri + 1]
+        k = len(rstack.sections)
+        for side in (-1, 1):
+            sstack = stacks[2 * ri + 1 + side]
+            ms = cad2d._limit_assignment(dec._curve, rstack, sstack, side)
+            K = len(sstack.sections)
+            for j in range(1, K + 1):
+                faces.append((f"c{rstack.index}_{2 * ms[j - 1] - 1}",
+                              f"c{sstack.index}_{2 * j - 1}"))
+            for t in range(K + 1):
+                mlo = ms[t - 1] if t >= 1 else None
+                mhi = ms[t] if t < K else None
+                big = f"c{sstack.index}_{2 * t}"
+                for m in range((mlo if mlo is not None else 1),
+                               (mhi if mhi is not None else k) + 1):
+                    faces.append((f"c{rstack.index}_{2 * m - 1}", big))
+                for tt in range((mlo if mlo is not None else 0),
+                                (mhi - 1 if mhi is not None else k) + 1):
+                    faces.append((f"c{rstack.index}_{2 * tt}", big))
+    downward = {}
+    for s, b in faces:
+        downward.setdefault(b, set()).add(s)
+    closed = {cid for cid, (_, sat) in dec.ambient_cells.items() if sat}
+    todo = list(closed)
+    while todo:
+        c = todo.pop()
+        for s in downward.get(c, ()):
+            if s not in closed:
+                closed.add(s)
+                todo.append(s)
+    cells = {cid: v for cid, v in dec.ambient_cells.items() if cid in closed}
+    fpairs = [(s, b) for s, b in faces if s in closed and b in closed]
+    return topology.CellComplex(2, True, cells, fpairs)
+
+
+@pytest.mark.parametrize("text", GOLDEN + [TWO_ELLIPSES, LEMNISCATE_DISK, SHIFTED_ANNULUS])
+def test_complex_matches_closure_walk_reference(text):
+    dec = _dec(text)
+    ref = _closure_walk_complex(dec)
+    assert dec.complex == ref
+    assert list(dec.complex.cells) == list(ref.cells)
+    for c in ref.cells:
+        assert dec.complex.star_of(c) == ref.star_of(c)
+
+
+@pytest.mark.parametrize("text", [DISK, ANNULUS, STRIP, TWO_ELLIPSES, SHIFTED_ANNULUS])
+def test_limit_assignment_runs_on_inner_sectors_only(text, monkeypatch):
+    seen = []
+    real = cad2d._limit_assignment
+
+    def counted(Q, rstack, sstack, side):
+        seen.append(sstack.index)
+        return real(Q, rstack, sstack, side)
+
+    monkeypatch.setattr(cad2d, "_limit_assignment", counted)
+    dec = cad2d.decompose(parse_formula(text))
+    n = len(dec._xroots)
+    assert n >= 2 and len(seen) == 2 * n - 2
+    assert 0 not in seen and 2 * n not in seen
+
+
 def _root_free_between(h, xstar, alpha):
     """No root of h on the closed segment from xstar to alpha."""
     roots = isolate_real_roots(Polynomial.from_univariate("x", h))

@@ -12,8 +12,9 @@ import pytest
 
 from test_cad2d import GOLDEN
 import specta
-from specta import cad2d, topology
-from specta._expr import parse_formula
+from specta import cad2d, cli, paths, topology
+from specta._expr import ExprError, parse_formula
+from specta.arith import ArithError
 from specta.cli import main
 
 INTERVAL = """\
@@ -189,6 +190,37 @@ def test_analyze_malformed_is_exit_1(workdir, capsys):
     assert code == 1
     code, _, _ = run(capsys, "analyze", str(workdir / "missing.complex"))
     assert code == 1
+
+
+_HINT = "; hint: raise --truncation or SPECTA_TRUNCATION"
+
+
+@pytest.mark.parametrize("exc, code, prefix, suffix", [
+    (ExprError("m", 0, "m"), 1, "parse error: line 1, column 1: m", ""),
+    (cad2d.UnboundedInput("m"), 2, "error: m", ""),
+    (cad2d.CadError("m"), 2, "error: m", ""),
+    (topology.RegularityViolation("m"), 2, "error: m", ""),
+    (topology.NotInM("m"), 2, "error: m", ""),
+    (topology.TopologyError("m"), 1, "error: m", ""),
+    (paths.NormalizationRequired("m"), 2, "error: m", ""),
+    (paths.NotPositiveOnPath("m"), 2, "error: m", ""),
+    (paths.UnboundedAlongPath("m"), 2, "error: m", ""),
+    (paths.NegativeLeadingSqrt("m"), 2, "error: m", ""),
+    (paths.TruncationInsufficient("m"), 3, "error: m", _HINT),
+    (paths.IndeterminateOrder("m"), 3, "error: m", _HINT),
+    (paths.PathError("m"), 1, "error: m", ""),
+    (ArithError("m"), 1, "error: m", ""),
+    (OSError("m"), 1, "error: m", ""),
+    (ValueError("m"), 1, "error: m", ""),
+], ids=lambda v: type(v).__name__ if isinstance(v, Exception) else None)
+def test_exit_code_and_message_per_error_class(workdir, capsys, monkeypatch,
+                                               exc, code, prefix, suffix):
+    def fail(args):
+        raise exc
+
+    monkeypatch.setattr(cli, "_cmd_analyze", fail)
+    got, out, err = run(capsys, "analyze", str(workdir / "interval.complex"))
+    assert (got, out, err) == (code, "", prefix + suffix + "\n")
 
 
 def test_analyze_empty_complex(workdir, capsys):

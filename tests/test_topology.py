@@ -351,6 +351,21 @@ def test_sliced_restrict_matches_rebuilt_complex(data):
         assert sliced.star_of(c) == rebuilt.star_of(c)
 
 
+def test_restrict_keeps_parent_cell_order():
+    # a path of 40 vertices, inserted back to front: no set of these ids
+    # iterates in that order under any hash seed worth worrying about
+    n = 40
+    cells = {f"v{i}": (0, False) for i in reversed(range(n))}
+    cells.update({f"e{i}": (1, True) for i in reversed(range(n - 1))})
+    faces = [(f"v{i + d}", f"e{i}") for i in range(n - 1) for d in (0, 1)]
+    K = CellComplex(1, True, cells, faces)
+    kept = {f"e{i}" for i in range(0, n - 1, 3)}
+    sub = restrict(K, sorted(kept))
+    assert list(sub.cells) == [c for c in K.cells if c in sub.cells]
+    assert list(sub._closure) == list(sub._star) == list(sub.cells)
+    assert sub.m_cells() == kept
+
+
 def test_corpus_brick_axioms_hold():
     # bricks() verifies purity, covering, density and ordering internally
     for K in CORPUS:
