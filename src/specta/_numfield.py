@@ -9,6 +9,16 @@ says which, and the field narrows itself to that factor.  Elements are
 polynomial representatives; zero tests are always semantic, meaning they
 ask about the value at alpha, never about the representative.
 
+A sign is certified by an interval first: the representative is evaluated
+by interval Horner on alpha's isolating box, and an interval that excludes
+0 proves the sign.  alpha is refined up to ``SIGN_REFINEMENTS`` times for
+that; only when 0 stays inside (the value may be 0) does the exact
+``usign_at`` run, so the exact path is the zero test.  Sums, differences
+and rational multiples cannot raise the degree, so they leave their
+representatives unreduced; every read of a representative (``sign``,
+``interval``, ``as_rational``, ``inverse``) reduces it first, which also
+keeps elements built before the field narrowed itself correct.
+
 Polynomials in y with coefficients in Q(alpha), and their roots, need no
 code of their own: the coefficient-list engine of ``arith`` (division,
 gcd, Sturm chains, root isolation, sign at a root) takes field elements as
@@ -34,6 +44,19 @@ from .arith import (
     uisolate,
     usign_at,
 )
+
+# interval Horner refinements of alpha that FieldElement.sign tries before
+# its exact zero test
+SIGN_REFINEMENTS = 8
+
+
+def _box_value(rep, alpha):
+    """Interval Horner value of a representative on alpha's isolating box."""
+    out = (rep[-1], rep[-1])
+    box = (alpha.lo, alpha.hi)
+    for c in reversed(rep[:-1]):
+        out = _ival_add(_ival_mul(out, box), (c, c))
+    return out
 
 
 class NumberField:
@@ -83,7 +106,11 @@ class NumberField:
 
 
 class FieldElement:
-    """Value in Q(alpha), held as a reduced polynomial representative."""
+    """Value in Q(alpha), held as a polynomial representative.
+
+    Products reduce modulo the defining polynomial; sums and rational
+    multiples do not, and every read reduces.
+    """
 
     __slots__ = ("field", "coeffs")
 
@@ -91,22 +118,18 @@ class FieldElement:
         self.field = field
         self.coeffs = tuple(coeffs)
 
-    def _coerce(self, other):
-        if isinstance(other, FieldElement):
-            return other
-        if isinstance(other, (int, Fraction)):
-            return self.field.element([other])
-        return NotImplemented
-
     def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        a, b = list(self.coeffs), list(other.coeffs)
-        n = max(len(a), len(b))
-        a += [Fraction(0)] * (n - len(a))
-        b += [Fraction(0)] * (n - len(b))
-        return self.field.element([x + y for x, y in zip(a, b)])
+        a = self.coeffs
+        if isinstance(other, FieldElement):
+            b = other.coeffs
+            if len(a) < len(b):
+                a, b = b, a
+            return FieldElement(self.field, tuple(x + y for x, y in zip(a, b)) + a[len(b):])
+        if isinstance(other, (int, Fraction)):
+            if not a:
+                return FieldElement(self.field, (Fraction(other),))
+            return FieldElement(self.field, (a[0] + other,) + a[1:])
+        return NotImplemented
 
     __radd__ = __add__
 
@@ -114,19 +137,19 @@ class FieldElement:
         return FieldElement(self.field, tuple(-c for c in self.coeffs))
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
+        if isinstance(other, (FieldElement, int, Fraction)):
+            return self + (-other)
+        return NotImplemented
 
     def __rsub__(self, other):
         return -(self - other)
 
     def __mul__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self.field.element(_umul(list(self.coeffs), list(other.coeffs)))
+        if isinstance(other, FieldElement):
+            return self.field.element(_umul(list(self.coeffs), list(other.coeffs)))
+        if isinstance(other, (int, Fraction)):
+            return FieldElement(self.field, tuple(c * other for c in self.coeffs))
+        return NotImplemented
 
     __rmul__ = __mul__
 
@@ -139,25 +162,47 @@ class FieldElement:
         return out
 
     def __truediv__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self * other.inverse()
+        if isinstance(other, FieldElement):
+            return self * other.inverse()
+        if isinstance(other, (int, Fraction)):
+            return self * (1 / Fraction(other))
+        return NotImplemented
 
     def __rtruediv__(self, other):
         return self.inverse() * other
 
     def __eq__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return (self - other).sign() == 0
+        if isinstance(other, (FieldElement, int, Fraction)):
+            return (self - other).sign() == 0
+        return NotImplemented
 
     def __hash__(self):
         raise TypeError("field elements are not hashable (semantic equality)")
 
     def sign(self) -> int:
-        return usign_at(self.field.reduce(self.coeffs), self.field.alpha)
+        """Sign of the value at alpha.
+
+        The interval Horner value on alpha's box certifies the sign when it
+        excludes 0, after up to SIGN_REFINEMENTS refinements of the field's
+        alpha.  Otherwise, or once alpha is rational, the exact ``usign_at``
+        decides: it is the zero test.
+        """
+        rep = self.field.reduce(self.coeffs)
+        if len(rep) <= 1:
+            return _sign(rep[0]) if rep else 0
+        a = self.field.alpha
+        tries = SIGN_REFINEMENTS
+        while not a.is_rational:
+            lo, hi = _box_value(rep, a)
+            if lo > 0:
+                return 1
+            if hi < 0:
+                return -1
+            if not tries:
+                break
+            tries -= 1
+            a.refine()
+        return usign_at(rep, a)
 
     def is_zero(self) -> bool:
         return self.sign() == 0
@@ -210,11 +255,7 @@ class FieldElement:
         if a.is_rational:
             v = _ueval(rep, a.value)
             return (v, v)
-        out = (rep[-1], rep[-1])
-        box = (a.lo, a.hi)
-        for c in reversed(rep[:-1]):
-            out = _ival_add(_ival_mul(out, box), (c, c))
-        return out
+        return _box_value(rep, a)
 
     def approx(self, width=Fraction(1, 1 << 20)) -> Fraction:
         while True:

@@ -13,7 +13,7 @@ from functools import lru_cache
 import pytest
 
 import corpus
-from specta import cad2d, topology
+from specta import _numfield, cad2d, topology
 from specta._expr import parse_formula, parse_polynomial
 from specta.arith import (
     AlgebraicNumber,
@@ -585,7 +585,14 @@ def test_decomposition_text_annotations():
 
 # sha256 of decomposition_text, samples and shear included; any change to
 # cell ids, faces, flags or sample coordinates moves one of these
+# the fence formulas of the cad-algebraic benchmark: lifting over Q(alpha)
+QUARTIC_FENCE = "x^4 + y^4 - 3x^2 y + y^2 <= 1/2 AND x^2 + y^2 <= 9"
+THREE_ELLIPSE_FENCE = ("((x-1)^2+7/4(y+1/4)^2<=2 OR 5/2(x-1)^2+3(y+1/4)^2<=3/2)"
+                       " AND NOT 2(x-1/4)^2+3(y-3/4)^2<=2")
+
 PINNED_TEXT = {
+    QUARTIC_FENCE: "c41721e7addc843ce2d35c8ee6c966cb6567ddde50b96902fb8509649ac663ba",
+    THREE_ELLIPSE_FENCE: "1fe8ca245ff84198634725a39cd22220c517057a2a05053276e41418a19a424d",
     TWO_ELLIPSES: "4b4b7a0baaab682024961862fd08da1d65068f07f24adc1f52ac8c7bdb24b36e",
     LEMNISCATE_DISK: "8a4bed70df9a00ba5f60f7576a2af8f8c1ea9cdf492f2121577b756136513764",
     SHIFTED_ANNULUS: "84051806be6940a57e8754e284eb5c08812fd0fe75f0a7c3f5e0ec3651b41870",
@@ -605,6 +612,23 @@ def test_decomposition_text_is_pinned():
     got = {text: hashlib.sha256(cad2d.decomposition_text(_dec(text)).encode()).hexdigest()
            for text in PINNED_TEXT}
     assert got == PINNED_TEXT
+
+
+def test_quartic_signs_are_certified_by_intervals(monkeypatch):
+    # an exact sign at an irrational alpha recomputes a gcd, a square-free
+    # part and a Sturm chain; interval Horner on alpha's box settles almost
+    # every sign of the quartic fence (reduce-every-sign code sent 546)
+    exact_calls = []
+    exact = _numfield.usign_at
+
+    def counted(q, root):
+        if len(q) > 1:
+            exact_calls.append(q)
+        return exact(q, root)
+
+    monkeypatch.setattr(_numfield, "usign_at", counted)
+    cad2d.decompose(parse_formula(QUARTIC_FENCE))
+    assert len(exact_calls) <= 10
 
 
 def test_subdivision_preserves_cad_fingerprint():

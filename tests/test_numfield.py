@@ -24,6 +24,7 @@ from specta.arith import (
     uisolate,
     usign_at,
 )
+from specta import _numfield
 from specta._numfield import FieldElement, NumberField
 
 
@@ -57,6 +58,12 @@ def test_inverse_of_one_plus_sqrt2():
     assert inv == a - 1
 
 
+def reducible_field():
+    """(t^2-2)(t^2-3) with the interval pinned on sqrt(2)."""
+    p = Polynomial.from_univariate("x", [6, 0, -5, 0, 1])
+    return NumberField(AlgebraicNumber(p, Fraction(13, 10), Fraction(29, 20)))
+
+
 def test_sign_comparisons():
     F = sqrt2_field()
     a = F.generator()
@@ -81,9 +88,7 @@ def test_inverse_of_zero_raises():
 
 
 def test_reducible_presentation_narrows_on_inverse():
-    # (t^2-2)(t^2-3) with the interval pinned on sqrt(2)
-    p = Polynomial.from_univariate("x", [6, 0, -5, 0, 1])
-    F = NumberField(AlgebraicNumber(p, Fraction(13, 10), Fraction(29, 20)))
+    F = reducible_field()
     a = F.generator()
     assert F.degree() == 4
     inv = (a * a - 3).inverse()  # value is 2-3 = -1
@@ -107,6 +112,114 @@ def test_element_interval_contains_value():
     e = a * a * a  # 2*sqrt(2) ~ 2.8284
     v = e.approx(Fraction(1, 10 ** 8))
     assert abs(float(v) - 2 ** 1.5) < 1e-6
+
+
+# ---------------------------------------------------------------------------
+# signs: an interval on alpha's box, the exact path as the zero test
+
+
+@pytest.fixture
+def exact_calls(monkeypatch):
+    """Representatives FieldElement.sign hands to the exact usign_at."""
+    calls = []
+    exact = _numfield.usign_at
+
+    def counted(q, root):
+        calls.append(list(q))
+        return exact(q, root)
+
+    monkeypatch.setattr(_numfield, "usign_at", counted)
+    return calls
+
+
+def test_interval_certifies_sign_without_exact_path(exact_calls):
+    F = sqrt2_field()
+    a = F.generator()
+    assert (a - 1).sign() == 1
+    assert (7 * a - 10).sign() == -1
+    assert (a * a * a - 2).sign() == 1  # 2*sqrt(2) - 2
+    assert exact_calls == []
+
+
+def test_vanishing_representative_takes_exact_path(exact_calls):
+    F = reducible_field()
+    a = F.generator()
+    e = a * a - 2  # representative t^2 - 2 is not zero, its value is
+    assert F.reduce(e.coeffs)
+    assert e.sign() == 0
+    assert exact_calls == [F.reduce(e.coeffs)]
+    assert F.degree() == 4  # a sign never narrows the field
+
+
+def test_sign_past_refinement_limit_takes_exact_path(exact_calls):
+    # sqrt(2) - 1.41421356 ~ 2.4e-9 needs ~29 halvings of (1, 2)
+    F = sqrt2_field()
+    e = F.generator() - Fraction(141421356, 100000000)
+    assert e.sign() == 1
+    assert len(exact_calls) == 1
+
+
+FIELDS = {"sqrt2": sqrt2_field, "reducible": reducible_field}
+
+
+small = st.integers(min_value=-4, max_value=4)
+near_sqrt2 = st.fractions(min_value=Fraction(14142, 10000),
+                          max_value=Fraction(14143, 10000), max_denominator=10 ** 9)
+representatives = st.one_of(
+    st.lists(small, min_size=1, max_size=4),
+    # multiples of t^2 - 2 vanish at alpha
+    st.tuples(small, small).map(lambda c: [-2 * c[0], -2 * c[1], c[0], c[1]]),
+    # t - r with r within 1e-4 of sqrt(2)
+    near_sqrt2.map(lambda r: [-r, 1]),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(sorted(FIELDS)), representatives)
+def test_sign_agrees_with_exact_sign(name, rep):
+    rep = [Fraction(c) for c in rep]
+    expected = usign_at(rep, FIELDS[name]().alpha.copy())
+    assert FIELDS[name]().element(rep).sign() == expected
+
+
+# ---------------------------------------------------------------------------
+# sums and rational multiples leave representatives unreduced
+
+
+def _element_route(x, op, y):
+    """x op y reduced on the spot, through field.element."""
+    F = x.field
+    if op == "*":
+        return F.element([c * y for c in x.coeffs])
+    a = list(x.coeffs)
+    b = list(y.coeffs) if isinstance(y, FieldElement) else [y]
+    a += [Fraction(0)] * (len(b) - len(a))
+    b += [Fraction(0)] * (len(a) - len(b))
+    sign = -1 if op == "-" else 1
+    return F.element([u + sign * v for u, v in zip(a, b)])
+
+
+rationals = st.fractions(min_value=-5, max_value=5, max_denominator=7)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(sorted(FIELDS)),
+       st.lists(small, min_size=1, max_size=4), st.lists(small, min_size=1, max_size=4),
+       rationals, st.booleans())
+def test_unreduced_arithmetic_matches_element_route(name, xs, ys, r, narrow):
+    F = FIELDS[name]()
+    x = F.element(xs) * F.generator()  # degree up to 4: reduced by the product
+    y = F.element(ys)
+    if narrow and name == "reducible":
+        (F.generator() ** 2 - 3).inverse()  # narrows the field to t^2 - 2
+        assert F.degree() == 2
+    cases = [(x + y, x, "+", y), (x - y, x, "-", y), (x + r, x, "+", r),
+             (x - r, x, "-", r), (x * r, x, "*", r), (r * y, y, "*", r),
+             (r + y, y, "+", r)]
+    for got, u, op, v in cases:
+        want = _element_route(u, op, v)
+        assert F.reduce(got.coeffs) == F.reduce(want.coeffs)
+        assert got.sign() == want.sign()
 
 
 # ---------------------------------------------------------------------------
