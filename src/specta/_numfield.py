@@ -17,7 +17,10 @@ that; only when 0 stays inside (the value may be 0) does the exact
 and rational multiples cannot raise the degree, so they leave their
 representatives unreduced; every read of a representative (``sign``,
 ``interval``, ``as_rational``, ``inverse``) reduces it first, which also
-keeps elements built before the field narrowed itself correct.
+keeps elements built before the field narrowed itself correct.  Products,
+reductions, interval Horner and the Horner sign of a list over the field
+at a rational (``FieldElement.list_sign_at``) run on integer numerators
+over one positive denominator: every result is the exact rational one.
 
 Polynomials in y with coefficients in Q(alpha), and their roots, need no
 code of their own: the coefficient-list engine of ``arith`` (division,
@@ -28,12 +31,12 @@ root over Q.  cad2d lifts its stacks through the names ``ymul``,
 """
 
 from fractions import Fraction
+from math import lcm
 
 from .arith import (
     AlgebraicNumber,
+    ListSigns,
     _ext_gcd,
-    _ival_add,
-    _ival_mul,
     _sign,
     _trim,
     _udeg,
@@ -41,22 +44,43 @@ from .arith import (
     _ueval,
     _uint_primitive,
     _umul,
+    _usign,
     uisolate,
     usign_at,
 )
+
+
+def _over_common(cs):
+    """Integer numerators of a rational list over its least common
+    denominator, and that denominator."""
+    den = lcm(*(c.denominator for c in cs))
+    return [c.numerator * (den // c.denominator) for c in cs], den
+
 
 # interval Horner refinements of alpha that FieldElement.sign tries before
 # its exact zero test
 SIGN_REFINEMENTS = 8
 
 
-def _box_value(rep, alpha):
-    """Interval Horner value of a representative on alpha's isolating box."""
-    out = (rep[-1], rep[-1])
-    box = (alpha.lo, alpha.hi)
-    for c in reversed(rep[:-1]):
-        out = _ival_add(_ival_mul(out, box), (c, c))
-    return out
+def _box_value(nums, alpha):
+    """Interval Horner value of an integer representative on alpha's
+    isolating box, as integer ends over a positive integer scale.
+
+    With the box over a common denominator d, each step is the rational
+    step scaled by a positive integer, which moves no end of an interval
+    product, so dividing by the scale gives the interval of the rational
+    loop and the signs of the ends can be read off.
+    """
+    lo, hi = alpha.lo, alpha.hi
+    d = lcm(lo.denominator, hi.denominator)
+    ln, hn = lo.numerator * (d // lo.denominator), hi.numerator * (d // hi.denominator)
+    olo = ohi = nums[-1]
+    dk = 1
+    for c in reversed(nums[:-1]):
+        dk *= d
+        ps = (olo * ln, olo * hn, ohi * ln, ohi * hn)
+        olo, ohi = min(ps) + c * dk, max(ps) + c * dk
+    return olo, ohi, dk
 
 
 class NumberField:
@@ -64,6 +88,7 @@ class NumberField:
 
     def __init__(self, alpha: AlgebraicNumber):
         self.alpha = alpha
+        self._int_of = self._int_defining = None
 
     def defining_coeffs(self):
         return self.alpha.coeffs
@@ -71,8 +96,63 @@ class NumberField:
     def degree(self) -> int:
         return _udeg(self.defining_coeffs())
 
+    def _remainder(self, nums, den):
+        """(r, den') with r/den' the remainder of nums/den modulo the
+        defining list: r an integer list without trailing zeros, den' > 0.
+
+        Integer pseudo-division: each step scales r (and den) by the
+        defining list's leading numerator, so its top term cancels exactly.
+        """
+        m = self.alpha.coeffs
+        if self._int_of is not m:
+            self._int_of, self._int_defining = m, _over_common(m)[0]
+        m = self._int_defining
+        n, lead = len(m) - 1, m[-1]
+        r = list(nums)
+        while r and r[-1] == 0:
+            r.pop()
+        while len(r) > n:
+            t = r.pop()
+            d = len(r) - n
+            if lead != 1:
+                r = [c * lead for c in r]
+                den *= lead
+            for i in range(n):
+                r[d + i] -= t * m[i]
+            while r and r[-1] == 0:
+                r.pop()
+        if den < 0:
+            r, den = [-c for c in r], -den
+        return r, den
+
+    def sign_of(self, nums, den) -> int:
+        """Sign at alpha of the representative nums/den, den > 0.
+
+        The interval Horner value on alpha's box certifies the sign when it
+        excludes 0, after up to SIGN_REFINEMENTS refinements of alpha.
+        Otherwise, or once alpha is rational, the exact ``usign_at``
+        decides: it is the zero test.
+        """
+        nums, den = self._remainder(nums, den)
+        if len(nums) <= 1:
+            return _sign(nums[0]) if nums else 0
+        a = self.alpha
+        tries = SIGN_REFINEMENTS
+        while not a.is_rational:
+            lo, hi, _ = _box_value(nums, a)
+            if lo > 0:
+                return 1
+            if hi < 0:
+                return -1
+            if not tries:
+                break
+            tries -= 1
+            a.refine()
+        return usign_at([Fraction(c, den) for c in nums], a)
+
     def reduce(self, coeffs):
-        return _udivmod(coeffs, self.defining_coeffs())[1]
+        r, den = self._remainder(*_over_common(coeffs))
+        return [Fraction(c, den) for c in r]
 
     def element(self, coeffs) -> "FieldElement":
         return FieldElement(self, tuple(self.reduce([Fraction(c) for c in coeffs])))
@@ -90,8 +170,8 @@ class NumberField:
         # g divides the defining polynomial, so interval endpoints are safe
         a = self.alpha
         if a.is_rational:
-            return _ueval(g, a.value) == 0
-        return _sign(_ueval(g, a.lo)) * _sign(_ueval(g, a.hi)) < 0
+            return _usign(g, a.value) == 0
+        return _usign(g, a.lo) * _usign(g, a.hi) < 0
 
     def _shrink(self, new_coeffs):
         new_coeffs = _uint_primitive(_trim(new_coeffs))
@@ -146,7 +226,10 @@ class FieldElement:
 
     def __mul__(self, other):
         if isinstance(other, FieldElement):
-            return self.field.element(_umul(list(self.coeffs), list(other.coeffs)))
+            a, da = _over_common(self.coeffs)
+            b, db = _over_common(other.coeffs)
+            r, den = self.field._remainder(_umul(a, b), da * db)
+            return FieldElement(self.field, tuple(Fraction(c, den) for c in r))
         if isinstance(other, (int, Fraction)):
             return FieldElement(self.field, tuple(c * other for c in self.coeffs))
         return NotImplemented
@@ -180,29 +263,32 @@ class FieldElement:
         raise TypeError("field elements are not hashable (semantic equality)")
 
     def sign(self) -> int:
-        """Sign of the value at alpha.
+        """Sign of the value at alpha: certified by an interval on alpha's
+        box, with the exact ``usign_at`` as the zero test (see
+        ``NumberField.sign_of``)."""
+        return self.field.sign_of(*_over_common(self.coeffs))
 
-        The interval Horner value on alpha's box certifies the sign when it
-        excludes 0, after up to SIGN_REFINEMENTS refinements of the field's
-        alpha.  Otherwise, or once alpha is rational, the exact ``usign_at``
-        decides: it is the zero test.
+    def list_sign_at(self, cs, x) -> int:
+        """Sign at a rational x of a coefficient list whose entries are
+        rationals and elements of this element's field.
+
+        Horner runs on integer numerators over one positive denominator,
+        and the field signs the representative it ends with.
         """
-        rep = self.field.reduce(self.coeffs)
-        if len(rep) <= 1:
-            return _sign(rep[0]) if rep else 0
-        a = self.field.alpha
-        tries = SIGN_REFINEMENTS
-        while not a.is_rational:
-            lo, hi = _box_value(rep, a)
-            if lo > 0:
-                return 1
-            if hi < 0:
-                return -1
-            if not tries:
-                break
-            tries -= 1
-            a.refine()
-        return usign_at(rep, a)
+        n, d = x.numerator, x.denominator
+        acc, den = [], 1
+        for c in reversed(cs):
+            if isinstance(c, FieldElement):
+                nums, e = _over_common(c.coeffs)
+            else:
+                nums, e = [c.numerator], c.denominator
+            # acc/den * x + nums/e, over den * d * e
+            k, m = n * e, den * d
+            acc = [a * k for a in acc] + [0] * (len(nums) - len(acc))
+            for j, v in enumerate(nums):
+                acc[j] += v * m
+            den *= d * e
+        return self.field.sign_of(acc, den)
 
     def is_zero(self) -> bool:
         return self.sign() == 0
@@ -248,14 +334,15 @@ class FieldElement:
 
     def interval(self):
         """Rational interval containing the value, from the current alpha interval."""
-        rep = self.field.reduce(self.coeffs)
-        if not rep:
+        nums, den = self.field._remainder(*_over_common(self.coeffs))
+        if not nums:
             return (Fraction(0), Fraction(0))
         a = self.field.alpha
         if a.is_rational:
-            v = _ueval(rep, a.value)
+            v = _ueval([Fraction(c, den) for c in nums], a.value)
             return (v, v)
-        return _box_value(rep, a)
+        lo, hi, scale = _box_value(nums, a)
+        return Fraction(lo, den * scale), Fraction(hi, den * scale)
 
     def approx(self, width=Fraction(1, 1 << 20)) -> Fraction:
         while True:
@@ -272,4 +359,4 @@ class FieldElement:
 
 
 # the stack interface of cad2d: the shared engine, for lists over Q or Q(alpha)
-ymul, yisolate, ysign_at = _umul, uisolate, usign_at
+ymul, yisolate, ysign_at = _umul, uisolate, ListSigns.at

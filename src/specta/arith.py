@@ -12,7 +12,8 @@ floating point enters any decision.
 Values go into polynomials two ways only: ``Polynomial.evaluate`` is the
 one multivariate evaluator (``eval_at``, ``substitute`` and the series
 evaluation of ``paths`` delegate to it) and ``_ueval`` is the one
-univariate, Horner evaluator of coefficient lists.
+univariate, Horner evaluator of coefficient lists; ``_usign`` is its
+sign-only form at a rational, which never builds the value.
 
 Conventions
 -----------
@@ -65,15 +66,6 @@ def simplest_between(a: Fraction, b: Fraction) -> Fraction:
     # both endpoints lie strictly between fa and fa + 1
     inner = simplest_between(1 / (b - fa), 1 / (a - fa))
     return fa + 1 / inner
-
-
-def _ival_add(a, b):
-    return (a[0] + b[0], a[1] + b[1])
-
-
-def _ival_mul(a, b):
-    ps = (a[0] * b[0], a[0] * b[1], a[1] * b[0], a[1] * b[1])
-    return (min(ps), max(ps))
 
 
 # ---------------------------------------------------------------------------
@@ -351,8 +343,8 @@ class Polynomial:
 #
 # One engine serves both coefficient domains.  Lists are little-endian and
 # their entries are Fractions or FieldElements of one Q(alpha); rationals
-# may mix in.  Only _sign, _inverse, _interval and the choice of rational
-# certification in uisolate look at an entry's type.
+# may mix in.  Only _sign, _inverse, _interval, _usign and the choice of
+# rational certification in uisolate look at an entry's type.
 # A zero test or a sign of a field element is a sign computation at alpha,
 # so the routines below make no zero test the algorithm does not need.
 
@@ -392,6 +384,24 @@ def _ueval(cs, x):
     for c in reversed(cs):
         out = out * x + c
     return out
+
+
+def _usign(cs, x) -> int:
+    """Sign of a coefficient list at a rational x.
+
+    Rational entries are summed by Horner on bare integers, with no gcd
+    taken: num/den is the value so far and den stays positive, so num
+    carries the sign.  A list with a field element in it is handed to
+    that element's ``list_sign_at``.
+    """
+    n, d = x.numerator, x.denominator
+    num, den = 0, 1
+    for c in reversed(cs):
+        if not isinstance(c, (int, Fraction)):
+            return c.list_sign_at(cs, x)
+        cd = c.denominator
+        num, den = num * n * cd + c.numerator * den * d, den * d * cd
+    return (num > 0) - (num < 0)
 
 
 def _uderiv(cs):
@@ -494,7 +504,7 @@ def sturm_chain(cs):
 
 def _variations(chain, x, end) -> int:
     # x = None stands for the infinity on the side of end (+1 or -1)
-    signs = [_sign(p[-1]) * end ** (len(p) - 1) if x is None else _sign(_ueval(p, x))
+    signs = [_sign(p[-1]) * end ** (len(p) - 1) if x is None else _usign(p, x)
              for p in chain]
     signs = [s for s in signs if s]
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
@@ -517,7 +527,7 @@ def refine_root_free(chain, root):
     An endpoint is never a root of root.defining but may be one of chain[0].
     """
     while not root.is_rational and (sturm_count(chain, root.lo, root.hi)
-                                    or not _sign(_ueval(chain[0], root.lo))):
+                                    or not _usign(chain[0], root.lo)):
         root.refine()
 
 
@@ -592,10 +602,10 @@ class AlgebraicNumber:
         if self.is_rational:
             return
         mid = (self.lo + self.hi) / 2
-        v = _sign(_ueval(self.coeffs, mid))
+        v = _usign(self.coeffs, mid)
         if v == 0:
             self.lo = self.hi = mid
-        elif _sign(_ueval(self.coeffs, self.lo)) * v < 0:
+        elif _usign(self.coeffs, self.lo) * v < 0:
             self.hi = mid
         else:
             self.lo = mid
@@ -636,7 +646,7 @@ def real_compare(u, v) -> int:
                 return 1
             if c >= u.hi:
                 return -1
-            if _sign(_ueval(u.coeffs, c)) == 0:
+            if _usign(u.coeffs, c) == 0:
                 return 0  # c is the unique root inside the isolating interval
             u.refine()
             if u.is_rational:
@@ -707,7 +717,7 @@ def uisolate(p):
     roots = []
 
     def sgn(x):
-        return _sign(_ueval(sq, x))
+        return _usign(sq, x)
 
     def finalize(a, b):
         # exactly one root in (a, b); endpoints are not roots
@@ -765,30 +775,50 @@ def isolate_real_roots(p: Polynomial):
     return uisolate(p.univariate_coeffs())
 
 
-def usign_at(q, root) -> int:
-    """Exact sign of a coefficient list at a rational or an AlgebraicNumber.
+class ListSigns:
+    """Exact signs of one coefficient list at rationals and AlgebraicNumbers.
 
-    A nontrivial gcd with the root's defining list certifies the zero case
+    A nontrivial gcd with a root's defining list certifies the zero case
     through a sign change over the isolating interval; otherwise the
-    interval is refined until q has no root on it.
+    interval is refined until the list has no root on it.  The trimmed
+    list, its Sturm chain and its gcd with the last defining list are
+    kept, so signing one list at every root of another costs one chain
+    and one gcd.
     """
-    q = _trim(q)
-    if not q:
-        return 0
-    if isinstance(root, (int, Fraction)):
-        return _sign(_ueval(q, Fraction(root)))
-    if root.is_rational:
-        return _sign(_ueval(q, root.value))
-    if len(q) == 1:
-        return _sign(q[0])
-    g = _ugcd(q, root.coeffs)
-    if _udeg(g) >= 1:
-        # roots of g are also roots of the defining list, so the interval
-        # endpoints are never roots of g; a sign change certifies 0
-        if _sign(_ueval(g, root.lo)) * _sign(_ueval(g, root.hi)) < 0:
+
+    __slots__ = ("q", "chain", "defining", "g")
+
+    def __init__(self, q):
+        self.q = _trim(q)
+        self.chain = self.defining = self.g = None
+
+    def at(self, root) -> int:
+        q = self.q
+        if not q:
             return 0
-    refine_root_free(sturm_chain(q), root)
-    return _sign(_ueval(q, (root.lo + root.hi) / 2))
+        if isinstance(root, (int, Fraction)):
+            return _usign(q, Fraction(root))
+        if root.is_rational:
+            return _usign(q, root.value)
+        if len(q) == 1:
+            return _sign(q[0])
+        if self.defining is not root.defining:
+            self.defining, self.g = root.defining, _ugcd(q, root.coeffs)
+        if _udeg(self.g) >= 1:
+            # roots of g are also roots of the defining list, so the interval
+            # endpoints are never roots of g; a sign change certifies 0
+            if _usign(self.g, root.lo) * _usign(self.g, root.hi) < 0:
+                return 0
+        if self.chain is None:
+            self.chain = sturm_chain(q)
+        refine_root_free(self.chain, root)
+        return _usign(q, (root.lo + root.hi) / 2)
+
+
+def usign_at(q, root) -> int:
+    """Exact sign of a coefficient list at a rational or an AlgebraicNumber
+    (see ``ListSigns``)."""
+    return ListSigns(q).at(root)
 
 
 def sign_at(p: Polynomial, a) -> int:

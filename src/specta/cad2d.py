@@ -39,11 +39,13 @@ from functools import cmp_to_key
 
 from . import _numfield as nf
 from .arith import (
+    ListSigns,
     Polynomial,
     _poly_exact_div,
     _trim,
     _udeg,
     _ueval,
+    _usign,
     coprime_squarefree_basis,
     discriminant,
     isolate_real_roots,
@@ -317,13 +319,27 @@ class Stack:
     sections: list
     fences: list
     _cache: dict = _dcfield(default_factory=dict, repr=False)
+    _fence_cuts: dict = _dcfield(default_factory=dict, repr=False)
 
-    def ypoly(self, p: Polynomial):
+    def ysigns(self, p: Polynomial) -> ListSigns:
+        """The slice of p on this line, ready to be signed at its heights."""
         key = p.key()
         out = self._cache.get(key)
         if out is None:
-            out = _slice(p, "x", self.at)
+            out = ListSigns(_slice(p, "x", self.at))
             self._cache[key] = out
+        return out
+
+    def fence_cuts(self, p: Polynomial):
+        """(cut, Sturm chain) of p along each fence height where the cut, a
+        list in x, is not constant; both sectors beside a root line read
+        the same ones."""
+        key = p.key()
+        out = self._fence_cuts.get(key)
+        if out is None:
+            cuts = [_trim(_slice(p, "y", e)) for e in self.fences]
+            out = [(h, sturm_chain(h)) for h in cuts if _udeg(h) >= 1]
+            self._fence_cuts[key] = out
         return out
 
 
@@ -376,21 +392,21 @@ def _build_stack(index, xval, basis) -> Stack:
 # certified adjacency
 
 
-def _approach(h, alpha, xstar, side):
-    """Halve the rational xstar toward alpha until the coefficient list h
-    has no root on the closed segment from xstar to alpha's interval.
+def _approach(h, chain, alpha, xstar, side):
+    """Halve the rational xstar toward alpha until the coefficient list h,
+    whose Sturm chain is given, has no root on the closed segment from
+    xstar to alpha's interval.
 
     side is the side of alpha that xstar lies on, and h(alpha) must not
     vanish.  alpha is first refined until its own closed interval is root
     free: its endpoint on xstar's side may be a rational root of h, and no
     halving toward a root ever certifies.
     """
-    chain = sturm_chain(h)
     refine_root_free(chain, alpha)
     near = alpha.hi if side > 0 else alpha.lo
     while True:
         a, b = min(xstar, near), max(xstar, near)
-        if _ueval(h, a) and not sturm_count(chain, a, b):
+        if _usign(h, a) and not sturm_count(chain, a, b):
             return xstar
         xstar = (xstar + near) / 2
 
@@ -414,10 +430,8 @@ def _limit_assignment(Q, rstack, sstack, side):
         return []
     seps = rstack.fences
     xstar = sstack.x
-    for e in seps:
-        h = _trim(_slice(Q, "y", e))
-        if _udeg(h) >= 1:
-            xstar = _approach(h, rstack.x, xstar, side)
+    for h, chain in rstack.fence_cuts(Q):
+        xstar = _approach(h, chain, rstack.x, xstar, side)
     chain = sturm_chain(_trim(_slice(Q, "x", xstar)))
     total = sturm_count(chain, None, None)
     counts = [sturm_count(chain, a, b) for a, b in zip(seps, seps[1:])]
@@ -523,7 +537,7 @@ def decompose(formula) -> Decomposition:
                 yval = st.fences[lv // 2]
                 dim = 1 if on_root else 2
             sat = eval_formula(working,
-                               lambda p: nf.ysign_at(st.ypoly(p), yval))
+                               lambda p: nf.ysign_at(st.ysigns(p), yval))
             outer = not inner or lv in (0, 2 * K)
             if sat and outer:
                 raise UnboundedInput(

@@ -15,6 +15,7 @@ from hypothesis import given, settings, strategies as st
 from specta.arith import (
     AlgebraicNumber,
     ArithError,
+    ListSigns,
     Polynomial,
     ZeroPolynomialError,
     coprime_squarefree_basis,
@@ -29,8 +30,11 @@ from specta.arith import (
     squarefree_part,
     sturm_chain,
     sturm_count,
+    uisolate,
+    usign_at,
 )
-from specta.arith import _poly_exact_div, _ptrim
+from specta import arith
+from specta.arith import _poly_exact_div, _ptrim, _usign
 
 X = Polynomial.var("x")
 XY = Polynomial.var("x", ("x", "y"))
@@ -377,3 +381,66 @@ def test_simplest_between_picks_minimal_denominator():
     assert simplest_between(Fraction(-2, 5), Fraction(-1, 5)) == Fraction(-1, 3)
     assert simplest_between(Fraction(-1, 3), Fraction(1, 4)) == 0
     assert simplest_between(Fraction(3), Fraction(3)) == 3
+
+
+# ---------------------------------------------------------------------------
+# rational lists are signed on bare integers, with the signs of Fraction
+# arithmetic
+
+
+def _fraction_horner(cs, x):
+    out = Fraction(0)
+    for c in reversed(cs):
+        out = out * x + c
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.fractions(min_value=-9, max_value=9, max_denominator=12), min_size=1,
+                max_size=7),
+       st.fractions(min_value=-5, max_value=5, max_denominator=9))
+def test_integer_sign_matches_fraction_horner(cs, x):
+    v = _fraction_horner(cs, x)
+    assert _usign(cs, x) == (v > 0) - (v < 0)
+
+
+def test_list_signs_keep_gcd_and_chain(monkeypatch):
+    roots = uisolate([Fraction(c) for c in (0, -3, 0, 1)])  # -sqrt3, 0, sqrt3
+    defining = roots[0].coeffs
+    calls = {"gcd": 0, "chain": 0}
+    gcd_, chain_ = arith._ugcd, arith.sturm_chain
+
+    def counted_gcd(a, b):
+        # gcds with the roots' defining list; Sturm chains take others
+        calls["gcd"] += b == defining
+        return gcd_(a, b)
+
+    def counted_chain(cs):
+        calls["chain"] += 1
+        return chain_(cs)
+
+    monkeypatch.setattr(arith, "_ugcd", counted_gcd)
+    monkeypatch.setattr(arith, "sturm_chain", counted_chain)
+    assert [r.is_rational for r in roots] == [False, True, False]
+    cases = {(-3, 0, 1): [0, -1, 0], (-2, 0, 1): [1, -1, 1], (1, 1): [-1, 1, 1]}
+    for q, want in cases.items():
+        q = [Fraction(c) for c in q]
+        before = dict(calls)
+        signs = ListSigns(q)
+        assert [signs.at(r) for r in roots] == want
+        assert [usign_at(q, r.copy()) for r in roots] == want
+        # one gcd for the two irrational roots, one chain at most; the
+        # fresh usign_at calls above take their own
+        fresh = sum(1 for r in roots if not r.is_rational)
+        assert calls["gcd"] - before["gcd"] == 1 + fresh
+        assert calls["chain"] - before["chain"] <= 1 + fresh
+
+
+def test_list_signs_follow_the_defining_list():
+    # the gcd kept for sqrt2 must not answer for sqrt3, whose wide
+    # isolating interval (1, 2) also holds sqrt2
+    sqrt2 = AlgebraicNumber([Fraction(-2), 0, Fraction(1)], 1, 2)
+    sqrt3 = AlgebraicNumber([Fraction(-3), 0, Fraction(1)], 1, 2)
+    signs = ListSigns([Fraction(-2), 0, Fraction(1)])
+    assert signs.at(sqrt2) == 0
+    assert signs.at(sqrt3) == 1

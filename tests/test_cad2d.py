@@ -419,12 +419,12 @@ def test_approach_halts_when_the_near_endpoint_is_a_root():
     X = Polynomial.var("x")
     h = [Fraction(-9, 8), Fraction(1)]
     sqrt2 = AlgebraicNumber(X * X - 2, Fraction(9, 8), Fraction(3, 2))
-    xstar = cad2d._approach(h, sqrt2, Fraction(1), -1)
+    xstar = cad2d._approach(h, sturm_chain(h), sqrt2, Fraction(1), -1)
     assert Fraction(9, 8) < xstar and real_compare(xstar, sqrt2) < 0
     assert _root_free_between(h, xstar, sqrt2)
     sqrt2 = AlgebraicNumber(X * X - 2, Fraction(1), Fraction(3, 2))
     h = [Fraction(-3, 2), Fraction(1)]
-    xstar = cad2d._approach(h, sqrt2, Fraction(2), 1)
+    xstar = cad2d._approach(h, sturm_chain(h), sqrt2, Fraction(2), 1)
     assert real_compare(xstar, sqrt2) > 0 and xstar < Fraction(3, 2)
     assert _root_free_between(h, xstar, sqrt2)
 
@@ -436,7 +436,7 @@ def test_approach_to_a_rational_root_line(side, start, want):
     # halvings land on those roots before the segment turns root free
     h = [Fraction(3, 4), Fraction(-2), Fraction(1)]
     one = AlgebraicNumber(Polynomial.var("x") - 1, 1, 1)
-    xstar = cad2d._approach(h, one, Fraction(start), side)
+    xstar = cad2d._approach(h, sturm_chain(h), one, Fraction(start), side)
     assert xstar == want
     assert _root_free_between(h, xstar, one)
     assert sturm_count(sturm_chain(h), min(xstar, 1), max(xstar, 1)) == 0

@@ -19,6 +19,10 @@ from specta.arith import (
     AlgebraicNumber,
     Polynomial,
     _trim,
+    _udivmod,
+    _ueval,
+    _umul,
+    _usign,
     _usquarefree,
     isolate_real_roots,
     uisolate,
@@ -159,7 +163,14 @@ def test_sign_past_refinement_limit_takes_exact_path(exact_calls):
     assert len(exact_calls) == 1
 
 
-FIELDS = {"sqrt2": sqrt2_field, "reducible": reducible_field}
+def negated_field():
+    """sqrt(2) as the root of -2t^2 + 4: a defining list that is neither
+    primitive nor led by a positive coefficient."""
+    p = Polynomial.from_univariate("x", [4, 0, -2])
+    return NumberField(AlgebraicNumber(p, 1, 2))
+
+
+FIELDS = {"sqrt2": sqrt2_field, "reducible": reducible_field, "negated": negated_field}
 
 
 small = st.integers(min_value=-4, max_value=4)
@@ -220,6 +231,51 @@ def test_unreduced_arithmetic_matches_element_route(name, xs, ys, r, narrow):
         want = _element_route(u, op, v)
         assert F.reduce(got.coeffs) == F.reduce(want.coeffs)
         assert got.sign() == want.sign()
+
+
+# ---------------------------------------------------------------------------
+# integer kernels: the results of the rational routes
+
+
+def _fraction_interval(rep, alpha):
+    """Interval Horner on Fractions over alpha's box."""
+    lo = hi = rep[-1]
+    for c in reversed(rep[:-1]):
+        ps = (lo * alpha.lo, lo * alpha.hi, hi * alpha.lo, hi * alpha.hi)
+        lo, hi = min(ps) + c, max(ps) + c
+    return lo, hi
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(sorted(FIELDS)),
+       st.lists(rationals, min_size=1, max_size=7), st.lists(rationals, min_size=1, max_size=7))
+def test_integer_field_arithmetic_matches_rational_route(name, xs, ys):
+    F = FIELDS[name]()
+    m = F.defining_coeffs()
+    assert F.reduce(xs) == _udivmod(xs, m)[1]
+    x, y = F.element(xs), F.element(ys)
+    product = _umul(list(x.coeffs), list(y.coeffs))
+    assert list((x * y).coeffs) == _udivmod(product, m)[1]
+    assert FieldElement(F, product).sign() == (x * y).sign()
+    for _ in range(3):
+        rep = F.reduce(x.coeffs)
+        want = _fraction_interval(rep, F.alpha) if rep else (0, 0)
+        assert x.interval() == want
+        F.alpha.refine()
+
+
+entries = st.one_of(rationals, st.lists(small, min_size=1, max_size=4))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(sorted(FIELDS)), st.lists(entries, min_size=1, max_size=5),
+       rationals)
+def test_list_sign_matches_element_horner(name, raw, x):
+    F = FIELDS[name]()
+    cs = [F.element(e) if isinstance(e, list) else e for e in raw]
+    if all(isinstance(c, Fraction) for c in cs):
+        cs[0] = F.element([cs[0], 1])
+    assert _usign(cs, x) == _ueval(cs, x).sign()
 
 
 # ---------------------------------------------------------------------------
