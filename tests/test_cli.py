@@ -4,12 +4,14 @@ Human-format lines asserted verbatim here are part of the scriptable
 surface; change them deliberately or not at all.
 """
 
+import hashlib
 import os
 import subprocess
 import sys
 
 import pytest
 
+import corpus
 from test_cad2d import GOLDEN
 import specta
 from specta import cad2d, cli, paths, topology
@@ -291,6 +293,37 @@ def test_compare_identical(workdir, capsys):
                        str(workdir / "interval.complex"))
     assert code == 0
     assert out.count("CONSISTENT") == 4 and "RULED_OUT" not in out
+
+
+# sha256 of the reports over the whole corpus, one complex (or consecutive
+# pair) after another, each report headed by its index
+PINNED_REPORTS = {
+    "analyze": "cbf3d0736bfbb01a4651457f909da6f6604e9d20062072c8ec542e79ec2897bd",
+    "analyze --format records": "73b671c0bb420382fbe5d75c9c57ec40b3915fb316cb46b9e5bd90837cf20329",
+    "compare": "064c3bc1f83b988813a2c61ee08a29ed58d9b8b024c941ee1f2c7a92dc9e12a3",
+}
+
+
+def test_analyze_text_is_pinned(tmp_path, capsys):
+    files = []
+    for i, K in enumerate(corpus.full_corpus()):
+        files.append(tmp_path / f"k{i}.complex")
+        files[-1].write_text(topology.serialize_complex(K))
+    jobs = {
+        "analyze": [["analyze", str(f)] for f in files],
+        "analyze --format records": [["analyze", str(f), "--format", "records"]
+                                     for f in files],
+        "compare": [["compare", str(a), str(b)] for a, b in zip(files, files[1:])],
+    }
+    got = {}
+    for mode, argvs in jobs.items():
+        digest = hashlib.sha256()
+        for i, argv in enumerate(argvs):
+            code, out, _ = run(capsys, *argv)
+            assert code == 0
+            digest.update(f"{i}\n{out}".encode())
+        got[mode] = digest.hexdigest()
+    assert got == PINNED_REPORTS
 
 
 # -- path ------------------------------------------------------------------
