@@ -48,11 +48,8 @@ from .topology import (
     RegularityViolation,
     _id_key,
     barycentric_subdivision,
-    bricks,
     compare_fingerprints,
-    eta_set,
     parse_complex,
-    rho_sequence,
     serialize_complex,
     spectral_fingerprint,
 )
@@ -133,13 +130,12 @@ def _cmd_analyze(args):
     records = args.format == "records"
     fp = spectral_fingerprint(K)
     M = K.m_cells()
-    rho0, rho1, mlc = rho_sequence(K)
-    brick_list = bricks(K) if M else []
-    eta = sorted(eta_set(K), key=_id_key)
+    rho0, rho1, mlc = fp.rho
+    eta = sorted(fp.eta, key=_id_key)
     lines = []
     if records:
         lines.append(f"analyze cells={len(K.cells)} inM={len(M)}")
-        for i, b in enumerate(brick_list, start=1):
+        for i, b in enumerate(fp.bricks, start=1):
             lines.append(f"brick index={i} dim={b.dimension} cells={len(b.cells)}")
         lines.append(f"rho0 count={len(rho0)}")
         lines.append(f"rho1 count={len(rho1)}")
@@ -151,8 +147,8 @@ def _cmd_analyze(args):
             lines.append(_fp_line(f"section={tag}", d))
     else:
         lines.append(f"cells: {len(K.cells)} ({len(M)} in M)")
-        lines.append(f"bricks: {len(brick_list)}")
-        for i, b in enumerate(brick_list, start=1):
+        lines.append(f"bricks: {len(fp.bricks)}")
+        for i, b in enumerate(fp.bricks, start=1):
             lines.append(f"  brick {i}: dim {b.dimension}, {len(b.cells)} cells")
         lines.append(f"rho0: {len(rho0)} cells")
         lines.append(f"rho1: {len(rho1)} cells")

@@ -13,8 +13,12 @@ theorems; it never claims a positive isomorphism.
 
 Complexes must be regular: no loops (every 1-cell has two distinct
 endpoints) and closures are unions of cells.  Inputs violating this raise
-RegularityViolation.  Cells outside Cl(M) are tolerated on input; all
-operations silently restrict to the carrier Cl(M).
+RegularityViolation.  Local dimension, bricks, rho, eta, compactness and
+the fingerprint data take the flagged set M as an optional argument, a
+set of cell ids that defaults to the inM cells.  They work on the carrier
+Cl(M) inside the complex's own closure and star tables and ignore the
+cells outside it, so their answer on (K, S) is their answer on
+``restrict(K, S)``.
 
 Text format (one record per line, '#' starts a comment):
 
@@ -31,7 +35,7 @@ byte-identical on canonical files.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 
 class TopologyError(ValueError):
@@ -102,11 +106,14 @@ class CellComplex:
             for f in direct[cid]:
                 acc.add(f)
                 acc |= self._closure[f]
+            # faces decrease dimension, so a 1-cell's closure is its endpoints
+            if self.dim(cid) == 1 and len(acc) != 2:
+                raise RegularityViolation(
+                    f"1-cell {cid!r} has {len(acc)} distinct endpoints, need 2")
         self._star = {cid: set() for cid in self.cells}
         for big, smalls in self._closure.items():
             for s in smalls:
                 self._star[s].add(big)
-        self._check_regularity()
 
     # -- basic accessors ---------------------------------------------------
 
@@ -127,24 +134,15 @@ class CellComplex:
     def m_cells(self):
         return {cid for cid in self.cells if self.in_m(cid)}
 
-    def carrier(self):
-        """Cl(M): the inM cells together with all their faces."""
-        out = set()
-        for cid in self.cells:
-            if self.in_m(cid):
-                out.add(cid)
-                out |= self._closure[cid]
+    def carrier(self, M=None):
+        """Cl(M): the cells of M (the inM cells by default) with all their faces."""
+        M = self.m_cells() if M is None else M
+        out = set(M)
+        for cid in M:
+            out |= self._closure[cid]
         return out
 
     # -- internals ---------------------------------------------------------
-
-    def _check_regularity(self):
-        for cid in self.cells:
-            if self.dim(cid) == 1:
-                zero_faces = {f for f in self._closure[cid] if self.dim(f) == 0}
-                if len(zero_faces) != 2:
-                    raise RegularityViolation(
-                        f"1-cell {cid!r} has {len(zero_faces)} distinct endpoints, need 2")
 
     def __eq__(self, other):
         if not isinstance(other, CellComplex):
@@ -164,6 +162,16 @@ class CellComplex:
 # text format
 
 
+def _fields(parts, *keys):
+    """The key=value fields of a record: exactly keys, the last one a 0/1 flag."""
+    kv = dict(p.split("=", 1) for p in parts)
+    if len(kv) != len(parts) or kv.keys() != set(keys):
+        raise ValueError("unknown, missing or repeated field")
+    if kv[keys[-1]] not in ("0", "1"):
+        raise ValueError("flag is neither 0 nor 1")
+    return kv
+
+
 def parse_complex(text: str) -> CellComplex:
     header = None
     cells = []
@@ -178,11 +186,11 @@ def parse_complex(text: str) -> CellComplex:
             if kind == "complex":
                 if header is not None:
                     raise TopologyError("duplicate complex header")
-                kv = dict(p.split("=", 1) for p in parts[1:])
+                kv = _fields(parts[1:], "ambient", "bounded")
                 header = (int(kv["ambient"]), kv["bounded"] == "1")
             elif kind == "cell":
                 cid = parts[1]
-                kv = dict(p.split("=", 1) for p in parts[2:])
+                kv = _fields(parts[2:], "dim", "inM")
                 cells.append((cid, int(kv["dim"]), kv["inM"] == "1"))
             elif kind == "face":
                 faces.append((parts[1], parts[2]))
@@ -212,6 +220,17 @@ def serialize_complex(K: CellComplex) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _flagged(K: CellComplex, M):
+    """M as a set of existing cell ids; K's inM cells when M is None."""
+    if M is None:
+        return K.m_cells()
+    M = {str(c) for c in M}
+    unknown = M - K.cells.keys()
+    if unknown:
+        raise TopologyError(f"unknown cells: {sorted(unknown)}")
+    return M
+
+
 def restrict(K: CellComplex, m_cells) -> CellComplex:
     """Sub complex on Cl(m_cells) with exactly m_cells flagged inM.
 
@@ -219,22 +238,17 @@ def restrict(K: CellComplex, m_cells) -> CellComplex:
     inM = false unless they are in m_cells themselves.  The kept cells come
     in their parent's order, whatever the order of m_cells.  The restriction
     shares its parent's validated closure tables: a kept cell's closure lies
-    inside the kept set and is taken as is, its star is cut down to the kept
-    set, and only regularity is checked again.
+    inside the kept set and is taken as is, and its star is cut down to the
+    kept set.  Nothing is checked again: every kept 1-cell keeps both of its
+    endpoints, so the restriction of a regular complex is regular.
     """
-    m_cells = {str(c) for c in m_cells}
-    unknown = m_cells - K.cells.keys()
-    if unknown:
-        raise TopologyError(f"unknown cells in restriction: {sorted(unknown)}")
-    keep = set(m_cells)
-    for c in m_cells:
-        keep |= K.closure_of(c)
+    m_cells = _flagged(K, m_cells)
+    keep = K.carrier(m_cells)
     sub = CellComplex.__new__(CellComplex)
     sub.ambient_dim, sub.bounded = K.ambient_dim, K.bounded
     sub.cells = {cid: (K.dim(cid), cid in m_cells) for cid in K.cells if cid in keep}
     sub._closure = {cid: K._closure[cid] for cid in sub.cells}
     sub._star = {cid: K._star[cid] & keep for cid in sub.cells}
-    sub._check_regularity()
     return sub
 
 
@@ -249,31 +263,32 @@ class Brick:
     index: int
 
 
-def local_dimension(K: CellComplex, cid) -> int:
-    """Largest dimension of an inM cell whose closure contains cid (or cid itself)."""
+def local_dimension(K: CellComplex, cid, M=None) -> int:
+    """Largest dimension of a cell of M whose closure contains cid (or cid itself).
+
+    M is the flagged set (K's inM cells by default) and must contain cid.
+    """
     cid = str(cid)
     if cid not in K.cells:
         raise TopologyError(f"unknown cell {cid!r}")
-    if not K.in_m(cid):
+    inside = K.in_m if M is None else M.__contains__
+    if not inside(cid):
         raise NotInM(f"cell {cid!r} is not in M")
-    best = K.dim(cid)
-    for big in K.star_of(cid):
-        if K.in_m(big) and K.dim(big) > best:
-            best = K.dim(big)
-    return best
+    higher = [K.dim(big) for big in K.star_of(cid) if inside(big)]
+    return max(higher, default=K.dim(cid))
 
 
-def bricks(K: CellComplex):
-    """Brick decomposition: closures in M of the local-dimension strata.
+def bricks(K: CellComplex, M=None):
+    """Brick decomposition of M: closures in M of the local-dimension strata.
 
     Returned in strictly decreasing dimension order.  The Lemma axioms
     (purity, covering, combinatorial density of B_i minus the others,
     decreasing dimensions) are verified before returning.
     """
-    M = K.m_cells()
+    M = _flagged(K, M)
     if not M:
         raise TopologyError("brick decomposition of an empty complex")
-    ldim = {c: local_dimension(K, c) for c in M}
+    ldim = {c: local_dimension(K, c, M) for c in M}
     values = sorted(set(ldim.values()), reverse=True)
     out = []
     for i, d in enumerate(values):
@@ -286,28 +301,17 @@ def bricks(K: CellComplex):
     # axiom (i): purity
     for b in out:
         tops = {c for c in b.cells if K.dim(c) == b.dimension}
-        for c in b.cells:
-            if K.dim(c) == b.dimension:
-                continue
+        for c in b.cells - tops:
             if not K.star_of(c) & tops:
                 raise RegularityViolation(
                     f"brick of dim {b.dimension} is not pure at cell {c!r}")
     # axiom (ii): union is M
-    union = set()
-    for b in out:
-        union |= b.cells
-    if union != M:
+    if set().union(*(b.cells for b in out)) != M:
         raise RegularityViolation("bricks do not cover M")
     # axiom (iii): combinatorial density of B_i minus the other bricks
     for b in out:
-        others = set()
-        for b2 in out:
-            if b2.index != b.index:
-                others |= b2.cells
-        private = b.cells - others
-        for c in b.cells:
-            if c in private:
-                continue
+        private = b.cells.difference(*(b2.cells for b2 in out if b2 is not b))
+        for c in b.cells - private:
             if not K.star_of(c) & private:
                 raise RegularityViolation(
                     f"brick of dim {b.dimension}: cell {c!r} not in closure of the "
@@ -320,44 +324,35 @@ def bricks(K: CellComplex):
 # locally compact part, eta, compactness, core
 
 
-def rho_sequence(K: CellComplex):
-    """(rho0, rho1, M_lc) as id sets.
+def rho_sequence(K: CellComplex, M=None):
+    """(rho0, rho1, M_lc) of the flagged set M (K's inM cells by default).
 
-    rho0 is the non-flagged part of Cl(M); rho1 the inM cells sitting in
+    rho0 is the non-flagged part of Cl(M); rho1 the cells of M sitting in
     the closure of a rho0 cell; M_lc the rest of M.  A self-check confirms
-    that the restricted complex on Cl(M_lc) has empty rho1.
+    that rho1 of M_lc, flagged alone, is empty.
     """
-    carrier = K.carrier()
-    M = K.m_cells()
-    rho0 = carrier - M
+    M = _flagged(K, M)
+    rho0 = K.carrier(M) - M
     rho1 = {c for c in M if K.star_of(c) & rho0}
     m_lc = M - rho1
-    sub = restrict(K, m_lc)
-    sub_rho0 = sub.carrier() - m_lc
-    if any(sub.star_of(c) & sub_rho0 for c in m_lc):
+    lc_rho0 = K.carrier(m_lc) - m_lc
+    if any(K.star_of(c) & lc_rho0 for c in m_lc):
         raise RegularityViolation(
             "locally compact part failed its compact-neighborhood self-check")
     return rho0, rho1, m_lc
 
 
-def eta_set(K: CellComplex):
-    """inM 0-cells whose star within M is one 1-cell, with no higher cell touching.
+def eta_set(K: CellComplex, M=None):
+    """0-cells of M whose star within M is one 1-cell, with no higher cell touching.
 
     These are the dangling endpoints: points with a punctured-interval
-    neighborhood in M.  The result is always finite.
+    neighborhood in M (K's inM cells by default).  A higher cell of Cl(M)
+    touching a point lies in the closure of a higher cell of M touching it,
+    so looking at the star within M suffices.  The result is always finite.
     """
-    carrier = K.carrier()
-    out = set()
-    for cid in carrier:
-        if K.dim(cid) != 0 or not K.in_m(cid):
-            continue
-        star = [c for c in K.star_of(cid) if c in carrier]
-        if any(K.dim(c) >= 2 for c in star):
-            continue
-        m_edges = [c for c in star if K.in_m(c) and K.dim(c) == 1]
-        if len(m_edges) == 1:
-            out.add(cid)
-    return out
+    M = _flagged(K, M)
+    return {c for c in M
+            if K.dim(c) == 0 and [K.dim(s) for s in K.star_of(c) & M] == [1]}
 
 
 def is_compact(K: CellComplex, subset=None) -> bool:
@@ -370,9 +365,7 @@ def is_compact(K: CellComplex, subset=None) -> bool:
     """
     if not K.bounded:
         return False
-    if subset is None:
-        subset = K.m_cells()
-    subset = {str(c) for c in subset}
+    subset = _flagged(K, subset)
     for c in subset:
         if not K.in_m(c):
             raise NotInM(f"subset cell {c!r} is not in M")
@@ -385,9 +378,8 @@ def core(K: CellComplex) -> CellComplex:
 
     Idempotent whenever the result has empty eta.
     """
-    _, _, m_lc = rho_sequence(K)
-    sub = restrict(K, m_lc)
-    return restrict(sub, m_lc - eta_set(sub))
+    m_lc = rho_sequence(K)[2]
+    return restrict(K, m_lc - eta_set(K, m_lc))
 
 
 # ---------------------------------------------------------------------------
@@ -416,76 +408,87 @@ class FingerprintData:
 
 @dataclass(frozen=True)
 class Fingerprint:
-    """Homeomorphism invariants of M, of M minus eta, and of the core."""
+    """Homeomorphism invariants of M, of M minus eta, and of the core.
+
+    rho, bricks and eta are the rho sets, bricks and eta(M) that the pass
+    over M computed, kept for reports; == and repr ignore them.
+    """
 
     data: FingerprintData
     minus_eta: FingerprintData
     core: FingerprintData
-
-
-class _UnionFind:
-    def __init__(self, items):
-        self.parent = {x: x for x in items}
-
-    def find(self, x):
-        while self.parent[x] != x:
-            self.parent[x] = self.parent[self.parent[x]]
-            x = self.parent[x]
-        return x
-
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[ra] = rb
-
-    def count(self):
-        return len({self.find(x) for x in self.parent})
+    rho: tuple = field(compare=False, repr=False)
+    bricks: list = field(compare=False, repr=False)
+    eta: set = field(compare=False, repr=False)
 
 
 def _component_count(K: CellComplex, cells) -> int:
-    uf = _UnionFind(cells)
-    for c in cells:
-        for f in K.closure_of(c):
-            if f in cells:
-                uf.union(c, f)
-    return uf.count()
+    """Components of cells, where a cell meets the cells of its closure.
+
+    One traversal over faces and cofaces inside cells: a boundary vertex
+    meets an open 2-cell across a dimension gap of 2, which the
+    codimension-one graph alone would miss.
+    """
+    todo = set(cells)
+    count = 0
+    while todo:
+        count += 1
+        stack = [todo.pop()]
+        while stack:
+            c = stack.pop()
+            near = (K._closure[c] | K._star[c]) & todo
+            todo -= near
+            stack.extend(near)
+    return count
 
 
 def _euler(K: CellComplex, cells) -> int:
     return sum((-1) ** K.dim(c) for c in cells)
 
 
-def fingerprint_data(K: CellComplex) -> FingerprintData:
-    M = K.m_cells()
-    if not M:
-        return FingerprintData(dim=-1, compact=True, locally_compact=True,
-                               euler=0, components=0, eta_count=0, bricks=())
-    _, rho1, _ = rho_sequence(K)
-    records = []
-    for b in bricks(K):
-        sub = restrict(K, b.cells)
-        records.append(BrickRecord(
-            dimension=b.dimension,
-            components=_component_count(K, b.cells),
-            euler=_euler(K, b.cells),
-            compact=is_compact(K, b.cells),
-            eta_count=len(eta_set(sub)),
-        ))
-    return FingerprintData(
-        dim=max(K.dim(c) for c in M),
-        compact=is_compact(K),
-        locally_compact=not rho1,
-        euler=_euler(K, M),
-        components=_component_count(K, M),
-        eta_count=len(eta_set(K)),
-        bricks=tuple(records),
+def _fingerprint(K: CellComplex, S):
+    """FingerprintData of the flagged set S, with the rho sets, bricks and eta it used."""
+    rho = rho_sequence(K, S)
+    eta = eta_set(K, S)
+    if not S:
+        return FingerprintData(dim=-1, compact=True, locally_compact=True, euler=0,
+                               components=0, eta_count=0, bricks=()), rho, [], eta
+    found = bricks(K, S)
+    records = tuple(BrickRecord(
+        dimension=b.dimension,
+        components=_component_count(K, b.cells),
+        euler=_euler(K, b.cells),
+        compact=is_compact(K, b.cells),
+        eta_count=len(eta_set(K, b.cells)),
+    ) for b in found)
+    data = FingerprintData(
+        dim=max(K.dim(c) for c in S),
+        compact=is_compact(K, S),
+        locally_compact=not rho[1],
+        euler=_euler(K, S),
+        components=_component_count(K, S),
+        eta_count=len(eta),
+        bricks=records,
     )
+    return data, rho, found, eta
+
+
+def fingerprint_data(K: CellComplex, M=None) -> FingerprintData:
+    """Invariants of the flagged set M, a set of inM cells (all of them by default)."""
+    return _fingerprint(K, _flagged(K, M))[0]
 
 
 def spectral_fingerprint(K: CellComplex) -> Fingerprint:
-    data = fingerprint_data(K)
-    minus_eta = fingerprint_data(restrict(K, K.m_cells() - eta_set(K)))
-    return Fingerprint(data=data, minus_eta=minus_eta, core=fingerprint_data(core(K)))
+    """Fingerprints of M, of M minus eta(M) and of the core, as cell sets of K.
+
+    The core set is M_lc minus eta(M_lc), with M_lc from the pass over M.
+    """
+    M = K.m_cells()
+    data, rho, found, eta = _fingerprint(K, M)
+    m_lc = rho[2]
+    return Fingerprint(data=data, minus_eta=_fingerprint(K, M - eta)[0],
+                       core=_fingerprint(K, m_lc - eta_set(K, m_lc))[0],
+                       rho=rho, bricks=found, eta=eta)
 
 
 RULED_OUT = "RULED_OUT"

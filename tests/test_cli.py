@@ -4,6 +4,7 @@ Human-format lines asserted verbatim here are part of the scriptable
 surface; change them deliberately or not at all.
 """
 
+import collections
 import hashlib
 import os
 import subprocess
@@ -13,6 +14,7 @@ import pytest
 
 import corpus
 from test_cad2d import GOLDEN
+from test_topology import MALFORMED_FIELDS
 import specta
 from specta import cad2d, cli, paths, topology
 from specta._expr import ExprError, parse_formula
@@ -192,6 +194,45 @@ def test_analyze_malformed_is_exit_1(workdir, capsys):
     assert code == 1
     code, _, _ = run(capsys, "analyze", str(workdir / "missing.complex"))
     assert code == 1
+
+
+@pytest.mark.parametrize("good, bad", MALFORMED_FIELDS)
+def test_analyze_unknown_fields_and_flag_values_are_exit_1(workdir, capsys, good, bad):
+    src = workdir / "bad.complex"
+    text = INTERVAL.replace(good, bad)
+    src.write_text(text)
+    lineno = text.splitlines().index(bad) + 1
+    code, out, err = run(capsys, "analyze", str(src))
+    assert (code, out, err) == (1, "", f"error: malformed line {lineno}: {bad!r}\n")
+
+
+def test_analyze_fingerprints_each_set_once(workdir, capsys, monkeypatch):
+    # M, M minus eta and the core are flagged sets of the parsed complex:
+    # no sub-complex is built, and the report prints the sets the
+    # fingerprint computed instead of working them out again
+    K = corpus.disk_with_whisker()
+    assert topology.eta_set(K) and len(topology.bricks(K)) > 1
+    assert topology.core(K).m_cells()
+    src = workdir / "whisker.complex"
+    src.write_text(topology.serialize_complex(K))
+    calls = collections.Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in ("restrict", "rho_sequence", "bricks", "spectral_fingerprint"):
+        wrapper = counted(name, getattr(topology, name))
+        monkeypatch.setattr(topology, name, wrapper)
+        if hasattr(cli, name):
+            monkeypatch.setattr(cli, name, wrapper)
+    for fmt in ("human", "records"):
+        calls.clear()
+        code, _, _ = run(capsys, "analyze", str(src), "--format", fmt)
+        assert code == 0
+        assert calls == {"rho_sequence": 3, "bricks": 3, "spectral_fingerprint": 1}
 
 
 _HINT = "; hint: raise --truncation or SPECTA_TRUNCATION"

@@ -7,6 +7,7 @@ invariants on a seeded family of random simplicial complexes.
 """
 
 import os
+import random
 import subprocess
 import sys
 
@@ -16,10 +17,13 @@ from hypothesis import given, settings, strategies as st
 import corpus
 import specta
 from specta.topology import (
+    BrickRecord,
     CellComplex,
+    FingerprintData,
     NotInM,
     RegularityViolation,
     TopologyError,
+    _component_count,
     barycentric_subdivision,
     bricks,
     compare_spectral_types,
@@ -70,6 +74,42 @@ def test_parse_skips_comment_lines():
             "cell v dim=0 inM=1\n")
     K = parse_complex(text)
     assert K.m_cells() == {"v"}
+
+
+INTERVAL_TEXT = """\
+complex ambient=1 bounded=1
+cell a dim=0 inM=1
+cell b dim=0 inM=1
+cell e dim=1 inM=1
+face a e
+face b e
+"""
+
+# (line of INTERVAL_TEXT, its malformed replacement)
+MALFORMED_FIELDS = [
+    ("complex ambient=1 bounded=1", "complex ambient=1 bounded=yes"),
+    ("complex ambient=1 bounded=1", "complex ambient=1 bounded=2"),
+    ("complex ambient=1 bounded=1", "complex ambient=1"),
+    ("complex ambient=1 bounded=1", "complex ambient=1 bounded=1 closed=1"),
+    ("complex ambient=1 bounded=1", "complex ambient=1 bounded=1 bounded=0"),
+    ("cell a dim=0 inM=1", "cell a dim=0 inM=true"),
+    ("cell a dim=0 inM=1", "cell a dim=0 inM="),
+    ("cell a dim=0 inM=1", "cell a dim=0 inm=1"),
+    ("cell a dim=0 inM=1", "cell a dim=0 inM=1 colour=red"),
+    ("cell a dim=0 inM=1", "cell a dim=0 inM=1 junk"),
+]
+
+
+@pytest.mark.parametrize("good, bad", MALFORMED_FIELDS)
+def test_parse_rejects_unknown_fields_and_flag_values(good, bad):
+    # a flag read as 0 whenever it is not "1" would turn a typo into a
+    # different set, and flip compactness with it
+    text = INTERVAL_TEXT.replace(good, bad)
+    lineno = text.splitlines().index(bad) + 1
+    with pytest.raises(TopologyError) as info:
+        parse_complex(text)
+    assert type(info.value) is TopologyError
+    assert str(info.value) == f"malformed line {lineno}: {bad!r}"
 
 
 def test_loop_edge_rejected():
@@ -349,6 +389,115 @@ def test_sliced_restrict_matches_rebuilt_complex(data):
     # __eq__ compares closures only; the stars are checked here
     for c in rebuilt.cells:
         assert sliced.star_of(c) == rebuilt.star_of(c)
+    # a flagged set over K answers as its restriction does
+    assert rho_sequence(K, subset) == rho_sequence(sliced)
+    if subset:
+        assert bricks(K, subset) == bricks(sliced)
+    assert eta_set(K, subset) == eta_set(sliced)
+    for c in subset:
+        assert local_dimension(K, c, subset) == local_dimension(sliced, c)
+    assert fingerprint_data(K, subset) == fingerprint_data(sliced)
+    assert fingerprint_data(K, subset) == _reference_fingerprint_data(sliced)
+
+
+# -- restrict-based reference fingerprint -------------------------------------
+# The fingerprint as it was computed before flagged sets: a new restricted
+# complex per set and per brick, and components by union-find over closures.
+
+
+class _UnionFind:
+    def __init__(self, items):
+        self.parent = {x: x for x in items}
+
+    def find(self, x):
+        while self.parent[x] != x:
+            self.parent[x] = self.parent[self.parent[x]]
+            x = self.parent[x]
+        return x
+
+    def union(self, a, b):
+        ra, rb = self.find(a), self.find(b)
+        if ra != rb:
+            self.parent[ra] = rb
+
+    def count(self):
+        return len({self.find(x) for x in self.parent})
+
+
+def _reference_component_count(K, cells):
+    uf = _UnionFind(cells)
+    for c in cells:
+        for f in K.closure_of(c):
+            if f in cells:
+                uf.union(c, f)
+    return uf.count()
+
+
+def _reference_eta_set(K):
+    carrier = K.carrier()
+    out = set()
+    for cid in carrier:
+        if K.dim(cid) != 0 or not K.in_m(cid):
+            continue
+        star = [c for c in K.star_of(cid) if c in carrier]
+        if any(K.dim(c) >= 2 for c in star):
+            continue
+        if len([c for c in star if K.in_m(c) and K.dim(c) == 1]) == 1:
+            out.add(cid)
+    return out
+
+
+def _reference_fingerprint_data(K):
+    M = K.m_cells()
+    if not M:
+        return FingerprintData(dim=-1, compact=True, locally_compact=True,
+                               euler=0, components=0, eta_count=0, bricks=())
+    _, rho1, _ = rho_sequence(K)
+    records = []
+    for b in bricks(K):
+        records.append(BrickRecord(
+            dimension=b.dimension,
+            components=_reference_component_count(K, b.cells),
+            euler=sum((-1) ** K.dim(c) for c in b.cells),
+            compact=is_compact(K, b.cells),
+            eta_count=len(_reference_eta_set(restrict(K, b.cells))),
+        ))
+    return FingerprintData(
+        dim=max(K.dim(c) for c in M),
+        compact=is_compact(K),
+        locally_compact=not rho1,
+        euler=sum((-1) ** K.dim(c) for c in M),
+        components=_reference_component_count(K, M),
+        eta_count=len(_reference_eta_set(K)),
+        bricks=tuple(records),
+    )
+
+
+def _reference_spectral_fingerprint(K):
+    """(data, minus_eta, core) through restricted complexes."""
+    minus_eta = restrict(K, K.m_cells() - _reference_eta_set(K))
+    _, _, m_lc = rho_sequence(K)
+    sub = restrict(K, m_lc)
+    core_ = restrict(sub, m_lc - _reference_eta_set(sub))
+    return tuple(map(_reference_fingerprint_data, (K, minus_eta, core_)))
+
+
+def test_fingerprint_matches_restrict_reference():
+    rng = random.Random(5)
+    for K in CORPUS:
+        fp = spectral_fingerprint(K)
+        assert (fp.data, fp.minus_eta, fp.core) == _reference_spectral_fingerprint(K)
+        # the sets the fingerprint carries are those of M
+        assert fp.rho == rho_sequence(K) and fp.eta == _reference_eta_set(K)
+        assert fp.bricks == (bricks(K) if K.m_cells() else [])
+        for _ in range(3):
+            M = sorted(K.m_cells())
+            subset = set(rng.sample(M, rng.randint(0, len(M))))
+            sub = restrict(K, subset)
+            assert eta_set(K, subset) == _reference_eta_set(sub)
+            assert fingerprint_data(K, subset) == _reference_fingerprint_data(sub)
+            cells = set(rng.sample(sorted(K.cells), rng.randint(0, len(K.cells))))
+            assert _component_count(K, cells) == _reference_component_count(K, cells)
 
 
 def test_restrict_keeps_parent_cell_order():
