@@ -618,7 +618,7 @@ def decomposition_text(dec: Decomposition) -> str:
     lines = [serialize_complex(dec.complex).rstrip("\n")]
     if dec.shear is not None:
         lines.append(f"# shear lambda={dec.shear}")
-    for cid in dec.complex.cells:
+    for cid in dec.complex.ids:
         sp = dec.samples[cid]
         lines.append(f"# sample {cid} x={_fmt_coord(sp.x)} y={_fmt_coord(sp.y)}")
     return "\n".join(lines) + "\n"

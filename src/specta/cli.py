@@ -96,17 +96,17 @@ def _cmd_decompose(args):
             K = barycentric_subdivision(K)
             out_text = serialize_complex(K)
     counts = {d: 0 for d in range(K.ambient_dim + 1)}
-    for cid in K.cells:
-        counts[K.dim(cid)] += 1
+    for d in K.dims:
+        counts[d] += 1
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(out_text)
         if args.format == "records":
             lines = [f"summary dim={d} count={counts[d]}" for d in sorted(counts)]
-            lines.append(f"summary total={len(K.cells)} ambient={ambient}")
+            lines.append(f"summary total={len(K.ids)} ambient={ambient}")
         else:
             lines = [f"cells dim {d}: {counts[d]}" for d in sorted(counts)]
-            lines.append(f"total cells: {len(K.cells)}"
+            lines.append(f"total cells: {len(K.ids)}"
                          f" (decomposition: {ambient})")
             lines.append(f"wrote {args.output}")
         _emit(lines)
@@ -129,12 +129,12 @@ def _cmd_analyze(args):
     K = parse_complex(_read(args.complex))
     records = args.format == "records"
     fp = spectral_fingerprint(K)
-    M = K.m_cells()
+    in_m = sum(K.flags)
     rho0, rho1, mlc = fp.rho
     eta = sorted(fp.eta, key=_id_key)
     lines = []
     if records:
-        lines.append(f"analyze cells={len(K.cells)} inM={len(M)}")
+        lines.append(f"analyze cells={len(K.ids)} inM={in_m}")
         for i, b in enumerate(fp.bricks, start=1):
             lines.append(f"brick index={i} dim={b.dimension} cells={len(b.cells)}")
         lines.append(f"rho0 count={len(rho0)}")
@@ -146,7 +146,7 @@ def _cmd_analyze(args):
         for tag, d in (("M", fp.data), ("M-eta", fp.minus_eta), ("core", fp.core)):
             lines.append(_fp_line(f"section={tag}", d))
     else:
-        lines.append(f"cells: {len(K.cells)} ({len(M)} in M)")
+        lines.append(f"cells: {len(K.ids)} ({in_m} in M)")
         lines.append(f"bricks: {len(fp.bricks)}")
         for i, b in enumerate(fp.bricks, start=1):
             lines.append(f"  brick {i}: dim {b.dimension}, {len(b.cells)} cells")
@@ -364,18 +364,15 @@ def _build_parser():
     p.add_argument("--simplicialize", action="store_true",
                    help="barycentrically subdivide before writing")
     _format_flag(p)
-    p.set_defaults(func=_cmd_decompose)
 
     p = sub.add_parser("analyze", help="report invariants of a complex file")
     p.add_argument("complex", help="cell complex file")
     _format_flag(p)
-    p.set_defaults(func=_cmd_analyze)
 
     p = sub.add_parser("compare", help="compare the spectral types of two complexes")
     p.add_argument("first")
     p.add_argument("second")
     _format_flag(p)
-    p.set_defaults(func=_cmd_compare)
 
     p = sub.add_parser("path", help="run a series-toolkit action on a path file")
     p.add_argument("path_file", help="formal path file")
@@ -419,7 +416,6 @@ def _build_parser():
     a.add_argument("--kmax", type=int, default=12)
     _path_flags(a)
 
-    p.set_defaults(func=_cmd_path)
     return parser
 
 
@@ -432,13 +428,21 @@ _EXIT_CODES = (
 )
 
 
+_parser = None
+
+
 def main(argv=None) -> int:
+    global _parser
+    if _parser is None:
+        # built on the first call, not at import, and kept for later calls
+        _parser = _build_parser()
     try:
-        args = _build_parser().parse_args(argv)
+        args = _parser.parse_args(argv)
     except SystemExit as exc:
         return 0 if (exc.code or 0) == 0 else 1
     try:
-        return args.func(args)
+        # looked up per call, so a rebound _cmd_* function takes effect
+        return globals()[f"_cmd_{args.subcommand}"](args)
     except (OSError, ValueError) as exc:
         code = next((c for c, kinds in _EXIT_CODES if isinstance(exc, kinds)), 1)
         if isinstance(exc, ExprError):

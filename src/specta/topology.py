@@ -13,12 +13,15 @@ theorems; it never claims a positive isomorphism.
 
 Complexes must be regular: no loops (every 1-cell has two distinct
 endpoints) and closures are unions of cells.  Inputs violating this raise
-RegularityViolation.  Local dimension, bricks, rho, eta, compactness and
-the fingerprint data take the flagged set M as an optional argument, a
-set of cell ids that defaults to the inM cells.  They work on the carrier
-Cl(M) inside the complex's own closure and star tables and ignore the
-cells outside it, so their answer on (K, S) is their answer on
-``restrict(K, S)``.
+RegularityViolation.  Cells are the integers 0..n-1 in the order given
+(file order for a parsed complex), with ``ids``, ``dims`` and ``flags``
+(inM) in flat lists and each strict closure and star a tuple of indices;
+string ids appear only in the constructor, the text format and the public
+answers.  Local dimension, bricks, rho, eta, compactness and the
+fingerprint data take the flagged set M (cell ids, the inM cells by
+default) and ignore the cells outside Cl(M), so they answer on (K, S) as
+on ``restrict(K, S)``.  Rho, eta, bricks and compactness called with
+``ix=True`` take and answer index sets; the fingerprint pass uses them so.
 
 Text format (one record per line, '#' starts a comment):
 
@@ -36,6 +39,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from functools import cached_property
 
 
 class TopologyError(ValueError):
@@ -69,18 +73,15 @@ class CellComplex:
     """
 
     def __init__(self, ambient_dim: int, bounded: bool, cells, faces):
-        if int(ambient_dim) < 1:
+        self.ambient_dim, self.bounded = int(ambient_dim), bool(bounded)
+        if self.ambient_dim < 1:
             raise TopologyError("ambient dimension must be positive")
-        self.ambient_dim = int(ambient_dim)
-        self.bounded = bool(bounded)
         if isinstance(cells, dict):
-            items = cells.items()
-        else:
-            items = [(c[0], (c[1], c[2])) for c in cells]
-        self.cells = {}
-        for cid, (dim, in_m) in items:
+            cells = ((cid, dim, in_m) for cid, (dim, in_m) in cells.items())
+        ids, dims, flags, index = [], [], [], {}
+        for cid, dim, in_m in cells:
             cid = str(cid)
-            if cid in self.cells:
+            if cid in index:
                 raise TopologyError(f"duplicate cell id {cid!r}")
             dim = int(dim)
             if dim < 0:
@@ -88,74 +89,84 @@ class CellComplex:
             if dim > self.ambient_dim:
                 raise TopologyError(
                     f"cell {cid!r} has dimension {dim} above ambient {self.ambient_dim}")
-            self.cells[cid] = (dim, bool(in_m))
-        direct = {cid: set() for cid in self.cells}
+            index[cid] = len(ids)
+            ids.append(cid)
+            dims.append(dim)
+            flags.append(bool(in_m))
+        direct = [[] for _ in dims]
         for small, big in faces:
             small, big = str(small), str(big)
-            if small not in self.cells or big not in self.cells:
+            s, b = index.get(small), index.get(big)
+            if s is None or b is None:
                 raise TopologyError(f"face pair ({small!r}, {big!r}) references unknown cell")
-            if small == big:
+            if s == b:
                 raise TopologyError(f"reflexive face pair on {small!r}")
-            if self.dim(small) >= self.dim(big):
+            if dims[s] >= dims[b]:
                 raise TopologyError(
                     f"face pair ({small!r}, {big!r}) does not decrease dimension")
-            direct[big].add(small)
-        self._closure = {}
-        for cid in sorted(self.cells, key=self.dim):
-            acc = self._closure[cid] = set()
-            for f in direct[cid]:
-                acc.add(f)
-                acc |= self._closure[f]
+            direct[b].append(s)
+        closure, star = [()] * len(dims), [[] for _ in dims]
+        for c in sorted(range(len(dims)), key=dims.__getitem__):
+            acc = set(direct[c]).union(*map(closure.__getitem__, direct[c]))
             # faces decrease dimension, so a 1-cell's closure is its endpoints
-            if self.dim(cid) == 1 and len(acc) != 2:
+            if dims[c] == 1 and len(acc) != 2:
                 raise RegularityViolation(
-                    f"1-cell {cid!r} has {len(acc)} distinct endpoints, need 2")
-        self._star = {cid: set() for cid in self.cells}
-        for big, smalls in self._closure.items():
-            for s in smalls:
-                self._star[s].add(big)
+                    f"1-cell {ids[c]!r} has {len(acc)} distinct endpoints, need 2")
+            closure[c] = tuple(acc)
+            for s in acc:
+                star[s].append(c)
+        self.ids, self.dims, self.flags, self._index = ids, dims, flags, index
+        self._closure, self._star = closure, list(map(tuple, star))
 
     # -- basic accessors ---------------------------------------------------
 
+    @cached_property
+    def cells(self):
+        """Mapping id -> (dim, inM) in cell order, built on first use."""
+        return dict(zip(self.ids, zip(self.dims, self.flags)))
+
     def dim(self, cid) -> int:
-        return self.cells[cid][0]
+        return self.dims[self._index[cid]]
 
     def in_m(self, cid) -> bool:
-        return self.cells[cid][1]
+        return self.flags[self._index[cid]]
 
     def closure_of(self, cid):
         """Strictly smaller cells in the closure of cid."""
-        return self._closure[cid]
+        return self._names(self._closure[self._index[cid]])
 
     def star_of(self, cid):
         """Cells strictly containing cid in their closure."""
-        return self._star[cid]
+        return self._names(self._star[self._index[cid]])
 
     def m_cells(self):
-        return {cid for cid in self.cells if self.in_m(cid)}
+        return self._names(self._m())
 
     def carrier(self, M=None):
         """Cl(M): the cells of M (the inM cells by default) with all their faces."""
-        M = self.m_cells() if M is None else M
-        out = set(M)
-        for cid in M:
-            out |= self._closure[cid]
-        return out
+        return self._names(self._carrier(_flagged(self, M)))
 
     # -- internals ---------------------------------------------------------
+
+    def _names(self, cells):
+        return set(map(self.ids.__getitem__, cells))
+
+    def _m(self):
+        return {c for c, in_m in enumerate(self.flags) if in_m}
+
+    def _carrier(self, cells):
+        """The indices in cells with all their faces."""
+        return set(cells).union(*map(self._closure.__getitem__, cells))
 
     def __eq__(self, other):
         if not isinstance(other, CellComplex):
             return NotImplemented
-        return (self.ambient_dim == other.ambient_dim
-                and self.bounded == other.bounded
-                and self.cells == other.cells
-                and self._closure == other._closure)
+        # the text holds the header, every cell and the whole closure relation
+        return serialize_complex(self) == serialize_complex(other)
 
     def __repr__(self):
-        m = sum(1 for c in self.cells if self.in_m(c))
-        return (f"CellComplex(ambient={self.ambient_dim}, cells={len(self.cells)}, "
-                f"inM={m}, bounded={self.bounded})")
+        return (f"CellComplex(ambient={self.ambient_dim}, cells={len(self.ids)}, "
+                f"inM={sum(self.flags)}, bounded={self.bounded})")
 
 
 # ---------------------------------------------------------------------------
@@ -164,7 +175,7 @@ class CellComplex:
 
 def _fields(parts, *keys):
     """The key=value fields of a record: exactly keys, the last one a 0/1 flag."""
-    kv = dict(p.split("=", 1) for p in parts)
+    kv = dict([p.split("=", 1) for p in parts])
     if len(kv) != len(parts) or kv.keys() != set(keys):
         raise ValueError("unknown, missing or repeated field")
     if kv[keys[-1]] not in ("0", "1"):
@@ -173,27 +184,25 @@ def _fields(parts, *keys):
 
 
 def parse_complex(text: str) -> CellComplex:
-    header = None
-    cells = []
-    faces = []
+    header, cells, faces = None, [], []
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        parts = raw.split("#", 1)[0].split()
+        if not parts:
             continue
-        parts = line.split()
         kind = parts[0]
         try:
-            if kind == "complex":
-                if header is not None:
-                    raise TopologyError("duplicate complex header")
-                kv = _fields(parts[1:], "ambient", "bounded")
-                header = (int(kv["ambient"]), kv["bounded"] == "1")
+            if kind == "face":
+                _, small, big = parts  # exactly two ids, else ValueError
+                faces.append((small, big))
             elif kind == "cell":
                 cid = parts[1]
                 kv = _fields(parts[2:], "dim", "inM")
                 cells.append((cid, int(kv["dim"]), kv["inM"] == "1"))
-            elif kind == "face":
-                faces.append((parts[1], parts[2]))
+            elif kind == "complex":
+                if header is not None:
+                    raise TopologyError("duplicate complex header")
+                kv = _fields(parts[1:], "ambient", "bounded")
+                header = (int(kv["ambient"]), kv["bounded"] == "1")
             else:
                 raise TopologyError(f"unknown record {kind!r}")
         except (KeyError, IndexError, ValueError) as exc:
@@ -205,50 +214,57 @@ def parse_complex(text: str) -> CellComplex:
     return CellComplex(header[0], header[1], cells, faces)
 
 
+def _id_order(K: CellComplex):
+    """Cell indices in canonical id order, and each index's rank in it."""
+    order = sorted(range(len(K.ids)), key=lambda c: _id_key(K.ids[c]))
+    return order, sorted(range(len(order)), key=order.__getitem__)
+
+
 def serialize_complex(K: CellComplex) -> str:
+    ids = K.ids
+    order, rank = _id_order(K)
     lines = [f"complex ambient={K.ambient_dim} bounded={1 if K.bounded else 0}"]
-    for cid in sorted(K.cells, key=_id_key):
-        dim, in_m = K.cells[cid]
-        lines.append(f"cell {cid} dim={dim} inM={1 if in_m else 0}")
-    pairs = []
-    for big in K.cells:
-        for small in K.closure_of(big):
-            pairs.append((small, big))
-    pairs.sort(key=lambda p: (_id_key(p[0]), _id_key(p[1])))
-    for small, big in pairs:
-        lines.append(f"face {small} {big}")
+    lines.extend(f"cell {ids[c]} dim={K.dims[c]} inM={int(K.flags[c])}" for c in order)
+    # face pairs in (small, big) id order: smalls in order, each star by rank
+    lines.extend(f"face {ids[s]} {ids[b]}"
+                 for s in order for b in sorted(K._star[s], key=rank.__getitem__))
     return "\n".join(lines) + "\n"
 
 
-def _flagged(K: CellComplex, M):
-    """M as a set of existing cell ids; K's inM cells when M is None."""
+def _flagged(K: CellComplex, M, ix=False):
+    """M as a set of indices: the inM cells for None, M if ix, else M's ids checked."""
     if M is None:
-        return K.m_cells()
+        return K._m()
+    if ix:
+        return M
     M = {str(c) for c in M}
-    unknown = M - K.cells.keys()
+    unknown = M - K._index.keys()
     if unknown:
         raise TopologyError(f"unknown cells: {sorted(unknown)}")
-    return M
+    return {K._index[c] for c in M}
 
 
 def restrict(K: CellComplex, m_cells) -> CellComplex:
     """Sub complex on Cl(m_cells) with exactly m_cells flagged inM.
 
     m_cells must be existing cell ids; their faces are pulled in with
-    inM = false unless they are in m_cells themselves.  The kept cells come
-    in their parent's order, whatever the order of m_cells.  The restriction
-    shares its parent's validated closure tables: a kept cell's closure lies
-    inside the kept set and is taken as is, and its star is cut down to the
-    kept set.  Nothing is checked again: every kept 1-cell keeps both of its
-    endpoints, so the restriction of a regular complex is regular.
+    inM = false unless they are in m_cells themselves.  The kept cells keep
+    their parent's order, whatever the order of m_cells.  The parent's
+    validated tables are renumbered, each star cut down to the kept set, and
+    nothing is checked again: a closed subcomplex of a regular complex is
+    regular.
     """
-    m_cells = _flagged(K, m_cells)
-    keep = K.carrier(m_cells)
+    S = _flagged(K, m_cells)
+    keep = sorted(K._carrier(S))
+    new = dict(zip(keep, range(len(keep))))
     sub = CellComplex.__new__(CellComplex)
     sub.ambient_dim, sub.bounded = K.ambient_dim, K.bounded
-    sub.cells = {cid: (K.dim(cid), cid in m_cells) for cid in K.cells if cid in keep}
-    sub._closure = {cid: K._closure[cid] for cid in sub.cells}
-    sub._star = {cid: K._star[cid] & keep for cid in sub.cells}
+    sub.ids = [K.ids[c] for c in keep]
+    sub.dims = [K.dims[c] for c in keep]
+    sub.flags = [c in S for c in keep]
+    sub._index = dict(zip(sub.ids, range(len(keep))))
+    sub._closure = [tuple(map(new.__getitem__, K._closure[c])) for c in keep]
+    sub._star = [tuple(new[b] for b in K._star[c] if b in new) for c in keep]
     return sub
 
 
@@ -263,86 +279,85 @@ class Brick:
     index: int
 
 
+def _named_bricks(K: CellComplex, found):
+    return [Brick(b.dimension, frozenset(K._names(b.cells)), b.index) for b in found]
+
+
 def local_dimension(K: CellComplex, cid, M=None) -> int:
     """Largest dimension of a cell of M whose closure contains cid (or cid itself).
 
     M is the flagged set (K's inM cells by default) and must contain cid.
     """
-    cid = str(cid)
-    if cid not in K.cells:
+    c = K._index.get(str(cid))
+    if c is None:
         raise TopologyError(f"unknown cell {cid!r}")
-    inside = K.in_m if M is None else M.__contains__
-    if not inside(cid):
+    inside = K.flags.__getitem__ if M is None else (lambda b: K.ids[b] in M)
+    if not inside(c):
         raise NotInM(f"cell {cid!r} is not in M")
-    higher = [K.dim(big) for big in K.star_of(cid) if inside(big)]
-    return max(higher, default=K.dim(cid))
+    return max([K.dims[b] for b in K._star[c] if inside(b)], default=K.dims[c])
 
 
-def bricks(K: CellComplex, M=None):
+def bricks(K: CellComplex, M=None, *, ix=False):
     """Brick decomposition of M: closures in M of the local-dimension strata.
 
     Returned in strictly decreasing dimension order.  The Lemma axioms
     (purity, covering, combinatorial density of B_i minus the others,
     decreasing dimensions) are verified before returning.
     """
-    M = _flagged(K, M)
-    if not M:
+    S = _flagged(K, M, ix)
+    if not S:
         raise TopologyError("brick decomposition of an empty complex")
-    ldim = {c: local_dimension(K, c, M) for c in M}
-    values = sorted(set(ldim.values()), reverse=True)
-    out = []
-    for i, d in enumerate(values):
-        stratum = {c for c in M if ldim[c] == d}
-        closure_in_m = set(stratum)
-        for c in stratum:
-            closure_in_m |= K.closure_of(c) & M
-        out.append(Brick(dimension=d, cells=frozenset(closure_in_m), index=i))
-
-    # axiom (i): purity
-    for b in out:
-        tops = {c for c in b.cells if K.dim(c) == b.dimension}
-        for c in b.cells - tops:
-            if not K.star_of(c) & tops:
-                raise RegularityViolation(
-                    f"brick of dim {b.dimension} is not pure at cell {c!r}")
+    dims, closure = K.dims, K._closure
+    # local dimensions in one sweep down: the first cell of S above a face is a
+    # highest one, and a cell reached from above had its faces reached with it
+    ldim, strata = {}, {}
+    for c in sorted(S, key=dims.__getitem__, reverse=True):
+        if c not in ldim:
+            ldim[c] = dims[c]
+            for f in closure[c]:
+                ldim.setdefault(f, dims[c])
+        strata.setdefault(ldim[c], []).append(c)
+    out = [Brick(d, frozenset(K._carrier(strata[d]) & S), i)
+           for i, d in enumerate(sorted(strata, reverse=True))]
     # axiom (ii): union is M
-    if set().union(*(b.cells for b in out)) != M:
+    if set().union(*(b.cells for b in out)) != S:
         raise RegularityViolation("bricks do not cover M")
-    # axiom (iii): combinatorial density of B_i minus the other bricks
+    # axioms (i) purity and (iii) combinatorial density of B_i minus the other
+    # bricks: B_i lies in the closure of its top cells, and of its private part
     for b in out:
+        tops = {c for c in b.cells if dims[c] == b.dimension}
         private = b.cells.difference(*(b2.cells for b2 in out if b2 is not b))
-        for c in b.cells - private:
-            if not K.star_of(c) & private:
-                raise RegularityViolation(
-                    f"brick of dim {b.dimension}: cell {c!r} not in closure of the "
-                    "private part")
+        for spine, axiom in ((tops, "purity"), (private, "density")):
+            bad = b.cells - K._carrier(spine)
+            if bad:
+                raise RegularityViolation(f"brick of dim {b.dimension} fails {axiom}"
+                                          f" at cell {K.ids[min(bad)]!r}")
     # axiom (iv) holds by construction (strictly decreasing values)
-    return out
+    return out if ix else _named_bricks(K, out)
 
 
 # ---------------------------------------------------------------------------
 # locally compact part, eta, compactness, core
 
 
-def rho_sequence(K: CellComplex, M=None):
+def rho_sequence(K: CellComplex, M=None, *, ix=False):
     """(rho0, rho1, M_lc) of the flagged set M (K's inM cells by default).
 
     rho0 is the non-flagged part of Cl(M); rho1 the cells of M sitting in
     the closure of a rho0 cell; M_lc the rest of M.  A self-check confirms
     that rho1 of M_lc, flagged alone, is empty.
     """
-    M = _flagged(K, M)
-    rho0 = K.carrier(M) - M
-    rho1 = {c for c in M if K.star_of(c) & rho0}
-    m_lc = M - rho1
-    lc_rho0 = K.carrier(m_lc) - m_lc
-    if any(K.star_of(c) & lc_rho0 for c in m_lc):
+    S = _flagged(K, M, ix)
+    rho0 = K._carrier(S) - S
+    rho1 = K._carrier(rho0) & S
+    m_lc = S - rho1
+    if not K._carrier(K._carrier(m_lc) - m_lc).isdisjoint(m_lc):
         raise RegularityViolation(
             "locally compact part failed its compact-neighborhood self-check")
-    return rho0, rho1, m_lc
+    return (rho0, rho1, m_lc) if ix else tuple(map(K._names, (rho0, rho1, m_lc)))
 
 
-def eta_set(K: CellComplex, M=None):
+def eta_set(K: CellComplex, M=None, *, ix=False):
     """0-cells of M whose star within M is one 1-cell, with no higher cell touching.
 
     These are the dangling endpoints: points with a punctured-interval
@@ -350,12 +365,14 @@ def eta_set(K: CellComplex, M=None):
     touching a point lies in the closure of a higher cell of M touching it,
     so looking at the star within M suffices.  The result is always finite.
     """
-    M = _flagged(K, M)
-    return {c for c in M
-            if K.dim(c) == 0 and [K.dim(s) for s in K.star_of(c) & M] == [1]}
+    S = _flagged(K, M, ix)
+    dims, star = K.dims, K._star
+    eta = {c for c in S
+           if dims[c] == 0 and [dims[s] for s in star[c] if s in S] == [1]}
+    return eta if ix else K._names(eta)
 
 
-def is_compact(K: CellComplex, subset=None) -> bool:
+def is_compact(K: CellComplex, subset=None, *, ix=False) -> bool:
     """True iff the flagged set (or the given inM subset) is closed and bounded.
 
     Closedness is combinatorial: every face of a considered cell must be
@@ -365,12 +382,12 @@ def is_compact(K: CellComplex, subset=None) -> bool:
     """
     if not K.bounded:
         return False
-    subset = _flagged(K, subset)
-    for c in subset:
-        if not K.in_m(c):
-            raise NotInM(f"subset cell {c!r} is not in M")
+    subset = _flagged(K, subset, ix)
+    outside = [c for c in subset if not K.flags[c]]
+    if outside:
+        raise NotInM(f"subset cell {K.ids[min(outside)]!r} is not in M")
     # every subset cell is inM, so a face inside the subset is inM as well
-    return all(K.closure_of(c) <= subset for c in subset)
+    return K._carrier(subset) <= subset
 
 
 def core(K: CellComplex) -> CellComplex:
@@ -411,7 +428,7 @@ class Fingerprint:
     """Homeomorphism invariants of M, of M minus eta, and of the core.
 
     rho, bricks and eta are the rho sets, bricks and eta(M) that the pass
-    over M computed, kept for reports; == and repr ignore them.
+    over M computed, as cell ids, kept for reports; == and repr ignore them.
     """
 
     data: FingerprintData
@@ -423,47 +440,44 @@ class Fingerprint:
 
 
 def _component_count(K: CellComplex, cells) -> int:
-    """Components of cells, where a cell meets the cells of its closure.
+    """Components of a set of cell indices, where a cell meets the cells of its closure.
 
-    One traversal over faces and cofaces inside cells: a boundary vertex
-    meets an open 2-cell across a dimension gap of 2, which the
-    codimension-one graph alone would miss.
+    One traversal over faces and cofaces inside cells, a front at a time: a
+    boundary vertex meets an open 2-cell across a dimension gap of 2, which
+    the codimension-one graph alone would miss.
     """
-    todo = set(cells)
-    count = 0
+    todo, count = set(cells), 0
     while todo:
         count += 1
-        stack = [todo.pop()]
-        while stack:
-            c = stack.pop()
-            near = (K._closure[c] | K._star[c]) & todo
-            todo -= near
-            stack.extend(near)
+        front = {todo.pop()}
+        while front:
+            front = K._carrier(front).union(*map(K._star.__getitem__, front)) & todo
+            todo -= front
     return count
 
 
 def _euler(K: CellComplex, cells) -> int:
-    return sum((-1) ** K.dim(c) for c in cells)
+    return len(cells) - 2 * sum(K.dims[c] & 1 for c in cells)
 
 
 def _fingerprint(K: CellComplex, S):
-    """FingerprintData of the flagged set S, with the rho sets, bricks and eta it used."""
-    rho = rho_sequence(K, S)
-    eta = eta_set(K, S)
+    """FingerprintData of the index set S, with the rho sets, bricks and eta it used."""
+    rho = rho_sequence(K, S, ix=True)
+    eta = eta_set(K, S, ix=True)
     if not S:
         return FingerprintData(dim=-1, compact=True, locally_compact=True, euler=0,
                                components=0, eta_count=0, bricks=()), rho, [], eta
-    found = bricks(K, S)
+    found = bricks(K, S, ix=True)
     records = tuple(BrickRecord(
         dimension=b.dimension,
         components=_component_count(K, b.cells),
         euler=_euler(K, b.cells),
-        compact=is_compact(K, b.cells),
-        eta_count=len(eta_set(K, b.cells)),
+        compact=is_compact(K, b.cells, ix=True),
+        eta_count=len(eta_set(K, b.cells, ix=True)),
     ) for b in found)
     data = FingerprintData(
-        dim=max(K.dim(c) for c in S),
-        compact=is_compact(K, S),
+        dim=max(map(K.dims.__getitem__, S)),
+        compact=is_compact(K, S, ix=True),
         locally_compact=not rho[1],
         euler=_euler(K, S),
         components=_component_count(K, S),
@@ -483,12 +497,12 @@ def spectral_fingerprint(K: CellComplex) -> Fingerprint:
 
     The core set is M_lc minus eta(M_lc), with M_lc from the pass over M.
     """
-    M = K.m_cells()
+    M = K._m()
     data, rho, found, eta = _fingerprint(K, M)
-    m_lc = rho[2]
     return Fingerprint(data=data, minus_eta=_fingerprint(K, M - eta)[0],
-                       core=_fingerprint(K, m_lc - eta_set(K, m_lc))[0],
-                       rho=rho, bricks=found, eta=eta)
+                       core=_fingerprint(K, rho[2] - eta_set(K, rho[2], ix=True))[0],
+                       rho=tuple(map(K._names, rho)), bricks=_named_bricks(K, found),
+                       eta=K._names(eta))
 
 
 RULED_OUT = "RULED_OUT"
@@ -529,10 +543,7 @@ def compare_fingerprints(f1: Fingerprint, f2: Fingerprint) -> ComparisonReport:
     """compare_spectral_types on fingerprints already computed; f1 is N."""
     s = CONSISTENT if f1 == f2 else RULED_OUT
     s_star = CONSISTENT if f1.minus_eta == f2.minus_eta else RULED_OUT
-    if f1.data.compact and f1.minus_eta == f2.minus_eta:
-        s_vs = CONSISTENT
-    else:
-        s_vs = RULED_OUT
+    s_vs = CONSISTENT if f1.data.compact and f1.minus_eta == f2.minus_eta else RULED_OUT
     beta = CONSISTENT if f1.core == f2.core else RULED_OUT
     return ComparisonReport(s=s, s_star=s_star, s_vs_s_star=s_vs, beta_star=beta)
 
@@ -548,29 +559,16 @@ def barycentric_subdivision(K: CellComplex) -> CellComplex:
     simplex of a chain lies inside the open cell ck, so it inherits ck's
     inM flag.  Faces are the proper nonempty subchains.
     """
-    ids = sorted(K.cells, key=_id_key)
-    chains = []
-
-    def grow(chain):
+    order, rank = _id_order(K)
+    # chains in depth-first preorder, each extended by its top's star in id order
+    up = [sorted(s, key=rank.__getitem__, reverse=True) for s in K._star]
+    chains, stack = [], [(c,) for c in reversed(order)]
+    while stack:
+        chain = stack.pop()
         chains.append(chain)
-        for nxt in sorted(K.star_of(chain[-1]), key=_id_key):
-            grow(chain + (nxt,))
-
-    for cid in ids:
-        grow((cid,))
-
-    def name(chain):
-        return "|".join(chain)
-
-    cells = {}
-    for chain in chains:
-        top = chain[-1]
-        cells[name(chain)] = (len(chain) - 1, K.in_m(top))
-    faces = []
-    for chain in chains:
-        if len(chain) == 1:
-            continue
-        for drop in range(len(chain)):
-            sub = chain[:drop] + chain[drop + 1:]
-            faces.append((name(sub), name(chain)))
+        stack.extend(chain + (nxt,) for nxt in up[chain[-1]])
+    name = {chain: "|".join(map(K.ids.__getitem__, chain)) for chain in chains}
+    cells = {name[chain]: (len(chain) - 1, K.flags[chain[-1]]) for chain in chains}
+    faces = [(name[chain[:drop] + chain[drop + 1:]], name[chain])
+             for chain in chains if len(chain) > 1 for drop in range(len(chain))]
     return CellComplex(K.ambient_dim, K.bounded, cells, faces)

@@ -7,6 +7,7 @@ surface; change them deliberately or not at all.
 import collections
 import hashlib
 import os
+import random
 import subprocess
 import sys
 
@@ -233,6 +234,60 @@ def test_analyze_fingerprints_each_set_once(workdir, capsys, monkeypatch):
         code, _, _ = run(capsys, "analyze", str(src), "--format", fmt)
         assert code == 0
         assert calls == {"rho_sequence": 3, "bricks": 3, "spectral_fingerprint": 1}
+
+
+def _shuffled_records(text, rng):
+    """text with its cell and face records in a random order, header first."""
+    head, *records = text.splitlines()
+    rng.shuffle(records)
+    return "\n".join([head] + records) + "\n"
+
+
+def _renamed(text, rng):
+    """text with every cell id replaced by a fresh one, in a random pairing."""
+    head, *records = [line.split() for line in text.splitlines()]
+    ids = [r[1] for r in records if r[0] == "cell"]
+    fresh = [f"r{i}" for i in range(len(ids))]
+    rng.shuffle(fresh)
+    new = dict(zip(ids, fresh))
+    lines = [" ".join(head)]
+    for kind, *rest in records:
+        if kind == "cell":
+            rest[0] = new[rest[0]]
+        else:
+            rest = [new[c] for c in rest]
+        lines.append(" ".join([kind] + rest))
+    return "\n".join(lines) + "\n"
+
+
+def test_answers_do_not_depend_on_record_order_or_ids(tmp_path, capsys):
+    # cells are numbered in file order: the answers must not see that order
+    rng = random.Random(12)
+    complexes = corpus.full_corpus()
+    complexes += [topology.barycentric_subdivision(K) for K in complexes]
+    texts = [topology.serialize_complex(K) for K in complexes]
+    shuffled = [_shuffled_records(text, rng) for text in texts]
+    files = {name: tmp_path / f"{name}.complex" for name in ("a", "b", "next_a", "next_b")}
+    for i, (text, mixed) in enumerate(zip(texts, shuffled)):
+        K = topology.parse_complex(text)
+        assert topology.parse_complex(mixed) == K
+        fp = topology.spectral_fingerprint(K)
+        assert topology.spectral_fingerprint(topology.parse_complex(mixed)) == fp
+        renamed = topology.parse_complex(_renamed(text, rng))
+        assert topology.spectral_fingerprint(renamed) == fp
+        j = (i + 1) % len(texts)
+        for name, body in (("a", text), ("b", mixed),
+                           ("next_a", texts[j]), ("next_b", shuffled[j])):
+            files[name].write_text(body)
+        for fmt in ("human", "records"):
+            want = run(capsys, "analyze", str(files["a"]), "--format", fmt)
+            assert want[0] == 0
+            assert run(capsys, "analyze", str(files["b"]), "--format", fmt) == want
+            want = run(capsys, "compare", str(files["a"]), str(files["next_a"]),
+                       "--format", fmt)
+            assert want[0] == 0
+            assert run(capsys, "compare", str(files["b"]), str(files["next_b"]),
+                       "--format", fmt) == want
 
 
 _HINT = "; hint: raise --truncation or SPECTA_TRUNCATION"

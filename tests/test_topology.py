@@ -97,6 +97,8 @@ MALFORMED_FIELDS = [
     ("cell a dim=0 inM=1", "cell a dim=0 inm=1"),
     ("cell a dim=0 inM=1", "cell a dim=0 inM=1 colour=red"),
     ("cell a dim=0 inM=1", "cell a dim=0 inM=1 junk"),
+    ("face a e", "face a e b"),
+    ("face a e", "face a"),
 ]
 
 
@@ -482,22 +484,35 @@ def _reference_spectral_fingerprint(K):
     return tuple(map(_reference_fingerprint_data, (K, minus_eta, core_)))
 
 
+def _check_against_restrict_reference(K, rng):
+    fp = spectral_fingerprint(K)
+    assert (fp.data, fp.minus_eta, fp.core) == _reference_spectral_fingerprint(K)
+    # the sets the fingerprint carries are those of M
+    assert fp.rho == rho_sequence(K) and fp.eta == _reference_eta_set(K)
+    assert fp.bricks == (bricks(K) if K.m_cells() else [])
+    for _ in range(3):
+        M = sorted(K.m_cells())
+        subset = set(rng.sample(M, rng.randint(0, len(M))))
+        sub = restrict(K, subset)
+        assert eta_set(K, subset) == _reference_eta_set(sub)
+        assert fingerprint_data(K, subset) == _reference_fingerprint_data(sub)
+        cells = set(rng.sample(sorted(K.cells), rng.randint(0, len(K.cells))))
+        # _component_count takes cell indices; the reference takes ids
+        ix = {K._index[c] for c in cells}
+        assert _component_count(K, ix) == _reference_component_count(K, cells)
+
+
 def test_fingerprint_matches_restrict_reference():
     rng = random.Random(5)
     for K in CORPUS:
-        fp = spectral_fingerprint(K)
-        assert (fp.data, fp.minus_eta, fp.core) == _reference_spectral_fingerprint(K)
-        # the sets the fingerprint carries are those of M
-        assert fp.rho == rho_sequence(K) and fp.eta == _reference_eta_set(K)
-        assert fp.bricks == (bricks(K) if K.m_cells() else [])
-        for _ in range(3):
-            M = sorted(K.m_cells())
-            subset = set(rng.sample(M, rng.randint(0, len(M))))
-            sub = restrict(K, subset)
-            assert eta_set(K, subset) == _reference_eta_set(sub)
-            assert fingerprint_data(K, subset) == _reference_fingerprint_data(sub)
-            cells = set(rng.sample(sorted(K.cells), rng.randint(0, len(K.cells))))
-            assert _component_count(K, cells) == _reference_component_count(K, cells)
+        _check_against_restrict_reference(K, rng)
+
+
+def test_fingerprint_matches_restrict_reference_on_subdivisions():
+    # 2-dimensional complexes with hundreds of cells
+    rng = random.Random(6)
+    for K in CORPUS:
+        _check_against_restrict_reference(barycentric_subdivision(K), rng)
 
 
 def test_restrict_keeps_parent_cell_order():
@@ -510,8 +525,12 @@ def test_restrict_keeps_parent_cell_order():
     K = CellComplex(1, True, cells, faces)
     kept = {f"e{i}" for i in range(0, n - 1, 3)}
     sub = restrict(K, sorted(kept))
-    assert list(sub.cells) == [c for c in K.cells if c in sub.cells]
-    assert list(sub._closure) == list(sub._star) == list(sub.cells)
+    assert list(sub.cells) == sub.ids == [c for c in K.ids if c in sub.cells]
+    # the tables follow that order too: entry i of each belongs to sub.ids[i]
+    assert len(sub._closure) == len(sub._star) == len(sub.ids)
+    for i, c in enumerate(sub.ids):
+        assert {sub.ids[f] for f in sub._closure[i]} == K.closure_of(c)
+        assert {sub.ids[b] for b in sub._star[i]} == K.star_of(c) & sub.cells.keys()
     assert sub.m_cells() == kept
 
 
