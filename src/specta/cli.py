@@ -131,7 +131,7 @@ def _cmd_analyze(args):
     fp = spectral_fingerprint(K)
     in_m = sum(K.flags)
     rho0, rho1, mlc = fp.rho
-    eta = sorted(fp.eta, key=_id_key)
+    eta = sorted([K.ids[c] for c in fp.eta], key=_id_key)
     lines = []
     if records:
         lines.append(f"analyze cells={len(K.ids)} inM={in_m}")

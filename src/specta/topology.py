@@ -14,14 +14,13 @@ theorems; it never claims a positive isomorphism.
 Complexes must be regular: no loops (every 1-cell has two distinct
 endpoints) and closures are unions of cells.  Inputs violating this raise
 RegularityViolation.  Cells are the integers 0..n-1 in the order given
-(file order for a parsed complex), with ``ids``, ``dims`` and ``flags``
-(inM) in flat lists and each strict closure and star a tuple of indices;
-string ids appear only in the constructor, the text format and the public
-answers.  Local dimension, bricks, rho, eta, compactness and the
-fingerprint data take the flagged set M (cell ids, the inM cells by
-default) and ignore the cells outside Cl(M), so they answer on (K, S) as
-on ``restrict(K, S)``.  Rho, eta, bricks and compactness called with
-``ix=True`` take and answer index sets; the fingerprint pass uses them so.
+(file order when parsed), with ``ids``, ``dims`` and ``flags`` (inM) in
+flat lists and each strict closure and star a tuple of indices.  String
+ids stay at the edges: the text format, the accessors, and the id sets
+that ``local_dimension``, ``restrict`` and ``fingerprint_data`` take.
+Bricks, rho, eta, compactness and a Fingerprint's sets are index sets.
+All of them take the flagged set M (the inM cells by default) and ignore
+the cells outside Cl(M), so they answer on (K, S) as on ``restrict(K, S)``.
 
 Text format (one record per line, '#' starts a comment):
 
@@ -73,9 +72,10 @@ class CellComplex:
     """
 
     def __init__(self, ambient_dim: int, bounded: bool, cells, faces):
-        self.ambient_dim, self.bounded = int(ambient_dim), bool(bounded)
-        if self.ambient_dim < 1:
+        if int(ambient_dim) < 1:
             raise TopologyError("ambient dimension must be positive")
+        self.ambient_dim = int(ambient_dim)
+        self.bounded = bool(bounded)
         if isinstance(cells, dict):
             cells = ((cid, dim, in_m) for cid, (dim, in_m) in cells.items())
         ids, dims, flags, index = [], [], [], {}
@@ -105,7 +105,8 @@ class CellComplex:
                 raise TopologyError(
                     f"face pair ({small!r}, {big!r}) does not decrease dimension")
             direct[b].append(s)
-        closure, star = [()] * len(dims), [[] for _ in dims]
+        closure = [()] * len(dims)
+        star = [[] for _ in dims]
         for c in sorted(range(len(dims)), key=dims.__getitem__):
             acc = set(direct[c]).union(*map(closure.__getitem__, direct[c]))
             # faces decrease dimension, so a 1-cell's closure is its endpoints
@@ -154,6 +155,11 @@ class CellComplex:
     def _m(self):
         return {c for c, in_m in enumerate(self.flags) if in_m}
 
+    @cached_property
+    def _all(self):
+        """Every cell index, to check caller-given index sets against."""
+        return frozenset(range(len(self.ids)))
+
     def _carrier(self, cells):
         """The indices in cells with all their faces."""
         return set(cells).union(*map(self._closure.__getitem__, cells))
@@ -184,7 +190,9 @@ def _fields(parts, *keys):
 
 
 def parse_complex(text: str) -> CellComplex:
-    header, cells, faces = None, [], []
+    header = None
+    cells = []
+    faces = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         parts = raw.split("#", 1)[0].split()
         if not parts:
@@ -231,17 +239,25 @@ def serialize_complex(K: CellComplex) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _flagged(K: CellComplex, M, ix=False):
-    """M as a set of indices: the inM cells for None, M if ix, else M's ids checked."""
+def _flagged(K: CellComplex, M):
+    """The cell ids M, checked, as a set of indices; K's inM cells when M is None."""
     if M is None:
         return K._m()
-    if ix:
-        return M
     M = {str(c) for c in M}
     unknown = M - K._index.keys()
     if unknown:
         raise TopologyError(f"unknown cells: {sorted(unknown)}")
     return {K._index[c] for c in M}
+
+
+def _indices(K: CellComplex, S):
+    """The cell indices S as a set, checked; K's inM cells when S is None."""
+    if S is None:
+        return K._m()
+    S = S if isinstance(S, (set, frozenset)) else set(S)
+    if not S <= K._all:
+        raise TopologyError(f"cells must be indices 0..{len(K.ids) - 1}")
+    return S
 
 
 def restrict(K: CellComplex, m_cells) -> CellComplex:
@@ -275,12 +291,8 @@ def restrict(K: CellComplex, m_cells) -> CellComplex:
 @dataclass(frozen=True)
 class Brick:
     dimension: int
-    cells: frozenset
+    cells: frozenset  # cell indices
     index: int
-
-
-def _named_bricks(K: CellComplex, found):
-    return [Brick(b.dimension, frozenset(K._names(b.cells)), b.index) for b in found]
 
 
 def local_dimension(K: CellComplex, cid, M=None) -> int:
@@ -297,14 +309,14 @@ def local_dimension(K: CellComplex, cid, M=None) -> int:
     return max([K.dims[b] for b in K._star[c] if inside(b)], default=K.dims[c])
 
 
-def bricks(K: CellComplex, M=None, *, ix=False):
-    """Brick decomposition of M: closures in M of the local-dimension strata.
+def bricks(K: CellComplex, M=None):
+    """Brick decomposition of the index set M: closures in M of the local-dimension strata.
 
     Returned in strictly decreasing dimension order.  The Lemma axioms
     (purity, covering, combinatorial density of B_i minus the others,
     decreasing dimensions) are verified before returning.
     """
-    S = _flagged(K, M, ix)
+    S = _indices(K, M)
     if not S:
         raise TopologyError("brick decomposition of an empty complex")
     dims, closure = K.dims, K._closure
@@ -333,47 +345,46 @@ def bricks(K: CellComplex, M=None, *, ix=False):
                 raise RegularityViolation(f"brick of dim {b.dimension} fails {axiom}"
                                           f" at cell {K.ids[min(bad)]!r}")
     # axiom (iv) holds by construction (strictly decreasing values)
-    return out if ix else _named_bricks(K, out)
+    return out
 
 
 # ---------------------------------------------------------------------------
 # locally compact part, eta, compactness, core
 
 
-def rho_sequence(K: CellComplex, M=None, *, ix=False):
-    """(rho0, rho1, M_lc) of the flagged set M (K's inM cells by default).
+def rho_sequence(K: CellComplex, M=None):
+    """(rho0, rho1, M_lc) of the index set M (K's inM cells by default).
 
     rho0 is the non-flagged part of Cl(M); rho1 the cells of M sitting in
     the closure of a rho0 cell; M_lc the rest of M.  A self-check confirms
     that rho1 of M_lc, flagged alone, is empty.
     """
-    S = _flagged(K, M, ix)
+    S = _indices(K, M)
     rho0 = K._carrier(S) - S
     rho1 = K._carrier(rho0) & S
     m_lc = S - rho1
     if not K._carrier(K._carrier(m_lc) - m_lc).isdisjoint(m_lc):
         raise RegularityViolation(
             "locally compact part failed its compact-neighborhood self-check")
-    return (rho0, rho1, m_lc) if ix else tuple(map(K._names, (rho0, rho1, m_lc)))
+    return rho0, rho1, m_lc
 
 
-def eta_set(K: CellComplex, M=None, *, ix=False):
-    """0-cells of M whose star within M is one 1-cell, with no higher cell touching.
+def eta_set(K: CellComplex, M=None):
+    """0-cells of the index set M whose star within M is one 1-cell and nothing higher.
 
     These are the dangling endpoints: points with a punctured-interval
     neighborhood in M (K's inM cells by default).  A higher cell of Cl(M)
     touching a point lies in the closure of a higher cell of M touching it,
     so looking at the star within M suffices.  The result is always finite.
     """
-    S = _flagged(K, M, ix)
+    S = _indices(K, M)
     dims, star = K.dims, K._star
-    eta = {c for c in S
-           if dims[c] == 0 and [dims[s] for s in star[c] if s in S] == [1]}
-    return eta if ix else K._names(eta)
+    return {c for c in S
+            if dims[c] == 0 and [dims[s] for s in star[c] if s in S] == [1]}
 
 
-def is_compact(K: CellComplex, subset=None, *, ix=False) -> bool:
-    """True iff the flagged set (or the given inM subset) is closed and bounded.
+def is_compact(K: CellComplex, subset=None) -> bool:
+    """True iff the flagged set (or the given inM subset, as indices) is closed and bounded.
 
     Closedness is combinatorial: every face of a considered cell must be
     inM (and inside the subset when one is given).  Boundedness comes from
@@ -382,7 +393,7 @@ def is_compact(K: CellComplex, subset=None, *, ix=False) -> bool:
     """
     if not K.bounded:
         return False
-    subset = _flagged(K, subset, ix)
+    subset = _indices(K, subset)
     outside = [c for c in subset if not K.flags[c]]
     if outside:
         raise NotInM(f"subset cell {K.ids[min(outside)]!r} is not in M")
@@ -396,7 +407,7 @@ def core(K: CellComplex) -> CellComplex:
     Idempotent whenever the result has empty eta.
     """
     m_lc = rho_sequence(K)[2]
-    return restrict(K, m_lc - eta_set(K, m_lc))
+    return restrict(K, K._names(m_lc - eta_set(K, m_lc)))
 
 
 # ---------------------------------------------------------------------------
@@ -428,7 +439,8 @@ class Fingerprint:
     """Homeomorphism invariants of M, of M minus eta, and of the core.
 
     rho, bricks and eta are the rho sets, bricks and eta(M) that the pass
-    over M computed, as cell ids, kept for reports; == and repr ignore them.
+    over M computed, as sets of cell indices of the complex, kept for reports;
+    == and repr ignore them.
     """
 
     data: FingerprintData
@@ -446,7 +458,8 @@ def _component_count(K: CellComplex, cells) -> int:
     boundary vertex meets an open 2-cell across a dimension gap of 2, which
     the codimension-one graph alone would miss.
     """
-    todo, count = set(cells), 0
+    todo = set(cells)
+    count = 0
     while todo:
         count += 1
         front = {todo.pop()}
@@ -462,22 +475,22 @@ def _euler(K: CellComplex, cells) -> int:
 
 def _fingerprint(K: CellComplex, S):
     """FingerprintData of the index set S, with the rho sets, bricks and eta it used."""
-    rho = rho_sequence(K, S, ix=True)
-    eta = eta_set(K, S, ix=True)
+    rho = rho_sequence(K, S)
+    eta = eta_set(K, S)
     if not S:
         return FingerprintData(dim=-1, compact=True, locally_compact=True, euler=0,
                                components=0, eta_count=0, bricks=()), rho, [], eta
-    found = bricks(K, S, ix=True)
+    found = bricks(K, S)
     records = tuple(BrickRecord(
         dimension=b.dimension,
         components=_component_count(K, b.cells),
         euler=_euler(K, b.cells),
-        compact=is_compact(K, b.cells, ix=True),
-        eta_count=len(eta_set(K, b.cells, ix=True)),
+        compact=is_compact(K, b.cells),
+        eta_count=len(eta_set(K, b.cells)),
     ) for b in found)
     data = FingerprintData(
         dim=max(map(K.dims.__getitem__, S)),
-        compact=is_compact(K, S, ix=True),
+        compact=is_compact(K, S),
         locally_compact=not rho[1],
         euler=_euler(K, S),
         components=_component_count(K, S),
@@ -488,7 +501,7 @@ def _fingerprint(K: CellComplex, S):
 
 
 def fingerprint_data(K: CellComplex, M=None) -> FingerprintData:
-    """Invariants of the flagged set M, a set of inM cells (all of them by default)."""
+    """Invariants of the flagged set M, a set of inM cell ids (all of them by default)."""
     return _fingerprint(K, _flagged(K, M))[0]
 
 
@@ -500,9 +513,8 @@ def spectral_fingerprint(K: CellComplex) -> Fingerprint:
     M = K._m()
     data, rho, found, eta = _fingerprint(K, M)
     return Fingerprint(data=data, minus_eta=_fingerprint(K, M - eta)[0],
-                       core=_fingerprint(K, rho[2] - eta_set(K, rho[2], ix=True))[0],
-                       rho=tuple(map(K._names, rho)), bricks=_named_bricks(K, found),
-                       eta=K._names(eta))
+                       core=_fingerprint(K, rho[2] - eta_set(K, rho[2]))[0],
+                       rho=rho, bricks=found, eta=eta)
 
 
 RULED_OUT = "RULED_OUT"
@@ -543,7 +555,10 @@ def compare_fingerprints(f1: Fingerprint, f2: Fingerprint) -> ComparisonReport:
     """compare_spectral_types on fingerprints already computed; f1 is N."""
     s = CONSISTENT if f1 == f2 else RULED_OUT
     s_star = CONSISTENT if f1.minus_eta == f2.minus_eta else RULED_OUT
-    s_vs = CONSISTENT if f1.data.compact and f1.minus_eta == f2.minus_eta else RULED_OUT
+    if f1.data.compact and f1.minus_eta == f2.minus_eta:
+        s_vs = CONSISTENT
+    else:
+        s_vs = RULED_OUT
     beta = CONSISTENT if f1.core == f2.core else RULED_OUT
     return ComparisonReport(s=s, s_star=s_star, s_vs_s_star=s_vs, beta_star=beta)
 

@@ -11,6 +11,7 @@ import time
 from fractions import Fraction as F
 from functools import lru_cache
 
+import by_id
 import corpus
 from test_cad2d import ANNULUS, DISK, DISK_PT, WHISKER, _battery
 
@@ -34,7 +35,6 @@ from specta.topology import (
     bricks,
     compare_spectral_types,
     eta_set,
-    is_compact,
     local_dimension,
     restrict,
     rho_sequence,
@@ -82,12 +82,12 @@ def test_criterion_3_brick_axiom_suite():
     t0 = time.perf_counter()
     violations = 0
     for K in _corpus():
-        bs = bricks(K)  # purity/covering/density/ordering checked internally
+        bs = by_id.bricks(K)  # purity/covering/density/ordering checked internally
         dims = [b.dimension for b in bs]
         if dims != sorted(dims, reverse=True) or len(set(dims)) != len(dims):
             violations += 1
         X = restrict(K, K.carrier())
-        for bm, bx in zip(bs, bricks(X)):
+        for bm, bx in zip(bs, by_id.bricks(X)):
             closure = set()
             for c in bm.cells:
                 closure.add(c)
@@ -106,7 +106,7 @@ def test_criterion_4_locally_compact_part_suite():
     violations = 0
     readded = 0
     for K in _corpus():
-        _, rho1, m_lc = rho_sequence(K)
+        _, rho1, m_lc = by_id.rho_sequence(K)
         if m_lc:
             sub = restrict(K, m_lc)
             if rho_sequence(sub)[1]:
@@ -119,7 +119,7 @@ def test_criterion_4_locally_compact_part_suite():
         if max((K.dim(c) for c in K.m_cells()), default=0) <= 1 and rho1:
             violations += 1
         high = {c for c in K.m_cells() if local_dimension(K, c) >= 2}
-        if high and is_compact(K, high) and rho1:
+        if high and by_id.is_compact(K, high) and rho1:
             violations += 1
     assert readded > 0
     assert violations == 0

@@ -12,6 +12,7 @@ from functools import lru_cache
 
 import pytest
 
+import by_id
 import corpus
 from specta import _numfield, cad2d, topology
 from specta._expr import parse_formula, parse_polynomial
@@ -147,7 +148,7 @@ def test_disk_plus_boundary_point():
     assert len(dec.complex.cells) == 7
     assert dec.ambient_cells["c3_1"] == (0, True)
     assert dec.samples["c3_1"].approx() == (1, 0)
-    rho0, rho1, mlc = topology.rho_sequence(dec.complex)
+    rho0, rho1, mlc = by_id.rho_sequence(dec.complex)
     assert rho1 == {"c3_1"}
     fp = topology.spectral_fingerprint(dec.complex)
     assert fp.data.euler == 2 and fp.data.components == 1
@@ -185,7 +186,7 @@ def test_whisker_decomposition():
     fp = topology.spectral_fingerprint(kept)
     assert fp.data.compact and fp.data.euler == 1
     assert fp.data.eta_count == 1
-    assert topology.eta_set(kept) == {"c5_1"}
+    assert by_id.eta_set(kept) == {"c5_1"}
     assert dec.samples["c5_1"].approx() == (2, 0)
     assert [b.dimension for b in fp.data.bricks] == [2, 1]
     assert fp.data.bricks[1].eta_count == 2

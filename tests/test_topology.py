@@ -14,6 +14,7 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import by_id
 import corpus
 import specta
 from specta.topology import (
@@ -186,7 +187,7 @@ def test_local_dimension_requires_membership():
 
 def test_whisker_bricks():
     K = corpus.disk_with_whisker()
-    bs = bricks(K)
+    bs = by_id.bricks(K)
     assert [b.dimension for b in bs] == [2, 1]
     assert bs[0].cells == frozenset(
         {"pm1", "p1", "arcU", "arcL", "diam", "dU", "dL"})
@@ -198,7 +199,7 @@ def test_pure_complex_has_single_brick():
     for make in (corpus.closed_disk, corpus.circle, corpus.sphere_shell,
                   corpus.annulus_ring, corpus.theta_graph):
         K = make()
-        bs = bricks(K)
+        bs = by_id.bricks(K)
         assert len(bs) == 1
         assert bs[0].cells == frozenset(K.m_cells())
 
@@ -215,7 +216,7 @@ def test_bricks_of_empty_complex_raise():
 
 def test_rho_open_disk_plus_boundary_point():
     K = corpus.open_disk_plus_boundary_point()
-    rho0, rho1, m_lc = rho_sequence(K)
+    rho0, rho1, m_lc = by_id.rho_sequence(K)
     assert rho0 == {"a", "e1", "e2"}
     assert rho1 == {"b"}
     assert m_lc == {"f"}
@@ -230,15 +231,15 @@ def test_rho_empty_for_locally_compact_shapes():
 
 
 def test_eta_interval_endpoints():
-    assert eta_set(corpus.closed_interval()) == {"v0", "v1"}
-    assert eta_set(corpus.open_interval()) == set()
-    assert eta_set(corpus.half_open_interval()) == {"v1"}
+    assert by_id.eta_set(corpus.closed_interval()) == {"v0", "v1"}
+    assert by_id.eta_set(corpus.open_interval()) == set()
+    assert by_id.eta_set(corpus.half_open_interval()) == {"v1"}
 
 
 def test_eta_whisker_tip_only():
     K = corpus.disk_with_whisker()
     # p1 touches the 2-dimensional part, so only the free tip counts
-    assert eta_set(K) == {"p2"}
+    assert by_id.eta_set(K) == {"p2"}
 
 
 def test_eta_ignores_branch_points():
@@ -256,10 +257,19 @@ def test_compactness():
 
 def test_compactness_of_subset():
     K = corpus.disk_with_whisker()
-    assert is_compact(K, {"p1", "p2", "whisk"})
-    assert not is_compact(K, {"whisk"})
+    assert by_id.is_compact(K, {"p1", "p2", "whisk"})
+    assert not by_id.is_compact(K, {"whisk"})
     with pytest.raises(NotInM):
-        is_compact(corpus.open_interval(), {"v0"})
+        by_id.is_compact(corpus.open_interval(), {"v0"})
+
+
+def test_index_kernels_reject_what_is_not_a_cell_index():
+    K = corpus.closed_interval()
+    for kernel in (bricks, rho_sequence, eta_set, is_compact):
+        # a negative index would read another cell's tables
+        for bad in ({-1}, {len(K.ids)}, {"v0"}):
+            with pytest.raises(TopologyError):
+                kernel(K, bad)
 
 
 def test_core_of_closed_interval_is_open_interval():
@@ -392,10 +402,10 @@ def test_sliced_restrict_matches_rebuilt_complex(data):
     for c in rebuilt.cells:
         assert sliced.star_of(c) == rebuilt.star_of(c)
     # a flagged set over K answers as its restriction does
-    assert rho_sequence(K, subset) == rho_sequence(sliced)
+    assert by_id.rho_sequence(K, subset) == by_id.rho_sequence(sliced)
     if subset:
-        assert bricks(K, subset) == bricks(sliced)
-    assert eta_set(K, subset) == eta_set(sliced)
+        assert by_id.bricks(K, subset) == by_id.bricks(sliced)
+    assert by_id.eta_set(K, subset) == by_id.eta_set(sliced)
     for c in subset:
         assert local_dimension(K, c, subset) == local_dimension(sliced, c)
     assert fingerprint_data(K, subset) == fingerprint_data(sliced)
@@ -456,12 +466,12 @@ def _reference_fingerprint_data(K):
                                euler=0, components=0, eta_count=0, bricks=())
     _, rho1, _ = rho_sequence(K)
     records = []
-    for b in bricks(K):
+    for b in by_id.bricks(K):
         records.append(BrickRecord(
             dimension=b.dimension,
             components=_reference_component_count(K, b.cells),
             euler=sum((-1) ** K.dim(c) for c in b.cells),
-            compact=is_compact(K, b.cells),
+            compact=by_id.is_compact(K, b.cells),
             eta_count=len(_reference_eta_set(restrict(K, b.cells))),
         ))
     return FingerprintData(
@@ -478,7 +488,7 @@ def _reference_fingerprint_data(K):
 def _reference_spectral_fingerprint(K):
     """(data, minus_eta, core) through restricted complexes."""
     minus_eta = restrict(K, K.m_cells() - _reference_eta_set(K))
-    _, _, m_lc = rho_sequence(K)
+    _, _, m_lc = by_id.rho_sequence(K)
     sub = restrict(K, m_lc)
     core_ = restrict(sub, m_lc - _reference_eta_set(sub))
     return tuple(map(_reference_fingerprint_data, (K, minus_eta, core_)))
@@ -487,14 +497,14 @@ def _reference_spectral_fingerprint(K):
 def _check_against_restrict_reference(K, rng):
     fp = spectral_fingerprint(K)
     assert (fp.data, fp.minus_eta, fp.core) == _reference_spectral_fingerprint(K)
-    # the sets the fingerprint carries are those of M
-    assert fp.rho == rho_sequence(K) and fp.eta == _reference_eta_set(K)
+    # the sets the fingerprint carries are those of M, as cell indices
+    assert fp.rho == rho_sequence(K) and by_id.named(K, fp.eta) == _reference_eta_set(K)
     assert fp.bricks == (bricks(K) if K.m_cells() else [])
     for _ in range(3):
         M = sorted(K.m_cells())
         subset = set(rng.sample(M, rng.randint(0, len(M))))
         sub = restrict(K, subset)
-        assert eta_set(K, subset) == _reference_eta_set(sub)
+        assert by_id.eta_set(K, subset) == _reference_eta_set(sub)
         assert fingerprint_data(K, subset) == _reference_fingerprint_data(sub)
         cells = set(rng.sample(sorted(K.cells), rng.randint(0, len(K.cells))))
         # _component_count takes cell indices; the reference takes ids
@@ -547,8 +557,8 @@ def test_corpus_brick_closure_identity():
     """Bricks of the ambient complex are the closures of the bricks of M."""
     for K in CORPUS:
         X = _all_flagged(K)
-        bs_m = bricks(K)
-        bs_x = bricks(X)
+        bs_m = by_id.bricks(K)
+        bs_x = by_id.bricks(X)
         assert [b.dimension for b in bs_x] == [b.dimension for b in bs_m]
         for bm, bx in zip(bs_m, bs_x):
             closure = set()
@@ -562,10 +572,10 @@ def test_corpus_locally_compact_part_is_maximal():
     """Adding back any removed cell breaks local compactness again."""
     checked = 0
     for K in CORPUS:
-        _, rho1, m_lc = rho_sequence(K)
+        _, rho1, m_lc = by_id.rho_sequence(K)
         for z in sorted(rho1)[:3]:
             sub = restrict(K, m_lc | {z})
-            _, sub_rho1, _ = rho_sequence(sub)
+            _, sub_rho1, _ = by_id.rho_sequence(sub)
             assert sub_rho1, f"re-adding {z!r} should break local compactness"
             checked += 1
     assert checked > 0
@@ -593,7 +603,7 @@ def test_corpus_compact_high_dimensional_part_implies_locally_compact():
     checked = 0
     for K in CORPUS:
         high = {c for c in K.m_cells() if local_dimension(K, c) >= 2}
-        if high and is_compact(K, high):
+        if high and by_id.is_compact(K, high):
             _, rho1, _ = rho_sequence(K)
             assert rho1 == set()
             checked += 1
