@@ -556,6 +556,64 @@ def test_path_separate(workdir, capsys):
     assert code == 0 and out == "no k <= 12 separates at this truncation\n"
 
 
+# every path action in both formats on a fixed set of path files; the
+# digest covers each run's argv tail, exit code, stdout and stderr
+PIN_PATHS = {
+    "factorial": FACTORIAL_PATH,
+    "poly": "path m=2 T=32\npoly: t\npoly: 2t^2 + 6t^3\n",
+    "ratio": "path m=2 T=16\npoly: t\nratio: (t^2 + t^3)/(1 - t)\n",
+    "coeffs": "path m=2 T=8\npoly: t\ncoeffs: 2:1 3:2 5:-1/3 @e=2\n",
+    "three": "path m=3 T=24\npoly: t\nfactorial\npoly: t^2 - t^3\n",
+}
+PIN_ACTIONS = [
+    ["order", "--component", "1"],
+    ["order", "--component", "2"],
+    ["order", "--component", "3", "--truncation", "6"],
+    ["eval", "--fn", "x^2 + y"],
+    ["eval", "--fn", "abs(y - x) / (x + 1)"],
+    ["eval", "--fn", "sqrt(x^2 + y^2) - x", "--truncation", "12"],
+    ["eval", "--fn", "y / x^2"],
+    ["member", "--fn", "y - 2x^2"],
+    ["member", "--fn", "y - x^2 - 2x^3", "--ideal", "p_alpha"],
+    ["bound", "--polys", "x, y"],
+    ["bound", "--polys", "x + y, y - x^3"],
+    ["bound", "--polys", "x, y - x"],
+    ["carrier", "--polys", "x, y"],
+    ["carrier", "--polys", "x, y", "--seed", "5", "--truncation", "16"],
+    ["carrier", "--polys", "x, y", "--g", "y - x^2"],
+    ["neighborhood", "--ell", "2", "--k", "3"],
+    ["neighborhood", "--ell", "1", "--k", "2", "--mu", "t, 2t^2"],
+    ["separate", "--kmax", "6"],
+    ["separate", "--mu", "t, 2t^2+6t^3", "--kmax", "6", "--truncation", "10"],
+]
+PINNED_PATH_REPORTS = {
+    "factorial human": "28159f45250fda84ce5bb7f0d84c52195d9ec32f60595ea0f2d254a265ad78df",
+    "factorial records": "cd3e83c775348bf31d1cf2abe07bd9971c9c87f8cff68577495eb235fac62fb6",
+    "poly human": "ea8cfd90473e971a6ccfcebf71e8e9837d8b70ebc6333424ea770baa687f9e57",
+    "poly records": "8081851836cabfa3ff51a74dd7cd482f242dc724ceb5bd199ad4dcacc13fb371",
+    "ratio human": "044d9c1f32472a0c7bcf663b3007c7de9d125cec24261bfb7c2b8453970c51ce",
+    "ratio records": "4662d09cc93e6a666aca33ee5c7557d525aab2c9c52bb1649eca507116984b38",
+    "coeffs human": "d0f37b892eaa39defd2cfe59b22c54aa2487cc159aa4741238f5173957018e4b",
+    "coeffs records": "430c95cefebd42398bb8ea117180cc408988be97e77b9083ac526acfd4bc1b0c",
+    "three human": "9fd170f7773346dff4b216e9a6eda2b62b6cd119d71093782535451af8760866",
+    "three records": "cdb3faad295f01ec9a7d8a00bc88184ed49ce3a25f788862cee156ef155940eb",
+}
+
+
+def test_path_text_is_pinned(tmp_path, capsys):
+    got = {}
+    for name, text in PIN_PATHS.items():
+        src = tmp_path / f"{name}.path"
+        src.write_text(text)
+        for fmt in ("human", "records"):
+            digest = hashlib.sha256()
+            for argv in PIN_ACTIONS:
+                code, out, err = run(capsys, "path", str(src), *argv, "--format", fmt)
+                digest.update(f"{argv}\n{code}\n{out}\n{err}\n".encode())
+            got[f"{name} {fmt}"] = digest.hexdigest()
+    assert got == PINNED_PATH_REPORTS
+
+
 def test_path_normalization_violation_is_exit_2(workdir, capsys):
     skew = workdir / "skew.path"
     skew.write_text("path m=2 T=32\npoly: t + t^2\npoly: t\n")
