@@ -309,33 +309,39 @@ class Polynomial:
         if not self.terms:
             return "0"
         items = sorted(self.terms.items(), key=lambda ec: (sum(ec[0]), ec[0]), reverse=True)
-        parts = []
-        for e, c in items:
-            factors = []
-            for name, k in zip(self.variables, e):
-                if k == 1:
-                    factors.append(name)
-                elif k > 1:
-                    factors.append(f"{name}^{k}")
-            mag = abs(c)
-            if not factors:
-                body = str(mag)
-            elif mag == 1:
-                body = "*".join(factors)
-            else:
-                body = str(mag) + "*" + "*".join(factors)
-            parts.append(("-" if c < 0 else "+", body))
-        sign0, body0 = parts[0]
-        text = ("-" if sign0 == "-" else "") + body0
-        for s, body in parts[1:]:
-            text += f" {s} {body}"
-        return text
+        return signed_sum((c, [(name, k) for name, k in zip(self.variables, e) if k])
+                          for e, c in items)
 
     def __str__(self):
         return self.to_text()
 
     def __repr__(self):
         return f"Polynomial({self.to_text()!r})"
+
+
+def signed_sum(terms) -> str:
+    """The text c1*m1 + c2*m2 - ... of (nonzero coefficient, monomial)
+    pairs, a monomial being a list of (name, nonzero exponent) pairs; a
+    coefficient of magnitude 1 is left out before a nonconstant monomial
+    and a fractional exponent is parenthesized."""
+    text = ""
+    for c, monomial in terms:
+        factors = [] if abs(c) == 1 and monomial else [str(abs(c))]
+        for name, k in monomial:
+            if k == 1:
+                factors.append(name)
+            elif k.denominator == 1:
+                factors.append(f"{name}^{k}")
+            else:
+                factors.append(f"{name}^({k})")
+        body = "*".join(factors)
+        if not text:
+            text = "-" + body if c < 0 else body
+        elif c < 0:
+            text += " - " + body
+        else:
+            text += " + " + body
+    return text
 
 
 # ---------------------------------------------------------------------------
@@ -1012,8 +1018,9 @@ def normalize_primitive(p: Polynomial) -> Polynomial:
     return Polynomial(p.variables, {e: c * scale for e, c in p.terms.items()})
 
 
-def poly_gcd(p: Polynomial, q: Polynomial, var=None) -> Polynomial:
-    """Gcd over Q in at most two variables, normalized via normalize_primitive.
+def poly_gcd(p: Polynomial, q: Polynomial) -> Polynomial:
+    """Gcd over Q in at most two variables, normalized via normalize_primitive;
+    two live variables are eliminated in the last one.
 
     Internal helper; a zero argument acts as the neutral element so contents
     can be folded starting from zero.
@@ -1032,8 +1039,7 @@ def poly_gcd(p: Polynomial, q: Polynomial, var=None) -> Polynomial:
         ub = [c.constant_value() for c in qa.coeffs_in(live[0])]
         cs = _ugcd(ua, ub)
         return normalize_primitive(Polynomial.from_univariate(live[0], cs).embed(pa.variables))
-    if var is None or var not in live:
-        var = live[-1]
+    var = live[-1]
 
     def content_and_primitive(f):
         cs = _ptrim(f.coeffs_in(var))
@@ -1073,16 +1079,14 @@ def poly_gcd(p: Polynomial, q: Polynomial, var=None) -> Polynomial:
     return normalize_primitive(out)
 
 
-def squarefree_part(p: Polynomial, var=None) -> Polynomial:
-    """p / gcd(p, dp/dvar), normalized; var defaults to the last live variable."""
+def squarefree_part(p: Polynomial) -> Polynomial:
+    """p / gcd(p, dp/dv), normalized, for v the last live variable."""
     if p.is_zero():
         raise ZeroPolynomialError("square-free part of zero polynomial")
     live = [v for v in p.variables if p.degree_in(v) > 0]
     if not live:
         return Polynomial.const(1, p.variables)
-    if var is None or var not in live:
-        var = live[-1]
-    g = poly_gcd(p, p.derivative(var), var)
+    g = poly_gcd(p, p.derivative(live[-1]))
     if g.is_constant():
         return normalize_primitive(p)
     return normalize_primitive(_poly_exact_div(p, g.embed(p.variables)))

@@ -29,7 +29,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arith import Polynomial
+from .arith import Polynomial, signed_sum
 from ._expr import ExprError, _Parser, parse_polynomial, parse_polynomial_list
 
 
@@ -147,13 +147,13 @@ class PuiseuxSeries:
         return PuiseuxSeries(1, {}, trunc)
 
     @staticmethod
-    def constant(c, trunc=None) -> "PuiseuxSeries":
-        return PuiseuxSeries(1, {0: Fraction(c)}, trunc)
+    def constant(c) -> "PuiseuxSeries":
+        return PuiseuxSeries(1, {0: Fraction(c)})
 
     @staticmethod
-    def monomial(exponent, coeff=1, trunc=None) -> "PuiseuxSeries":
+    def monomial(exponent, coeff=1) -> "PuiseuxSeries":
         e = Fraction(exponent)
-        return PuiseuxSeries(e.denominator, {e.numerator: Fraction(coeff)}, trunc)
+        return PuiseuxSeries(e.denominator, {e.numerator: Fraction(coeff)})
 
     @staticmethod
     def from_terms(pairs, trunc=None) -> "PuiseuxSeries":
@@ -321,22 +321,9 @@ class PuiseuxSeries:
     # -- text --------------------------------------------------------------
 
     def to_text(self) -> str:
-        parts = []
-        for e, c in self.items():
-            mag = abs(c)
-            if e == 0:
-                body = str(mag)
-            else:
-                power = "t" if e == 1 else (f"t^{e}" if e.denominator == 1 else f"t^({e})")
-                body = power if mag == 1 else f"{mag}*{power}"
-            parts.append(("-" if c < 0 else "+", body))
-        if not parts:
-            text = "0" if self.exact else ""
-        else:
-            sign0, body0 = parts[0]
-            text = ("-" if sign0 == "-" else "") + body0
-            for s, body in parts[1:]:
-                text += f" {s} {body}"
+        text = signed_sum((c, [("t", e)] if e else []) for e, c in self.items())
+        if not text and self.exact:
+            text = "0"
         if self.trunc is not None:
             tail = f"O(t^{self.trunc})" if self.trunc.denominator == 1 else f"O(t^({self.trunc}))"
             text = tail if not text else f"{text} + {tail}"
@@ -362,12 +349,6 @@ def _trunc_min(a, b):
     if b is None:
         return a
     return min(a, b)
-
-
-def series_order(s: PuiseuxSeries):
-    """Least exponent carrying a nonzero coefficient; math.inf for exact
-    zero; INDETERMINATE when the series vanishes only up to truncation."""
-    return s.order()
 
 
 def series_div(num: PuiseuxSeries, den: PuiseuxSeries, cap=None) -> PuiseuxSeries:
@@ -577,9 +558,8 @@ class FormalPath:
     def tags(self):
         return tuple(part.tag for part in self.parts)
 
-    def series(self, T=None):
-        T = self.default_trunc if T is None else Fraction(T)
-        return tuple(part.expand(T) for part in self.parts)
+    def series(self):
+        return tuple(part.expand(self.default_trunc) for part in self.parts)
 
     def value_at_zero(self):
         return tuple(s.coefficient(0) for s in self.series())
@@ -599,11 +579,8 @@ class FormalPath:
         one variable or as text like "t, 2t^2+6t^3"."""
         if isinstance(polys, str):
             polys = parse_polynomial_list(polys, ("t",))
-        parts = []
-        for p in polys:
-            if isinstance(p, str):
-                p = parse_polynomial(p, ("t",))
-            parts.append(PathComponent("polynomial", (PuiseuxSeries.from_polynomial(p),)))
+        parts = [PathComponent("polynomial", (PuiseuxSeries.from_polynomial(p),))
+                 for p in polys]
         return FormalPath(tuple(parts), trunc)
 
     @staticmethod
@@ -729,9 +706,6 @@ class SAFunction:
     def evaluate(self, env, cap):
         raise NotImplementedError
 
-    def to_text(self):
-        raise NotImplementedError
-
     def __add__(self, other):
         if isinstance(self, SAPoly) and isinstance(other, SAPoly):
             return SAPoly(self.poly + other.poly)
@@ -764,9 +738,6 @@ class SAFunction:
             out = SAMul(out, self)
         return out
 
-    def __str__(self):
-        return self.to_text()
-
 
 @dataclass(frozen=True)
 class SAPoly(SAFunction):
@@ -781,9 +752,6 @@ class SAPoly(SAFunction):
 
     def evaluate(self, env, cap):
         return self.poly.evaluate(env, PuiseuxSeries.zero())
-
-    def to_text(self):
-        return self.poly.to_text()
 
 
 @dataclass(frozen=True)
@@ -800,32 +768,20 @@ class SAAdd(_Binary):
     def evaluate(self, env, cap):
         return self.a.evaluate(env, cap) + self.b.evaluate(env, cap)
 
-    def to_text(self):
-        return f"({self.a.to_text()}) + ({self.b.to_text()})"
-
 
 class SASub(_Binary):
     def evaluate(self, env, cap):
         return self.a.evaluate(env, cap) - self.b.evaluate(env, cap)
-
-    def to_text(self):
-        return f"({self.a.to_text()}) - ({self.b.to_text()})"
 
 
 class SAMul(_Binary):
     def evaluate(self, env, cap):
         return self.a.evaluate(env, cap) * self.b.evaluate(env, cap)
 
-    def to_text(self):
-        return f"({self.a.to_text()})*({self.b.to_text()})"
-
 
 class SADiv(_Binary):
     def evaluate(self, env, cap):
         return series_div(self.a.evaluate(env, cap), self.b.evaluate(env, cap), cap)
-
-    def to_text(self):
-        return f"({self.a.to_text()}) / ({self.b.to_text()})"
 
 
 @dataclass(frozen=True)
@@ -840,16 +796,10 @@ class SAAbs(_Unary):
     def evaluate(self, env, cap):
         return series_abs(self.arg.evaluate(env, cap))
 
-    def to_text(self):
-        return f"abs({self.arg.to_text()})"
-
 
 class SASqrt(_Unary):
     def evaluate(self, env, cap):
         return series_sqrt(self.arg.evaluate(env, cap), cap)
-
-    def to_text(self):
-        return f"sqrt({self.arg.to_text()})"
 
 
 class _FnParser(_Parser):
@@ -925,34 +875,33 @@ def slot_names(m: int):
     return tuple(f"x{i}" for i in range(1, m + 1))
 
 
-def eval_on_path(f, alpha: FormalPath, T=None) -> PuiseuxSeries:
+def eval_on_path(f, alpha: FormalPath) -> PuiseuxSeries:
     """Substitute the path components into the expression.
 
-    When a denominator's order is not determined at the working
+    When a denominator's order is not determined at the path's
     truncation, the truncation is doubled once before the error
     surfaces.
     """
     if isinstance(f, Polynomial):
         f = SAPoly(f)
-    T = alpha.default_trunc if T is None else Fraction(T)
     try:
-        return _eval_once(f, alpha, T)
+        return _eval_once(f, alpha)
     except IndeterminateDenominator:
-        return _eval_once(f, alpha, 2 * T)
+        return _eval_once(f, FormalPath(alpha.parts, 2 * alpha.default_trunc))
 
 
-def _eval_once(f: SAFunction, alpha: FormalPath, T: Fraction) -> PuiseuxSeries:
-    comps = alpha.series(T)
+def _eval_once(f: SAFunction, alpha: FormalPath) -> PuiseuxSeries:
+    comps = alpha.series()
     env = {}
     for name in f.variables():
         env[name] = comps[_variable_slot(name, alpha.dimension)]
-    return f.evaluate(env, T)
+    return f.evaluate(env, alpha.default_trunc)
 
 
-def constant_term(f, alpha: FormalPath, T=None) -> Fraction:
+def constant_term(f, alpha: FormalPath) -> Fraction:
     """Value of the expression at the basepoint: the t^0 coefficient of
     its series along the path."""
-    return _value_at_zero(eval_on_path(f, alpha, T))
+    return _value_at_zero(eval_on_path(f, alpha))
 
 
 def _value_at_zero(s: PuiseuxSeries) -> Fraction:
@@ -983,10 +932,10 @@ class IdealVerdict:
     truncation: object = None
 
 
-def ideal_membership(f, alpha: FormalPath, which="m_star", T=None) -> IdealVerdict:
+def ideal_membership(f, alpha: FormalPath, which="m_star") -> IdealVerdict:
     if which not in ("m_star", "p_alpha"):
         raise PathError(f"unknown ideal selector {which!r}")
-    s = eval_on_path(f, alpha, T)
+    s = eval_on_path(f, alpha)
     if which == "p_alpha":
         if s.coeffs:
             return IdealVerdict(NOT_IN_IDEAL, s.order(), s.leading_coefficient(), s.trunc)
@@ -1004,38 +953,30 @@ def ideal_membership(f, alpha: FormalPath, which="m_star", T=None) -> IdealVerdi
 # -- certified positivity under perturbation -------------------------------
 
 
-def positivity_bound(polys, alpha: FormalPath, T=None) -> int:
+def positivity_bound(polys, alpha: FormalPath) -> int:
     """Smallest certified k such that every path within t^k of this one
     keeps all the polynomials strictly positive: one more than the
     largest vanishing order along the path."""
     worst = Fraction(0)
-    have = False
     for p in polys:
-        s = eval_on_path(p, alpha, T)
+        s = eval_on_path(p, alpha)
         if s.vanishes_so_far():
             if s.exact:
                 raise NotPositiveOnPath(
-                    f"{_ptext(p)} vanishes identically along the path"
+                    f"{p} vanishes identically along the path"
                 )
             raise IndeterminateOrder(
-                f"order of {_ptext(p)} not determined at truncation {s.trunc}"
+                f"order of {p} not determined at truncation {s.trunc}"
             )
         if s.leading_coefficient() < 0:
             raise NotPositiveOnPath(
-                f"{_ptext(p)} has negative leading coefficient "
+                f"{p} has negative leading coefficient "
                 f"{s.leading_coefficient()} along the path"
             )
         q = s.order()
-        have = True
         if q > worst:
             worst = q
-    if not have:
-        return 1
     return 1 + math.ceil(worst)
-
-
-def _ptext(p):
-    return p.to_text() if hasattr(p, "to_text") else str(p)
 
 
 @dataclass(frozen=True)
@@ -1050,19 +991,19 @@ class CarrierData:
     samples_checked: int
 
 
-def compact_carrier(alpha: FormalPath, polys, g=None, T=None, seed=0) -> CarrierData:
-    comps = alpha.series(T)
+def compact_carrier(alpha: FormalPath, polys, g=None, seed=0) -> CarrierData:
+    comps = alpha.series()
     for s in comps:
         if s.ram != 1:
             raise PathError("compact carrier data needs integer-exponent components")
     if g is not None:
-        sg = eval_on_path(g, alpha, T)
+        sg = eval_on_path(g, alpha)
         if sg.coeffs:
             raise PathError(
-                f"equation {_ptext(g)} does not vanish along the path "
+                f"equation {g} does not vanish along the path "
                 f"(order {sg.order()})"
             )
-    k = positivity_bound(polys, alpha, T)
+    k = positivity_bound(polys, alpha)
     mu = []
     diffs = []
     for s in comps:
@@ -1087,17 +1028,14 @@ def compact_carrier(alpha: FormalPath, polys, g=None, T=None, seed=0) -> Carrier
     checked = 0
     for offset in _ball_grid(alpha.dimension, seed):
         sample = [v + d for v, d in zip(s0, offset)]
-        gamma = []
-        for base, sv in zip(mu, sample):
-            shift = Polynomial.from_univariate("t", [Fraction(0)] * (k + 1) + [sv])
-            gamma.append(base + shift)
+        tube = FormalPath.from_polynomials(
+            [base + Polynomial.from_univariate("t", [Fraction(0)] * (k + 1) + [sv])
+             for base, sv in zip(mu, sample)])
         for p in polys:
-            subs = {name: gamma[_variable_slot(name, alpha.dimension)]
-                    for name in p.variables if p.degree_in(name) > 0}
-            series = PuiseuxSeries.from_polynomial(p.substitute(subs))
+            series = eval_on_path(p, tube)
             if series.vanishes_so_far() or series.leading_coefficient() <= 0:
                 raise NotPositiveOnPath(
-                    f"sampled tube path violates positivity of {_ptext(p)}"
+                    f"sampled tube path violates positivity of {p}"
                 )
         checked += 1
     return CarrierData(k, tuple(mu), tuple(s0), checked)
@@ -1135,11 +1073,11 @@ class Neighborhood:
     inner: SAFunction
     window: SAFunction
 
-    def certificate(self, mu: FormalPath, T=None):
+    def certificate(self, mu: FormalPath):
         """(member, inner leading coefficient, window leading coefficient)."""
         leads = []
         for fn in (self.inner, self.window):
-            s = eval_on_path(fn, mu, T)
+            s = eval_on_path(fn, mu)
             if s.vanishes_so_far():
                 if s.exact:
                     leads.append(Fraction(0))
@@ -1151,15 +1089,15 @@ class Neighborhood:
         member = leads[0] > 0 and leads[1] > 0
         return member, leads[0], leads[1]
 
-    def contains(self, mu: FormalPath, T=None) -> bool:
-        return self.certificate(mu, T)[0]
+    def contains(self, mu: FormalPath) -> bool:
+        return self.certificate(mu)[0]
 
 
-def neighborhood_element(alpha: FormalPath, ell: int, k: int, T=None) -> Neighborhood:
+def neighborhood_element(alpha: FormalPath, ell: int, k: int) -> Neighborhood:
     """Polynomial tube data around a path normalized to first component t."""
     if not (isinstance(ell, int) and ell >= 1 and isinstance(k, int) and k >= 1):
         raise PathError("tube indices must be integers >= 1")
-    comps = alpha.series(T)
+    comps = alpha.series()
     first = comps[0]
     if not (first.exact and first.items() == ((Fraction(1), Fraction(1)),)):
         raise NormalizationRequired(
@@ -1189,12 +1127,12 @@ def neighborhood_element(alpha: FormalPath, ell: int, k: int, T=None) -> Neighbo
 # -- separating quotients --------------------------------------------------
 
 
-def truncated_factorial(k: int, var="x") -> Polynomial:
-    """sum of n!*var^n for 2 <= n <= k."""
+def truncated_factorial(k: int) -> Polynomial:
+    """sum of n!*x^n for 2 <= n <= k."""
     coeffs = [Fraction(0)] * (max(k, 1) + 1)
     for n in range(2, k + 1):
         coeffs[n] = Fraction(math.factorial(n))
-    return Polynomial.from_univariate(var, coeffs)
+    return Polynomial.from_univariate("x", coeffs)
 
 
 def appendix_separator(k: int) -> SAFunction:
@@ -1215,7 +1153,7 @@ class SeparationResult:
     value: Fraction
 
 
-def separate_from_algebraic(mu: FormalPath, k_max=12, T=None):
+def separate_from_algebraic(mu: FormalPath, k_max=12):
     """Least k whose separating quotient has a nonzero value at the
     basepoint along mu, or None when no k <= k_max resolves at this
     truncation.  The first component must be a pure power t^j.
@@ -1224,7 +1162,7 @@ def separate_from_algebraic(mu: FormalPath, k_max=12, T=None):
     sum n!*t^n at order w >= 2, the found k equals w; for j >= 2 a
     smaller k can already separate.
     """
-    first = mu.series(T)[0]
+    first = mu.series()[0]
     j = first.order()
     if not (first.exact and len(first.coeffs) == 1
             and first.leading_coefficient() == 1
@@ -1233,7 +1171,7 @@ def separate_from_algebraic(mu: FormalPath, k_max=12, T=None):
             "first component must be t^j for an integer j >= 1"
         )
     for k in range(2, k_max + 1):
-        value = constant_term(appendix_separator(k), mu, T)
+        value = constant_term(appendix_separator(k), mu)
         if value != 0:
             return SeparationResult(k, value)
     return None

@@ -143,9 +143,9 @@ class CellComplex:
     def m_cells(self):
         return self._names(self._m())
 
-    def carrier(self, M=None):
-        """Cl(M): the cells of M (the inM cells by default) with all their faces."""
-        return self._names(self._carrier(_flagged(self, M)))
+    def carrier(self):
+        """Cl(M): the inM cells with all their faces."""
+        return self._names(self._carrier(self._m()))
 
     # -- internals ---------------------------------------------------------
 
