@@ -68,13 +68,22 @@ def _err(message):
     sys.stderr.write(message + "\n")
 
 
+def truncation(text) -> Fraction:
+    """A truncation exponent, from --truncation or SPECTA_TRUNCATION; any
+    text that is not a fraction, 1/0 too, is a ValueError."""
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ValueError(f"truncation {text!r} is not a fraction") from exc
+
+
 def _effective_truncation(args):
     """--truncation flag, else SPECTA_TRUNCATION, else None (keep defaults)."""
     if args.truncation is not None:
         return args.truncation
     env = os.environ.get("SPECTA_TRUNCATION")
     if env:
-        return Fraction(env)
+        return truncation(env)
     return None
 
 
@@ -345,7 +354,7 @@ def _format_flag(p):
 
 def _path_flags(a):
     _format_flag(a)
-    a.add_argument("--truncation", type=Fraction, default=None, metavar="T",
+    a.add_argument("--truncation", type=truncation, default=None, metavar="T",
                    help="working truncation exponent, e.g. 32 or 3/2")
 
 

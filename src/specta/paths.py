@@ -22,6 +22,10 @@ certify strict positivity under perturbation, extract compact-carrier
 data for a path sticking to its basepoint, build polynomial tube tests
 around a path, and separate the n! path from polynomially generated ones
 by a family of bounded quotients.
+
+A path carries its working truncation (``FormalPath.default_trunc``), and
+every routine here evaluates at it; to work at another truncation T,
+build ``FormalPath(path.parts, T)``.
 """
 
 import math
@@ -606,15 +610,16 @@ def parse_path(text: str) -> FormalPath:
     lines = [ln for ln in lines if ln and not ln.startswith("#")]
     if not lines or not lines[0].startswith("path "):
         raise PathError("path text must start with a 'path m=<m> T=<T>' header")
-    header = lines[0].split()
     fields = {}
-    for item in header[1:]:
-        key, _, value = item.partition("=")
+    for item in lines[0].split()[1:]:
+        key, sep, value = item.partition("=")
+        if not sep or key not in ("m", "T") or key in fields:
+            raise PathError(f"bad item {item!r} in path header {lines[0]!r}")
         fields[key] = value
     try:
         m = int(fields["m"])
         T = Fraction(fields.get("T", DEFAULT_TRUNCATION))
-    except (KeyError, ValueError) as exc:
+    except (KeyError, ValueError, ZeroDivisionError) as exc:
         raise PathError(f"bad path header {lines[0]!r}") from exc
     body = lines[1:]
     if len(body) != m:
@@ -639,17 +644,22 @@ def _parse_component(line: str, T: Fraction) -> PathComponent:
     if kind == "ratio":
         return _parse_ratio(rest)
     terms = {}
-    ram = 1
+    ram = None
     for item in rest.split():
         try:
             if item.startswith("@e="):
+                repeated = ram is not None
                 ram = int(item[3:])
-                continue
-            n, _, c = item.partition(":")
-            terms[int(n)] = Fraction(c)
+            else:
+                n, _, c = item.partition(":")
+                n = int(n)
+                repeated = n in terms
+                terms[n] = Fraction(c)
         except (ValueError, ZeroDivisionError) as exc:
             raise PathError(f"bad coeffs item {item!r} in {line!r}") from exc
-    series = PuiseuxSeries(ram, terms, T)
+        if repeated:
+            raise PathError(f"repeated coeffs item {item!r} in {line!r}")
+    series = PuiseuxSeries(1 if ram is None else ram, terms, T)
     return PathComponent("coeffs", (series,))
 
 
@@ -781,7 +791,10 @@ class SAMul(_Binary):
 
 class SADiv(_Binary):
     def evaluate(self, env, cap):
-        return series_div(self.a.evaluate(env, cap), self.b.evaluate(env, cap), cap)
+        num, den = self.a.evaluate(env, cap), self.b.evaluate(env, cap)
+        if den.is_zero():
+            raise UnboundedAlongPath("denominator vanishes identically along the path")
+        return series_div(num, den, cap)
 
 
 @dataclass(frozen=True)

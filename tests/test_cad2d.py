@@ -249,6 +249,19 @@ def test_irrational_stack_formulas(text, ambient, kept, euler):
     _exact_samples_agree(text)
 
 
+def test_leading_coefficient_without_real_roots():
+    # the leading y-coefficient x^2 + 1 joins the projection, but it has
+    # no real root: it adds no stack and needs no shear
+    text = "(x^2+1)*y^2 <= 1 AND x^2 <= 1"
+    dec = _dec(text)
+    assert [str(q) for q in cad2d.projection_phase(
+        [parse_polynomial("(x^2+1)*y^2 - 1"), parse_polynomial("x^2 - 1")])] == \
+        ["x^2 - 1", "x^2 + 1"]
+    assert dec.shear is None
+    assert (dec.cell_count(), len(dec.complex.cells)) == (25, 9)
+    _exact_samples_agree(text)
+
+
 SHIFTED_ANNULUS = "(x-1)^2+(y-1/2)^2 >= 1 AND (x-1)^2+(y-1/2)^2 <= 9"
 
 

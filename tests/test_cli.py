@@ -178,6 +178,11 @@ def test_analyze_records(workdir, capsys):
     assert "mlc count=1" in lines
     assert "eta count=0 ids=" in lines
     assert "compact value=0" in lines
+    # a closed interval in a complex flagged unbounded is not compact
+    unbounded = workdir / "unbounded.complex"
+    unbounded.write_text(INTERVAL.replace("bounded=1", "bounded=0"))
+    code, out, _ = run(capsys, "analyze", str(unbounded), "--format", "records")
+    assert code == 0 and "compact value=0" in out.splitlines()
 
 
 def test_analyze_irregular_is_exit_2(workdir, capsys):
@@ -195,6 +200,10 @@ def test_analyze_malformed_is_exit_1(workdir, capsys):
     assert code == 1
     code, _, _ = run(capsys, "analyze", str(workdir / "missing.complex"))
     assert code == 1
+    for extra, message in (("vertex a dim=0", "unknown record 'vertex'"),
+                           ("complex ambient=1 bounded=1", "duplicate complex header")):
+        bad.write_text(INTERVAL + extra + "\n")
+        assert run(capsys, "analyze", str(bad)) == (1, "", f"error: {message}\n")
 
 
 @pytest.mark.parametrize("good, bad", MALFORMED_FIELDS)
@@ -629,6 +638,27 @@ def test_path_file_errors(workdir, capsys):
     code, _, err = run(capsys, "path", str(workdir / "factorial.path"),
                        "eval", "--fn", "x +")
     assert code == 1 and "parse error" in err
+
+
+def test_path_malformed_input_exits_with_a_code(workdir, capsys, monkeypatch):
+    # each used to be read silently or to raise out of main
+    zero = workdir / "zero.path"
+    zero.write_text("path m=2 T=8\npoly: t\npoly: 0\n")
+    junk = workdir / "junk.path"
+    junk.write_text("path m=2 T=8 junk\npoly: t\npoly: 0\n")
+    code, out, err = run(capsys, "path", str(junk), "order")
+    assert (code, out) == (1, "") and "path header" in err
+    infinite = workdir / "infinite.path"
+    infinite.write_text("path m=2 T=1/0\npoly: t\npoly: 0\n")
+    code, out, err = run(capsys, "path", str(infinite), "order")
+    assert (code, out) == (1, "") and err.startswith("error: bad path header")
+    code, out, err = run(capsys, "path", str(zero), "order", "--truncation", "1/0")
+    assert (code, out) == (1, "") and "usage:" in err
+    code, out, err = run(capsys, "path", str(zero), "eval", "--fn", "1/y")
+    assert (code, out) == (2, "") and "vanishes identically" in err
+    monkeypatch.setenv("SPECTA_TRUNCATION", "1/0")
+    code, out, err = run(capsys, "path", str(zero), "order")
+    assert (code, out) == (1, "") and err.startswith("error: truncation '1/0'")
 
 
 def test_flags_a_subcommand_does_not_read_are_usage_errors(workdir, capsys):

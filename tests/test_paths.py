@@ -448,6 +448,13 @@ def test_parse_path_errors():
         parse_path("path m=1 T=8\ncoeffs: 2:1/0 @e=1")
     with pytest.raises(PathError, match="coeffs item"):
         parse_path("path m=1 T=8\ncoeffs: 2:1 @e=x")
+    for header in ("path m=1 T=8 foo=bar", "path m=1 T=8 junk", "path m=1 m=1 T=8",
+                   "path m=1 T=8 T=4", "path m=1 T=1/0"):
+        with pytest.raises(PathError, match="path header"):
+            parse_path(header + "\npoly: t")
+    for coeffs in ("1:1 1:5 @e=1", "1:1 @e=2 @e=3"):
+        with pytest.raises(PathError, match="repeated coeffs item"):
+            parse_path("path m=1 T=8\ncoeffs: " + coeffs)
 
 
 def test_reparametrized_factorial_serializes_as_coefficients():
@@ -581,6 +588,20 @@ def test_evaluate_matches_the_per_term_loops(p, data):
 def test_eval_polynomial_on_path():
     s = eval_on_path(parse_function("x^2"), path("t, t^3"))
     assert s.exact and s == S([(2, 1)])
+
+
+@pytest.mark.parametrize("fn, comps, want", [
+    ("abs(x) - y", "t, t^2", S([(1, 1), (2, -1)])),
+    ("sqrt(x^2 + y^2) - x", "t, 0", PuiseuxSeries.zero()),
+])
+def test_eval_difference_and_square_root(fn, comps, want):
+    s = eval_on_path(parse_function(fn), path(comps))
+    assert s.exact and s == want
+
+
+def test_eval_division_by_exact_zero_is_unbounded():
+    with pytest.raises(UnboundedAlongPath):
+        eval_on_path(parse_function("1/y"), path("t, 0"))
 
 
 def test_eval_variable_slots():

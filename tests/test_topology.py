@@ -103,6 +103,16 @@ MALFORMED_FIELDS = [
 ]
 
 
+@pytest.mark.parametrize("extra, message", [
+    ("vertex a dim=0", "unknown record 'vertex'"),
+    ("complex ambient=1 bounded=1", "duplicate complex header"),
+])
+def test_parse_rejects_unknown_records_and_a_second_header(extra, message):
+    with pytest.raises(TopologyError) as info:
+        parse_complex(INTERVAL_TEXT + extra + "\n")
+    assert str(info.value) == message
+
+
 @pytest.mark.parametrize("good, bad", MALFORMED_FIELDS)
 def test_parse_rejects_unknown_fields_and_flag_values(good, bad):
     # a flag read as 0 whenever it is not "1" would turn a typo into a
@@ -253,6 +263,8 @@ def test_compactness():
     assert is_compact(corpus.circle())
     assert is_compact(corpus.disk_with_whisker())
     assert not is_compact(corpus.open_disk_plus_boundary_point())
+    unbounded = INTERVAL_TEXT.replace("bounded=1", "bounded=0")
+    assert not is_compact(parse_complex(unbounded))
 
 
 def test_compactness_of_subset():
