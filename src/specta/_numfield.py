@@ -20,7 +20,8 @@ representatives unreduced; every read of a representative (``sign``,
 keeps elements built before the field narrowed itself correct.  Products,
 reductions, interval Horner and the Horner sign of a list over the field
 at a rational (``FieldElement.list_sign_at``) run on integer numerators
-over one positive denominator: every result is the exact rational one.
+over one positive denominator (``arith._over_common``): every result is
+the exact rational one.  Powers go through ``arith.binary_power``.
 
 Polynomials in y with coefficients in Q(alpha), and their roots, need no
 code of their own: the coefficient-list engine of ``arith`` (division,
@@ -31,12 +32,12 @@ root over Q.  cad2d lifts its stacks through the names ``ymul``,
 """
 
 from fractions import Fraction
-from math import lcm
 
 from .arith import (
     AlgebraicNumber,
     ListSigns,
     _ext_gcd,
+    _over_common,
     _sign,
     _trim,
     _udeg,
@@ -45,16 +46,10 @@ from .arith import (
     _uint_primitive,
     _umul,
     _usign,
+    binary_power,
     uisolate,
     usign_at,
 )
-
-
-def _over_common(cs):
-    """Integer numerators of a rational list over its least common
-    denominator, and that denominator."""
-    den = lcm(*(c.denominator for c in cs))
-    return [c.numerator * (den // c.denominator) for c in cs], den
 
 
 # interval Horner refinements of alpha that FieldElement.sign tries before
@@ -72,8 +67,7 @@ def _box_value(nums, alpha):
     loop and the signs of the ends can be read off.
     """
     lo, hi = alpha.lo, alpha.hi
-    d = lcm(lo.denominator, hi.denominator)
-    ln, hn = lo.numerator * (d // lo.denominator), hi.numerator * (d // hi.denominator)
+    (ln, hn), d = _over_common((lo, hi))
     olo = ohi = nums[-1]
     dk = 1
     for c in reversed(nums[:-1]):
@@ -239,10 +233,7 @@ class FieldElement:
     def __pow__(self, n):
         if n < 0:
             return self.inverse() ** (-n)
-        out = self.field.one()
-        for _ in range(n):
-            out = out * self
-        return out
+        return binary_power(self, n, self.field.one())
 
     def __truediv__(self, other):
         if isinstance(other, FieldElement):

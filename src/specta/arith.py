@@ -15,6 +15,10 @@ evaluation of ``paths`` delegate to it) and ``_ueval`` is the one
 univariate, Horner evaluator of coefficient lists; ``_usign`` is its
 sign-only form at a rational, which never builds the value.
 
+``_over_common`` (rationals as integer numerators over their least common
+denominator) and ``binary_power`` (the one power routine of Polynomial,
+PuiseuxSeries and FieldElement) also serve ``_numfield`` and ``paths``.
+
 Conventions
 -----------
 * The zero polynomial is an input error for the public operations, never a
@@ -66,6 +70,26 @@ def simplest_between(a: Fraction, b: Fraction) -> Fraction:
     # both endpoints lie strictly between fa and fa + 1
     inner = simplest_between(1 / (b - fa), 1 / (a - fa))
     return fa + 1 / inner
+
+
+def _over_common(cs):
+    """Integer numerators of a rational list over its least common
+    denominator, and that denominator."""
+    den = lcm(*(c.denominator for c in cs))
+    return [c.numerator * (den // c.denominator) for c in cs], den
+
+
+def binary_power(base, n: int, one):
+    """base ** n for an int n >= 0 in any ring whose unit is one, by
+    binary powering; the base is squared only while bits of n remain."""
+    out = one
+    while n:
+        if n & 1:
+            out = out * base
+        n >>= 1
+        if n:
+            base = base * base
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -215,14 +239,7 @@ class Polynomial:
         n = int(n)
         if n < 0:
             raise ArithError("negative power")
-        out = Polynomial.const(1, self.variables)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+        return binary_power(self, n, Polynomial.const(1, self.variables))
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -539,13 +556,8 @@ def refine_root_free(chain, root):
 
 def _uint_primitive(cs):
     """Scale to integer coefficients, content 1, positive leading coefficient."""
-    den = 1
-    for c in cs:
-        den = lcm(den, c.denominator)
-    ints = [int(c * den) for c in cs]
-    g = 0
-    for v in ints:
-        g = gcd(g, abs(v))
+    ints = _over_common(cs)[0]
+    g = gcd(*ints)
     if g:
         ints = [v // g for v in ints]
     if ints and ints[-1] < 0:
@@ -1005,13 +1017,8 @@ def normalize_primitive(p: Polynomial) -> Polynomial:
     """Integer-primitive form with positive leading coefficient (canonical order)."""
     if p.is_zero():
         return p
-    den = 1
-    for c in p.terms.values():
-        den = lcm(den, c.denominator)
-    g = 0
-    for c in p.terms.values():
-        g = gcd(g, abs(int(c * den)))
-    scale = Fraction(den, g if g else 1)
+    ints, den = _over_common(p.terms.values())
+    scale = Fraction(den, gcd(*ints))
     lead = max(p.terms, key=lambda e: (sum(e), e))
     if p.terms[lead] < 0:
         scale = -scale

@@ -6,10 +6,11 @@ truncation exponent T: the coefficients below T are exact, everything at
 or above T is unknown.  A series flagged exact (T is None) has no unknown
 tail at all.  Ring operations lift both operands to a common ramification
 once and work on integer exponents, cutting at the integer ceil(T*e);
-products stop at that cut instead of forming every pair.  Every operation
-propagates the sharpest truncation it can certify, so a result is only
-ever as precise as its inputs allow, and zero tests on truncated data are
-always reported as "zero so far", never as exact.
+products stop at that cut instead of forming every pair, and they
+convolve integer numerators over one denominator per operand.  Every
+operation propagates the sharpest truncation it can certify, so a result
+is only ever as precise as its inputs allow, and zero tests on truncated
+data are always reported as "zero so far", never as exact.
 
 On top of the series sit formal paths (tuples of series generated by
 polynomials, rational functions, explicit coefficient lists, or the
@@ -33,7 +34,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arith import Polynomial, signed_sum
+from .arith import Polynomial, _over_common, binary_power, signed_sum
 from ._expr import ExprError, _Parser, parse_polynomial, parse_polynomial_list
 
 
@@ -163,10 +164,9 @@ class PuiseuxSeries:
     def from_terms(pairs, trunc=None) -> "PuiseuxSeries":
         """Build from (exponent, coefficient) pairs with rational exponents."""
         pairs = [(Fraction(e), Fraction(c)) for e, c in pairs]
-        ram = math.lcm(1, *(e.denominator for e, _ in pairs))
+        nums, ram = _over_common([e for e, _ in pairs])
         terms = {}
-        for e, c in pairs:
-            n = e.numerator * (ram // e.denominator)
+        for n, (_, c) in zip(nums, pairs):
             terms[n] = terms.get(n, 0) + c
         return PuiseuxSeries(ram, terms, trunc)
 
@@ -283,31 +283,28 @@ class PuiseuxSeries:
         trunc = None if bound == math.inf else bound
         ram, a, b = self._lift(other)
         cut = math.inf if trunc is None else _cut(trunc, ram)
-        a, b = sorted(a.items()), sorted(b.items())
+        ea, eb = sorted(a), sorted(b)
+        ia, da = _over_common([a[n] for n in ea])
+        ib, db = _over_common([b[n] for n in eb])
         out = {}
-        for na, ca in a:
-            if not b or na + b[0][0] >= cut:
+        for na, ca in zip(ea, ia):
+            if not eb or na + eb[0] >= cut:
                 break
-            for nb, cb in b:
+            for nb, cb in zip(eb, ib):
                 n = na + nb
                 if n >= cut:
                     break
                 out[n] = out.get(n, 0) + ca * cb
-        return PuiseuxSeries._make(ram, out, trunc)
+        den = da * db
+        return PuiseuxSeries._make(
+            ram, {n: Fraction(v, den) for n, v in out.items()}, trunc)
 
     __rmul__ = __mul__
 
     def __pow__(self, n):
         if not isinstance(n, int) or n < 0:
             raise PathError("series powers take non-negative integer exponents")
-        out = PuiseuxSeries.constant(1)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return out
+        return binary_power(self, n, PuiseuxSeries.constant(1))
 
     def compose_power(self, p: int) -> "PuiseuxSeries":
         """Substitute t -> t^p for a positive integer p."""

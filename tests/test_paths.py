@@ -10,12 +10,14 @@ import math
 import operator
 import random
 from fractions import Fraction as F
+from functools import reduce
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from specta._expr import ExprError, parse_polynomial, parse_polynomial_list
-from specta.arith import Polynomial
+from specta._numfield import NumberField
+from specta.arith import AlgebraicNumber, Polynomial
 from specta.paths import (
     DEFAULT_TRUNCATION,
     EXACTLY_IN_IDEAL,
@@ -331,6 +333,57 @@ def test_integer_route_matches_fraction_reference(a, b, cap):
     ]
     for engine, reference, args in cases:
         assert _outcome(engine, *args) == _outcome(reference, *args)
+
+
+@st.composite
+def _operand(draw, exact):
+    """Series over ram 1 to 4 (so that products lift their operands) with
+    exponents down to -4, coefficients over coprime denominators, and the
+    zero series now and then; exact, or truncated at a fraction."""
+    ram = draw(st.integers(1, 4))
+    coeffs = draw(st.just({}) | st.dictionaries(
+        st.integers(-4, 10),
+        st.builds(F, st.integers(-9, 9), st.sampled_from([1, 2, 3, 5, 7, 11])),
+        max_size=6))
+    trunc = None if exact else draw(
+        st.builds(F, st.integers(-4, 16), st.sampled_from([1, 2, 3])))
+    return PuiseuxSeries(ram, coeffs, trunc)
+
+
+@settings(max_examples=200, deadline=None)
+@given(exact=_operand(True), a=_operand(False), b=_operand(False))
+def test_product_matches_fraction_convolution(exact, a, b):
+    # the engine convolves integer numerators over one denominator per
+    # operand; _ref_mul forms every pair product as a Fraction
+    for x, y in ((exact, a), (a, exact), (a, b), (exact, exact)):
+        got, want = x * y, _ref_mul(x, y)
+        assert (got.ram, got.coeffs, got.trunc) == (want.ram, want.coeffs, want.trunc)
+
+
+def _cube_root_of_two_field():
+    p = Polynomial.from_univariate("x", [-2, 0, 0, 1])
+    return NumberField(AlgebraicNumber(p, 1, 2))
+
+
+def _field_element(coeffs):
+    return _cube_root_of_two_field().element(coeffs)
+
+
+@pytest.mark.parametrize("base, one, key", [
+    (parse_polynomial("x - 2y/3 + 1/5", ("x", "y")), Polynomial.const(1, ("x", "y")),
+     lambda p: p.terms),
+    (S([(F(1, 2), F(2, 3)), (1, -1), (F(4, 3), F(1, 7))]), PuiseuxSeries.constant(1),
+     lambda s: (s.ram, s.coeffs, s.trunc)),
+    (S([(-1, 3), (F(1, 4), F(-1, 2))], F(7, 2)), PuiseuxSeries.constant(1),
+     lambda s: (s.ram, s.coeffs, s.trunc)),
+    (PuiseuxSeries.zero(3), PuiseuxSeries.constant(1),
+     lambda s: (s.ram, s.coeffs, s.trunc)),
+    (_field_element([F(1, 2), -1, F(2, 3)]), None, lambda e: e.coeffs),
+])
+def test_power_equals_repeated_product(base, one, key):
+    one = base.field.one() if one is None else one
+    for n in range(8):
+        assert key(base ** n) == key(reduce(operator.mul, [base] * n, one))
 
 
 def test_division_cancelling_common_factor_is_exact():
