@@ -27,6 +27,7 @@ from .paths import (
     EXACTLY_IN_IDEAL,
     INDETERMINATE,
     FormalPath,
+    IndeterminateOrder,
     NegativeLeadingSqrt,
     NormalizationRequired,
     NotPositiveOnPath,
@@ -256,9 +257,7 @@ def _cmd_path(args):
         s = alpha.series()[args.component - 1]
         w = s.order()
         if w is INDETERMINATE:
-            _err(f"error: order not determined below t^{s.trunc};"
-                 " hint: raise --truncation")
-            return 3
+            raise IndeterminateOrder(f"order not determined below t^{s.trunc}")
         text = "infinity" if w == float("inf") else str(w)
         _emit([f"order component={args.component} value={text}" if records
                else f"order: {text}"])

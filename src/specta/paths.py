@@ -550,6 +550,8 @@ class FormalPath:
         object.__setattr__(self, "default_trunc", Fraction(self.default_trunc))
         if not self.parts:
             raise PathError("a formal path needs at least one component")
+        if self.default_trunc <= 0:
+            raise PathError(f"truncation {self.default_trunc} is not positive")
 
     @property
     def dimension(self) -> int:

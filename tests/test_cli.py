@@ -454,6 +454,31 @@ def test_path_order_indeterminate_is_exit_3(workdir, capsys):
     assert code == 3 and "truncation" in err.lower()
 
 
+def test_path_order_hint_is_the_one_from_main(workdir, capsys):
+    short = workdir / "short.path"
+    short.write_text("path m=2 T=2\npoly: t\nfactorial\n")
+    code, out, err = run(capsys, "path", str(short), "order", "--component", "2")
+    assert (code, out) == (3, "")
+    assert err == "error: order not determined below t^2" + _HINT + "\n"
+
+
+def test_path_non_positive_truncations_exit_1(workdir, capsys, monkeypatch):
+    good = workdir / "factorial.path"
+    for T in ("0", "-2"):
+        bad = workdir / f"t{T}.path"
+        bad.write_text(f"path m=2 T={T}\npoly: t\nfactorial\n")
+        for argv in (["order", "--component", "2"], ["eval", "--fn", "y"]):
+            code, out, err = run(capsys, "path", str(bad), *argv)
+            assert (code, out) == (1, "")
+            assert err == f"error: truncation {T} is not positive\n"
+        code, out, err = run(capsys, "path", str(good), "eval", "--fn", "y",
+                             "--truncation", T)
+        assert (code, out, err) == (1, "", f"error: truncation {T} is not positive\n")
+    monkeypatch.setenv("SPECTA_TRUNCATION", "0")
+    code, out, err = run(capsys, "path", str(good), "member", "--fn", "y")
+    assert (code, out, err) == (1, "", "error: truncation 0 is not positive\n")
+
+
 def test_path_eval(workdir, capsys):
     poly = workdir / "p.path"
     poly.write_text("path m=2 T=32\npoly: t\npoly: t^3\n")

@@ -505,6 +505,12 @@ def test_parse_path_errors():
                    "path m=1 T=8 T=4", "path m=1 T=1/0"):
         with pytest.raises(PathError, match="path header"):
             parse_path(header + "\npoly: t")
+    for T in ("0", "-2", "-1/2"):
+        for body in ("poly: t", "factorial", "coeffs: 1:1 @e=2"):
+            with pytest.raises(PathError, match=f"truncation {T} is not positive"):
+                parse_path(f"path m=1 T={T}\n{body}")
+    with pytest.raises(PathError, match="not positive"):
+        FormalPath.factorial_path(0)
     for coeffs in ("1:1 1:5 @e=1", "1:1 @e=2 @e=3"):
         with pytest.raises(PathError, match="repeated coeffs item"):
             parse_path("path m=1 T=8\ncoeffs: " + coeffs)
