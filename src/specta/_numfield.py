@@ -32,6 +32,7 @@ root over Q.  cad2d lifts its stacks through the names ``ymul``,
 """
 
 from fractions import Fraction
+from math import lcm
 
 from .arith import (
     AlgebraicNumber,
@@ -67,7 +68,8 @@ def _box_value(nums, alpha):
     loop and the signs of the ends can be read off.
     """
     lo, hi = alpha.lo, alpha.hi
-    (ln, hn), d = _over_common((lo, hi))
+    d = lcm(lo.denominator, hi.denominator)
+    ln, hn = lo.numerator * (d // lo.denominator), hi.numerator * (d // hi.denominator)
     olo = ohi = nums[-1]
     dk = 1
     for c in reversed(nums[:-1]):
