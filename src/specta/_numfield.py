@@ -20,8 +20,9 @@ representatives unreduced; every read of a representative (``sign``,
 keeps elements built before the field narrowed itself correct.  Products,
 reductions, interval Horner and the Horner sign of a list over the field
 at a rational (``FieldElement.list_sign_at``) run on integer numerators
-over one positive denominator (``arith._over_common``): every result is
-the exact rational one.  Powers go through ``arith.binary_power``.
+over one positive denominator (a list gets there through
+``arith._over_common``): every result is the exact rational one.  Powers
+go through ``arith.binary_power``.
 
 Polynomials in y with coefficients in Q(alpha), and their roots, need no
 code of their own: the coefficient-list engine of ``arith`` (division,

@@ -448,18 +448,13 @@ def test_path_order(workdir, capsys):
 
 
 def test_path_order_indeterminate_is_exit_3(workdir, capsys):
+    # with the one hint main prints for every exit 3
     short = workdir / "short.path"
-    short.write_text("path m=2 T=4\npoly: t\ncoeffs: @e=1\n")
-    code, _, err = run(capsys, "path", str(short), "order", "--component", "2")
-    assert code == 3 and "truncation" in err.lower()
-
-
-def test_path_order_hint_is_the_one_from_main(workdir, capsys):
-    short = workdir / "short.path"
-    short.write_text("path m=2 T=2\npoly: t\nfactorial\n")
-    code, out, err = run(capsys, "path", str(short), "order", "--component", "2")
-    assert (code, out) == (3, "")
-    assert err == "error: order not determined below t^2" + _HINT + "\n"
+    for T, second in (("4", "coeffs: @e=1"), ("2", "factorial")):
+        short.write_text(f"path m=2 T={T}\npoly: t\n{second}\n")
+        code, out, err = run(capsys, "path", str(short), "order", "--component", "2")
+        assert (code, out) == (3, "")
+        assert err == f"error: order not determined below t^{T}" + _HINT + "\n"
 
 
 def test_path_non_positive_truncations_exit_1(workdir, capsys, monkeypatch):
