@@ -628,6 +628,41 @@ def test_decomposition_text_is_pinned():
     assert got == PINNED_TEXT
 
 
+# decomposition_text prints neither the y-basis nor the projection, so a
+# change to the remainder sequences under them is pinned here: sha256 of
+# repr((basis texts, projection texts)); X_CONTENT has an atom with
+# x-content, which is split off before the basis is formed
+X_CONTENT = "x*(y-1) <= 0 AND x^2+y^2 <= 4"
+PINNED_PROJECTION = {
+    QUARTIC_FENCE: "887be50206e19359c354f766debda85a34d8ac9e703b8a5773efb32648089cce",
+    THREE_ELLIPSE_FENCE: "cf3e40de16f5563a6f0b30f9f77dcbfa7c498a2327d55f5e6b362261ac62c89e",
+    TWO_ELLIPSES: "faa6950a9aa468a34a220c04c7030acd80f608d9a3a491e3ac66265290b3fdcf",
+    LEMNISCATE_DISK: "ff9f33af85b201df0bd7b08f7729ef73ca8cd42153864d1f9e6e37a8c6aa97ff",
+    SHIFTED_ANNULUS: "3bc19e24175a90a692e1a27b7e3880fa2549fd66b51bc822ba1ff8a02b312593",
+    DISK: "52f4b789ef37156fd3af0b62db9736653e599dc28a9c866c1e2e10582ef6f56b",
+    DISK_PT: "c8eb1d89995040d8424ba274920d3433e9121896b99e40a59c3489aa14609eb9",
+    FAR_PT: "91fda16ef05281652c73b0e6a31c97eb358407c82acc41b8e211efd42f078924",
+    ANNULUS: "80ceb8c9f555155426b4457022d8485aa17a188a84a36520f20859ffb629f1f7",
+    WHISKER: "38c963dd909894929d43543c2ec89a9eaf99b18ab28a8f387913940625490fe9",
+    ARC: "cd6ad74f58fe6de2f2af3f6e88ad486f82aea33b54cead39e20d7941940848ee",
+    STRIP: "d196b3b24184373e6806b48d8945ff1fe3ac68283bb52bedf2434e1a1adcb307",
+    SEGMENT: "a9e8ff7b53387139cae657a9c62efdc70a64a08efabd93629fbbdffac9d18caf",
+    EMPTY: "ec1b7939325d5ab2c674f5a9c7c913a9c75032aee0843c23569bed151ed24deb",
+    X_CONTENT: "47dbae34e015ddc674ae1b874d33ca7e8792ed53d74fd935396d62f7bd2071e6",
+}
+
+
+def test_projection_is_pinned():
+    got = {}
+    for text in PINNED_PROJECTION:
+        dec = _dec(text)
+        blob = repr(([p.to_text() for p in dec.basis], [p.to_text() for p in dec.projection]))
+        got[text] = hashlib.sha256(blob.encode()).hexdigest()
+    assert got == PINNED_PROJECTION
+    assert ([p.to_text() for p in _dec(X_CONTENT).projection]
+            == ["x^2 - 4", "x^2 - 3", "x"])
+
+
 def test_quartic_signs_are_certified_by_intervals(monkeypatch):
     # an exact sign at an irrational alpha recomputes a gcd, a square-free
     # part and a Sturm chain; interval Horner on alpha's box settles almost
