@@ -24,11 +24,15 @@ Conventions
 * The zero polynomial is an input error for the public operations, never a
   silent zero.
 * Univariate coefficient lists are little-endian: ``cs[i]`` multiplies ``x**i``.
-* ``resultant`` follows the Sylvester-determinant sign convention with the
-  rows of the first argument on top; the subresultant remainder sequence
-  used internally tracks scale and sign so its value equals that
-  determinant exactly.  ``tests/test_arith.py`` keeps the determinant
-  route as a reference.
+* One remainder sequence in a variable v serves Q[..][v], the subresultant
+  sequence of ``_subresultant_steps``.  ``resultant`` and ``discriminant``
+  track its scale and sign, so they equal the Sylvester determinant with
+  the rows of the first argument on top (``tests/test_arith.py`` keeps
+  that route as a reference); ``poly_gcd`` takes the primitive part of its
+  last nonzero element.
+* ``content_and_primitive`` is the one content routine (the content in v
+  is the gcd of the coefficients in v).  Gcds and square-free parts treat
+  contents and primitive parts apart, so no factor free of v is lost.
 * An ``AlgebraicNumber`` whose interval has width zero is an exact rational
   root; irrational roots always come with an open isolating interval whose
   endpoints are not roots of the defining polynomial.
@@ -857,6 +861,14 @@ def _ptrim(cs):
     return cs
 
 
+def _from_coeffs(cs, var, variables) -> Polynomial:
+    """The Polynomial over variables whose coefficient of var**k is cs[k],
+    a Polynomial over the other variables in their order."""
+    i = variables.index(var)
+    return Polynomial(variables, {e[:i] + (k,) + e[i:]: c
+                                  for k, f in enumerate(cs) for e, c in f.terms.items()})
+
+
 def _poly_exact_div(a: Polynomial, b: Polynomial) -> Polynomial:
     """Exact division in Q[vars]; raises if b does not divide a."""
     if b.is_zero():
@@ -870,7 +882,7 @@ def _poly_exact_div(a: Polynomial, b: Polynomial) -> Polynomial:
     name = next(v for v in b2.variables if b2.degree_in(v) > 0)
     ac = _ptrim(a2.coeffs_in(name))
     bc = _ptrim(b2.coeffs_in(name))
-    q = {}
+    q = [Polynomial.const(0, bc[0].variables)] * max(0, len(ac) - len(bc) + 1)
     rem = list(ac)
     while rem and len(rem) >= len(bc):
         k = _poly_exact_div(rem[-1], bc[-1])
@@ -881,12 +893,7 @@ def _poly_exact_div(a: Polynomial, b: Polynomial) -> Polynomial:
         rem = _ptrim(rem)
     if rem:
         raise ArithError("inexact polynomial division")
-    out = Polynomial.const(0, a2.variables)
-    xn = Polynomial.var(name, a2.variables)
-    for i, c in q.items():
-        if not c.is_zero():
-            out = out + c.embed(a2.variables) * xn ** i
-    return out
+    return _from_coeffs(q, name, a2.variables)
 
 
 def _prem(a, b):
@@ -910,12 +917,41 @@ def _prem(a, b):
     return a
 
 
-def _resultant_prs(p: Polynomial, q: Polynomial, var) -> Polynomial:
-    """Subresultant remainder sequence with exact sign and scale bookkeeping.
+def _subresultant_steps(a, b, one):
+    """The subresultant remainder sequence of Polynomial coefficient lists
+    with len(a) >= len(b) >= 2 (Brown & Traub); one is the unit of the
+    coefficient ring.
 
-    Each elimination step applies res(a, b) = (-1)^(m n) lc(b)^(m - r - (d+1) n)
-    (g h^d)^n res(b, prem(a, b) / (g h^d)), with m, n, r the degrees of a, b
-    and the remainder and d = m - n.  The collected factors are multiplied
+    Yields (a, b, r, divisor) per step, with r = prem(a, b) / divisor an
+    exact division by divisor = g h^(deg a - deg b), and goes on with
+    (b, r) until r is zero or constant.  r is proportional to the
+    subresultant of its degree, so the last nonzero b or r is a multiple
+    of the gcd of the inputs by a factor free of the variable.
+    """
+    g = h = one
+    while True:
+        r = _prem(a, b)
+        delta = len(a) - len(b)
+        divisor = g * h ** delta
+        if r and divisor != one:
+            r = [_poly_exact_div(c, divisor) for c in r]
+        yield a, b, r, divisor
+        if len(r) <= 1:
+            return
+        a, b, g = b, r, b[-1]
+        if delta == 1:
+            h = g
+        elif delta > 1:
+            h = _poly_exact_div(g ** delta, h ** (delta - 1))
+
+
+def _resultant_prs(p: Polynomial, q: Polynomial, var) -> Polynomial:
+    """Resultant over the subresultant sequence, with exact sign and scale
+    bookkeeping.
+
+    Each step applies res(a, b) = (-1)^(m n) lc(b)^(m - r - (d+1) n)
+    divisor^n res(b, prem(a, b) / divisor), with m, n, r the degrees of a,
+    b and the remainder and d = m - n.  The collected factors are multiplied
     out at the end with a single exact division, so the returned value equals
     the Sylvester determinant of the inputs, sign included.
     """
@@ -925,47 +961,25 @@ def _resultant_prs(p: Polynomial, q: Polynomial, var) -> Polynomial:
 
     a = _ptrim(pa.coeffs_in(var))
     b = _ptrim(qa.coeffs_in(var))
-    sign = 1
-    num = []
-    den = []
-
+    sign, num, den = 1, [], []
     if len(a) < len(b):
         if ((len(a) - 1) * (len(b) - 1)) % 2 == 1:
             sign = -sign
         a, b = b, a
 
-    g = one
-    h = one
-    while True:
-        m = len(a) - 1
-        n = len(b) - 1
-        if n == 0:
-            if m > 0:
-                num.append((b[0], m))
-            break
-        r = _prem(a, b)
+    for a, b, r, divisor in _subresultant_steps(a, b, one):
         if not r:
             return Polynomial.const(0, rest)
-        dr = len(r) - 1
-        delta = m - n
+        m, n = len(a) - 1, len(b) - 1
         if (m * n) % 2 == 1:
             sign = -sign
-        lb = b[-1]
-        e = m - dr - (delta + 1) * n
+        e = m - (len(r) - 1) - (m - n + 1) * n
         if e > 0:
-            num.append((lb, e))
+            num.append((b[-1], e))
         elif e < 0:
-            den.append((lb, -e))
-        divisor = g * h ** delta
-        if not (divisor.is_constant() and divisor.constant_value() == 1):
-            num.append((divisor, n))
-            r = [_poly_exact_div(c, divisor) for c in r]
-        a, b = b, r
-        g = lb
-        if delta == 1:
-            h = g
-        elif delta > 1:
-            h = _poly_exact_div(g ** delta, h ** (delta - 1))
+            den.append((b[-1], -e))
+        num.append((divisor, n))
+    num.append((r[0], n))  # res(b, r) = r^deg b for a constant r
 
     out = one
     for f, k in num:
@@ -1025,9 +1039,29 @@ def normalize_primitive(p: Polynomial) -> Polynomial:
     return Polynomial(p.variables, {e: c * scale for e, c in p.terms.items()})
 
 
+def content_and_primitive(f: Polynomial, var):
+    """(content, primitive part) of a nonzero f in var.
+
+    The content is the gcd of f's coefficients in var, a normalized
+    Polynomial over the other variables (1 when f is primitive), and f is
+    content * primitive part.
+    """
+    cs = f.coeffs_in(var)
+    cont = Polynomial.const(0, cs[0].variables)
+    for c in reversed(cs):  # from the nonzero top: a constant gcd is 1 for good
+        cont = poly_gcd(cont, c)
+        if cont.is_constant():
+            return cont, f
+    return cont, _from_coeffs([_poly_exact_div(c, cont) for c in cs], var, f.variables)
+
+
 def poly_gcd(p: Polynomial, q: Polynomial) -> Polynomial:
-    """Gcd over Q in at most two variables, normalized via normalize_primitive;
-    two live variables are eliminated in the last one.
+    """Gcd over Q, normalized via normalize_primitive.
+
+    With one live variable this is the univariate gcd.  With two or more,
+    the last live variable v is eliminated: the gcd is the gcd of the
+    contents in v times the primitive part of the last nonzero element of
+    the subresultant sequence of the primitive parts.
 
     Internal helper; a zero argument acts as the neutral element so contents
     can be folded starting from zero.
@@ -1047,63 +1081,43 @@ def poly_gcd(p: Polynomial, q: Polynomial) -> Polynomial:
         cs = _ugcd(ua, ub)
         return normalize_primitive(Polynomial.from_univariate(live[0], cs).embed(pa.variables))
     var = live[-1]
-
-    def content_and_primitive(f):
-        cs = _ptrim(f.coeffs_in(var))
-        cont = Polynomial.const(0, cs[0].variables)
-        for c in cs:
-            cont = poly_gcd(cont, c)
-        pp = _poly_exact_div(f, cont.embed(f.variables))
-        return cont, pp
-
-    ca, a = content_and_primitive(pa)
-    cb, b = content_and_primitive(qa)
-    cont = poly_gcd(ca, cb)
-    if b.degree_in(var) > a.degree_in(var):
+    ca, a = content_and_primitive(pa, var)
+    cb, b = content_and_primitive(qa, var)
+    out = poly_gcd(ca, cb).embed(pa.variables)
+    a, b = a.coeffs_in(var), b.coeffs_in(var)
+    if len(b) > len(a):
         a, b = b, a
-    while True:
-        if b.is_zero():
-            g = a
-            break
-        if b.degree_in(var) == 0:
-            g = Polynomial.const(1, a.variables)
-            break
-        r = _prem(_ptrim(a.coeffs_in(var)), _ptrim(b.coeffs_in(var)))
+    if len(b) > 1:
+        *_, (_, last, r, _) = _subresultant_steps(a, b, Polynomial.const(1, b[0].variables))
         if not r:
-            g = b
-            break
-        rpoly = Polynomial.const(0, a.variables)
-        xv = Polynomial.var(var, a.variables)
-        for i, c in enumerate(r):
-            rpoly = rpoly + c.embed(a.variables) * xv ** i
-        _, rpp = content_and_primitive(rpoly)
-        a, b = b, rpp
-    if g.is_constant():
-        out = cont.embed(pa.variables)
-    else:
-        _, gp = content_and_primitive(g)
-        out = gp * cont.embed(gp.variables)
+            out = out * content_and_primitive(_from_coeffs(last, var, pa.variables), var)[1]
     return normalize_primitive(out)
 
 
 def squarefree_part(p: Polynomial) -> Polynomial:
-    """p / gcd(p, dp/dv), normalized, for v the last live variable."""
+    """Normalized product of the distinct irreducible factors of p.
+
+    For v the last live variable this is the square-free part of the
+    content of p in v times prim / gcd(prim, d prim/dv) for prim the
+    primitive part, so factors free of v are kept.
+    """
     if p.is_zero():
         raise ZeroPolynomialError("square-free part of zero polynomial")
     live = [v for v in p.variables if p.degree_in(v) > 0]
     if not live:
         return Polynomial.const(1, p.variables)
-    g = poly_gcd(p, p.derivative(live[-1]))
-    if g.is_constant():
-        return normalize_primitive(p)
-    return normalize_primitive(_poly_exact_div(p, g.embed(p.variables)))
+    cont, prim = content_and_primitive(p, live[-1])
+    g = poly_gcd(prim, prim.derivative(live[-1]))
+    out = _poly_exact_div(prim, g.embed(p.variables)) * squarefree_part(cont).embed(p.variables)
+    return normalize_primitive(out)
 
 
 def coprime_squarefree_basis(polys):
     """Reduce a list of polynomials to a square-free pairwise-coprime basis.
 
-    Constants drop out; output is deduplicated, normalized and sorted.  The
-    union of the root sets is preserved.
+    Each input enters as its ``squarefree_part``, content included, and is
+    split by gcds.  Constants drop out; output is deduplicated, normalized
+    and sorted.  The union of the root sets is preserved.
     """
     work = []
     for p in polys:
@@ -1111,7 +1125,7 @@ def coprime_squarefree_basis(polys):
             raise ZeroPolynomialError("zero polynomial in basis")
         if p.is_constant():
             continue
-        work.append(normalize_primitive(squarefree_part(p)))
+        work.append(squarefree_part(p))
     changed = True
     while changed:
         changed = False

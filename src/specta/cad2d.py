@@ -41,16 +41,14 @@ from . import _numfield as nf
 from .arith import (
     ListSigns,
     Polynomial,
-    _poly_exact_div,
     _trim,
     _udeg,
     _ueval,
     _usign,
+    content_and_primitive,
     coprime_squarefree_basis,
     discriminant,
     isolate_real_roots,
-    normalize_primitive,
-    poly_gcd,
     rational_between,
     real_compare,
     refine_root_free,
@@ -192,21 +190,6 @@ def _to_x(p: Polynomial) -> Polynomial:
     return p
 
 
-def _split_y_content(p: Polynomial):
-    """(x-content or None, y-primitive part) of a polynomial of y-degree >= 1."""
-    cs = p.coeffs_in("y")
-    cont = Polynomial.const(0, ("x",))
-    for c in cs:
-        cont = poly_gcd(cont, c)
-    if cont.is_constant():
-        return None, normalize_primitive(p)
-    y = Polynomial.var("y", XY)
-    prim = Polynomial.const(0, XY)
-    for i, c in enumerate(cs):
-        prim = prim + _poly_exact_div(c, cont).embed(XY) * y ** i
-    return cont, normalize_primitive(prim)
-
-
 def _prepare(polys):
     """Split inputs into x-only parts and a coprime square-free y-basis."""
     xparts, yparts = [], []
@@ -217,10 +200,10 @@ def _prepare(polys):
         if p.is_constant():
             continue
         if p.degree_in("y") == 0:
-            xparts.append(normalize_primitive(_to_x(p)))
+            xparts.append(_to_x(p))
             continue
-        cont, prim = _split_y_content(p)
-        if cont is not None:
+        cont, prim = content_and_primitive(p, "y")
+        if not cont.is_constant():
             xparts.append(cont)
         yparts.append(prim)
     return xparts, coprime_squarefree_basis(yparts)

@@ -275,12 +275,14 @@ class PuiseuxSeries:
         other = PuiseuxSeries._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        ta = math.inf if self.trunc is None else self.trunc
-        tb = math.inf if other.trunc is None else other.trunc
-        bound = min(self.order_lower_bound() + tb,
-                    other.order_lower_bound() + ta,
-                    ta + tb)
-        trunc = None if bound == math.inf else bound
+        trunc = None  # a product of exact series is exact
+        if self.trunc is not None or other.trunc is not None:
+            ta = math.inf if self.trunc is None else self.trunc
+            tb = math.inf if other.trunc is None else other.trunc
+            bound = min(self.order_lower_bound() + tb,
+                        other.order_lower_bound() + ta,
+                        ta + tb)
+            trunc = None if bound == math.inf else bound
         ram, a, b = self._lift(other)
         cut = math.inf if trunc is None else _cut(trunc, ram)
         ea, eb = sorted(a), sorted(b)

@@ -349,6 +349,7 @@ def test_resultant_routes_agree_with_sympy(seed):
     assert to_sympy(via_matrix) == ref
     sp_res = sp.expand(sp.resultant(to_sympy(p), to_sympy(q), SY))
     assert to_sympy(mine) in (sp_res, sp.expand(-sp_res))
+    assert to_sympy(discriminant(p, "y")) == sp.expand(sp.discriminant(to_sympy(p), SY))
 
 
 # ---------------------------------------------------------------------------
@@ -373,6 +374,46 @@ def test_gcd_of_planted_common_factor():
     b = (XY + YY) * (YY + 3)
     g = poly_gcd(a, b)
     assert g == XY + YY
+
+
+def _same_up_to_rational(mine, ref):
+    ratio = sp.cancel(to_sympy(mine) / ref)
+    return ratio.is_Rational and ratio != 0
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=2 ** 30))
+def test_gcd_and_squarefree_agree_with_sympy(seed):
+    # planted common factor g; every factor is pure-x one time in three, so
+    # x-contents (the line x = 0 of x*(y - 1), say) must survive
+    import random
+
+    rng = random.Random(seed)
+
+    def rand_factor():
+        ydeg = 0 if rng.random() < 1 / 3 else rng.randint(1, 2)
+        terms = {(rng.randint(0, 2), rng.randint(0, ydeg)): rng.randint(-3, 3)
+                 for _ in range(rng.randint(1, 3))}
+        terms[(rng.randint(0, 1), ydeg)] = rng.choice((-2, -1, 1, 2))
+        return Polynomial.make(("x", "y"), terms)
+
+    g, a, b = rand_factor(), rand_factor(), rand_factor()
+    if g.is_zero() or a.is_zero() or b.is_zero():
+        return
+    assert _same_up_to_rational(poly_gcd(g * a, g * b),
+                                sp.gcd(to_sympy(g * a), to_sympy(g * b)))
+    f = g * g * a
+    if not f.is_constant():
+        assert _same_up_to_rational(squarefree_part(f), sp.sqf_part(to_sympy(f)))
+
+
+def test_squarefree_keeps_the_content():
+    assert squarefree_part(XY * (YY - 1)) == XY * YY - XY
+    assert squarefree_part(XY ** 2 * YY) == XY * YY
+    # the line x = 0 stays in the basis, as a factor or on its own
+    assert [b.to_text() for b in coprime_squarefree_basis([XY * (YY - 1)])] == ["x*y - x"]
+    basis = coprime_squarefree_basis([XY * (YY - 1), YY - 1])
+    assert {b.to_text() for b in basis} == {"x", "y - 1"}
 
 
 def test_simplest_between_picks_minimal_denominator():
