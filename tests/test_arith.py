@@ -368,6 +368,13 @@ def test_bivariate_squarefree_and_basis():
     keys = {b.to_text() for b in basis}
     assert keys == {"x^2 + y^2 - 1", "x - y", "x + y"}
 
+    # factors free of y are kept: the line x = 0, as a factor or on its own
+    assert squarefree_part(XY * (YY - 1)) == XY * YY - XY
+    assert squarefree_part(XY ** 2 * YY) == XY * YY
+    assert [b.to_text() for b in coprime_squarefree_basis([XY * (YY - 1)])] == ["x*y - x"]
+    basis = coprime_squarefree_basis([XY * (YY - 1), YY - 1])
+    assert {b.to_text() for b in basis} == {"x", "y - 1"}
+
 
 def test_gcd_of_planted_common_factor():
     a = (XY + YY) * (XY - 2)
@@ -405,15 +412,6 @@ def test_gcd_and_squarefree_agree_with_sympy(seed):
     f = g * g * a
     if not f.is_constant():
         assert _same_up_to_rational(squarefree_part(f), sp.sqf_part(to_sympy(f)))
-
-
-def test_squarefree_keeps_the_content():
-    assert squarefree_part(XY * (YY - 1)) == XY * YY - XY
-    assert squarefree_part(XY ** 2 * YY) == XY * YY
-    # the line x = 0 stays in the basis, as a factor or on its own
-    assert [b.to_text() for b in coprime_squarefree_basis([XY * (YY - 1)])] == ["x*y - x"]
-    basis = coprime_squarefree_basis([XY * (YY - 1), YY - 1])
-    assert {b.to_text() for b in basis} == {"x", "y - 1"}
 
 
 def test_simplest_between_picks_minimal_denominator():
