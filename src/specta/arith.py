@@ -33,6 +33,8 @@ Conventions
 * ``content_and_primitive`` is the one content routine (the content in v
   is the gcd of the coefficients in v).  Gcds and square-free parts treat
   contents and primitive parts apart, so no factor free of v is lost.
+* For inputs primitive in v, a nonzero discriminant in v proves square-free
+  and a nonzero resultant in v proves coprime (Brown & Traub, JACM 1971).
 * An ``AlgebraicNumber`` whose interval has width zero is an exact rational
   root; irrational roots always come with an open isolating interval whose
   endpoints are not roots of the defining polynomial.
@@ -1115,44 +1117,26 @@ def squarefree_part(p: Polynomial) -> Polynomial:
 def coprime_squarefree_basis(polys):
     """Reduce a list of polynomials to a square-free pairwise-coprime basis.
 
-    Each input enters as its ``squarefree_part``, content included, and is
-    split by gcds.  Constants drop out; output is deduplicated, normalized
-    and sorted.  The union of the root sets is preserved.
+    A work list starts from the ``squarefree_part`` of each input, content
+    included.  An element p taken off it is tested once against each kept
+    one: coprime to all, it is kept; sharing g with a kept q, g and q/g
+    replace q, being coprime to every other kept element, and p/g goes back
+    on the list.  Constants and elements already taken or kept drop out, so
+    no pair is tested twice.  Output is normalized and sorted.
     """
-    work = []
-    for p in polys:
-        if p.is_zero():
-            raise ZeroPolynomialError("zero polynomial in basis")
-        if p.is_constant():
+    work, out, seen = [squarefree_part(p) for p in polys], {}, set()
+    while work:
+        p = work.pop()
+        if p.is_constant() or p.key() in seen:
             continue
-        work.append(squarefree_part(p))
-    changed = True
-    while changed:
-        changed = False
-        out = []
-        for p in work:
-            if p.is_constant():
-                continue
-            merged = False
-            for i, q in enumerate(out):
-                if p.key() == q.key():
-                    merged = True
-                    break
-                g = poly_gcd(p, q)
-                if not g.is_constant():
-                    rest_p = _poly_exact_div(p, g.embed(p.variables))
-                    rest_q = _poly_exact_div(q, g.embed(q.variables))
-                    out[i] = g
-                    for extra in (rest_p, rest_q):
-                        if not extra.is_constant():
-                            out.append(normalize_primitive(extra))
-                    changed = True
-                    merged = True
-                    break
-            if not merged:
-                out.append(p)
-        work = out
-    dedup = {}
-    for p in work:
-        dedup[p.key()] = p
-    return sorted(dedup.values(), key=lambda f: f.key())
+        keep = [p]
+        for k, q in out.items():
+            g = poly_gcd(p, q)
+            if not g.is_constant():
+                del out[k]
+                work.append(normalize_primitive(_poly_exact_div(p, g)))
+                keep = [g, normalize_primitive(_poly_exact_div(q, g))]
+                break
+        out.update((f.key(), f) for f in keep if not f.is_constant())
+        seen.update(out, [p.key()])
+    return sorted(out.values(), key=lambda f: f.key())

@@ -9,6 +9,9 @@ value of the input formula, the satisfied cells become the marked part M
 of the complex, and cell adjacency is certified by exact root counting
 rather than floating point tracking.
 
+The y-basis and the projection come out of one pass (_project): each
+discriminant and resultant the projection needs also tests the basis.
+
 A stack is one vertical line: x is substituted into the basis, giving
 polynomials in y over Q at a rational x (every sector sample and every
 rational root line) and over Q(alpha) on an irrational root line, where
@@ -49,6 +52,7 @@ from .arith import (
     coprime_squarefree_basis,
     discriminant,
     isolate_real_roots,
+    normalize_primitive,
     rational_between,
     real_compare,
     refine_root_free,
@@ -181,49 +185,56 @@ def contains_point(formula, point) -> bool:
 # projection
 
 
-def _to_x(p: Polynomial) -> Polynomial:
-    """Rewrite a polynomial of y-degree zero over the single variable x."""
-    if "y" in p.variables:
-        p = p.coeffs_in("y")[0]
-    if p.variables != ("x",):
-        p = p.embed(("x",))
-    return p
-
-
 def _prepare(polys):
-    """Split inputs into x-only parts and a coprime square-free y-basis."""
+    """The x-parts (x-only inputs, y-contents) and normalized y-primitive parts."""
     xparts, yparts = [], []
     for p in polys:
         if p.is_zero():
             raise CadError("the zero polynomial has no sign-invariant cells")
-        p = _embed_xy(p)
-        if p.is_constant():
-            continue
-        if p.degree_in("y") == 0:
-            xparts.append(_to_x(p))
-            continue
-        cont, prim = content_and_primitive(p, "y")
+        cont, prim = content_and_primitive(_embed_xy(p), "y")
         if not cont.is_constant():
             xparts.append(cont)
-        yparts.append(prim)
-    return xparts, coprime_squarefree_basis(yparts)
+        if not prim.is_constant():
+            yparts.append(normalize_primitive(prim))
+    return xparts, yparts
 
 
-def _project(xparts, basis):
-    univ = list(xparts)
-    for i, b in enumerate(basis):
-        lc = b.coeffs_in("y")[-1]
-        if not lc.is_constant():
-            univ.append(_to_x(lc))
-        if b.degree_in("y") >= 2:
-            d = discriminant(b, "y")
-            if not d.is_constant():
-                univ.append(_to_x(d))
-        for c in basis[i + 1:]:
-            r = resultant(b, c, "y")
-            if not r.is_constant():
-                univ.append(_to_x(r))
-    return coprime_squarefree_basis(univ)
+def _project(xparts, yparts):
+    """(y-basis, projection) from one work list of the y-parts.
+
+    An element is kept once its discriminant and its resultants with the
+    kept elements are nonzero: it is then square-free and coprime to them.
+    A zero value sends it, or it and that kept element, through
+    coprime_squarefree_basis and the pieces back on the list.  Each value
+    is computed once, under the keys of its elements; the x-basis comes
+    from the x-parts, the leading coefficients and the values of the basis.
+    """
+    kept, vals, work = {}, {}, list(yparts)
+
+    def value(fn, *ps):
+        k = frozenset(p.key() for p in ps)
+        if k not in vals:
+            vals[k] = fn(*ps, "y")
+        return vals[k]
+
+    while work:
+        p = work.pop()
+        if p.key() in kept:
+            continue
+        if value(discriminant, p).is_zero():
+            work += coprime_squarefree_basis([p])
+            continue
+        for k, q in kept.items():
+            if value(resultant, p, q).is_zero():
+                del kept[k]
+                work += coprime_squarefree_basis([p, q])
+                break
+        else:
+            kept[p.key()] = p
+    basis = sorted(kept.values(), key=Polynomial.key)
+    univ = xparts + [b.coeffs_in("y")[-1] for b in basis]
+    univ += [v for k, v in vals.items() if k <= kept.keys()]
+    return basis, coprime_squarefree_basis(univ)
 
 
 def projection_phase(polys):
@@ -231,18 +242,20 @@ def projection_phase(polys):
 
     The output is a coprime square-free basis collecting the x-only inputs
     and contents, nonconstant leading y-coefficients, y-discriminants and
-    pairwise y-resultants of the y-primitive basis of the inputs.
+    pairwise y-resultants of the y-primitive basis of the inputs, which
+    _project builds alongside.
     """
-    xparts, basis = _prepare(polys)
-    return _project(xparts, basis)
+    return _project(*_prepare(polys))[1]
 
 
 # ---------------------------------------------------------------------------
 # shear
 
 
-def _needs_shear(basis) -> bool:
-    for b in basis:
+def _needs_shear(yparts) -> bool:
+    # the leading coefficient of a y-part is the product of those of its
+    # basis factors, so it has the same real roots
+    for b in yparts:
         lc = b.coeffs_in("y")[-1]
         if not lc.is_constant() and isolate_real_roots(lc):
             return True
@@ -478,15 +491,15 @@ def decompose(formula) -> Decomposition:
     working = map_polys(formula, _embed_xy)
     atom_polys = [a.poly for a in formula_atoms(working)]
     lam = None
-    xparts, basis = _prepare(atom_polys)
-    if _needs_shear(basis):
+    xparts, yparts = _prepare(atom_polys)
+    if _needs_shear(yparts):
         lam = _choose_shear(atom_polys)
         working = map_polys(working, lambda p: _shear_poly(p, lam))
         atom_polys = [a.poly for a in formula_atoms(working)]
-        xparts, basis = _prepare(atom_polys)
-        if _needs_shear(basis):  # pragma: no cover
+        xparts, yparts = _prepare(atom_polys)
+        if _needs_shear(yparts):  # pragma: no cover
             raise CadError("shear failed to remove leading coefficient roots")
-    proj = _project(xparts, basis)
+    basis, proj = _project(xparts, yparts)
 
     xroots = []
     for q in proj:

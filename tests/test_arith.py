@@ -6,7 +6,10 @@ sympy (resultant / discriminant / real_roots).  The randomized properties
 re-run the sympy comparison on every test run.
 """
 
+import random
+import sys
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 import sympy as sp
@@ -33,7 +36,7 @@ from specta.arith import (
     uisolate,
     usign_at,
 )
-from specta import arith
+from specta import arith, cad2d
 from specta.arith import _poly_exact_div, _ptrim, _usign
 
 X = Polynomial.var("x")
@@ -388,23 +391,22 @@ def _same_up_to_rational(mine, ref):
     return ratio.is_Rational and ratio != 0
 
 
+def _planted_factor(rng):
+    # pure-x one time in three, so x-contents (the line x = 0 of x*(y - 1),
+    # say) must survive
+    ydeg = 0 if rng.random() < 1 / 3 else rng.randint(1, 2)
+    terms = {(rng.randint(0, 2), rng.randint(0, ydeg)): rng.randint(-3, 3)
+             for _ in range(rng.randint(1, 3))}
+    terms[(rng.randint(0, 1), ydeg)] = rng.choice((-2, -1, 1, 2))
+    return Polynomial.make(("x", "y"), terms)
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(min_value=0, max_value=2 ** 30))
 def test_gcd_and_squarefree_agree_with_sympy(seed):
-    # planted common factor g; every factor is pure-x one time in three, so
-    # x-contents (the line x = 0 of x*(y - 1), say) must survive
-    import random
-
+    # planted common factor g
     rng = random.Random(seed)
-
-    def rand_factor():
-        ydeg = 0 if rng.random() < 1 / 3 else rng.randint(1, 2)
-        terms = {(rng.randint(0, 2), rng.randint(0, ydeg)): rng.randint(-3, 3)
-                 for _ in range(rng.randint(1, 3))}
-        terms[(rng.randint(0, 1), ydeg)] = rng.choice((-2, -1, 1, 2))
-        return Polynomial.make(("x", "y"), terms)
-
-    g, a, b = rand_factor(), rand_factor(), rand_factor()
+    g, a, b = _planted_factor(rng), _planted_factor(rng), _planted_factor(rng)
     if g.is_zero() or a.is_zero() or b.is_zero():
         return
     assert _same_up_to_rational(poly_gcd(g * a, g * b),
@@ -412,6 +414,59 @@ def test_gcd_and_squarefree_agree_with_sympy(seed):
     f = g * g * a
     if not f.is_constant():
         assert _same_up_to_rational(squarefree_part(f), sp.sqf_part(to_sympy(f)))
+
+
+def _basis_and_tested_pairs(polys):
+    """coprime_squarefree_basis(polys) and the pairs its loop takes gcds of."""
+    pairs = []
+    gcd = arith.poly_gcd
+
+    def spy(p, q):
+        if sys._getframe(1).f_code is coprime_squarefree_basis.__code__:
+            pairs.append(frozenset((p.key(), q.key())))
+        return gcd(p, q)
+
+    with mock.patch.object(arith, "poly_gcd", spy):
+        return coprime_squarefree_basis(polys), pairs
+
+
+def _basis_first_projection(xparts, yparts):
+    """Reference route to the projection: the basis first, then a loop over
+    its leading coefficients, discriminants and pairwise resultants."""
+    basis, pairs = _basis_and_tested_pairs(yparts)
+    assert len(pairs) == len(set(pairs))
+    univ = list(xparts)
+    for i, b in enumerate(basis):
+        univ.append(b.coeffs_in("y")[-1])
+        if b.degree_in("y") >= 2:
+            univ.append(discriminant(b, "y"))
+        univ += [resultant(b, c, "y") for c in basis[i + 1:]]
+    return basis, coprime_squarefree_basis(univ)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=0, max_value=2 ** 30))
+def test_planted_projection_matches_basis_first_route(seed):
+    # families sharing g, one with g squared, plus duplicates and cross
+    # products; factors are pure-x one time in three
+    rng = random.Random(seed)
+    g, a, b, c = (_planted_factor(rng) for _ in range(4))
+    family = [g * a, g * b, g * g * c] + rng.sample([g * a, a * b, c, g], rng.randint(0, 2))
+    rng.shuffle(family)
+    xparts, yparts = cad2d._prepare(family)
+    basis, proj = cad2d._project(xparts, yparts)
+    ref_basis, ref_proj = _basis_first_projection(xparts, yparts)
+    assert [p.to_text() for p in basis] == [p.to_text() for p in ref_basis]
+    assert [p.to_text() for p in proj] == [p.to_text() for p in ref_proj]
+    for i, p in enumerate(basis):
+        assert _same_up_to_rational(p, sp.sqf_part(to_sympy(p)))
+        for q in basis[i + 1:]:
+            assert sp.Poly(sp.gcd(to_sympy(p), to_sympy(q)), SX, SY).is_ground
+    prod_y = sp.Mul(*(to_sympy(p) for p in yparts))
+    prod_basis = Polynomial.const(1, ("x", "y"))
+    for p in basis:
+        prod_basis = prod_basis * p
+    assert _same_up_to_rational(prod_basis, sp.sqf_part(prod_y))
 
 
 def test_simplest_between_picks_minimal_denominator():

@@ -14,7 +14,7 @@ import pytest
 
 import by_id
 import corpus
-from specta import _numfield, cad2d, topology
+from specta import _numfield, arith, cad2d, topology
 from specta._expr import parse_formula, parse_polynomial
 from specta.arith import (
     AlgebraicNumber,
@@ -661,6 +661,64 @@ def test_projection_is_pinned():
     assert got == PINNED_PROJECTION
     assert ([p.to_text() for p in _dec(X_CONTENT).projection]
             == ["x^2 - 4", "x^2 - 3", "x"])
+
+
+# atoms that share factors, repeat one or carry a square, so the y-basis
+# splits and square-frees its inputs (the benchmark formulas never do); the
+# last two shear.  sha256 of repr((basis texts, projection texts,
+# decomposition_text))
+PINNED_DEGENERATE = {
+    "(y-x)^2*(x^2+y^2-1) <= 0 AND x^2+y^2 <= 4":
+        "5f59009bbd11d1afff24bf51b481892db5ee150d71811ba0f6f8a57428ff2ed1",
+    "(y-x)*(y+x) >= 0 AND (y-x)*(x^2+y^2-1) <= 0 AND x^2+y^2 <= 4":
+        "1ca4eafac12adf1ecf8a04a03c80cdf748dfa4643a0fa4f490c599513b9e2443",
+    "(y^2-x^3)*(y-x) >= 0 AND (y^2-x^3)*(y+x) <= 0 AND x^2+y^2 <= 1":
+        "919d637c34ecac1e6680840cf3b028a5b8d589d8e33e90b4e10deee41ff35d92",
+    "(x^2+y^2-1)^2*(y-1/2) >= 0 AND x^2+y^2 <= 9":
+        "a33bccbe92939374e29a47f716d039c96e52c2dd630f53e4bfccff1849fe9e84",
+    "(y^2-x^2-x^3)*(y-x) > 0 AND (y^2-x^2-x^3)*(x*y-1/4) <= 0 AND x^2+y^2 <= 4":
+        "066dc5f5d93a4f093ee7626d01facacee49fcbb8a32ec393fd4fdeee52fc798a",
+    "(x*y-1)*(x*y+1) <= 0 AND x^2+y^2 <= 9 AND NOT (x*y-1)^2 = 0":
+        "fe538ef502174fe797a84740692e573b2e6cbda453e8ecddb8e132963c9a55b0",
+}
+
+
+def test_degenerate_projection_is_pinned():
+    got = {}
+    for text in PINNED_DEGENERATE:
+        dec = _dec(text)
+        blob = repr(([p.to_text() for p in dec.basis], [p.to_text() for p in dec.projection],
+                     cad2d.decomposition_text(dec)))
+        got[text] = hashlib.sha256(blob.encode()).hexdigest()
+    assert got == PINNED_DEGENERATE
+    assert [_dec(t).shear for t in PINNED_DEGENERATE][-2:] == [Fraction(1, 2)] * 2
+
+
+def _sequences(monkeypatch, text):
+    runs = []
+    steps = arith._subresultant_steps
+
+    def counted(a, b, one):
+        runs.append((a, b))
+        return steps(a, b, one)
+
+    monkeypatch.setattr(arith, "_subresultant_steps", counted)
+    dec = cad2d.decompose(parse_formula(text))
+    monkeypatch.setattr(arith, "_subresultant_steps", steps)
+    return dec, len(runs)
+
+
+def test_projection_runs_one_sequence_per_value(monkeypatch):
+    # a discriminant or resultant that is nonzero is the square-free or
+    # coprimality test itself, so with no split a decompose runs one
+    # sequence per basis pair and per basis element of y-degree 2 or more
+    # (forming the basis by gcds first ran twice as many)
+    assert _sequences(monkeypatch, THREE_ELLIPSE_FENCE)[1] == 6
+    assert _sequences(monkeypatch, "x^2+y^2<=4 AND x^2+y^2>=1")[1] == 3
+    for text in PINNED_PROJECTION:
+        dec, runs = _sequences(monkeypatch, text)
+        n = len(dec.basis)
+        assert runs == n * (n - 1) // 2 + sum(b.degree_in("y") >= 2 for b in dec.basis)
 
 
 def test_quartic_signs_are_certified_by_intervals(monkeypatch):
