@@ -11,7 +11,8 @@ floating point enters any decision.
 
 Values go into polynomials two ways only: ``Polynomial.evaluate`` is the
 one multivariate evaluator (``eval_at``, ``substitute`` and the series
-evaluation of ``paths`` delegate to it) and ``_ueval`` is the one
+evaluation of ``paths`` delegate to it), which forms each power of a value
+once, as the power below it times the value; ``_ueval`` is the one
 univariate, Horner evaluator of coefficient lists; ``_usign`` is its
 sign-only form at a rational, which never builds the value.
 
@@ -263,18 +264,19 @@ class Polynomial:
         The values may lie in any ring that mixes with Fractions (Fractions,
         Polynomials, PuiseuxSeries) and zero is that ring's zero.  Terms are
         taken in order; each starts as zero + c and is multiplied by
-        values[name] ** k in variable order, and each power is formed once.
+        values[name] ** k in variable order.  Each variable keeps one row of
+        powers, each formed once as the one below it times the value.
         """
-        powers = {}
+        rows = {}
         out = zero
         for e, c in self.terms.items():
             term = zero + c
             for name, k in zip(self.variables, e):
                 if k:
-                    pw = powers.get((name, k))
-                    if pw is None:
-                        pw = powers[name, k] = values[name] ** k
-                    term = term * pw
+                    row = rows.setdefault(name, [values[name]])
+                    while len(row) < k:
+                        row.append(row[-1] * row[0])
+                    term = term * row[k - 1]
             out = out + term
         return out
 

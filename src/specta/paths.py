@@ -161,16 +161,6 @@ class PuiseuxSeries:
         return PuiseuxSeries(e.denominator, {e.numerator: Fraction(coeff)})
 
     @staticmethod
-    def from_terms(pairs, trunc=None) -> "PuiseuxSeries":
-        """Build from (exponent, coefficient) pairs with rational exponents."""
-        pairs = [(Fraction(e), Fraction(c)) for e, c in pairs]
-        nums, ram = _over_common([e for e, _ in pairs])
-        terms = {}
-        for n, (_, c) in zip(nums, pairs):
-            terms[n] = terms.get(n, 0) + c
-        return PuiseuxSeries(ram, terms, trunc)
-
-    @staticmethod
     def from_polynomial(p: Polynomial) -> "PuiseuxSeries":
         if len(p.variables) > 1 and p.total_degree() > 0:
             live = [v for v in p.variables if p.degree_in(v) > 0]
@@ -559,15 +549,8 @@ class FormalPath:
     def dimension(self) -> int:
         return len(self.parts)
 
-    @property
-    def tags(self):
-        return tuple(part.tag for part in self.parts)
-
     def series(self):
         return tuple(part.expand(self.default_trunc) for part in self.parts)
-
-    def value_at_zero(self):
-        return tuple(s.coefficient(0) for s in self.series())
 
     def reparametrize(self, p: int) -> "FormalPath":
         """Substitute t -> t^p in every component."""
@@ -692,6 +675,9 @@ def _parse_ratio(rest: str) -> PathComponent:
 
 
 def serialize_path(path: FormalPath) -> str:
+    """The writer of the line format that ``parse_path`` reads: parsing
+    the text gives back every component's series at the path's truncation,
+    and a reparametrized factorial comes back as its coefficients."""
     T = path.default_trunc
     lines = [f"path m={path.dimension} T={T}"]
     for part in path.parts:
@@ -1176,6 +1162,9 @@ def separate_from_algebraic(mu: FormalPath, k_max=12):
     sum n!*t^n at order w >= 2, the found k equals w; for j >= 2 a
     smaller k can already separate.
     """
+    if not isinstance(k_max, int) or k_max < 2:
+        raise PathError("separating quotients are defined for integers k >= 2,"
+                        f" so k_max={k_max} leaves nothing to search")
     first = mu.series()[0]
     j = first.order()
     if not (first.exact and len(first.coeffs) == 1

@@ -28,10 +28,10 @@ Text format (one record per line, '#' starts a comment):
     cell <id> dim=<d> inM=<0|1>
     face <id_small> <id_big>
 
-``face a b`` declares that cell ``a`` lies in the closure of cell ``b``.
-Any generating set is accepted; serialization always emits the full strict
-closure relation in canonical id order, so parse -> serialize is
-byte-identical on canonical files.
+``face a b`` puts cell ``a`` in the closure of cell ``b``; any generating
+set is accepted.  A record's key=value fields may come in either order, each
+exactly once.  Serialization emits the strict closure relation in canonical
+id order, so parse -> serialize is byte-identical on canonical files.
 """
 
 from __future__ import annotations
@@ -179,14 +179,12 @@ class CellComplex:
 # text format
 
 
-def _fields(parts, *keys):
-    """The key=value fields of a record: exactly keys, the last one a 0/1 flag."""
-    kv = dict([p.split("=", 1) for p in parts])
-    if len(kv) != len(parts) or kv.keys() != set(keys):
-        raise ValueError("unknown, missing or repeated field")
-    if kv[keys[-1]] not in ("0", "1"):
-        raise ValueError("flag is neither 0 nor 1")
-    return kv
+def _fields(parts, key, flag):
+    """(int, bool) of a record's fields key=<int> and flag=<0|1>, in either order."""
+    first, second = sorted(parts)  # exactly two fields, key sorting first
+    if not first.startswith(key + "=") or second not in (flag + "=0", flag + "=1"):
+        raise ValueError("unknown, missing or repeated field, or a flag not 0 or 1")
+    return int(first[len(key) + 1:]), second[-1] == "1"
 
 
 def parse_complex(text: str) -> CellComplex:
@@ -198,28 +196,23 @@ def parse_complex(text: str) -> CellComplex:
         if not parts:
             continue
         kind = parts[0]
+        if kind not in ("face", "cell", "complex"):
+            raise TopologyError(f"unknown record {kind!r}")
+        if kind == "complex" and header is not None:
+            raise TopologyError("duplicate complex header")
         try:
             if kind == "face":
                 _, small, big = parts  # exactly two ids, else ValueError
                 faces.append((small, big))
             elif kind == "cell":
-                cid = parts[1]
-                kv = _fields(parts[2:], "dim", "inM")
-                cells.append((cid, int(kv["dim"]), kv["inM"] == "1"))
-            elif kind == "complex":
-                if header is not None:
-                    raise TopologyError("duplicate complex header")
-                kv = _fields(parts[1:], "ambient", "bounded")
-                header = (int(kv["ambient"]), kv["bounded"] == "1")
+                cells.append((parts[1], *_fields(parts[2:], "dim", "inM")))
             else:
-                raise TopologyError(f"unknown record {kind!r}")
-        except (KeyError, IndexError, ValueError) as exc:
-            if isinstance(exc, TopologyError):
-                raise
+                header = _fields(parts[1:], "ambient", "bounded")
+        except (IndexError, ValueError) as exc:
             raise TopologyError(f"malformed line {lineno}: {raw!r}") from exc
     if header is None:
         raise TopologyError("missing complex header")
-    return CellComplex(header[0], header[1], cells, faces)
+    return CellComplex(*header, cells, faces)
 
 
 def _id_order(K: CellComplex):
@@ -292,7 +285,6 @@ def restrict(K: CellComplex, m_cells) -> CellComplex:
 class Brick:
     dimension: int
     cells: frozenset  # cell indices
-    index: int
 
 
 def local_dimension(K: CellComplex, cid, M=None) -> int:
@@ -329,8 +321,8 @@ def bricks(K: CellComplex, M=None):
             for f in closure[c]:
                 ldim.setdefault(f, dims[c])
         strata.setdefault(ldim[c], []).append(c)
-    out = [Brick(d, frozenset(K._carrier(strata[d]) & S), i)
-           for i, d in enumerate(sorted(strata, reverse=True))]
+    out = [Brick(d, frozenset(K._carrier(strata[d]) & S))
+           for d in sorted(strata, reverse=True)]
     # axiom (ii): union is M
     if set().union(*(b.cells for b in out)) != S:
         raise RegularityViolation("bricks do not cover M")
@@ -555,10 +547,7 @@ def compare_fingerprints(f1: Fingerprint, f2: Fingerprint) -> ComparisonReport:
     """compare_spectral_types on fingerprints already computed; f1 is N."""
     s = CONSISTENT if f1 == f2 else RULED_OUT
     s_star = CONSISTENT if f1.minus_eta == f2.minus_eta else RULED_OUT
-    if f1.data.compact and f1.minus_eta == f2.minus_eta:
-        s_vs = CONSISTENT
-    else:
-        s_vs = RULED_OUT
+    s_vs = CONSISTENT if f1.data.compact and s_star == CONSISTENT else RULED_OUT
     beta = CONSISTENT if f1.core == f2.core else RULED_OUT
     return ComparisonReport(s=s, s_star=s_star, s_vs_s_star=s_vs, beta_star=beta)
 

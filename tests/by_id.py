@@ -11,7 +11,7 @@ from specta import topology
 def named(K, value):
     """value with each set of cell indices of K, also inside bricks and tuples, as ids."""
     if isinstance(value, topology.Brick):
-        return topology.Brick(value.dimension, frozenset(named(K, value.cells)), value.index)
+        return topology.Brick(value.dimension, frozenset(named(K, value.cells)))
     if isinstance(value, (list, tuple)):
         return type(value)(named(K, v) for v in value)
     if isinstance(value, (set, frozenset)):

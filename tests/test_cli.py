@@ -583,6 +583,14 @@ def test_path_separate(workdir, capsys):
     code, out, _ = run(capsys, "path", str(workdir / "factorial.path"),
                        "separate")
     assert code == 0 and out == "no k <= 12 separates at this truncation\n"
+    # the search starts at k = 2: a smaller bound is a usage error, not a
+    # truncation that separates nothing
+    for kmax in ("1", "0"):
+        code, out, err = run(capsys, "path", str(workdir / "factorial.path"),
+                             "separate", "--mu", "t, 2t^2", "--kmax", kmax)
+        assert (code, out) == (1, "")
+        assert err == ("error: separating quotients are defined for integers"
+                       f" k >= 2, so k_max={kmax} leaves nothing to search\n")
 
 
 # every path action in both formats on a fixed set of path files; the

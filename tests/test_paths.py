@@ -17,7 +17,7 @@ from hypothesis import given, settings, strategies as st
 
 from specta._expr import ExprError, parse_polynomial, parse_polynomial_list
 from specta._numfield import FieldElement, NumberField
-from specta.arith import AlgebraicNumber, Polynomial
+from specta.arith import AlgebraicNumber, Polynomial, _over_common
 from specta.paths import (
     DEFAULT_TRUNCATION,
     EXACTLY_IN_IDEAL,
@@ -60,7 +60,14 @@ from specta.paths import (
 
 
 def S(pairs, trunc=None):
-    return PuiseuxSeries.from_terms(pairs, trunc)
+    """The reference constructor: the series of (exponent, coefficient)
+    pairs with rational exponents, repeated exponents summed."""
+    pairs = [(F(e), F(c)) for e, c in pairs]
+    nums, ram = _over_common([e for e, _ in pairs])
+    terms = {}
+    for n, (_, c) in zip(nums, pairs):
+        terms[n] = terms.get(n, 0) + c
+    return PuiseuxSeries(ram, terms, trunc)
 
 
 def path(text, trunc=DEFAULT_TRUNCATION):
@@ -72,7 +79,7 @@ def _agree(a, b):
     return not (a - b).coeffs
 
 
-# -- reference route: Fraction exponents, every term through from_terms ---
+# -- reference route: Fraction exponents, every term through S -----------
 #
 # The engine works on integer exponents over a common ramification and
 # stops products at the truncation.  These reach the same series another
@@ -432,8 +439,8 @@ def test_order_additivity():
 def test_path_basics():
     alpha = path("t, 2t^2+6t^3")
     assert alpha.dimension == 2
-    assert alpha.tags == ("polynomial", "polynomial")
-    assert alpha.value_at_zero() == (0, 0)
+    assert [part.tag for part in alpha.parts] == ["polynomial", "polynomial"]
+    assert [s.coefficient(0) for s in alpha.series()] == [0, 0]
     assert alpha.series()[1] == S([(2, 2), (3, 6)])
 
 
@@ -681,6 +688,23 @@ def test_eval_separator_on_factorial_has_order_two():
         assert s.order() == 2
 
 
+def test_eval_forms_each_power_from_the_one_below(monkeypatch):
+    # the quotient has degree 24 in x, so a row of powers costs 23 products;
+    # a binary power per exponent would form 340 products in all
+    calls = 0
+    mul = PuiseuxSeries.__mul__
+
+    def counted(self, other):
+        nonlocal calls
+        calls += 1
+        return mul(self, other)
+
+    monkeypatch.setattr(PuiseuxSeries, "__mul__", counted)
+    s = eval_on_path(appendix_separator(12), FormalPath.factorial_path(64))
+    assert s.order() == 2
+    assert calls <= 140
+
+
 def test_eval_retry_doubles_truncation_once():
     alpha = FormalPath.factorial_path(F(3, 2))
     s = eval_on_path(parse_function("1/y"), alpha)
@@ -921,6 +945,13 @@ def test_separation_reparametrized_first_component():
 def test_separation_out_of_range_returns_none():
     deep = "t, " + " + ".join(f"{math.factorial(n)}t^{n}" for n in range(2, 13))
     assert separate_from_algebraic(path(deep)) is None
+
+
+def test_separation_needs_k_max_at_least_two():
+    # no quotient exists below k = 2, so no search runs to blame the truncation
+    for k_max in (1, 0, -3):
+        with pytest.raises(PathError, match=f"k_max={k_max} leaves nothing"):
+            separate_from_algebraic(path("t, 2t^2"), k_max=k_max)
 
 
 def test_separation_requires_power_first_component():

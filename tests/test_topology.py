@@ -69,14 +69,6 @@ def test_parse_rejects_dim_above_ambient():
         parse_complex("complex ambient=1 bounded=1\ncell f dim=2 inM=1\n")
 
 
-def test_parse_skips_comment_lines():
-    text = ("complex ambient=1 bounded=1\n"
-            "# annotation, ignored\n"
-            "cell v dim=0 inM=1\n")
-    K = parse_complex(text)
-    assert K.m_cells() == {"v"}
-
-
 INTERVAL_TEXT = """\
 complex ambient=1 bounded=1
 cell a dim=0 inM=1
@@ -85,6 +77,22 @@ cell e dim=1 inM=1
 face a e
 face b e
 """
+
+
+def test_parse_skips_comment_lines():
+    text = ("complex ambient=1 bounded=1\n"
+            "# annotation, ignored\n"
+            "cell v dim=0 inM=1\n")
+    K = parse_complex(text)
+    assert K.m_cells() == {"v"}
+    # a trailing comment, and key=value fields in the other order, read as
+    # the canonical record
+    for good, variant in [("face a e", "face a e  # the interval"),
+                          ("cell a dim=0 inM=1", "cell a inM=1 dim=0"),
+                          ("complex ambient=1 bounded=1", "complex bounded=1 ambient=1")]:
+        assert serialize_complex(parse_complex(INTERVAL_TEXT.replace(good, variant))) \
+            == INTERVAL_TEXT
+
 
 # (line of INTERVAL_TEXT, its malformed replacement)
 MALFORMED_FIELDS = [
