@@ -16,13 +16,16 @@ that; only when 0 stays inside (the value may be 0) does the exact
 ``usign_at`` run, so the exact path is the zero test.  Sums, differences
 and rational multiples cannot raise the degree, so they leave their
 representatives unreduced; every read of a representative (``sign``,
-``interval``, ``as_rational``, ``inverse``) reduces it first, which also
-keeps elements built before the field narrowed itself correct.  Products,
-reductions, interval Horner and the Horner sign of a list over the field
-at a rational (``FieldElement.list_sign_at``) run on integer numerators
-over one positive denominator (a list gets there through
-``arith._over_common``): every result is the exact rational one.  Powers
-go through ``arith.binary_power``.
+``interval``, ``inverse``) reduces it first, which also keeps elements
+built before the field narrowed itself correct.  Products, reductions,
+interval Horner and the Horner sign of a list over the field at a
+rational (``FieldElement.list_sign_at``) run on integer numerators over
+one positive denominator (a list gets there through
+``arith._over_common``): every result is the exact rational one.
+
+An element offers only what the engine calls: ``+``, ``-`` and ``*``
+with elements and rationals on either side, ``inverse``, ``sign``,
+``interval``, ``list_sign_at``, and semantic ``==`` and truth.
 
 Polynomials in y with coefficients in Q(alpha), and their roots, need no
 code of their own: the coefficient-list engine of ``arith`` (division,
@@ -48,7 +51,6 @@ from .arith import (
     _uint_primitive,
     _umul,
     _usign,
-    binary_power,
     uisolate,
     usign_at,
 )
@@ -86,12 +88,6 @@ class NumberField:
     def __init__(self, alpha: AlgebraicNumber):
         self.alpha = alpha
         self._int_of = self._int_defining = None
-
-    def defining_coeffs(self):
-        return self.alpha.coeffs
-
-    def degree(self) -> int:
-        return _udeg(self.defining_coeffs())
 
     def _remainder(self, nums, den):
         """(r, den') with r/den' the remainder of nums/den modulo the
@@ -154,12 +150,6 @@ class NumberField:
     def element(self, coeffs) -> "FieldElement":
         return FieldElement(self, tuple(self.reduce([Fraction(c) for c in coeffs])))
 
-    def zero(self) -> "FieldElement":
-        return FieldElement(self, ())
-
-    def one(self) -> "FieldElement":
-        return self.element([1])
-
     def generator(self) -> "FieldElement":
         return self.element([0, 1])
 
@@ -183,11 +173,8 @@ class NumberField:
 
 
 class FieldElement:
-    """Value in Q(alpha), held as a polynomial representative.
-
-    Products reduce modulo the defining polynomial; sums and rational
-    multiples do not, and every read reduces.
-    """
+    """Value in Q(alpha), held as a polynomial representative that
+    products reduce and sums do not (see the module docstring)."""
 
     __slots__ = ("field", "coeffs")
 
@@ -233,21 +220,6 @@ class FieldElement:
 
     __rmul__ = __mul__
 
-    def __pow__(self, n):
-        if n < 0:
-            return self.inverse() ** (-n)
-        return binary_power(self, n, self.field.one())
-
-    def __truediv__(self, other):
-        if isinstance(other, FieldElement):
-            return self * other.inverse()
-        if isinstance(other, (int, Fraction)):
-            return self * (1 / Fraction(other))
-        return NotImplemented
-
-    def __rtruediv__(self, other):
-        return self.inverse() * other
-
     def __eq__(self, other):
         if isinstance(other, (FieldElement, int, Fraction)):
             return (self - other).sign() == 0
@@ -284,11 +256,8 @@ class FieldElement:
             den *= d * e
         return self.field.sign_of(acc, den)
 
-    def is_zero(self) -> bool:
-        return self.sign() == 0
-
     def __bool__(self):
-        return not self.is_zero()
+        return self.sign() != 0
 
     def inverse(self) -> "FieldElement":
         field = self.field
@@ -302,29 +271,18 @@ class FieldElement:
             rep = field.reduce(self.coeffs)
             if not rep:
                 raise ZeroDivisionError("inverse of zero field element")
-            g, s = _ext_gcd(rep, field.defining_coeffs())
+            g, s = _ext_gcd(rep, field.alpha.coeffs)
             if _udeg(g) == 0:
                 return field.element([c / g[0] for c in s])
             if field._root_of(g):
                 # the representative vanishes at alpha after all
                 field._shrink(g)
                 raise ZeroDivisionError("inverse of zero field element")
-            cof, r = _udivmod(field.defining_coeffs(), g)
+            cof, r = _udivmod(field.alpha.coeffs, g)
             assert not r
             field._shrink(cof)
             if field.alpha.is_rational:
                 return self.inverse()
-
-    def as_rational(self):
-        """The exact Fraction value, or None when the value is irrational."""
-        rep = self.field.reduce(self.coeffs)
-        if not rep:
-            return Fraction(0)
-        if len(rep) == 1:
-            return rep[0]
-        if self.field.alpha.is_rational:
-            return _ueval(rep, self.field.alpha.value)
-        return None
 
     def interval(self):
         """Rational interval containing the value, from the current alpha interval."""
@@ -337,16 +295,6 @@ class FieldElement:
             return (v, v)
         lo, hi, scale = _box_value(nums, a)
         return Fraction(lo, den * scale), Fraction(hi, den * scale)
-
-    def approx(self, width=Fraction(1, 1 << 20)) -> Fraction:
-        while True:
-            lo, hi = self.interval()
-            if hi - lo <= width:
-                return (lo + hi) / 2
-            self.field.alpha.refine()
-
-    def __float__(self):
-        return float(self.approx())
 
     def __repr__(self):
         return f"FieldElement({list(self.coeffs)})"

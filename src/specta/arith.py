@@ -17,8 +17,9 @@ univariate, Horner evaluator of coefficient lists; ``_usign`` is its
 sign-only form at a rational, which never builds the value.
 
 ``_over_common`` (rationals as integer numerators over their least common
-denominator) and ``binary_power`` (the one power routine of Polynomial,
-PuiseuxSeries and FieldElement) also serve ``_numfield`` and ``paths``.
+denominator) also serves ``_numfield`` and ``paths``; ``binary_power`` is
+the one power routine of Polynomial and PuiseuxSeries.
+``AlgebraicNumber.refine`` is the one bisection of real roots.
 
 Conventions
 -----------
@@ -601,7 +602,7 @@ class AlgebraicNumber:
     ``refine`` halves the interval in place; everything else is read-only.
     """
 
-    __slots__ = ("defining", "coeffs", "lo", "hi")
+    __slots__ = ("defining", "coeffs", "lo", "hi", "_lo_sign")
 
     def __init__(self, defining, lo, hi):
         self.defining = defining
@@ -613,6 +614,7 @@ class AlgebraicNumber:
         self.hi = Fraction(hi)
         if self.lo > self.hi:
             raise ArithError("inverted interval")
+        self._lo_sign = None
 
     @property
     def is_rational(self) -> bool:
@@ -625,13 +627,20 @@ class AlgebraicNumber:
         return self.lo
 
     def refine(self):
+        """Halve the interval, keeping the half with the root (or the exact
+        root at the midpoint); ``uisolate`` narrows through it too.  The
+        list is signed at lo once per object: the root stays strictly
+        inside (lo, hi), so that sign never changes."""
         if self.is_rational:
             return
         mid = (self.lo + self.hi) / 2
         v = _usign(self.coeffs, mid)
         if v == 0:
             self.lo = self.hi = mid
-        elif _usign(self.coeffs, self.lo) * v < 0:
+            return
+        if self._lo_sign is None:
+            self._lo_sign = _usign(self.coeffs, self.lo)
+        if self._lo_sign * v < 0:
             self.hi = mid
         else:
             self.lo = mid
@@ -747,21 +756,13 @@ def uisolate(p):
 
     def finalize(a, b):
         # exactly one root in (a, b); endpoints are not roots
-        sa = sgn(a)
-        while b - a >= gap:
-            m = (a + b) / 2
-            v = sgn(m)
-            if v == 0:
-                roots.append(AlgebraicNumber(sq, m, m))
-                return
-            if sa * v < 0:
-                b = m
-            else:
-                a, sa = m, v
-        cand = simplest_between(a, b)
-        if a < cand < b and sgn(cand) == 0:
-            a = b = cand
-        roots.append(AlgebraicNumber(sq, a, b))
+        r = AlgebraicNumber(sq, a, b)
+        while not r.is_rational and r.hi - r.lo >= gap:
+            r.refine()
+        cand = simplest_between(r.lo, r.hi)
+        if r.lo < cand < r.hi and sgn(cand) == 0:
+            r = AlgebraicNumber(sq, cand, cand)
+        roots.append(r)
 
     def split(a, b):
         n = sturm_count(chain, a, b)

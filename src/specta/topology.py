@@ -99,8 +99,6 @@ class CellComplex:
             s, b = index.get(small), index.get(big)
             if s is None or b is None:
                 raise TopologyError(f"face pair ({small!r}, {big!r}) references unknown cell")
-            if s == b:
-                raise TopologyError(f"reflexive face pair on {small!r}")
             if dims[s] >= dims[b]:
                 raise TopologyError(
                     f"face pair ({small!r}, {big!r}) does not decrease dimension")

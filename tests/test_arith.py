@@ -37,7 +37,7 @@ from specta.arith import (
     usign_at,
 )
 from specta import arith, cad2d
-from specta.arith import _poly_exact_div, _ptrim, _usign
+from specta.arith import _poly_exact_div, _ptrim, _umul, _usign
 
 X = Polynomial.var("x")
 XY = Polynomial.var("x", ("x", "y"))
@@ -161,6 +161,65 @@ def test_refine_root_free_moves_an_endpoint_off_a_root():
     one = AlgebraicNumber(X - 1, 1, 1)
     refine_root_free(chain, one)  # a rational root is left as it is
     assert one.is_rational and one.value == 1
+
+
+def _reference_refine(coeffs, lo, hi, k):
+    """k halvings of (lo, hi) by the loop that signs the list at lo on
+    every step, as refine did before it kept that sign."""
+    for _ in range(k):
+        if lo == hi:
+            break
+        mid = (lo + hi) / 2
+        v = _usign(coeffs, mid)
+        if v == 0:
+            lo = hi = mid
+        elif _usign(coeffs, lo) * v < 0:
+            hi = mid
+        else:
+            lo = mid
+    return lo, hi
+
+
+def test_refine_signs_the_lower_end_once(monkeypatch):
+    calls = []
+    usign = arith._usign
+
+    def counted(cs, x):
+        calls.append(x)
+        return usign(cs, x)
+
+    monkeypatch.setattr(arith, "_usign", counted)
+    sqrt2 = AlgebraicNumber([Fraction(-2), 0, Fraction(1)], 1, 2)
+    for _ in range(20):
+        sqrt2.refine()
+    # one sign per midpoint, and the sign at lo once: it never changes
+    assert len(calls) <= 21
+    assert (sqrt2.lo, sqrt2.hi) == _reference_refine(sqrt2.coeffs, Fraction(1), Fraction(2), 20)
+    assert sqrt2.hi - sqrt2.lo == Fraction(1, 2 ** 20)
+
+
+# integer factors c1*x - c0 (a rational root) and c2*x^2 - c0 (two roots,
+# mostly irrational, or none)
+planted_factors = st.one_of(
+    st.tuples(st.integers(1, 5), st.integers(-9, 9)).map(lambda t: [-t[1], t[0]]),
+    st.tuples(st.integers(1, 3), st.integers(-3, 12)).map(lambda t: [-t[1], 0, t[0]]),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(planted_factors, min_size=1, max_size=4), st.integers(1, 24))
+def test_refine_matches_reference_halving(factors, k):
+    cs = [Fraction(1)]
+    for f in factors:
+        cs = _umul(cs, [Fraction(c) for c in f])
+    for root in uisolate(cs):
+        want = _reference_refine(root.coeffs, root.lo, root.hi, k)
+        # a fresh copy signs lo itself; the root keeps the sign that
+        # uisolate took while it narrowed the interval
+        for r in (root.copy(), root):
+            for _ in range(k):
+                r.refine()
+            assert (r.lo, r.hi) == want
 
 
 def test_equality_across_defining_polynomials():

@@ -11,6 +11,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import by_id
 import corpus
@@ -515,6 +516,39 @@ def _battery(text, n, seed):
 @pytest.mark.parametrize("text", GOLDEN)
 def test_membership_consistency(text):
     _battery(text, 120, seed=sum(map(ord, text)))
+
+
+# the monomials of total degree <= 2, as (x, y) exponents
+_QUADRATIC = ((0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2))
+_quadratics = st.lists(st.integers(-3, 3), min_size=6, max_size=6).filter(any).map(
+    lambda cs: Polynomial.make(("x", "y"), dict(zip(_QUADRATIC, cs))))
+_atoms = st.builds(Atom, _quadratics, st.sampled_from(["<", "<=", "=", ">=", ">"]))
+_clauses = st.one_of(
+    _atoms,
+    st.builds(Not, _atoms),
+    st.builds(lambda a, b: And((a, b)), _atoms, _atoms),
+    st.builds(lambda a, b: Or((a, b)), _atoms, _atoms),
+)
+_RADIUS_TWO = Atom(parse_polynomial("x^2+y^2-4", ("x", "y")), "<=")
+
+
+@settings(max_examples=20, deadline=None)
+@given(_clauses)
+def test_random_quadratic_formulas_decompose_and_locate(clause):
+    # at most two atoms of total degree <= 2 with coefficients in [-3, 3],
+    # inside the disk of radius 2: decompose must return, and every cell
+    # with an exactly rational sample must carry the flag contains_point
+    # gives there, and be the cell locate names
+    f = And((_RADIUS_TWO, clause))
+    dec = cad2d.decompose(f)
+    for cid, sp in dec.samples.items():
+        x, y = (v if isinstance(v, Fraction) else v.value if v.is_rational else None
+                for v in (sp.x, sp.y))
+        if x is None or y is None:
+            continue
+        point = (x if dec.shear is None else x + dec.shear * y, y)
+        assert cad2d.contains_point(f, point) == dec.ambient_cells[cid][1], (f, cid)
+        assert cad2d.locate(dec, point) == cid, (f, cid)
 
 
 def test_sign_vectors_constant_per_cell():

@@ -201,7 +201,8 @@ def test_analyze_malformed_is_exit_1(workdir, capsys):
     code, _, _ = run(capsys, "analyze", str(workdir / "missing.complex"))
     assert code == 1
     for extra, message in (("vertex a dim=0", "unknown record 'vertex'"),
-                           ("complex ambient=1 bounded=1", "duplicate complex header")):
+                           ("complex ambient=1 bounded=1", "duplicate complex header"),
+                           ("face e e", "face pair ('e', 'e') does not decrease dimension")):
         bad.write_text(INTERVAL + extra + "\n")
         assert run(capsys, "analyze", str(bad)) == (1, "", f"error: {message}\n")
 

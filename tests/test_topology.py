@@ -142,6 +142,11 @@ def test_loop_edge_rejected():
 def test_face_pairs_must_decrease_dimension():
     with pytest.raises(TopologyError):
         CellComplex(1, True, {"v": (0, True), "w": (0, True)}, [("v", "w")])
+    # a cell is not a face of itself: the same check refuses (v, v)
+    with pytest.raises(TopologyError) as info:
+        parse_complex("complex ambient=1 bounded=1\ncell v dim=0 inM=1\nface v v\n")
+    assert type(info.value) is TopologyError
+    assert str(info.value) == "face pair ('v', 'v') does not decrease dimension"
 
 
 def test_round_trip_is_byte_identical():
