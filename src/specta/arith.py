@@ -28,10 +28,10 @@ Conventions
 * Univariate coefficient lists are little-endian: ``cs[i]`` multiplies ``x**i``.
 * One remainder sequence in a variable v serves Q[..][v], the subresultant
   sequence of ``_subresultant_steps``.  ``resultant`` and ``discriminant``
-  track its scale and sign, so they equal the Sylvester determinant with
-  the rows of the first argument on top (``tests/test_arith.py`` keeps
-  that route as a reference); ``poly_gcd`` takes the primitive part of its
-  last nonzero element.
+  read the value off its last step with one sign and one exact division,
+  the Sylvester determinant with the rows of the first argument on top
+  (``tests/test_arith.py`` keeps that route as a reference); ``poly_gcd``
+  takes the primitive part of its last nonzero element.
 * ``content_and_primitive`` is the one content routine (the content in v
   is the gcd of the coefficients in v).  Gcds and square-free parts treat
   contents and primitive parts apart, so no factor free of v is lost.
@@ -927,11 +927,11 @@ def _subresultant_steps(a, b, one):
     with len(a) >= len(b) >= 2 (Brown & Traub); one is the unit of the
     coefficient ring.
 
-    Yields (a, b, r, divisor) per step, with r = prem(a, b) / divisor an
-    exact division by divisor = g h^(deg a - deg b), and goes on with
-    (b, r) until r is zero or constant.  r is proportional to the
-    subresultant of its degree, so the last nonzero b or r is a multiple
-    of the gcd of the inputs by a factor free of the variable.
+    Yields (a, b, r, h) per step and goes on with (b, r) until r is zero
+    or constant: r = prem(a, b) / (g h^d) for d = deg a - deg b, then g
+    becomes lc(b) and h becomes g^d / h^(d-1), an exact division.  r is
+    proportional to the subresultant of its degree, so the last nonzero b
+    or r is the gcd of the inputs times a factor free of the variable.
     """
     g = h = one
     while True:
@@ -940,59 +940,40 @@ def _subresultant_steps(a, b, one):
         divisor = g * h ** delta
         if r and divisor != one:
             r = [_poly_exact_div(c, divisor) for c in r]
-        yield a, b, r, divisor
-        if len(r) <= 1:
-            return
-        a, b, g = b, r, b[-1]
+        g = b[-1]
         if delta == 1:
             h = g
         elif delta > 1:
             h = _poly_exact_div(g ** delta, h ** (delta - 1))
+        yield a, b, r, h
+        if len(r) <= 1:
+            return
+        a, b = b, r
 
 
 def _resultant_prs(p: Polynomial, q: Polynomial, var) -> Polynomial:
-    """Resultant over the subresultant sequence, with exact sign and scale
-    bookkeeping.
-
-    Each step applies res(a, b) = (-1)^(m n) lc(b)^(m - r - (d+1) n)
-    divisor^n res(b, prem(a, b) / divisor), with m, n, r the degrees of a,
-    b and the remainder and d = m - n.  The collected factors are multiplied
-    out at the end with a single exact division, so the returned value equals
-    the Sylvester determinant of the inputs, sign included.
+    """Resultant read off the subresultant sequence (Cohen, Alg. 3.3.7):
+    the sign flips when inputs of odd degrees are swapped and at each step
+    whose a and b have odd degrees, and the value is r^n / h^(n-1) for the
+    last step's constant r, n the degree of its b and h the scale it yields.
+    It equals the Sylvester determinant of the inputs, sign included.
     """
     pa, qa = p._aligned(q)
     rest = tuple(v for v in pa.variables if v != var)
-    one = Polynomial.const(1, rest)
-
     a = _ptrim(pa.coeffs_in(var))
     b = _ptrim(qa.coeffs_in(var))
-    sign, num, den = 1, [], []
+    sign = 1
     if len(a) < len(b):
-        if ((len(a) - 1) * (len(b) - 1)) % 2 == 1:
-            sign = -sign
         a, b = b, a
-
-    for a, b, r, divisor in _subresultant_steps(a, b, one):
+        if (len(a) - 1) * (len(b) - 1) % 2:
+            sign = -sign
+    for a, b, r, h in _subresultant_steps(a, b, Polynomial.const(1, rest)):
         if not r:
             return Polynomial.const(0, rest)
-        m, n = len(a) - 1, len(b) - 1
-        if (m * n) % 2 == 1:
+        if (len(a) - 1) * (len(b) - 1) % 2:
             sign = -sign
-        e = m - (len(r) - 1) - (m - n + 1) * n
-        if e > 0:
-            num.append((b[-1], e))
-        elif e < 0:
-            den.append((b[-1], -e))
-        num.append((divisor, n))
-    num.append((r[0], n))  # res(b, r) = r^deg b for a constant r
-
-    out = one
-    for f, k in num:
-        if k:
-            out = out * f ** k
-    for f, k in den:
-        if k:
-            out = _poly_exact_div(out, f ** k)
+    n = len(b) - 1
+    out = _poly_exact_div(r[0] ** n, h ** (n - 1))
     return out if sign == 1 else -out
 
 

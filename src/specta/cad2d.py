@@ -19,7 +19,7 @@ x = alpha enters as the generator of a NumberField.  Both kinds go
 through the same coefficient-list engine of arith, and their sections are
 AlgebraicNumbers either way.  Every cut of a polynomial along a line, be it
 a vertical stack, a horizontal separator in adjacency certification or the
-re-slice of locate, goes through _slice.
+cut of locate, goes through _slice.
 
 A cell is (stack, level), named c<stack>_<level>.  Cells of the outer
 stacks 0 and 2n and the outer levels 0 and 2K of a stack are unbounded:
@@ -59,7 +59,6 @@ from .arith import (
     resultant,
     sturm_chain,
     sturm_count,
-    uisolate,
 )
 from .topology import CellComplex, restrict, serialize_complex
 
@@ -450,11 +449,6 @@ class SamplePoint:
     x: object
     y: object
 
-    def approx(self, width=Fraction(1, 1 << 20)):
-        ax = self.x if isinstance(self.x, Fraction) else self.x.approx(width)
-        ay = self.y if isinstance(self.y, Fraction) else self.y.approx(width)
-        return ax, ay
-
 
 @dataclass
 class Decomposition:
@@ -591,14 +585,16 @@ def locate(dec: Decomposition, point) -> str:
     if st.index % 2 == 1:
         # on a root line the stack sections are the curve heights themselves
         return f"c{st.index}_{_level(st.sections, py)}"
-    # inside a sector the curves must be re-sliced at the query x; their
-    # order matches the stack sections since no branches cross the sector
+    # no branches cross in a sector: with k branches of the curve cut at the
+    # query x at or below py (one Sturm chain), py is on branch k or above it
     if dec._curve is None:
         return f"c{st.index}_0"
-    heights = uisolate(_slice(dec._curve, "x", px))
-    if len(heights) != len(st.sections):  # pragma: no cover
+    cut = _trim(_slice(dec._curve, "x", px))
+    chain = sturm_chain(cut)
+    if sturm_count(chain, None, None) != len(st.sections):  # pragma: no cover
         raise CadError("curve family is not delineable over a sector")
-    return f"c{st.index}_{_level(heights, py)}"
+    k = sturm_count(chain, None, py)
+    return f"c{st.index}_{2 * k - 1 if _usign(cut, py) == 0 else 2 * k}"
 
 
 def _fmt_coord(v) -> str:

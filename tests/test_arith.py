@@ -413,6 +413,45 @@ def test_resultant_routes_agree_with_sympy(seed):
     assert to_sympy(mine) in (sp_res, sp.expand(-sp_res))
     assert to_sympy(discriminant(p, "y")) == sp.expand(sp.discriminant(to_sympy(p), SY))
 
+    # sparse pairs of y-degree up to 6: their sequences skip degrees, so the
+    # scale h of a step is g^d / h^(d-1) with d >= 2
+    def sparse_poly():
+        dy = rng.randint(2, 6)
+        terms = {(rng.randint(0, 2), rng.randint(0, dy - 1)): Fraction(rng.randint(-5, 5))
+                 for _ in range(rng.randint(1, 3))}
+        terms[(rng.randint(0, 2), dy)] = Fraction(rng.choice([-3, -2, -1, 1, 2, 3]))
+        return Polynomial.make(("x", "y"), terms)
+
+    p, q = sparse_poly(), sparse_poly()
+    assert resultant(p, q, "y") == sylvester_resultant(p, q, "y")
+    assert resultant(q, p, "y") == sylvester_resultant(q, p, "y")
+    assert to_sympy(discriminant(p, "y")) == sp.expand(sp.discriminant(to_sympy(p), SY))
+
+
+def _planted_gap_pair(b, s, t, c):
+    # q = b s + c and p = q t + b: the sequence of (p, q) drops from
+    # deg q to deg b >= 2, then ends on a constant remainder proportional to c
+    q = b * s + c
+    return q * t + b, q
+
+
+@pytest.mark.parametrize("b, s, t, c", [
+    (XY * YY ** 2 + 1, YY ** 2 + XY, YY + XY, XY + 2),
+    (2 * YY ** 2 - XY, XY * YY ** 2 + YY, YY - 1, Polynomial.const(3, ("x", "y"))),
+    (XY * YY ** 3 + YY - XY, (XY + 1) * YY ** 3 + 1, XY * YY + 1, XY),
+    ((XY - 1) * YY ** 2 + XY * YY, YY ** 3 - XY, 2 * YY + XY, XY ** 2 + 1),
+])
+def test_resultant_after_a_degree_gap_matches_sylvester(b, s, t, c):
+    p, q = _planted_gap_pair(b, s, t, c)
+    steps = list(arith._subresultant_steps(
+        _ptrim(p.coeffs_in("y")), _ptrim(q.coeffs_in("y")), Polynomial.const(1, ("x",))))
+    a_last, b_last, r_last, _ = steps[-1]
+    assert len(r_last) == 1 and len(b_last) - 1 == b.degree_in("y") >= 2
+    assert len(a_last) - len(b_last) >= 2
+    assert resultant(p, q, "y") == sylvester_resultant(p, q, "y")
+    assert resultant(q, p, "y") == sylvester_resultant(q, p, "y")
+    assert to_sympy(discriminant(p, "y")) == sp.expand(sp.discriminant(to_sympy(p), SY))
+
 
 # ---------------------------------------------------------------------------
 # gcd / square-free machinery

@@ -50,6 +50,11 @@ def _m_cells(dec):
     return {c for c in dec.complex.cells if dec.complex.in_m(c)}
 
 
+def _approx(sample):
+    """A sample point's coordinates as rationals within 2^-20 of it."""
+    return tuple(v if isinstance(v, Fraction) else v.approx() for v in (sample.x, sample.y))
+
+
 # ---------------------------------------------------------------------------
 # formulas and point membership
 
@@ -148,7 +153,7 @@ def test_disk_plus_boundary_point():
     assert dec.cell_count() == 19
     assert len(dec.complex.cells) == 7
     assert dec.ambient_cells["c3_1"] == (0, True)
-    assert dec.samples["c3_1"].approx() == (1, 0)
+    assert _approx(dec.samples["c3_1"]) == (1, 0)
     rho0, rho1, mlc = by_id.rho_sequence(dec.complex)
     assert rho1 == {"c3_1"}
     fp = topology.spectral_fingerprint(dec.complex)
@@ -188,7 +193,7 @@ def test_whisker_decomposition():
     assert fp.data.compact and fp.data.euler == 1
     assert fp.data.eta_count == 1
     assert by_id.eta_set(kept) == {"c5_1"}
-    assert dec.samples["c5_1"].approx() == (2, 0)
+    assert _approx(dec.samples["c5_1"]) == (2, 0)
     assert [b.dimension for b in fp.data.bricks] == [2, 1]
     assert fp.data.bricks[1].eta_count == 2
     hand = topology.spectral_fingerprint(corpus.disk_with_whisker())
@@ -662,6 +667,49 @@ def test_decomposition_text_is_pinned():
     assert got == PINNED_TEXT
 
 
+def _isolating_locate(dec, point):
+    """Reference route of locate: in a sector, isolate the roots of the
+    curve cut at the query x and place py among them."""
+    px, py = Fraction(point[0]), Fraction(point[1])
+    if dec.shear is not None:
+        px = px - dec.shear * py
+    st = dec._stacks[cad2d._level(dec._xroots, px)]
+    if st.index % 2 == 1:
+        return f"c{st.index}_{cad2d._level(st.sections, py)}"
+    if dec._curve is None:
+        return f"c{st.index}_0"
+    heights = arith.uisolate(cad2d._slice(dec._curve, "x", px))
+    assert len(heights) == len(st.sections)
+    return f"c{st.index}_{cad2d._level(heights, py)}"
+
+
+# half-integers, plus the legs of the Pythagorean points on the circles of
+# radius 1 and 1/2, so the rational heights of the atoms at these x put
+# query points exactly on a curve inside a sector
+_GRID_X = sorted({Fraction(k, 2) for k in range(-7, 8)}
+                 | {s * Fraction(n, d) for s in (1, -1)
+                    for n, d in ((3, 5), (4, 5), (3, 10), (2, 5))})
+
+
+@pytest.mark.parametrize("text", list(PINNED_TEXT))
+def test_locate_matches_isolating_reference(text):
+    dec = _dec(text)
+    atoms = [a.poly for a in cad2d.formula_atoms(parse_formula(text))]
+    on_curve = 0
+    for px in _GRID_X:
+        heights = {Fraction(k, 2) for k in range(-7, 8)}
+        for p in atoms:
+            cut = p.substitute({"x": px})
+            if not cut.is_constant():
+                heights.update(r.value for r in isolate_real_roots(cut) if r.is_rational)
+        for py in sorted(heights):
+            cid = cad2d.locate(dec, (px, py))
+            assert cid == _isolating_locate(dec, (px, py)), (px, py)
+            stack, level = map(int, cid[1:].split("_"))
+            on_curve += stack % 2 == 0 and level % 2 == 1
+    assert on_curve > 0 or text == EMPTY
+
+
 # decomposition_text prints neither the y-basis nor the projection, so a
 # change to the remainder sequences under them is pinned here: sha256 of
 # repr((basis texts, projection texts)); X_CONTENT has an atom with
@@ -781,7 +829,7 @@ def test_subdivision_preserves_cad_fingerprint():
 def test_samples_live_in_their_stack():
     dec = _dec(ANNULUS)
     for cid, sp in dec.samples.items():
-        x, y = sp.approx()
+        x, y = _approx(sp)
         # even stacks carry rational x, odd stacks sit on projection roots
         si = int(cid[1:].split("_")[0])
         if si % 2 == 0:
