@@ -288,12 +288,13 @@ class Brick:
 def local_dimension(K: CellComplex, cid, M=None) -> int:
     """Largest dimension of a cell of M whose closure contains cid (or cid itself).
 
-    M is the flagged set (K's inM cells by default) and must contain cid.
+    M is the flagged set of cell ids (K's inM cells by default), checked as
+    ``restrict`` checks it, and must contain cid.
     """
     c = K._index.get(str(cid))
     if c is None:
         raise TopologyError(f"unknown cell {cid!r}")
-    inside = K.flags.__getitem__ if M is None else (lambda b: K.ids[b] in M)
+    inside = K.flags.__getitem__ if M is None else _flagged(K, M).__contains__
     if not inside(c):
         raise NotInM(f"cell {cid!r} is not in M")
     return max([K.dims[b] for b in K._star[c] if inside(b)], default=K.dims[c])
@@ -380,15 +381,14 @@ def is_compact(K: CellComplex, subset=None) -> bool:
     inM (and inside the subset when one is given).  Boundedness comes from
     the header flag; for subsets of an unbounded complex this is
     conservative (a bounded subset of an unbounded complex reports false).
+    The subset is checked first, whatever the header says.
     """
-    if not K.bounded:
-        return False
     subset = _indices(K, subset)
     outside = [c for c in subset if not K.flags[c]]
     if outside:
         raise NotInM(f"subset cell {K.ids[min(outside)]!r} is not in M")
     # every subset cell is inM, so a face inside the subset is inM as well
-    return K._carrier(subset) <= subset
+    return K.bounded and K._carrier(subset) <= subset
 
 
 def core(K: CellComplex) -> CellComplex:
@@ -480,7 +480,7 @@ def _fingerprint(K: CellComplex, S):
     ) for b in found)
     data = FingerprintData(
         dim=max(map(K.dims.__getitem__, S)),
-        compact=is_compact(K, S),
+        compact=K.bounded and not rho[0],  # is_compact(K, S) for S inside M
         locally_compact=not rho[1],
         euler=_euler(K, S),
         components=_component_count(K, S),
@@ -499,11 +499,18 @@ def spectral_fingerprint(K: CellComplex) -> Fingerprint:
     """Fingerprints of M, of M minus eta(M) and of the core, as cell sets of K.
 
     The core set is M_lc minus eta(M_lc), with M_lc from the pass over M.
+    Each distinct set is fingerprinted once: M minus eta is M when eta(M)
+    is empty, and the core set is M minus eta(M) when rho1 is empty (then
+    M_lc = M); the core set is M only when both hold.  Each pass reads
+    compact off its rho0: bounded, and Cl(S) - S empty.
     """
     M = K._m()
     data, rho, found, eta = _fingerprint(K, M)
-    return Fingerprint(data=data, minus_eta=_fingerprint(K, M - eta)[0],
-                       core=_fingerprint(K, rho[2] - eta_set(K, rho[2]))[0],
+    rest = M - eta
+    minus_eta = _fingerprint(K, rest)[0] if eta else data
+    core_set = rho[2] - eta_set(K, rho[2]) if rho[1] else rest
+    core_data = minus_eta if core_set == rest else _fingerprint(K, core_set)[0]
+    return Fingerprint(data=data, minus_eta=minus_eta, core=core_data,
                        rho=rho, bricks=found, eta=eta)
 
 

@@ -206,6 +206,12 @@ def test_local_dimension_requires_membership():
         local_dimension(K, "v0")
     with pytest.raises(TopologyError):
         local_dimension(K, "nope")
+    # a given M is checked as a set of cell ids before cid is looked up in it
+    with pytest.raises(TopologyError, match=r"unknown cells: \['zz'\]"):
+        local_dimension(K, "e", {"zz"})
+    with pytest.raises(NotInM):
+        local_dimension(K, "v0", ["e"])
+    assert local_dimension(K, "v0", ["v0", "e"]) == 1
 
 
 def test_whisker_bricks():
@@ -288,13 +294,31 @@ def test_compactness_of_subset():
         by_id.is_compact(corpus.open_interval(), {"v0"})
 
 
+def _unbounded(K):
+    return parse_complex(serialize_complex(K).replace("bounded=1", "bounded=0"))
+
+
 def test_index_kernels_reject_what_is_not_a_cell_index():
-    K = corpus.closed_interval()
-    for kernel in (bricks, rho_sequence, eta_set, is_compact):
-        # a negative index would read another cell's tables
-        for bad in ({-1}, {len(K.ids)}, {"v0"}):
-            with pytest.raises(TopologyError):
-                kernel(K, bad)
+    closed = corpus.closed_interval()
+    for K in (closed, _unbounded(closed)):
+        for kernel in (bricks, rho_sequence, eta_set, is_compact):
+            # a negative index would read another cell's tables
+            for bad in ({-1}, {len(K.ids)}, {"v0"}):
+                with pytest.raises(TopologyError):
+                    kernel(K, bad)
+    # the subset is checked before the header's bounded flag is read
+    K = _unbounded(corpus.open_interval())
+    with pytest.raises(NotInM):
+        by_id.is_compact(K, {"v0"})
+    assert by_id.is_compact(K, {"e"}) is False
+
+
+def test_fingerprint_data_rejects_cells_outside_m():
+    # compact is read off rho0, so only the per-brick is_compact sees the cell
+    K = corpus.open_interval()
+    for M in ({"v0"}, {"v0", "e"}):
+        with pytest.raises(NotInM):
+            fingerprint_data(K, M)
 
 
 def test_core_of_closed_interval_is_open_interval():
