@@ -213,6 +213,8 @@ class Polynomial:
         return Polynomial(variables, terms)
 
     def __add__(self, other):
+        if not isinstance(other, _OPERANDS):
+            return NotImplemented
         a, b = self._aligned(other)
         terms = dict(a.terms)
         for e, c in b.terms.items():
@@ -225,14 +227,20 @@ class Polynomial:
         return Polynomial(self.variables, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
+        if not isinstance(other, _OPERANDS):
+            return NotImplemented
         a, b = self._aligned(other)
         return a + (-b)
 
     def __rsub__(self, other):
+        if not isinstance(other, _OPERANDS):
+            return NotImplemented
         a, b = self._aligned(other)
         return b + (-a)
 
     def __mul__(self, other):
+        if not isinstance(other, _OPERANDS):
+            return NotImplemented
         a, b = self._aligned(other)
         terms = {}
         for e1, c1 in a.terms.items():
@@ -343,6 +351,11 @@ class Polynomial:
 
     def __repr__(self):
         return f"Polynomial({self.to_text()!r})"
+
+
+# operands of Polynomial arithmetic; any other gets NotImplemented, so that
+# a type built over Polynomials can take the reflected operation
+_OPERANDS = (Polynomial, int, Fraction)
 
 
 def signed_sum(terms) -> str:

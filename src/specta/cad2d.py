@@ -42,6 +42,7 @@ from functools import cmp_to_key
 
 from . import _numfield as nf
 from .arith import (
+    AlgebraicNumber,
     ListSigns,
     Polynomial,
     _trim,
@@ -566,9 +567,11 @@ def decompose(formula) -> Decomposition:
 
 def _level(roots, v) -> int:
     """Place v among ordered roots: 2j+1 on roots[j], 2j just below it,
-    2*len(roots) above all of them."""
+    2*len(roots) above all of them.  Irrational roots are compared as
+    copies: real_compare narrows its arguments in place, and the roots are
+    the decomposition's own samples, which decomposition_text prints."""
     for j, r in enumerate(roots):
-        c = real_compare(v, r)
+        c = real_compare(v, r.copy() if isinstance(r, AlgebraicNumber) else r)
         if c == 0:
             return 2 * j + 1
         if c < 0:

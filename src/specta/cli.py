@@ -15,7 +15,6 @@ supplies the default working truncation; --truncation beats it.
 """
 
 import argparse
-import dataclasses
 import os
 import sys
 from fractions import Fraction
@@ -178,39 +177,12 @@ def _cmd_analyze(args):
 # -- compare ---------------------------------------------------------------
 
 
-def _field_diffs(a: FingerprintData, b: FingerprintData):
-    out = []
-    for fld in dataclasses.fields(FingerprintData):
-        if getattr(a, fld.name) != getattr(b, fld.name):
-            out.append(fld.name)
-    return out
-
-
 def _cmd_compare(args):
     K1 = parse_complex(_read(args.first))
     K2 = parse_complex(_read(args.second))
-    f1 = spectral_fingerprint(K1)
-    f2 = spectral_fingerprint(K2)
-    report = compare_fingerprints(f1, f2)
-
-    whole = []
-    for tag, a, b in (("M", f1.data, f2.data),
-                      ("M-eta", f1.minus_eta, f2.minus_eta),
-                      ("core", f1.core, f2.core)):
-        whole.extend(f"{tag}.{name}" for name in _field_diffs(a, b))
-    minus = [f"M-eta.{name}" for name in _field_diffs(f1.minus_eta, f2.minus_eta)]
-    core = [f"core.{name}" for name in _field_diffs(f1.core, f2.core)]
-    if not f1.data.compact:
-        svs = ["N non-compact"] + minus
-    else:
-        svs = list(minus)
-
-    rows = [
-        ("S", report.s, whole),
-        ("S*", report.s_star, minus),
-        ("S(N)~S*(M)", report.s_vs_s_star, svs),
-        ("beta*", report.beta_star, core),
-    ]
+    report = compare_fingerprints(spectral_fingerprint(K1), spectral_fingerprint(K2))
+    rows = [(channel, verdict, report.evidence[channel])
+            for channel, verdict in report.as_dict().items()]
     lines = []
     if args.format == "records":
         for channel, verdict, evidence in rows:

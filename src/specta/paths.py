@@ -15,14 +15,16 @@ data are always reported as "zero so far", never as exact.
 On top of the series sit formal paths (tuples of series generated by
 polynomials, rational functions, explicit coefficient lists, or the
 rapidly growing series sum n!*t^n, which is not algebraic over the
-rational functions) and a small tree language of semialgebraic
-expressions (polynomials, field operations, abs, sqrt).  Substituting a
-path into an expression yields the series of values along the path; its
-constant term is the limit at the basepoint.  The higher-level routines
-certify strict positivity under perturbation, extract compact-carrier
-data for a path sticking to its basepoint, build polynomial tube tests
-around a path, and separate the n! path from polynomially generated ones
-by a family of bounded quotients.
+rational functions) and semialgebraic expressions: a Polynomial, or an
+``SAFunction`` node (a field operation, abs or sqrt) whose operands are
+Polynomials or nodes, so a polynomial subtree is always a Polynomial and
+``parse_function`` returns one for text without general division, abs
+or sqrt.  Substituting a path into an expression yields the series of
+values along the path; its constant term is the limit at the basepoint.
+The higher-level routines certify strict positivity under perturbation,
+extract compact-carrier data for a path sticking to its basepoint, build
+polynomial tube tests around a path, and separate the n! path from
+polynomially generated ones by a family of bounded quotients.
 
 A path carries its working truncation (``FormalPath.default_trunc``), and
 every routine here evaluates at it; to work at another truncation T,
@@ -206,6 +208,18 @@ class PuiseuxSeries:
         if not self.coeffs:
             return None
         return self.coeffs[min(self.coeffs)]
+
+    def leading(self, what):
+        """(order, coefficient) of the leading term, or (math.inf, 0) for
+        the exact zero series.  Raises IndeterminateOrder, naming what was
+        asked for, when every known coefficient vanishes but the tail is
+        unknown."""
+        if self.coeffs:
+            n = min(self.coeffs)
+            return Fraction(n, self.ram), self.coeffs[n]
+        if self.exact:
+            return math.inf, Fraction(0)
+        raise IndeterminateOrder(f"{what} not determined at truncation {self.trunc}")
 
     def knows(self, exponent) -> bool:
         return self.exact or Fraction(exponent) < self.trunc
@@ -688,156 +702,112 @@ def serialize_path(path: FormalPath) -> str:
 # -- semialgebraic expression trees ----------------------------------------
 
 
+def _occurring(f) -> set:
+    """The variables that occur in an expression or a polynomial."""
+    if isinstance(f, SAFunction):
+        return f.variables()
+    if not f.terms:
+        return set()
+    return {v for v in f.variables if f.degree_in(v) > 0}
+
+
+def _value(f, env, cap) -> PuiseuxSeries:
+    """The series of an expression or a polynomial at the series in env."""
+    if isinstance(f, SAFunction):
+        return f.evaluate(env, cap)
+    return f.evaluate(env, PuiseuxSeries.zero())
+
+
+@dataclass(frozen=True)
 class SAFunction:
-    """Expression tree over path coordinates; nodes are polynomials,
-    field operations, abs and sqrt."""
+    """Expression node over path coordinates: ``op`` is one of + - * /
+    with two operands or abs, sqrt with one, and each operand is a
+    Polynomial or a node.  The operators only build nodes; a polynomial
+    subtree stays a Polynomial, folded by Polynomial's own arithmetic."""
 
-    def variables(self):
-        out = set()
-        self._collect(out)
-        return out
+    op: str
+    args: tuple
 
-    def _collect(self, out):
-        raise NotImplementedError
+    def variables(self) -> set:
+        return set().union(*map(_occurring, self.args))
 
-    def evaluate(self, env, cap):
-        raise NotImplementedError
+    def evaluate(self, env, cap) -> PuiseuxSeries:
+        vals = [_value(f, env, cap) for f in self.args]
+        if self.op == "abs":
+            return series_abs(vals[0])
+        if self.op == "sqrt":
+            return series_sqrt(vals[0], cap)
+        a, b = vals
+        if self.op == "+":
+            return a + b
+        if self.op == "-":
+            return a - b
+        if self.op == "*":
+            return a * b
+        if b.is_zero():
+            raise UnboundedAlongPath("denominator vanishes identically along the path")
+        return series_div(a, b, cap)
 
     def __add__(self, other):
-        if isinstance(self, SAPoly) and isinstance(other, SAPoly):
-            return SAPoly(self.poly + other.poly)
-        return SAAdd(self, other)
+        return SAFunction("+", (self, other))
+
+    def __radd__(self, other):
+        return SAFunction("+", (other, self))
 
     def __sub__(self, other):
-        if isinstance(self, SAPoly) and isinstance(other, SAPoly):
-            return SAPoly(self.poly - other.poly)
-        return SASub(self, other)
+        return SAFunction("-", (self, other))
+
+    def __rsub__(self, other):
+        return SAFunction("-", (other, self))
 
     def __mul__(self, other):
-        if isinstance(self, SAPoly) and isinstance(other, SAPoly):
-            return SAPoly(self.poly * other.poly)
-        return SAMul(self, other)
+        return SAFunction("*", (self, other))
+
+    def __rmul__(self, other):
+        return SAFunction("*", (other, self))
 
     def __neg__(self):
-        if isinstance(self, SAPoly):
-            return SAPoly(-self.poly)
-        return SASub(SAPoly(Polynomial.const(0, ())), self)
+        return SAFunction("-", (Polynomial.const(0, ()), self))
 
     def __pow__(self, n):
         if not isinstance(n, int) or n < 0:
             raise PathError("expression powers take non-negative integer exponents")
-        if isinstance(self, SAPoly):
-            return SAPoly(self.poly ** n)
         if n == 0:
-            return SAPoly(Polynomial.const(1, ()))
+            return Polynomial.const(1, ())
         out = self
         for _ in range(n - 1):
-            out = SAMul(out, self)
+            out = SAFunction("*", (out, self))
         return out
-
-
-@dataclass(frozen=True)
-class SAPoly(SAFunction):
-    poly: Polynomial
-
-    def _collect(self, out):
-        if not self.poly.terms:
-            return
-        for v in self.poly.variables:
-            if self.poly.degree_in(v) > 0:
-                out.add(v)
-
-    def evaluate(self, env, cap):
-        return self.poly.evaluate(env, PuiseuxSeries.zero())
-
-
-@dataclass(frozen=True)
-class _Binary(SAFunction):
-    a: SAFunction
-    b: SAFunction
-
-    def _collect(self, out):
-        self.a._collect(out)
-        self.b._collect(out)
-
-
-class SAAdd(_Binary):
-    def evaluate(self, env, cap):
-        return self.a.evaluate(env, cap) + self.b.evaluate(env, cap)
-
-
-class SASub(_Binary):
-    def evaluate(self, env, cap):
-        return self.a.evaluate(env, cap) - self.b.evaluate(env, cap)
-
-
-class SAMul(_Binary):
-    def evaluate(self, env, cap):
-        return self.a.evaluate(env, cap) * self.b.evaluate(env, cap)
-
-
-class SADiv(_Binary):
-    def evaluate(self, env, cap):
-        num, den = self.a.evaluate(env, cap), self.b.evaluate(env, cap)
-        if den.is_zero():
-            raise UnboundedAlongPath("denominator vanishes identically along the path")
-        return series_div(num, den, cap)
-
-
-@dataclass(frozen=True)
-class _Unary(SAFunction):
-    arg: SAFunction
-
-    def _collect(self, out):
-        self.arg._collect(out)
-
-
-class SAAbs(_Unary):
-    def evaluate(self, env, cap):
-        return series_abs(self.arg.evaluate(env, cap))
-
-
-class SASqrt(_Unary):
-    def evaluate(self, env, cap):
-        return series_sqrt(self.arg.evaluate(env, cap), cap)
 
 
 class _FnParser(_Parser):
     """Expression parser: the polynomial grammar plus general division
-    and the abs(...)/sqrt(...) calls, folding polynomial subtrees."""
-
-    _CALLS = {"abs": SAAbs, "sqrt": SASqrt}
+    and the abs(...)/sqrt(...) calls."""
 
     def _base(self):
-        tok = self._next()
-        if tok[0] == "num":
-            return SAPoly(Polynomial.const(Fraction(int(tok[1])), ()))
-        if tok[0] == "name":
-            node = self._CALLS.get(tok[1])
-            if node is not None:
-                nxt = self._peek()
-                if nxt[0] == "op" and nxt[1] == "(":
-                    self._next()
-                    inner = self._poly()
-                    self._expect_op(")")
-                    return node(inner)
-                self._error(tok[2], f"{tok[1]} needs a parenthesized argument")
-            return SAPoly(Polynomial.var(tok[1], (tok[1],)))
-        if tok[0] == "op" and tok[1] == "(":
-            p = self._poly()
-            self._expect_op(")")
-            return p
-        self._error(tok[2], "expected a number, a variable or a parenthesis")
+        tok = self._peek()
+        if tok[0] != "name" or tok[1] not in ("abs", "sqrt"):
+            return super()._base()
+        self._next()
+        nxt = self._peek()
+        if nxt[0] != "op" or nxt[1] != "(":
+            self._error(tok[2], f"{tok[1]} needs a parenthesized argument")
+        self._next()
+        inner = self._poly()
+        self._expect_op(")")
+        return SAFunction(tok[1], (inner,))
 
     def _divide(self, out, rhs, pos):
-        if not (isinstance(rhs, SAPoly) and rhs.poly.is_constant()):
-            return SADiv(out, rhs)
-        if rhs.poly.constant_value() == 0:
+        if not (isinstance(rhs, Polynomial) and rhs.is_constant()):
+            return SAFunction("/", (out, rhs))
+        if rhs.constant_value() == 0:
             self._error(pos, "division by the constant zero")
-        return out * SAPoly(Polynomial.const(1 / rhs.poly.constant_value(), ()))
+        return out * Polynomial.const(1 / rhs.constant_value(), ())
 
 
-def parse_function(text: str) -> SAFunction:
+def parse_function(text: str):
+    """An SAFunction, or a Polynomial when the text has no general
+    division, abs or sqrt."""
     parser = _FnParser(text)
     node = parser._poly()
     parser._expect_end()
@@ -882,20 +852,18 @@ def eval_on_path(f, alpha: FormalPath) -> PuiseuxSeries:
     truncation, the truncation is doubled once before the error
     surfaces.
     """
-    if isinstance(f, Polynomial):
-        f = SAPoly(f)
     try:
         return _eval_once(f, alpha)
     except IndeterminateDenominator:
         return _eval_once(f, FormalPath(alpha.parts, 2 * alpha.default_trunc))
 
 
-def _eval_once(f: SAFunction, alpha: FormalPath) -> PuiseuxSeries:
+def _eval_once(f, alpha: FormalPath) -> PuiseuxSeries:
     comps = alpha.series()
     env = {}
-    for name in f.variables():
+    for name in _occurring(f):
         env[name] = comps[_variable_slot(name, alpha.dimension)]
-    return f.evaluate(env, alpha.default_trunc)
+    return _value(f, env, alpha.default_trunc)
 
 
 def constant_term(f, alpha: FormalPath) -> Fraction:
@@ -959,23 +927,13 @@ def positivity_bound(polys, alpha: FormalPath) -> int:
     largest vanishing order along the path."""
     worst = Fraction(0)
     for p in polys:
-        s = eval_on_path(p, alpha)
-        if s.vanishes_so_far():
-            if s.exact:
-                raise NotPositiveOnPath(
-                    f"{p} vanishes identically along the path"
-                )
-            raise IndeterminateOrder(
-                f"order of {p} not determined at truncation {s.trunc}"
-            )
-        if s.leading_coefficient() < 0:
+        q, c = eval_on_path(p, alpha).leading(f"order of {p}")
+        if c == 0:
+            raise NotPositiveOnPath(f"{p} vanishes identically along the path")
+        if c < 0:
             raise NotPositiveOnPath(
-                f"{p} has negative leading coefficient "
-                f"{s.leading_coefficient()} along the path"
-            )
-        q = s.order()
-        if q > worst:
-            worst = q
+                f"{p} has negative leading coefficient {c} along the path")
+        worst = max(worst, q)
     return 1 + math.ceil(worst)
 
 
@@ -1004,27 +962,15 @@ def compact_carrier(alpha: FormalPath, polys, g=None, seed=0) -> CarrierData:
                 f"(order {sg.order()})"
             )
     k = positivity_bound(polys, alpha)
-    mu = []
-    diffs = []
-    for s in comps:
-        mu.append(_poly_below(s, k + 1))
-        diffs.append(PuiseuxSeries._make(
-            s.ram, {n: c for n, c in s.coeffs.items() if n > k}, s.trunc))
-    norm2 = PuiseuxSeries.zero()
-    for d in diffs:
-        lb = d.order_lower_bound()
-        if lb < k + 1:
-            raise PathError("truncation at degree k left a low-order tail")
-        norm2 = norm2 + d * d
-    if norm2.order_lower_bound() < 2 * (k + 1):
-        raise PathError("squared distance to the truncation is not in (t)^(2k+2)")
-    s0 = []
     for s in comps:
         if not s.knows(k + 1):
             raise IndeterminateOrder(
                 f"coefficient at t^{k + 1} not determined at truncation {s.trunc}"
             )
-        s0.append(s.coefficient(k + 1))
+    # with t^(k+1) known, each component minus its part below t^(k+1) has
+    # order above k, so the squared distance to mu lies in (t)^(2k+2)
+    mu = tuple(_poly_below(s, k + 1) for s in comps)
+    s0 = tuple(s.coefficient(k + 1) for s in comps)
     checked = 0
     for offset in _ball_grid(alpha.dimension, seed):
         sample = [v + d for v, d in zip(s0, offset)]
@@ -1038,7 +984,7 @@ def compact_carrier(alpha: FormalPath, polys, g=None, seed=0) -> CarrierData:
                     f"sampled tube path violates positivity of {p}"
                 )
         checked += 1
-    return CarrierData(k, tuple(mu), tuple(s0), checked)
+    return CarrierData(k, mu, s0, checked)
 
 
 def _ball_grid(m, seed):
@@ -1070,22 +1016,13 @@ class Neighborhood:
     ell: int
     k: int
     gamma: tuple
-    inner: SAFunction
-    window: SAFunction
+    inner: Polynomial
+    window: Polynomial
 
     def certificate(self, mu: FormalPath):
         """(member, inner leading coefficient, window leading coefficient)."""
-        leads = []
-        for fn in (self.inner, self.window):
-            s = eval_on_path(fn, mu)
-            if s.vanishes_so_far():
-                if s.exact:
-                    leads.append(Fraction(0))
-                    continue
-                raise IndeterminateOrder(
-                    f"tube test sign not determined at truncation {s.trunc}"
-                )
-            leads.append(s.leading_coefficient())
+        leads = [eval_on_path(fn, mu).leading("tube test sign")[1]
+                 for fn in (self.inner, self.window)]
         member = leads[0] > 0 and leads[1] > 0
         return member, leads[0], leads[1]
 
@@ -1119,8 +1056,8 @@ def neighborhood_element(alpha: FormalPath, ell: int, k: int) -> Neighborhood:
         along = _poly_below(s, ell + 2, names[0])
         xj = Polynomial.var(names[j], (names[j],))
         spread = spread + (xj - along) ** 2
-    inner = SAPoly(x1 ** (2 * ell + 2) - spread)
-    window = SAPoly(Polynomial.const(Fraction(1, k * k), ()) - x1 ** 2)
+    inner = x1 ** (2 * ell + 2) - spread
+    window = Polynomial.const(Fraction(1, k * k), ()) - x1 ** 2
     return Neighborhood(ell, k, tuple(gamma), inner, window)
 
 
@@ -1144,7 +1081,7 @@ def appendix_separator(k: int) -> SAFunction:
     x = Polynomial.var("x", ("x", "y"))
     y = Polynomial.var("y", ("x", "y"))
     num = (y - truncated_factorial(k).embed(("x", "y"))) ** 2
-    return SADiv(SAPoly(num), SAPoly(num + x ** (2 * k)))
+    return SAFunction("/", (num, num + x ** (2 * k)))
 
 
 @dataclass(frozen=True)

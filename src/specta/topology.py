@@ -37,7 +37,7 @@ id order, so parse -> serialize is byte-identical on canonical files.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 
 
@@ -526,12 +526,16 @@ class ComparisonReport:
     s_star       -- could the bounded-function rings be isomorphic
     s_vs_s_star  -- could S(first) be isomorphic to S*(second)
     beta_star    -- could the beta* remainders be homeomorphic
+    evidence     -- per channel, named as in as_dict, what rules it out: the
+                    differing FingerprintData fields tagged M, M-eta or core,
+                    and "N non-compact"; == and repr ignore it
     """
 
     s: str
     s_star: str
     s_vs_s_star: str
     beta_star: str
+    evidence: dict = field(default_factory=dict, compare=False, repr=False)
 
     def as_dict(self):
         return {"S": self.s, "S*": self.s_star,
@@ -548,13 +552,27 @@ def compare_spectral_types(K1: CellComplex, K2: CellComplex) -> ComparisonReport
     return compare_fingerprints(spectral_fingerprint(K1), spectral_fingerprint(K2))
 
 
+def _differences(tag, a: FingerprintData, b: FingerprintData):
+    return [f"{tag}.{fld.name}" for fld in fields(FingerprintData)
+            if getattr(a, fld.name) != getattr(b, fld.name)]
+
+
 def compare_fingerprints(f1: Fingerprint, f2: Fingerprint) -> ComparisonReport:
-    """compare_spectral_types on fingerprints already computed; f1 is N."""
-    s = CONSISTENT if f1 == f2 else RULED_OUT
-    s_star = CONSISTENT if f1.minus_eta == f2.minus_eta else RULED_OUT
-    s_vs = CONSISTENT if f1.data.compact and s_star == CONSISTENT else RULED_OUT
-    beta = CONSISTENT if f1.core == f2.core else RULED_OUT
-    return ComparisonReport(s=s, s_star=s_star, s_vs_s_star=s_vs, beta_star=beta)
+    """compare_spectral_types on fingerprints already computed; f1 is N.
+
+    A verdict is RULED_OUT exactly when its evidence is non-empty.
+    """
+    minus = _differences("M-eta", f1.minus_eta, f2.minus_eta)
+    core = _differences("core", f1.core, f2.core)
+    evidence = {
+        "S": _differences("M", f1.data, f2.data) + minus + core,
+        "S*": minus,
+        "S(N)~S*(M)": ([] if f1.data.compact else ["N non-compact"]) + minus,
+        "beta*": core,
+    }
+    s, s_star, s_vs, beta = (RULED_OUT if ev else CONSISTENT for ev in evidence.values())
+    return ComparisonReport(s=s, s_star=s_star, s_vs_s_star=s_vs, beta_star=beta,
+                            evidence=evidence)
 
 
 # ---------------------------------------------------------------------------

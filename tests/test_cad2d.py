@@ -585,6 +585,26 @@ def test_locate_hits_sections_and_vertices():
     assert cad2d.locate(dec, (5, 5)) == "c4_0"
 
 
+@pytest.mark.parametrize("text, points", [
+    # x-roots at -+sqrt(2/3) and -+1, -+sqrt(2)
+    ("x^2+2y^2<=2 OR 2x^2+y^2<=2",
+     [(-Fraction(816496580927726, 10**15), 0), (Fraction(8164965809, 10**10), 1),
+      (Fraction(-1414213562, 10**9), 0), (Fraction(14142135624, 10**10), 0)]),
+    # the root line x = 1 carries the sections y = -+sqrt(2)
+    ("x^2+y^2<=3 AND x<=1",
+     [(1, Fraction(1414213562, 10**9)), (1, Fraction(-14142135624, 10**10)),
+      (Fraction(17320508, 10**7), 0)]),
+])
+def test_locate_leaves_the_decomposition_text_alone(text, points):
+    # locate used to narrow the decomposition's own root intervals, which
+    # moved the samples decomposition_text prints
+    dec = cad2d.decompose(parse_formula(text))
+    before = cad2d.decomposition_text(dec)
+    for point in points:
+        cad2d.locate(dec, point)
+    assert cad2d.decomposition_text(dec) == before
+
+
 def test_locate_respects_shear_frame():
     dec = _dec(ARC)
     assert dec.ambient_cells[cad2d.locate(dec, (1, 1))][1]

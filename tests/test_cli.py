@@ -419,6 +419,7 @@ PINNED_REPORTS = {
     "analyze": "cbf3d0736bfbb01a4651457f909da6f6604e9d20062072c8ec542e79ec2897bd",
     "analyze --format records": "73b671c0bb420382fbe5d75c9c57ec40b3915fb316cb46b9e5bd90837cf20329",
     "compare": "064c3bc1f83b988813a2c61ee08a29ed58d9b8b024c941ee1f2c7a92dc9e12a3",
+    "compare --format records": "1dc4b4afad9b6e1efd9663cc90580f9b9f42625adb3c3a1944906ca7aaae13dc",
 }
 
 
@@ -432,6 +433,8 @@ def test_analyze_text_is_pinned(tmp_path, capsys):
         "analyze --format records": [["analyze", str(f), "--format", "records"]
                                      for f in files],
         "compare": [["compare", str(a), str(b)] for a, b in zip(files, files[1:])],
+        "compare --format records": [["compare", str(a), str(b), "--format", "records"]
+                                     for a, b in zip(files, files[1:])],
     }
     got = {}
     for mode, argvs in jobs.items():
@@ -662,6 +665,55 @@ def test_path_text_is_pinned(tmp_path, capsys):
                 digest.update(f"{argv}\n{code}\n{out}\n{err}\n".encode())
             got[f"{name} {fmt}"] = digest.hexdigest()
     assert got == PINNED_PATH_REPORTS
+
+
+# expression shapes the function parser folds into polynomials or keeps as
+# nodes, run through every action on the PIN_PATHS files and on a path whose
+# second component vanishes up to its truncation, where verdicts exit 3
+PIN_FN_PATHS = dict(PIN_PATHS, stuck="path m=2 T=4\npoly: t\ncoeffs: 5:1\n")
+PIN_FN_ACTIONS = [
+    ["order", "--component", "2"],
+    ["eval", "--fn", "-abs(x - y)"],
+    ["eval", "--fn", "abs(x)^0 + y"],
+    ["eval", "--fn", "(x/(1 + x))^3"],
+    ["eval", "--fn", "1/(1 + 1/(1 + x)) - 3/4 y"],
+    ["eval", "--fn", "2sqrt(x^2 + y^2) - sqrt(4x^2)", "--truncation", "10"],
+    ["eval", "--fn", "1/y"],
+    ["member", "--fn", "abs(y) - y"],
+    ["member", "--fn", "sqrt(y^2)/x - y/x", "--ideal", "p_alpha"],
+    ["member", "--fn", "y/x^5"],
+    ["bound", "--polys", "y, x + y"],
+    ["carrier", "--polys", "x, x + y"],
+    ["neighborhood", "--ell", "3", "--k", "2"],
+    ["separate", "--mu", "t, 2t^2", "--kmax", "4"],
+]
+PINNED_PATH_FUNCTIONS = "d6734e29a697e4d8e4f39e41106acf5cca9bf3240910936d3064bd8cafa610a0"
+
+
+def test_path_functions_are_pinned(tmp_path, capsys):
+    digest = hashlib.sha256()
+    codes = collections.Counter()
+    for name, text in PIN_FN_PATHS.items():
+        src = tmp_path / f"{name}.path"
+        src.write_text(text)
+        for fmt in ("human", "records"):
+            for argv in PIN_FN_ACTIONS:
+                code, out, err = run(capsys, "path", str(src), *argv, "--format", fmt)
+                codes[code] += 1
+                digest.update(f"{name} {fmt} {argv}\n{code}\n{out}\n{err}\n".encode())
+    assert codes[3] > 0 and codes[0] > codes[3]
+    assert digest.hexdigest() == PINNED_PATH_FUNCTIONS
+
+
+def test_path_carrier_short_truncation_is_exit_3(workdir, capsys):
+    # at T=2 the input used to be blamed (exit 1, "low-order tail")
+    for T in (2, 3):
+        src = workdir / f"short{T}.path"
+        src.write_text(f"path m=2 T={T}\ncoeffs: 1:1\ncoeffs: 1:1\n")
+        code, out, err = run(capsys, "path", str(src), "carrier", "--polys", "x")
+        assert (code, out) == (3, "")
+        assert err.startswith(
+            f"error: coefficient at t^3 not determined at truncation {T}; hint:")
 
 
 def test_path_normalization_violation_is_exit_2(workdir, capsys):

@@ -33,11 +33,7 @@ from specta.paths import (
     PathComponent,
     PathError,
     PuiseuxSeries,
-    SAAbs,
-    SADiv,
-    SAMul,
-    SAPoly,
-    SASqrt,
+    SAFunction,
     UnboundedAlongPath,
     appendix_separator,
     compact_carrier,
@@ -518,26 +514,53 @@ def test_reparametrized_factorial_serializes_as_coefficients():
 
 def test_parse_function_folds_polynomials():
     f = parse_function("(y - 2x^2)^2 / ((y - 2x^2)^2 + x^4)")
-    assert isinstance(f, SADiv)
-    assert isinstance(f.a, SAPoly) and isinstance(f.b, SAPoly)
-    assert f.a.poly.total_degree() == 4
+    assert f.op == "/" and all(isinstance(a, Polynomial) for a in f.args)
+    assert f.args[0].total_degree() == 4
 
 
 def test_parse_function_constant_division_stays_polynomial():
     f = parse_function("3/4 x - 1/2")
-    assert isinstance(f, SAPoly)
-    assert f.poly == parse_polynomial("3/4 x - 1/2")
+    assert isinstance(f, Polynomial)
+    assert f == parse_polynomial("3/4 x - 1/2")
 
 
 def test_parse_function_calls():
     f = parse_function("abs(x - y) + sqrt(x^2)")
     assert f.variables() == {"x", "y"}
-    g = parse_function("2abs(x)")
-    assert isinstance(g, SAMul)
+    x = parse_polynomial("x")
+    assert parse_function("2abs(x)") == \
+        SAFunction("*", (Polynomial.const(2), SAFunction("abs", (x,))))
     h = parse_function("1/(1 + 1/(1 + x))")
-    assert isinstance(h, SADiv) and isinstance(h.b.b, SADiv)
-    p = parse_function("(x/(1+x))^2")
-    assert isinstance(p, SAMul)
+    assert h.op == "/" and h.args[1].op == "+" and h.args[1].args[1].op == "/"
+    q = SAFunction("/", (x, 1 + x))
+    assert parse_function("(x/(1+x))^2") == SAFunction("*", (q, q))
+    assert parse_function("(x/(1+x))^3") == \
+        SAFunction("*", (SAFunction("*", (q, q)), q))
+
+
+def test_parse_function_negates_and_zero_powers_nodes():
+    a = SAFunction("abs", (parse_polynomial("x"),))
+    neg = parse_function("-abs(x)")
+    assert neg == SAFunction("-", (Polynomial.const(0), a))
+    assert eval_on_path(neg, path("t, 0")) == S([(1, -1)])
+    one = parse_function("abs(x)^0")
+    assert isinstance(one, Polynomial) and one == 1
+    assert eval_on_path(parse_function("y + abs(x)^0"), path("t, t^2")) == \
+        S([(0, 1), (2, 1)])
+    with pytest.raises(PathError, match="non-negative integer"):
+        a ** -1
+
+
+def test_polynomial_arithmetic_leaves_other_operands_to_them():
+    p = parse_polynomial("x + 1")
+    node = SAFunction("sqrt", (p,))
+    for method in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__"):
+        assert getattr(p, method)(node) is NotImplemented
+    assert p + node == SAFunction("+", (p, node))
+    assert p - node == SAFunction("-", (p, node))
+    assert p * node == SAFunction("*", (p, node))
+    with pytest.raises(TypeError):
+        p + "x"
 
 
 def test_parse_function_errors():
@@ -558,7 +581,8 @@ def test_parse_function_errors():
 
 
 # The per-term loops that Polynomial.evaluate replaced, kept as references:
-# the old Polynomial.substitute and the old SAPoly.evaluate.
+# the old Polynomial.substitute and the old evaluation of a polynomial at
+# series, which expression nodes now run on their Polynomial operands.
 def _ref_substitute(p, assignment):
     remaining = tuple(v for v in p.variables if v not in assignment)
     out = Polynomial.const(0, remaining)
@@ -578,7 +602,7 @@ def _ref_substitute(p, assignment):
     return out
 
 
-def _ref_sapoly_evaluate(poly, env):
+def _ref_series_evaluate(poly, env):
     total = PuiseuxSeries.zero()
     for exps, c in poly.terms.items():
         term = PuiseuxSeries.constant(c)
@@ -629,9 +653,11 @@ def test_evaluate_matches_the_per_term_loops(p, data):
     assert (got.variables, got.terms) == (ref.variables, ref.terms)
 
     env = {n: data.draw(_eval_series()) for n in names}
-    ref = _ref_sapoly_evaluate(p, env)
-    for got in (SAPoly(p).evaluate(env, None), p.evaluate(env, PuiseuxSeries.zero())):
-        assert (got.items(), got.trunc) == (ref.items(), ref.trunc)
+    ref = _ref_series_evaluate(p, env)
+    got = p.evaluate(env, PuiseuxSeries.zero())
+    assert (got.items(), got.trunc) == (ref.items(), ref.trunc)
+    got, ref = SAFunction("abs", (p,)).evaluate(env, None), series_abs(ref)
+    assert (got.items(), got.trunc) == (ref.items(), ref.trunc)
 
 
 def test_eval_polynomial_on_path():
@@ -713,14 +739,14 @@ def test_eval_homomorphism_laws():
         for _ in range(rng.randint(1, 3)):
             e = (rng.randint(0, 2), rng.randint(0, 2))
             terms[e] = F(rng.randint(-4, 4))
-        return SAPoly(Polynomial.make(names, terms))
+        return Polynomial.make(names, terms)
 
     def rand_tree(depth):
         if depth == 0 or rng.random() < 0.4:
             return rand_poly()
         op = rng.choice(["add", "mul", "abs"])
         if op == "abs":
-            return SAAbs(rand_tree(depth - 1))
+            return SAFunction("abs", (rand_tree(depth - 1),))
         a, b = rand_tree(depth - 1), rand_tree(depth - 1)
         return a + b if op == "add" else a * b
 
@@ -733,7 +759,7 @@ def test_eval_homomorphism_laws():
     for trial in range(200):
         f, g = rand_tree(2), rand_tree(2)
         alpha = paths[trial % len(paths)]
-        lhs = eval_on_path(SAMul(f, g), alpha)
+        lhs = eval_on_path(SAFunction("*", (f, g)), alpha)
         rhs = eval_on_path(f, alpha) * eval_on_path(g, alpha)
         assert _agree(lhs, rhs)
         lhs = eval_on_path(f + g, alpha)
@@ -750,6 +776,14 @@ def test_constant_term_examples():
 def test_constant_term_unbounded():
     with pytest.raises(UnboundedAlongPath):
         constant_term(parse_function("1/x"), path("t, t"))
+
+
+def test_constant_term_beyond_the_truncation():
+    # y/x^5 along (t, O(t^4)) is known only below t^-1
+    stuck = parse_path("path m=2 T=4\npoly: t\ncoeffs: 5:1")
+    with pytest.raises(IndeterminateOrder,
+                       match="^constant term not determined at truncation -1$"):
+        constant_term(parse_function("y/x^5"), stuck)
 
 
 def test_bounded_quotients_have_nonnegative_order():
@@ -796,6 +830,14 @@ def test_membership_up_to_truncation():
 
 
 # -- positivity bounds and carrier data ------------------------------------
+
+
+def test_leading_term_reader():
+    assert S([(F(3, 2), -2), (2, 1)], 4).leading("lead") == (F(3, 2), -2)
+    assert PuiseuxSeries.zero().leading("lead") == (math.inf, 0)
+    with pytest.raises(IndeterminateOrder,
+                       match="^lead not determined at truncation 5$"):
+        PuiseuxSeries.zero(5).leading("lead")
 
 
 def test_positivity_bound_values():
@@ -895,6 +937,19 @@ def test_neighborhood_accepts_close_perturbations():
             gamma_text = nb.gamma[1].to_text().replace("*", "")
             mu = path(f"t, {gamma_text} + {c} t^{ell + 2}")
             assert nb.contains(mu)
+
+
+def test_tube_verdicts_need_known_terms():
+    stuck = parse_path("path m=2 T=4\npoly: t\ncoeffs: 5:1")
+    with pytest.raises(IndeterminateOrder,
+                       match="^component 2 not determined below t\\^5$"):
+        neighborhood_element(stuck, 3, 2)
+    # along (t, O(t^2)) the inner test x^6 - (y - x^2)^2 is O(t^4)
+    nb = neighborhood_element(path("t, t^2"), 2, 1)
+    dark = parse_path("path m=2 T=2\npoly: t\ncoeffs: @e=1")
+    with pytest.raises(IndeterminateOrder,
+                       match="^tube test sign not determined at truncation 4$"):
+        nb.certificate(dark)
 
 
 def test_neighborhood_normalization_required():

@@ -399,6 +399,8 @@ def test_half_open_vs_open_interval_verdicts():
                                corpus.open_interval())
     assert r.as_dict() == {"S": "RULED_OUT", "S*": "CONSISTENT",
                            "S(N)~S*(M)": "RULED_OUT", "beta*": "CONSISTENT"}
+    assert r.evidence == {"S": ["M.euler", "M.eta_count", "M.bricks"], "S*": [],
+                          "S(N)~S*(M)": ["N non-compact"], "beta*": []}
 
 
 def test_half_open_vs_closed_interval_verdicts():
@@ -686,6 +688,20 @@ def test_corpus_comparison_symmetry():
         assert r1.s == r2.s
         assert r1.s_star == r2.s_star
         assert r1.beta_star == r2.beta_star
+
+
+def test_verdicts_are_read_off_their_evidence():
+    # reference verdicts: equal fingerprints, equal M-eta records, N compact
+    for A, B in zip(CORPUS, CORPUS[1:] + CORPUS[:1]):
+        f1, f2 = spectral_fingerprint(A), spectral_fingerprint(B)
+        r = compare_spectral_types(A, B)
+        want = {"S": f1 == f2, "S*": f1.minus_eta == f2.minus_eta,
+                "S(N)~S*(M)": f1.data.compact and f1.minus_eta == f2.minus_eta,
+                "beta*": f1.core == f2.core}
+        for channel, verdict in r.as_dict().items():
+            assert verdict == ("CONSISTENT" if want[channel] else "RULED_OUT")
+            assert (verdict == "RULED_OUT") == bool(r.evidence[channel])
+        assert ("N non-compact" in r.evidence["S(N)~S*(M)"]) == (not f1.data.compact)
 
 
 def test_corpus_verdict_implications():
