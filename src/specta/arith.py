@@ -267,7 +267,7 @@ class Polynomial:
 
     # -- evaluation and substitution --------------------------------------
 
-    def evaluate(self, values, zero=Fraction(0)):
+    def evaluate(self, values, zero=Fraction(0), outer=None):
         """Value with values[name] put for every variable that occurs.
 
         The values may lie in any ring that mixes with Fractions (Fractions,
@@ -275,18 +275,34 @@ class Polynomial:
         taken in order; each starts as zero + c and is multiplied by
         values[name] ** k in variable order.  Each variable keeps one row of
         powers, each formed once as the one below it times the value.
+
+        With ``outer`` a variable name, the powers of that variable are left
+        out of the terms: the terms are summed per exponent j of ``outer``
+        and each sum is multiplied once by values[outer] ** j.  The value is
+        the same; in a ring that tracks error bounds (truncated series) the
+        bound can be sharper, so the caller decides when to group.
         """
         rows = {}
-        out = zero
+
+        def power(name, k):
+            row = rows.setdefault(name, [values[name]])
+            while len(row) < k:
+                row.append(row[-1] * row[0])
+            return row[k - 1]
+
+        sums = {}
         for e, c in self.terms.items():
             term = zero + c
+            j = 0
             for name, k in zip(self.variables, e):
-                if k:
-                    row = rows.setdefault(name, [values[name]])
-                    while len(row) < k:
-                        row.append(row[-1] * row[0])
-                    term = term * row[k - 1]
-            out = out + term
+                if name == outer:
+                    j = k
+                elif k:
+                    term = term * power(name, k)
+            sums[j] = sums.get(j, zero) + term
+        out = sums.pop(0, zero)
+        for j, s in sums.items():
+            out = out + s * power(outer, j)
         return out
 
     def eval_at(self, assignment) -> Fraction:

@@ -6,11 +6,12 @@ truncation exponent T: the coefficients below T are exact, everything at
 or above T is unknown.  A series flagged exact (T is None) has no unknown
 tail at all.  Ring operations lift both operands to a common ramification
 once and work on integer exponents, cutting at the integer ceil(T*e);
-products stop at that cut instead of forming every pair, and they
-convolve integer numerators over one denominator per operand.  Every
-operation propagates the sharpest truncation it can certify, so a result
-is only ever as precise as its inputs allow, and zero tests on truncated
-data are always reported as "zero so far", never as exact.
+products stop at that cut instead of forming every pair, and products
+and long division run on integer numerators over one denominator per
+operand.  Every operation propagates the sharpest truncation it can
+certify, so a result is only ever as precise as its inputs allow, and
+zero tests on truncated data are always reported as "zero so far", never
+as exact.
 
 On top of the series sit formal paths (tuples of series generated by
 polynomials, rational functions, explicit coefficient lists, or the
@@ -382,11 +383,19 @@ def series_div(num: PuiseuxSeries, den: PuiseuxSeries, cap=None) -> PuiseuxSerie
         if num.exact:
             return PuiseuxSeries.zero()
         return PuiseuxSeries.zero(bound)
-    ram, remainder, den_coeffs = num._lift(den)
-    remainder = dict(remainder)
-    (d0, lead), *rest = sorted(den_coeffs.items())
+    ram, a, b = num._lift(den)
+    ea, eb = sorted(a), sorted(b)
+    ia, da = _over_common([a[n] for n in ea])
+    ib, db = _over_common([b[n] for n in eb])
+    # num = A/da and den = B/db over integers; after the i-th quotient term
+    # the remainder is kept as lead^i times the remainder of A by B, so the
+    # i-th term of A/B is its popped entry over lead^i
+    remainder = dict(zip(ea, ia))
+    d0, lead = eb[0], ib[0]
+    rest = list(zip(eb[1:], ib[1:]))
     cut = _cut(bound, ram)
     out = {}
+    scale = da
     exact = num.exact and den.exact
     while remainder:
         n = min(remainder)
@@ -394,8 +403,10 @@ def series_div(num: PuiseuxSeries, den: PuiseuxSeries, cap=None) -> PuiseuxSerie
         if shift >= cut:
             exact = False
             break
-        c = remainder.pop(n) / lead
-        out[shift] = c
+        c = remainder.pop(n)
+        scale *= lead
+        out[shift] = Fraction(c * db, scale)
+        remainder = {k: v * lead for k, v in remainder.items()}
         for nd, cd in rest:
             key = shift + nd
             val = remainder.get(key, 0) - c * cd
@@ -715,7 +726,27 @@ def _value(f, env, cap) -> PuiseuxSeries:
     """The series of an expression or a polynomial at the series in env."""
     if isinstance(f, SAFunction):
         return f.evaluate(env, cap)
-    return f.evaluate(env, PuiseuxSeries.zero())
+    return f.evaluate(env, PuiseuxSeries.zero(), _dense(f, env))
+
+
+def _dense(p: Polynomial, env):
+    """The coordinate to sum a polynomial's terms per power of, or None.
+
+    On a plane path whose other coordinate is an exact c*t^e with e != 0,
+    the powers of that monomial have pairwise distinct orders, so no
+    per-power sum cancels and every product keeps the truncation it has
+    term by term: grouping gives the same coefficients and truncation.
+    Elsewhere a grouped sum can cancel and report a sharper truncation.
+    """
+    names = _occurring(p)
+    if len(names) != 2:
+        return None
+    a, b = sorted(names)
+    for light, dense in ((a, b), (b, a)):
+        s = env[light]
+        if s.exact and len(s.coeffs) == 1 and 0 not in s.coeffs:
+            return dense
+    return None
 
 
 @dataclass(frozen=True)
@@ -749,22 +780,22 @@ class SAFunction:
         return series_div(a, b, cap)
 
     def __add__(self, other):
-        return SAFunction("+", (self, other))
+        return SAFunction("+", (self, _operand(other)))
 
     def __radd__(self, other):
-        return SAFunction("+", (other, self))
+        return SAFunction("+", (_operand(other), self))
 
     def __sub__(self, other):
-        return SAFunction("-", (self, other))
+        return SAFunction("-", (self, _operand(other)))
 
     def __rsub__(self, other):
-        return SAFunction("-", (other, self))
+        return SAFunction("-", (_operand(other), self))
 
     def __mul__(self, other):
-        return SAFunction("*", (self, other))
+        return SAFunction("*", (self, _operand(other)))
 
     def __rmul__(self, other):
-        return SAFunction("*", (other, self))
+        return SAFunction("*", (_operand(other), self))
 
     def __neg__(self):
         return SAFunction("-", (Polynomial.const(0, ()), self))
@@ -778,6 +809,11 @@ class SAFunction:
         for _ in range(n - 1):
             out = SAFunction("*", (out, self))
         return out
+
+
+def _operand(f):
+    """A node operand: rationals become constant Polynomials."""
+    return Polynomial.const(f, ()) if isinstance(f, (int, Fraction)) else f
 
 
 class _FnParser(_Parser):
@@ -960,6 +996,11 @@ def compact_carrier(alpha: FormalPath, polys, g=None, seed=0) -> CarrierData:
             raise PathError(
                 f"equation {g} does not vanish along the path "
                 f"(order {sg.order()})"
+            )
+        if not sg.exact:
+            raise IndeterminateOrder(
+                f"equation {g} vanishes along the path only up to "
+                f"truncation {sg.trunc}"
             )
     k = positivity_bound(polys, alpha)
     for s in comps:

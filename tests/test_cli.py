@@ -716,6 +716,18 @@ def test_path_carrier_short_truncation_is_exit_3(workdir, capsys):
             f"error: coefficient at t^3 not determined at truncation {T}; hint:")
 
 
+def test_path_carrier_equation_vanishing_up_to_truncation_is_exit_3(workdir, capsys):
+    # the t^9 term that puts (t, t^2 + t^9) off y = x^2 lies beyond T=8,
+    # so g vanishes only so far and is not known to hold on the path
+    src = workdir / "tail.path"
+    src.write_text("path m=2 T=8\npoly: t\ncoeffs: 2:1 9:1\n")
+    code, out, err = run(capsys, "path", str(src), "carrier", "--polys", "x, y",
+                         "--g", "y - x^2", "--truncation", "12")
+    assert (code, out) == (3, "")
+    assert err.startswith("error: equation -x^2 + y vanishes along the path only"
+                          " up to truncation 8; hint:")
+
+
 def test_path_normalization_violation_is_exit_2(workdir, capsys):
     skew = workdir / "skew.path"
     skew.write_text("path m=2 T=32\npoly: t + t^2\npoly: t\n")

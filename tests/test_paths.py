@@ -35,6 +35,7 @@ from specta.paths import (
     PuiseuxSeries,
     SAFunction,
     UnboundedAlongPath,
+    _value,
     appendix_separator,
     compact_carrier,
     constant_term,
@@ -385,6 +386,30 @@ def test_division_by_negative_fractional_order():
     assert _agree(out * den, PuiseuxSeries.constant(1).truncated(2))
 
 
+def _same_as_reference_division(num, den, cap):
+    got, ref = series_div(num, den, cap), _ref_div(num, den, cap)
+    assert (got.items(), got.trunc) == (ref.items(), ref.trunc)
+    return got
+
+
+def test_division_on_integers_with_a_non_unit_leading_coefficient():
+    # the integer remainder is scaled by a power of the lead 3/7's numerator
+    den = S([(F(1, 2), F(3, 7)), (1, F(-2, 5)), (F(5, 2), 4)])
+    num = S([(F(1, 2), F(1, 3)), (F(3, 2), F(-5, 2)), (3, 7)], F(15, 2))
+    out = _same_as_reference_division(num, den, 10)
+    assert out.ram == 2 and out.trunc == 7 and not out.exact
+    assert out.leading_coefficient() == F(7, 9)
+
+
+def test_division_of_the_separator_on_the_factorial_path():
+    alpha = FormalPath.factorial_path(64)
+    comps = alpha.series()
+    env = {"x": comps[0], "y": comps[1]}
+    num, den = (_value(f, env, alpha.default_trunc) for f in appendix_separator(12).args)
+    out = _same_as_reference_division(num, den, alpha.default_trunc)
+    assert out.order() == 2 and len(out.coeffs) == 40
+
+
 def test_fractional_truncation_cut_over_ramification_two():
     s = PuiseuxSeries(2, {0: 1, 1: 1, 2: 1, 3: 1}, F(4, 3))
     assert s.items() == ((F(0), F(1)), (F(1, 2), F(1)), (F(1), F(1)))
@@ -563,6 +588,20 @@ def test_polynomial_arithmetic_leaves_other_operands_to_them():
         p + "x"
 
 
+def test_node_operators_take_rational_operands():
+    # rationals become constant Polynomials, so the node evaluates like the
+    # parsed text
+    a = parse_function("abs(x)")
+    doubled, shifted = 2 * a, a + F(1, 2)
+    assert doubled == parse_function("2*abs(x)")
+    assert shifted == parse_function("abs(x) + 1/2")
+    assert a - 1 == parse_function("abs(x) - 1")
+    assert 1 - a == parse_function("1 - abs(x)")
+    alpha = FormalPath.from_polynomials("t, t")
+    assert eval_on_path(doubled, alpha) == S([(1, 2)])
+    assert eval_on_path(shifted, alpha) == S([(0, F(1, 2)), (1, 1)])
+
+
 def test_parse_function_errors():
     with pytest.raises(ExprError, match="division by the constant zero"):
         parse_function("x/0")
@@ -658,6 +697,74 @@ def test_evaluate_matches_the_per_term_loops(p, data):
     assert (got.items(), got.trunc) == (ref.items(), ref.trunc)
     got, ref = SAFunction("abs", (p,)).evaluate(env, None), series_abs(ref)
     assert (got.items(), got.trunc) == (ref.items(), ref.trunc)
+
+
+@st.composite
+def _plane_path(draw):
+    """Series for x and y: one an exact c*t^(n/ram) with n != 0, the other
+    from _eval_series."""
+    ram = draw(st.integers(1, 3))
+    n = draw(st.integers(-3, 3).filter(bool))
+    c = draw(_SMALL_Q.filter(bool))
+    light = draw(st.sampled_from("xy"))
+    dense = "y" if light == "x" else "x"
+    return {light: PuiseuxSeries(ram, {n: c}), dense: draw(_eval_series())}, dense
+
+
+@settings(max_examples=150, deadline=None)
+@given(terms=st.dictionaries(st.tuples(st.integers(0, 3), st.integers(0, 3)),
+                             _SMALL_Q, max_size=8),
+       plane=_plane_path())
+def test_grouping_by_the_dense_coordinate_matches_the_per_term_loop(terms, plane):
+    # with the other coordinate an exact monomial, summing per power of the
+    # dense one keeps every coefficient and the truncation of the term loop
+    p = Polynomial.make(("x", "y"), terms)
+    env, dense = plane
+    ref = _ref_series_evaluate(p, env)
+    want = (ref.items(), ref.trunc)
+    zero = PuiseuxSeries.zero()
+    for got in (p.evaluate(env, zero), p.evaluate(env, zero, dense), _value(p, env, None)):
+        assert (got.items(), got.trunc) == want
+
+
+def test_grouping_is_refused_off_the_plane_normal_form():
+    # grouped by y, x*y - x^2*y = (x - x^2)*y reads O(t^11); term by term,
+    # as the reference, it reads O(t^3), and evaluation must keep that
+    p = parse_polynomial("x*y - x^2*y", ("x", "y"))
+    env = {"x": S([(0, 1)], 10), "y": S([(1, 1), (2, 1)], 3)}
+    grouped = p.evaluate(env, PuiseuxSeries.zero(), "y")
+    assert grouped.vanishes_so_far() and grouped.trunc == 11
+    got, ref = _value(p, env, None), _ref_series_evaluate(p, env)
+    assert got.vanishes_so_far() and got.trunc == 3
+    assert (got.items(), got.trunc) == (ref.items(), ref.trunc)
+    # an exact constant is a monomial of order 0: grouped by y, the same
+    # polynomial at x = 1 cancels to the exact zero
+    env["x"] = PuiseuxSeries.constant(1)
+    assert p.evaluate(env, PuiseuxSeries.zero(), "y").is_zero()
+    got, ref = _value(p, env, None), _ref_series_evaluate(p, env)
+    assert (got.items(), got.trunc) == (ref.items(), ref.trunc)
+    assert got.trunc == 3
+
+
+def test_eval_multiplies_each_power_of_the_dense_coordinate_once(monkeypatch):
+    # along (t, sum n! t^n) the separator's polynomials are summed per power
+    # of y; summed term by term, the same evaluation forms 26 products and 66
+    # sums with an operand of more than 20 stored terms
+    big = {"mul": 0, "add": 0}
+    mul, add = PuiseuxSeries.__mul__, PuiseuxSeries.__add__
+
+    def counted(op, fn):
+        def wrapper(self, other):
+            if max(len(self.coeffs), len(getattr(other, "coeffs", ()))) > 20:
+                big[op] += 1
+            return fn(self, other)
+        return wrapper
+
+    monkeypatch.setattr(PuiseuxSeries, "__mul__", counted("mul", mul))
+    monkeypatch.setattr(PuiseuxSeries, "__add__", counted("add", add))
+    s = eval_on_path(appendix_separator(12), FormalPath.factorial_path(64))
+    assert s.order() == 2
+    assert big["mul"] <= 6 and big["add"] <= 6
 
 
 def test_eval_polynomial_on_path():
