@@ -18,10 +18,14 @@ and rational multiples cannot raise the degree, so they leave their
 representatives unreduced; every read of a representative (``sign``,
 ``interval``, ``inverse``) reduces it first, which also keeps elements
 built before the field narrowed itself correct.  Products, reductions,
-interval Horner and the Horner sign of a list over the field at a
-rational (``FieldElement.list_sign_at``) run on integer numerators over
-one positive denominator (a list gets there through
-``arith._over_common``): every result is the exact rational one.
+inverses, interval Horner and the Horner sign of a list over the field
+at a rational (``FieldElement.list_sign_at``) run on integer numerators
+over one positive denominator: every result is the exact rational one.
+An element holds its representative in that integer form
+(``FieldElement.nums`` over ``den``), so sums, products and a list
+signed at many rationals never build a Fraction per coefficient; an
+inverse comes from the integer extended gcd (``arith._ext_gcd``) of
+that form with the defining list.
 
 An element offers only what the engine calls: ``+``, ``-`` and ``*``
 with elements and rationals on either side, ``inverse``, ``sign``,
@@ -36,7 +40,7 @@ root over Q.  cad2d lifts its stacks through the names ``ymul``,
 """
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from .arith import (
     AlgebraicNumber,
@@ -141,14 +145,11 @@ class NumberField:
                 break
             tries -= 1
             a.refine()
-        return usign_at([Fraction(c, den) for c in nums], a)
-
-    def reduce(self, coeffs):
-        r, den = self._remainder(*_over_common(coeffs))
-        return [Fraction(c, den) for c in r]
+        return usign_at(nums, a)  # den > 0 moves no sign
 
     def element(self, coeffs) -> "FieldElement":
-        return FieldElement(self, tuple(self.reduce([Fraction(c) for c in coeffs])))
+        nums, den = _over_common([Fraction(c) for c in coeffs])
+        return FieldElement._of(self, *self._remainder(nums, den))
 
     def generator(self) -> "FieldElement":
         return self.element([0, 1])
@@ -163,7 +164,7 @@ class NumberField:
     def _shrink(self, new_coeffs):
         new_coeffs = _uint_primitive(_trim(new_coeffs))
         if _udeg(new_coeffs) == 1:
-            v = -new_coeffs[0] / new_coeffs[1]
+            v = Fraction(-new_coeffs[0], new_coeffs[1])
             self.alpha = AlgebraicNumber(new_coeffs, v, v)
         else:
             self.alpha = AlgebraicNumber(new_coeffs, self.alpha.lo, self.alpha.hi)
@@ -174,31 +175,55 @@ class NumberField:
 
 class FieldElement:
     """Value in Q(alpha), held as a polynomial representative that
-    products reduce and sums do not (see the module docstring)."""
+    products reduce and sums do not (see the module docstring).
 
-    __slots__ = ("field", "coeffs")
+    The representative is ``nums`` over ``den``: integer numerators over
+    one positive denominator that share no factor with them, the pair
+    ``arith._over_common`` gives for its coefficients.
+    """
+
+    __slots__ = ("field", "nums", "den")
 
     def __init__(self, field: NumberField, coeffs):
         self.field = field
-        self.coeffs = tuple(coeffs)
+        self.nums, self.den = _over_common(coeffs)
+
+    @classmethod
+    def _of(cls, field, nums, den):
+        """The element nums/den, den > 0, with common factors divided out."""
+        g = gcd(den, *nums)
+        if g > 1:
+            nums, den = [c // g for c in nums], den // g
+        e = object.__new__(cls)
+        e.field, e.nums, e.den = field, nums, den
+        return e
+
+    @property
+    def coeffs(self):
+        """The representative's coefficients as Fractions."""
+        return tuple(Fraction(c, self.den) for c in self.nums)
 
     def __add__(self, other):
-        a = self.coeffs
         if isinstance(other, FieldElement):
-            b = other.coeffs
-            if len(a) < len(b):
-                a, b = b, a
-            return FieldElement(self.field, tuple(x + y for x, y in zip(a, b)) + a[len(b):])
-        if isinstance(other, (int, Fraction)):
-            if not a:
-                return FieldElement(self.field, (Fraction(other),))
-            return FieldElement(self.field, (a[0] + other,) + a[1:])
-        return NotImplemented
+            b, db = other.nums, other.den
+        elif isinstance(other, (int, Fraction)):
+            b, db = [other.numerator], other.denominator
+        else:
+            return NotImplemented
+        a, da = self.nums, self.den
+        den = lcm(da, db)
+        ka, kb = den // da, den // db
+        if len(a) < len(b):
+            a, ka, b, kb = b, kb, a, ka
+        nums = [c * ka for c in a]
+        for i, c in enumerate(b):
+            nums[i] += c * kb
+        return FieldElement._of(self.field, nums, den)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return FieldElement(self.field, tuple(-c for c in self.coeffs))
+        return FieldElement._of(self.field, [-c for c in self.nums], self.den)
 
     def __sub__(self, other):
         if isinstance(other, (FieldElement, int, Fraction)):
@@ -210,12 +235,11 @@ class FieldElement:
 
     def __mul__(self, other):
         if isinstance(other, FieldElement):
-            a, da = _over_common(self.coeffs)
-            b, db = _over_common(other.coeffs)
-            r, den = self.field._remainder(_umul(a, b), da * db)
-            return FieldElement(self.field, tuple(Fraction(c, den) for c in r))
+            r, den = self.field._remainder(_umul(self.nums, other.nums), self.den * other.den)
+            return FieldElement._of(self.field, r, den)
         if isinstance(other, (int, Fraction)):
-            return FieldElement(self.field, tuple(c * other for c in self.coeffs))
+            return FieldElement._of(self.field, [c * other.numerator for c in self.nums],
+                                    self.den * other.denominator)
         return NotImplemented
 
     __rmul__ = __mul__
@@ -232,7 +256,7 @@ class FieldElement:
         """Sign of the value at alpha: certified by an interval on alpha's
         box, with the exact ``usign_at`` as the zero test (see
         ``NumberField.sign_of``)."""
-        return self.field.sign_of(*_over_common(self.coeffs))
+        return self.field.sign_of(self.nums, self.den)
 
     def list_sign_at(self, cs, x) -> int:
         """Sign at a rational x of a coefficient list whose entries are
@@ -245,7 +269,7 @@ class FieldElement:
         acc, den = [], 1
         for c in reversed(cs):
             if isinstance(c, FieldElement):
-                nums, e = _over_common(c.coeffs)
+                nums, e = c.nums, c.den
             else:
                 nums, e = [c.numerator], c.denominator
             # acc/den * x + nums/e, over den * d * e
@@ -260,38 +284,39 @@ class FieldElement:
         return self.sign() != 0
 
     def inverse(self) -> "FieldElement":
+        """1/value, from the extended gcd of the integer representative
+        with the defining list; a gcd of positive degree splits the field
+        and the loop runs again in the narrowed field."""
         field = self.field
-        a = field.alpha
-        if a.is_rational:
-            v = _ueval(field.reduce(self.coeffs), a.value)
-            if v == 0:
-                raise ZeroDivisionError("inverse of zero field element")
-            return field.element([1 / v])
         while True:
-            rep = field.reduce(self.coeffs)
-            if not rep:
+            nums, den = field._remainder(self.nums, self.den)
+            a = field.alpha
+            if not nums or a.is_rational and not _usign(nums, a.value):
                 raise ZeroDivisionError("inverse of zero field element")
-            g, s = _ext_gcd(rep, field.alpha.coeffs)
+            if a.is_rational:
+                return field.element([den / _ueval(nums, a.value)])
+            g, s = _ext_gcd(nums, a.coeffs)
             if _udeg(g) == 0:
-                return field.element([c / g[0] for c in s])
+                # s/g[0] inverts nums, so den*s/g[0] inverts nums/den; s is
+                # reduced, its degree being below the defining list's
+                k = den / g[0]
+                return FieldElement(field, [c * k for c in s])
             if field._root_of(g):
                 # the representative vanishes at alpha after all
                 field._shrink(g)
                 raise ZeroDivisionError("inverse of zero field element")
-            cof, r = _udivmod(field.alpha.coeffs, g)
+            cof, r = _udivmod(a.coeffs, g)
             assert not r
             field._shrink(cof)
-            if field.alpha.is_rational:
-                return self.inverse()
 
     def interval(self):
         """Rational interval containing the value, from the current alpha interval."""
-        nums, den = self.field._remainder(*_over_common(self.coeffs))
+        nums, den = self.field._remainder(self.nums, self.den)
         if not nums:
             return (Fraction(0), Fraction(0))
         a = self.field.alpha
         if a.is_rational:
-            v = _ueval([Fraction(c, den) for c in nums], a.value)
+            v = _ueval(nums, a.value) / den
             return (v, v)
         lo, hi, scale = _box_value(nums, a)
         return Fraction(lo, den * scale), Fraction(hi, den * scale)

@@ -6,8 +6,13 @@ univariate engine for little-endian coefficient lists: division, gcd,
 square-free part, Sturm chains and root counts on (a, b], root isolation
 and sign at a real algebraic point.  That engine takes entries in Q or in
 Q(alpha) (field elements of ``_numfield``), so roots over both come back
-as the same ``AlgebraicNumber``.  All operations are pure and exact; no
-floating point enters any decision.
+as the same ``AlgebraicNumber``.  A list with only rational entries runs
+on integer numerators over one denominator: division, gcds, square-free
+parts, Sturm chains and Horner values go through integer kernels
+(``_idivmod``, ``_iprs``, ``_ihorner``), and a Fraction is built only per
+output coefficient that a caller reads.  Only a list that holds a field
+element takes the Fraction and field arithmetic of its entries.  All
+operations are pure and exact; no floating point enters any decision.
 
 Values go into polynomials two ways only: ``Polynomial.evaluate`` is the
 one multivariate evaluator (``eval_at``, ``substitute`` and the series
@@ -45,7 +50,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil, floor, gcd, lcm
+from itertools import zip_longest
+from math import ceil, gcd, lcm
 
 
 class ArithError(ValueError):
@@ -61,23 +67,32 @@ class ZeroPolynomialError(ArithError):
 
 
 def simplest_between(a: Fraction, b: Fraction) -> Fraction:
-    """Rational with the smallest denominator in the closed interval [a, b]."""
+    """Rational with the smallest denominator in the closed interval [a, b].
+
+    The continued-fraction walk on integer numerators and denominators:
+    while no integer lies in [a, b], both ends share their integer part
+    f, which is set aside while the walk goes on in [1/(b - f), 1/(a - f)].
+    """
     if a > b:
         raise ArithError("empty interval")
     if a == b:
         return a
-    fa = Fraction(floor(a))
-    if fa + 1 <= b:
-        lo_int = ceil(a)
-        hi_int = floor(b)
-        if lo_int <= 0 <= hi_int:
-            return Fraction(0)
-        return Fraction(lo_int if lo_int > 0 else hi_int)
-    if fa == a:
-        return a
-    # both endpoints lie strictly between fa and fa + 1
-    inner = simplest_between(1 / (b - fa), 1 / (a - fa))
-    return fa + 1 / inner
+    an, ad, bn, bd = a.numerator, a.denominator, b.numerator, b.denominator
+    heads = []
+    while True:
+        f = an // ad
+        if (f + 1) * bd <= bn:
+            lo_int, hi_int = -(-an // ad), bn // bd
+            p, q = 0 if lo_int <= 0 <= hi_int else lo_int if lo_int > 0 else hi_int, 1
+            break
+        if f * ad == an:
+            p, q = an, ad
+            break
+        heads.append(f)
+        an, ad, bn, bd = bd, bn - f * bd, ad, an - f * ad
+    for f in reversed(heads):
+        p, q = f * p + q, p
+    return Fraction(p, q)
 
 
 def _over_common(cs):
@@ -404,10 +419,20 @@ def signed_sum(terms) -> str:
 #
 # One engine serves both coefficient domains.  Lists are little-endian and
 # their entries are Fractions or FieldElements of one Q(alpha); rationals
-# may mix in.  Only _sign, _inverse, _interval, _usign and the choice of
-# rational certification in uisolate look at an entry's type.
+# may mix in.  A list whose entries are all rational runs on integer
+# numerators over one denominator (``_over_common``) through the integer
+# kernels _ihorner, _idivmod and _iprs, and a Fraction is built only per
+# output coefficient that a caller reads.  A list that holds a field
+# element takes the field route of the same routine.  Only _rational,
+# _sign, _inverse, _interval, _usign and the choice of rational
+# certification in uisolate look at an entry's type.
 # A zero test or a sign of a field element is a sign computation at alpha,
 # so the routines below make no zero test the algorithm does not need.
+
+
+def _rational(*lists) -> bool:
+    """Whether every entry of the lists is an int or a Fraction."""
+    return all(isinstance(c, (int, Fraction)) for cs in lists for c in cs)
 
 
 def _sign(x) -> int:
@@ -438,9 +463,25 @@ def _udeg(cs):
     return len(cs) - 1
 
 
+def _ihorner(nums, x) -> int:
+    """d^deg times the value at x = n/d of an integer list: the sum of
+    nums[i] n^i d^(deg-i), by Horner on bare integers."""
+    n, d = x.numerator, x.denominator
+    acc, dk = 0, 1
+    for c in reversed(nums):
+        acc = acc * n + c * dk
+        dk *= d
+    return acc
+
+
 def _ueval(cs, x):
-    """Horner value at x.  For x the generator of Q(alpha) this is the
-    element that a rational list represents."""
+    """Horner value at x.  A rational list at a rational x is summed on
+    integer numerators (``_ihorner``) into one Fraction.  For x the
+    generator of Q(alpha) this is the element that a rational list
+    represents."""
+    if isinstance(x, (int, Fraction)) and _rational(cs):
+        nums, den = _over_common(cs)
+        return Fraction(_ihorner(nums, x), den * x.denominator ** max(len(cs) - 1, 0))
     out = x * 0
     for c in reversed(cs):
         out = out * x + c
@@ -451,17 +492,23 @@ def _usign(cs, x) -> int:
     """Sign of a coefficient list at a rational x.
 
     Rational entries are summed by Horner on bare integers, with no gcd
-    taken: num/den is the value so far and den stays positive, so num
+    taken: num * d / dk is the value so far, dk > 0 collecting the powers
+    of x's denominator d and the denominators of Fraction entries, so num
     carries the sign.  A list with a field element in it is handed to
     that element's ``list_sign_at``.
     """
     n, d = x.numerator, x.denominator
-    num, den = 0, 1
+    num, dk = 0, 1
     for c in reversed(cs):
-        if not isinstance(c, (int, Fraction)):
+        if type(c) is int:
+            num = num * n + c * dk
+        elif isinstance(c, Fraction):
+            cd = c.denominator
+            num = num * n * cd + c.numerator * dk
+            dk *= cd
+        else:
             return c.list_sign_at(cs, x)
-        cd = c.denominator
-        num, den = num * n * cd + c.numerator * den * d, den * d * cd
+        dk *= d
     return (num > 0) - (num < 0)
 
 
@@ -480,18 +527,66 @@ def _umul(a, b):
     return out
 
 
-def _usub(a, b):
-    n = max(len(a), len(b))
-    a = list(a) + [Fraction(0)] * (n - len(a))
-    b = list(b) + [Fraction(0)] * (n - len(b))
-    return _trim([x - y for x, y in zip(a, b)])
+def _iprimitive(cs):
+    """An integer list divided by the gcd of its entries, a positive
+    factor: no sign moves."""
+    g = gcd(*cs)
+    return [c // g for c in cs] if g > 1 else cs
+
+
+def _idivmod(a, b):
+    """(q, r, s) for trimmed integer lists a and b: s*a = q*b + r with
+    deg r < deg b and s > 0.
+
+    Each step cancels the top of r exactly; when b's leading coefficient
+    does not divide that top, r and q are first scaled by the positive
+    integer that makes it divide, and s records the product of the scales.
+    """
+    lead, n = b[-1], len(b) - 1
+    q, r, s = [0] * max(0, len(a) - n), list(a), 1
+    while len(r) > n:
+        t = r.pop()
+        d = len(r) - n
+        k, m = divmod(t, lead)
+        if m:
+            g = gcd(t, lead)
+            scale = abs(lead) // g
+            r = [c * scale for c in r]
+            q = [c * scale for c in q]
+            s *= scale
+            k = t // g if lead > 0 else -t // g
+        q[d] = k
+        for i in range(n):
+            r[d + i] -= k * b[i]
+        while r and not r[-1]:
+            r.pop()
+    return q, r, s
+
+
+def _iprs(a, b):
+    """The primitive remainder sequence of trimmed integer lists a and b
+    (Collins; Brown & Traub, JACM 1971), with each remainder negated: a,
+    b, then the remainder of the two lists before it, up to the last
+    nonzero one, which is a gcd of a and b.  Each entry after b is a
+    positive multiple of the negated remainder over Q, made primitive.
+    """
+    seq = [a, b]
+    while seq[-1]:
+        seq.append([-c for c in _iprimitive(_idivmod(seq[-2], seq[-1])[1])])
+    return seq[:-1]
 
 
 def _udivmod(a, b):
-    """Quotient and remainder, with one inverse of b's leading coefficient."""
+    """Exact quotient and remainder.  Rational lists are divided on
+    integer numerators (``_idivmod``); a list over Q(alpha) takes one
+    inverse of b's leading coefficient."""
     a, b = _trim(a), _trim(b)
     if not b:
         raise ZeroDivisionError("division by zero polynomial")
+    if _rational(a, b):
+        (na, da), (nb, db) = _over_common(a), _over_common(b)
+        q, r, s = _idivmod(na, nb)
+        return [Fraction(c * db, s * da) for c in q], [Fraction(c, s * da) for c in r]
     inv = _inverse(b[-1])
     n = len(b) - 1
     q = [inv * 0] * max(0, len(a) - n)  # zeros of the entry type
@@ -513,25 +608,52 @@ def _umonic(cs):
 
 
 def _ugcd(a, b):
-    """Monic gcd."""
+    """Monic gcd; over Q the last list of the integer remainder sequence
+    (``_iprs``) made monic."""
     a, b = _trim(a), _trim(b)
+    if _rational(a, b):
+        g = _iprs(_over_common(a)[0], _over_common(b)[0])[-1]
+        return [Fraction(c, g[-1]) for c in g]
     while b:
         a, b = b, _udivmod(a, b)[1]
     return _umonic(a) if a else []
 
 
 def _ext_gcd(a, b):
-    """(g, s) with s*a congruent to g modulo b, for rational lists."""
-    r0, r1 = _trim(a), _trim(b)
-    s0, s1 = [Fraction(1)], []
+    """(g, s) with s*a congruent to g modulo b, for rational lists: the
+    remainder g and the cofactor s that Euclid's algorithm over Q ends on.
+
+    The remainders run as primitive integer lists r with a rational scale
+    c (the remainder over Q is c*r) and the cofactors as integer lists
+    with a scale f of their own, so each step of Euclid over Q follows
+    from one integer division (``_idivmod``) and three Fractions.
+    """
+    (r0, d0), (r1, d1) = _over_common(_trim(a)), _over_common(_trim(b))
+    c0, c1 = Fraction(gcd(*r0), d0), Fraction(gcd(*r1), d1)
+    r0, r1 = _iprimitive(r0), _iprimitive(r1)
+    s0, s1, f0, f1 = [1], [], Fraction(1), Fraction(1)
     while r1:
-        q, r = _udivmod(r0, r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, _usub(s0, _umul(q, s1))
-    return r0, s0
+        q, r, k = _idivmod(r0, r1)
+        # k c0 r0 = (c0 / c1) q (c1 r1) + c0 r: the quotient over Q is
+        # c0 q / (k c1), so the next cofactor is f0 s0 - v q s1 for
+        # v = c0 f1 / (k c1)
+        v = Fraction(c0.numerator * c1.denominator * f1.numerator,
+                     c0.denominator * k * c1.numerator * f1.denominator)
+        un, ud, vn, vd = f0.numerator, f0.denominator, v.numerator, v.denominator
+        t = [x * un * vd - y * vn * ud for x, y in zip_longest(s0, _umul(q, s1), fillvalue=0)]
+        while t and not t[-1]:
+            t.pop()
+        g = gcd(*t) or 1
+        h = gcd(*r)
+        r0, r1, c0, c1 = r1, _iprimitive(r), c1, Fraction(c0.numerator * h, c0.denominator * k)
+        s0, s1, f0, f1 = s1, [c // g for c in t], f1, Fraction(g, ud * vd)
+    return ([Fraction(c * c0.numerator, c0.denominator) for c in r0],
+            [Fraction(c * f0.numerator, f0.denominator) for c in s0])
 
 
 def _usquarefree(cs):
+    """The list divided by its monic gcd with its derivative, so the
+    quotient keeps the list's leading coefficient."""
     cs = _trim(cs)
     if len(cs) <= 2:
         return cs
@@ -546,9 +668,17 @@ def _usquarefree(cs):
 def _usturm(p):
     """Sturm chain of a trimmed list of degree >= 1.
 
-    Each remainder is negated and scaled by 1/|lead|: a positive factor,
-    so no sign moves, and the coefficients stay small.
+    chain[0] is p itself.  Each later entry is a positive multiple of the
+    entry of the classical chain (p', then each remainder negated), not a
+    normalised list: only signs are read from it (``_usign``,
+    ``sturm_count``, ``refine_root_free``), and a positive factor moves
+    none.  Over Q the entries are primitive integer lists (content 1), the
+    integer remainder sequence ``_iprs``; over Q(alpha) each negated
+    remainder is scaled by 1/|lead|.
     """
+    if _rational(p):
+        a = _over_common(p)[0]
+        return [p] + _iprs(a, _iprimitive(_uderiv(a)))[1:]
     chain = [p, _uderiv(p)]
     while True:
         rem = _udivmod(chain[-2], chain[-1])[1]
@@ -593,14 +723,10 @@ def refine_root_free(chain, root):
 
 
 def _uint_primitive(cs):
-    """Scale to integer coefficients, content 1, positive leading coefficient."""
-    ints = _over_common(cs)[0]
-    g = gcd(*ints)
-    if g:
-        ints = [v // g for v in ints]
-    if ints and ints[-1] < 0:
-        ints = [-v for v in ints]
-    return [Fraction(v) for v in ints]
+    """The integer list with content 1 and a positive leading coefficient
+    that is a rational multiple of a rational list."""
+    ints = _iprimitive(_over_common(cs)[0])
+    return [-v for v in ints] if ints and ints[-1] < 0 else ints
 
 
 def _root_bound(cs) -> Fraction:
@@ -614,7 +740,7 @@ def _root_bound(cs) -> Fraction:
     for c in cs[:-1]:
         lo, hi = _interval(c)
         m = max(m, abs(lo), abs(hi))
-    return 1 + m / lead
+    return 1 + m / Fraction(lead)
 
 
 # ---------------------------------------------------------------------------
@@ -647,7 +773,8 @@ class AlgebraicNumber:
 
     @property
     def is_rational(self) -> bool:
-        return self.lo == self.hi
+        lo, hi = self.lo, self.hi
+        return lo.numerator == hi.numerator and lo.denominator == hi.denominator
 
     @property
     def value(self) -> Fraction:
@@ -662,7 +789,10 @@ class AlgebraicNumber:
         inside (lo, hi), so that sign never changes."""
         if self.is_rational:
             return
-        mid = (self.lo + self.hi) / 2
+        lo, hi = self.lo, self.hi
+        # (lo + hi) / 2 as one Fraction
+        mid = Fraction(lo.numerator * hi.denominator + hi.numerator * lo.denominator,
+                       2 * lo.denominator * hi.denominator)
         v = _usign(self.coeffs, mid)
         if v == 0:
             self.lo = self.hi = mid
@@ -754,14 +884,16 @@ def uisolate(p):
     """Ordered AlgebraicNumber list isolating every distinct real root of a
     coefficient list (Sturm counts and bisection).
 
-    A rational list is made integer-primitive and its rational roots are
-    certified exactly without any integer factorization: the interval is
-    narrowed below 1/(lead^2 + 1), the minimum spacing of rationals whose
-    denominator can divide the leading coefficient, at which point the
-    simplest rational inside is the only candidate left.  A list over
-    Q(alpha) is made monic, narrowed below 1/1024 and the simplest rational
-    inside is tried once; a rational root this misses stays in interval
-    form, which costs nothing in correctness.
+    A rational list runs on integers: its square-free part is made an
+    integer list with content 1, which is the roots' defining list and
+    whose Sturm chain holds primitive integer lists.  Its rational roots
+    are certified exactly without any integer factorization: the interval
+    is narrowed below 1/(lead^2 + 1), the minimum spacing of rationals
+    whose denominator can divide the leading coefficient, at which point
+    the simplest rational inside is the only candidate left.  A list over
+    Q(alpha) takes the field route: it is made monic, narrowed below
+    1/1024 and the simplest rational inside is tried once; a rational root
+    this misses stays in interval form, which costs nothing in correctness.
     """
     p = _trim(p)
     if not p:
@@ -769,9 +901,9 @@ def uisolate(p):
     if len(p) == 1:
         return []
     sq = _usquarefree(p)
-    if all(isinstance(c, (int, Fraction)) for c in sq):
+    if _rational(sq):
         sq = _uint_primitive(sq)
-        gap = Fraction(1, int(sq[-1]) ** 2 + 1)
+        gap = Fraction(1, sq[-1] ** 2 + 1)
         bound = Fraction(ceil(_root_bound(sq)))
     else:
         sq = _umonic(sq)
@@ -784,9 +916,16 @@ def uisolate(p):
         return _usign(sq, x)
 
     def finalize(a, b):
-        # exactly one root in (a, b); endpoints are not roots
+        # exactly one root in (a, b); endpoints are not roots.  Each refine
+        # halves the width until the root is exact, so the width is below
+        # gap after k refines for the least k with (b - a) / 2^k < gap
         r = AlgebraicNumber(sq, a, b)
-        while not r.is_rational and r.hi - r.lo >= gap:
+        w = b - a
+        x, y = w.numerator * gap.denominator, gap.numerator * w.denominator
+        k = max(0, x.bit_length() - y.bit_length())
+        while x >= y << k:
+            k += 1
+        for _ in range(k):
             r.refine()
         cand = simplest_between(r.lo, r.hi)
         if r.lo < cand < r.hi and sgn(cand) == 0:

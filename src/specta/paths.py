@@ -8,7 +8,8 @@ tail at all.  Ring operations lift both operands to a common ramification
 once and work on integer exponents, cutting at the integer ceil(T*e);
 products stop at that cut instead of forming every pair, and products
 and long division run on integer numerators over one denominator per
-operand.  Every operation propagates the sharpest truncation it can
+operand (a product with a one-term operand is a shifted, scaled copy of
+the other operand).  Every operation propagates the sharpest truncation it can
 certify, so a result is only ever as precise as its inputs allow, and
 zero tests on truncated data are always reported as "zero so far", never
 as exact.
@@ -289,6 +290,12 @@ class PuiseuxSeries:
                         ta + tb)
             trunc = None if bound == math.inf else bound
         ram, a, b = self._lift(other)
+        if len(a) == 1 or len(b) == 1:
+            # a one-term operand c*t^m shifts the other's exponents by m
+            # and scales its coefficients by c; _make cuts at trunc
+            ((m, c),), rest = (a.items(), b) if len(a) == 1 else (b.items(), a)
+            return PuiseuxSeries._make(
+                ram, {m + n: v * c for n, v in sorted(rest.items())}, trunc)
         cut = math.inf if trunc is None else _cut(trunc, ram)
         ea, eb = sorted(a), sorted(b)
         ia, da = _over_common([a[n] for n in ea])

@@ -6,6 +6,7 @@ sympy (resultant / discriminant / real_roots).  The randomized properties
 re-run the sympy comparison on every test run.
 """
 
+import math
 import random
 import sys
 from fractions import Fraction
@@ -37,7 +38,18 @@ from specta.arith import (
     usign_at,
 )
 from specta import arith, cad2d
-from specta.arith import _poly_exact_div, _ptrim, _umul, _usign
+from specta.arith import (
+    _ext_gcd,
+    _poly_exact_div,
+    _ptrim,
+    _sign,
+    _udivmod,
+    _ueval,
+    _ugcd,
+    _umul,
+    _usign,
+    _usquarefree,
+)
 
 X = Polynomial.var("x")
 XY = Polynomial.var("x", ("x", "y"))
@@ -567,6 +579,29 @@ def test_planted_projection_matches_basis_first_route(seed):
     assert _same_up_to_rational(prod_basis, sp.sqf_part(prod_y))
 
 
+def _ref_simplest_between(a, b):
+    """The recursion on Fractions that simplest_between ran before its
+    integer walk."""
+    if a == b:
+        return a
+    fa = Fraction(math.floor(a))
+    if fa + 1 <= b:
+        lo_int, hi_int = math.ceil(a), math.floor(b)
+        if lo_int <= 0 <= hi_int:
+            return Fraction(0)
+        return Fraction(lo_int if lo_int > 0 else hi_int)
+    if fa == a:
+        return a
+    return fa + 1 / _ref_simplest_between(1 / (b - fa), 1 / (a - fa))
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(st.fractions(min_value=-50, max_value=50, max_denominator=10 ** 6),
+       st.fractions(min_value=0, max_value=3, max_denominator=2 ** 20))
+def test_simplest_between_matches_the_fraction_recursion(a, width):
+    assert simplest_between(a, a + width) == _ref_simplest_between(a, a + width)
+
+
 def test_simplest_between_picks_minimal_denominator():
     assert simplest_between(Fraction(1, 5), Fraction(2, 5)) == Fraction(1, 3)
     assert simplest_between(Fraction(41, 20), Fraction(211, 100)) == Fraction(21, 10)
@@ -636,3 +671,168 @@ def test_list_signs_follow_the_defining_list():
     signs = ListSigns([Fraction(-2), 0, Fraction(1)])
     assert signs.at(sqrt2) == 0
     assert signs.at(sqrt3) == 1
+
+
+# ---------------------------------------------------------------------------
+# rational lists run on integer numerators; the reference routes below are
+# the Fraction loops they ran on before, kept here to check them against
+
+
+def _ref_trim(cs):
+    cs = [Fraction(c) for c in cs]
+    while cs and not cs[-1]:
+        cs.pop()
+    return cs
+
+
+def _ref_divmod(a, b):
+    """Quotient and remainder by Fraction long division."""
+    a, b = _ref_trim(a), _ref_trim(b)
+    inv = 1 / b[-1]
+    n = len(b) - 1
+    q = [Fraction(0)] * max(0, len(a) - n)
+    r = a
+    while len(r) > n:
+        k = r[-1] * inv
+        d = len(r) - 1 - n
+        q[d] = k
+        for i in range(n):
+            r[d + i] = r[d + i] - b[i] * k
+        r.pop()
+        r = _ref_trim(r)
+    return q, r
+
+
+def _ref_gcd(a, b):
+    """Monic gcd by Euclid over Q."""
+    a, b = _ref_trim(a), _ref_trim(b)
+    while b:
+        a, b = b, _ref_divmod(a, b)[1]
+    return [c / a[-1] for c in a] if a else []
+
+
+def _ref_sub(a, b):
+    n = max(len(a), len(b))
+    a = list(a) + [Fraction(0)] * (n - len(a))
+    b = list(b) + [Fraction(0)] * (n - len(b))
+    return _ref_trim([x - y for x, y in zip(a, b)])
+
+
+def _ref_ext_gcd(a, b):
+    r0, r1 = _ref_trim(a), _ref_trim(b)
+    s0, s1 = [Fraction(1)], []
+    while r1:
+        q, r = _ref_divmod(r0, r1)
+        r0, r1 = r1, r
+        s0, s1 = s1, _ref_sub(s0, _umul(q, s1))
+    return r0, s0
+
+
+def _ref_squarefree(cs):
+    cs = _ref_trim(cs)
+    if len(cs) <= 2:
+        return cs
+    g = _ref_gcd(cs, [c * i for i, c in enumerate(cs)][1:])
+    if len(g) == 1:
+        return cs
+    q, r = _ref_divmod(cs, g)
+    assert not r
+    return q
+
+
+def _ref_sturm(p):
+    """Sturm chain with each negated remainder scaled by 1/|lead|."""
+    chain = [p, [c * i for i, c in enumerate(p)][1:]]
+    while True:
+        rem = _ref_divmod(chain[-2], chain[-1])[1]
+        if not rem:
+            return chain
+        k = -1 / abs(rem[-1])
+        chain.append([c * k for c in rem])
+
+
+def _dyadic(k, j):
+    return Fraction(k, 2 ** j)
+
+
+# factors of the drawn lists: a rational root on a dyadic point (k/2^j),
+# c2*x^2 + c0 (an irrational pair or none), and x^m + c (degree gaps)
+_factor = st.one_of(
+    st.builds(lambda k, j: [-_dyadic(k, j), Fraction(1)],
+              st.integers(-12, 12), st.integers(0, 3)),
+    st.builds(lambda c2, c0: [Fraction(c0), 0, Fraction(c2)],
+              st.integers(1, 4), st.integers(-7, 7)),
+    st.builds(lambda m, c: [Fraction(c)] + [0] * (m - 1) + [Fraction(1)],
+              st.integers(2, 4), st.integers(-3, 3)),
+)
+# a scale with a large denominator and either sign
+_scale = st.builds(lambda n, d: Fraction(n, d), st.integers(-10 ** 6, 10 ** 6).filter(bool),
+                   st.integers(1, 10 ** 9))
+
+
+@st.composite
+def _rational_lists(draw, min_factors=1):
+    """A nonzero rational list: a product of factors, some repeated, times
+    a scale."""
+    cs = [draw(_scale)]
+    for f in draw(st.lists(_factor, min_size=min_factors, max_size=3)):
+        for _ in range(draw(st.integers(1, 3))):
+            cs = _umul(cs, f)
+    return cs
+
+
+@st.composite
+def _rational_pairs(draw):
+    """Two rational lists that share a drawn factor half of the time."""
+    a, b = draw(_rational_lists(0)), draw(_rational_lists())
+    if draw(st.booleans()):
+        shared = draw(_rational_lists())
+        a, b = _umul(a, shared), _umul(b, shared)
+    return a, b
+
+
+def _positive_multiple(mine, ref):
+    return (len(mine) == len(ref) and _sign(mine[-1]) == _sign(ref[-1])
+            and all(m * ref[-1] == r * mine[-1] for m, r in zip(mine, ref)))
+
+
+_ends = st.one_of(st.none(), st.builds(_dyadic, st.integers(-40, 40), st.integers(0, 3)))
+
+
+@settings(derandomize=True, max_examples=120, deadline=None)
+@given(_rational_pairs(), st.builds(_dyadic, st.integers(-40, 40), st.integers(0, 4)),
+       st.lists(st.tuples(_ends, _ends), min_size=1, max_size=4))
+def test_integer_routes_match_the_fraction_reference(pair, x, ends):
+    a, b = pair
+    assert _udivmod(a, b) == _ref_divmod(a, b)
+    assert _udivmod(b, a) == _ref_divmod(b, a)
+    assert _ugcd(a, b) == _ref_gcd(a, b)
+    assert _ext_gcd(a, b) == _ref_ext_gcd(a, b)
+    assert _ext_gcd(b, a) == _ref_ext_gcd(b, a)
+    for p in (a, b):
+        assert _ueval(p, x) == _fraction_horner(p, x)
+        sq = _usquarefree(p)
+        assert sq == _ref_squarefree(p) and sq[-1] == _ref_trim(p)[-1]
+        if len(sq) < 2:
+            continue
+        chain, ref = sturm_chain(p), _ref_sturm(_ref_squarefree(p))
+        assert chain[0] == ref[0] and len(chain) == len(ref)
+        assert all(_positive_multiple(c, r) for c, r in zip(chain[1:], ref[1:]))
+        for lo, hi in ends:
+            if lo is not None and hi is not None and lo > hi:
+                lo, hi = hi, lo
+            assert sturm_count(chain, lo, hi) == sturm_count(ref, lo, hi)
+
+
+def test_rational_sturm_chains_hold_primitive_integers():
+    # the entries after chain[0] are integer lists with content 1, so no
+    # Fraction loop runs behind the chain of a rational list
+    for p in ([Fraction(-2, 3), 0, Fraction(5, 7)],
+              _umul([Fraction(1, 9), Fraction(-3, 4), 0, Fraction(2)],
+                    [Fraction(1), Fraction(-1, 2)]),
+              [Fraction(c) for c in (6, -11, 6, -1)] + [Fraction(0)]):
+        chain = sturm_chain(p)
+        assert len(chain) >= 2
+        for entry in chain[1:]:
+            assert all(type(c) is int for c in entry)
+            assert math.gcd(*entry) == 1

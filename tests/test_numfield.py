@@ -18,6 +18,7 @@ from hypothesis import given, settings, strategies as st
 from specta.arith import (
     AlgebraicNumber,
     Polynomial,
+    _over_common,
     _trim,
     _udeg,
     _udivmod,
@@ -38,9 +39,15 @@ def ypoly(field, coeffs):
     return [c if isinstance(c, FieldElement) else field.element([c]) for c in coeffs]
 
 
+def reduce_in(F, coeffs):
+    """A rational list reduced modulo the defining list of the field F."""
+    r, den = F._remainder(*_over_common(coeffs))
+    return [Fraction(c, den) for c in r]
+
+
 def reduced(e):
     """The representative of e reduced modulo the field's defining list."""
-    return e.field.reduce(e.coeffs)
+    return reduce_in(e.field, e.coeffs)
 
 
 def sqrt2_field():
@@ -158,9 +165,9 @@ def test_vanishing_representative_takes_exact_path(exact_calls):
     F = reducible_field()
     a = F.generator()
     e = a * a - 2  # representative t^2 - 2 is not zero, its value is
-    assert F.reduce(e.coeffs)
+    assert reduce_in(F, e.coeffs)
     assert e.sign() == 0
-    assert exact_calls == [F.reduce(e.coeffs)]
+    assert exact_calls == [reduce_in(F, e.coeffs)]
     assert _udeg(F.alpha.coeffs) == 4  # a sign never narrows the field
 
 
@@ -238,7 +245,7 @@ def test_unreduced_arithmetic_matches_element_route(name, xs, ys, r, narrow):
              (r + y, y, "+", r)]
     for got, u, op, v in cases:
         want = _element_route(u, op, v)
-        assert F.reduce(got.coeffs) == F.reduce(want.coeffs)
+        assert reduce_in(F, got.coeffs) == reduce_in(F, want.coeffs)
         assert got.sign() == want.sign()
 
 
@@ -261,13 +268,13 @@ def _fraction_interval(rep, alpha):
 def test_integer_field_arithmetic_matches_rational_route(name, xs, ys):
     F = FIELDS[name]()
     m = F.alpha.coeffs
-    assert F.reduce(xs) == _udivmod(xs, m)[1]
+    assert reduce_in(F, xs) == _udivmod(xs, m)[1]
     x, y = F.element(xs), F.element(ys)
     product = _umul(list(x.coeffs), list(y.coeffs))
     assert list((x * y).coeffs) == _udivmod(product, m)[1]
     assert FieldElement(F, product).sign() == (x * y).sign()
     for _ in range(3):
-        rep = F.reduce(x.coeffs)
+        rep = reduce_in(F, x.coeffs)
         want = _fraction_interval(rep, F.alpha) if rep else (0, 0)
         assert x.interval() == want
         F.alpha.refine()
@@ -285,6 +292,43 @@ def test_list_sign_matches_element_horner(name, raw, x):
     if all(isinstance(c, Fraction) for c in cs):
         cs[0] = F.element([cs[0], 1])
     assert _usign(cs, x) == _ueval(cs, x).sign()
+
+
+def test_list_signs_read_the_entries_integer_forms(monkeypatch):
+    F = reducible_field()
+    a = F.generator()
+    cs = [a * a - 3, Fraction(1, 3), 2 * a + Fraction(1, 7), a * a * a - a]
+    calls = []
+    over_common = _numfield._over_common
+
+    def counted(values):
+        calls.append(values)
+        return over_common(values)
+
+    monkeypatch.setattr(_numfield, "_over_common", counted)
+    xs = [Fraction(k, 7) for k in range(-10, 11)]
+    signs = [_usign(cs, x) for x in xs]
+    # the entries hold their integer forms: signing the list at any number
+    # of rationals forms none (the defining list's is kept by the field)
+    assert len(calls) <= 1
+    monkeypatch.setattr(_numfield, "_over_common", over_common)
+    assert signs == [_ueval(cs, x).sign() for x in xs]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(sorted(FIELDS)), representatives, st.booleans())
+def test_inverse_is_the_reduced_inverse(name, rep, narrow):
+    F = FIELDS[name]()
+    if narrow and name == "reducible":
+        (F.generator() * F.generator() - 3).inverse()
+    x = F.element([Fraction(c) for c in rep]) * F.generator()
+    if not x:
+        with pytest.raises(ZeroDivisionError):
+            x.inverse()
+        return
+    inv = x.inverse()
+    assert list(inv.coeffs) == reduce_in(F, inv.coeffs)  # reduced, no trailing zero
+    assert reduced(x * inv) == [1]
 
 
 # ---------------------------------------------------------------------------

@@ -35,6 +35,7 @@ from specta.paths import (
     PuiseuxSeries,
     SAFunction,
     UnboundedAlongPath,
+    _cut,
     _value,
     appendix_separator,
     compact_carrier,
@@ -360,6 +361,47 @@ def test_product_matches_fraction_convolution(exact, a, b):
     # operand; _ref_mul forms every pair product as a Fraction
     for x, y in ((exact, a), (a, exact), (a, b), (exact, exact)):
         assert x * y == _ref_mul(x, y)
+
+
+def _convolution_mul(a, b):
+    """The product by the general loop of ``PuiseuxSeries.__mul__``, which
+    took one-term operands too: integer numerators over one denominator
+    per operand, every pair below the cut."""
+    ta = math.inf if a.trunc is None else a.trunc
+    tb = math.inf if b.trunc is None else b.trunc
+    bound = min(a.order_lower_bound() + tb, b.order_lower_bound() + ta, ta + tb)
+    trunc = None if bound == math.inf else bound
+    ram, ca, cb = a._lift(b)
+    cut = math.inf if trunc is None else _cut(trunc, ram)
+    ea, eb = sorted(ca), sorted(cb)
+    ia, da = _over_common([ca[n] for n in ea])
+    ib, db = _over_common([cb[n] for n in eb])
+    out = {}
+    for na, x in zip(ea, ia):
+        for nb, y in zip(eb, ib):
+            if na + nb < cut:
+                out[na + nb] = out.get(na + nb, 0) + x * y
+    return PuiseuxSeries(ram, {n: F(v, da * db) for n, v in out.items()}, trunc)
+
+
+@st.composite
+def _monomial(draw):
+    """c*t^(n/ram) for ram 1 to 3 and n down to -5, exact or truncated
+    above or below its own exponent."""
+    ram, n = draw(st.integers(1, 3)), draw(st.integers(-5, 6))
+    c = F(draw(st.integers(-9, 9).filter(bool)), draw(st.sampled_from([1, 2, 7])))
+    trunc = draw(st.none() | st.builds(F, st.integers(-6, 12), st.sampled_from([1, 2, 3])))
+    return PuiseuxSeries(ram, {n: c}, trunc)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(m=_monomial(), exact=_operand(True), a=_operand(False))
+def test_monomial_products_match_the_general_loop(m, exact, a):
+    empty = (PuiseuxSeries.zero(), PuiseuxSeries.zero(F(3, 2)))
+    for x in (exact, a, m) + empty:
+        for got, want in ((m * x, _convolution_mul(m, x)), (x * m, _convolution_mul(x, m))):
+            assert (got.items(), got.trunc, got.exact) == (want.items(), want.trunc, want.exact)
+            assert got == _ref_mul(m, x)
 
 
 @pytest.mark.parametrize("base, one", [
