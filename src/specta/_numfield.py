@@ -13,11 +13,12 @@ A sign is certified by an interval first: the representative is evaluated
 by interval Horner on alpha's isolating box, and an interval that excludes
 0 proves the sign.  alpha is refined up to ``SIGN_REFINEMENTS`` times for
 that; only when 0 stays inside (the value may be 0) does the exact
-``usign_at`` run, so the exact path is the zero test.  Sums, differences
-and rational multiples cannot raise the degree, so they leave their
-representatives unreduced; every read of a representative (``sign``,
-``interval``, ``inverse``) reduces it first, which also keeps elements
-built before the field narrowed itself correct.  Products, reductions,
+``usign_at`` run, so the exact path is the zero test.  No other code
+reads alpha's box, so how far alpha was refined changes no result.  Sums,
+differences and rational multiples cannot raise the degree, so they leave
+their representatives unreduced; every read of a representative
+(``sign``, ``inverse``) reduces it first, which also keeps elements built
+before the field narrowed itself correct.  Products, reductions,
 inverses, interval Horner and the Horner sign of a list over the field
 at a rational (``FieldElement.list_sign_at``) run on integer numerators
 over one positive denominator: every result is the exact rational one.
@@ -29,14 +30,14 @@ that form with the defining list.
 
 An element offers only what the engine calls: ``+``, ``-`` and ``*``
 with elements and rationals on either side, ``inverse``, ``sign``,
-``interval``, ``list_sign_at``, and semantic ``==`` and truth.
+``list_sign_at``, and semantic ``==`` and truth.
 
 Polynomials in y with coefficients in Q(alpha), and their roots, need no
 code of their own: the coefficient-list engine of ``arith`` (division,
-gcd, Sturm chains, root isolation, sign at a root) takes field elements as
-entries, and a root over Q(alpha) is an ``arith.AlgebraicNumber`` like a
-root over Q.  cad2d lifts its stacks through the names ``ymul``,
-``yisolate`` and ``ysign_at`` bound at the end of this module.
+gcd, Sturm chains, root isolation, signs at the levels of a line) takes
+field elements as entries, and a root over Q(alpha) is an
+``arith.AlgebraicNumber`` like a root over Q.  cad2d lifts its stacks
+through the names ``ymul``, ``yisolate`` and ``ysign_at`` bound below.
 """
 
 from fractions import Fraction
@@ -44,7 +45,6 @@ from math import gcd, lcm
 
 from .arith import (
     AlgebraicNumber,
-    ListSigns,
     _ext_gcd,
     _over_common,
     _sign,
@@ -56,6 +56,7 @@ from .arith import (
     _umul,
     _usign,
     uisolate,
+    ulevel_signs,
     usign_at,
 )
 
@@ -295,6 +296,8 @@ class FieldElement:
                 raise ZeroDivisionError("inverse of zero field element")
             if a.is_rational:
                 return field.element([den / _ueval(nums, a.value)])
+            if len(nums) == 1:
+                return FieldElement._of(field, [den if nums[0] > 0 else -den], abs(nums[0]))
             g, s = _ext_gcd(nums, a.coeffs)
             if _udeg(g) == 0:
                 # s/g[0] inverts nums, so den*s/g[0] inverts nums/den; s is
@@ -309,21 +312,10 @@ class FieldElement:
             assert not r
             field._shrink(cof)
 
-    def interval(self):
-        """Rational interval containing the value, from the current alpha interval."""
-        nums, den = self.field._remainder(self.nums, self.den)
-        if not nums:
-            return (Fraction(0), Fraction(0))
-        a = self.field.alpha
-        if a.is_rational:
-            v = _ueval(nums, a.value) / den
-            return (v, v)
-        lo, hi, scale = _box_value(nums, a)
-        return Fraction(lo, den * scale), Fraction(hi, den * scale)
-
     def __repr__(self):
         return f"FieldElement({list(self.coeffs)})"
 
 
-# the stack interface of cad2d: the shared engine, for lists over Q or Q(alpha)
-ymul, yisolate, ysign_at = _umul, uisolate, ListSigns.at
+# the stack interface of cad2d: the shared engine, for lists over Q or
+# Q(alpha); ysign_at signs a list at all levels of a stack in one call
+ymul, yisolate, ysign_at = _umul, uisolate, ulevel_signs

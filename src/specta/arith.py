@@ -51,7 +51,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import zip_longest
-from math import ceil, gcd, lcm
+from math import gcd, lcm
 
 
 class ArithError(ValueError):
@@ -424,8 +424,8 @@ def signed_sum(terms) -> str:
 # kernels _ihorner, _idivmod and _iprs, and a Fraction is built only per
 # output coefficient that a caller reads.  A list that holds a field
 # element takes the field route of the same routine.  Only _rational,
-# _sign, _inverse, _interval, _usign and the choice of rational
-# certification in uisolate look at an entry's type.
+# _sign, _inverse, _usign and the choice of route in uisolate look at an
+# entry's type.
 # A zero test or a sign of a field element is a sign computation at alpha,
 # so the routines below make no zero test the algorithm does not need.
 
@@ -445,11 +445,6 @@ def _sign(x) -> int:
 
 def _inverse(c):
     return Fraction(1) / c if isinstance(c, (int, Fraction)) else c.inverse()
-
-
-def _interval(c):
-    """Rational interval containing the value of an entry."""
-    return (c, c) if isinstance(c, (int, Fraction)) else c.interval()
 
 
 def _trim(cs):
@@ -607,16 +602,17 @@ def _umonic(cs):
     return [c * inv for c in cs]
 
 
-def _ugcd(a, b):
-    """Monic gcd; over Q the last list of the integer remainder sequence
-    (``_iprs``) made monic."""
+def _ugcd(a, b, monic=True):
+    """Monic gcd, or with monic=False the last remainder, a nonzero
+    multiple of it that a sign test can read without an inverse; over Q
+    the last list of the integer remainder sequence (``_iprs``)."""
     a, b = _trim(a), _trim(b)
     if _rational(a, b):
         g = _iprs(_over_common(a)[0], _over_common(b)[0])[-1]
-        return [Fraction(c, g[-1]) for c in g]
+        return [Fraction(c, g[-1]) for c in g] if monic else g
     while b:
         a, b = b, _udivmod(a, b)[1]
-    return _umonic(a) if a else []
+    return _umonic(a) if a and monic else a
 
 
 def _ext_gcd(a, b):
@@ -729,18 +725,15 @@ def _uint_primitive(cs):
     return [-v for v in ints] if ints and ints[-1] < 0 else ints
 
 
-def _root_bound(cs) -> Fraction:
-    """Cauchy bound: every real root has absolute value strictly below this.
-
-    The leading coefficient must have an exact value: a rational, or the
-    one of a monic list.
-    """
-    lead = abs(_interval(cs[-1])[0])
-    m = Fraction(0)
-    for c in cs[:-1]:
-        lo, hi = _interval(c)
-        m = max(m, abs(lo), abs(hi))
-    return 1 + m / Fraction(lead)
+def _count_start(chain, sq) -> Fraction:
+    """The least 2^k, k >= 0, with neither -2^k nor 2^k a root of sq and
+    the count of chain (a Sturm chain of a list with sq's real roots) over
+    (-2^k, 2^k) the total count: a bisection start from exact signs."""
+    total = sturm_count(chain, None, None)
+    b = Fraction(1)
+    while not (_usign(sq, b) and _usign(sq, -b) and sturm_count(chain, -b, b) == total):
+        b *= 2
+    return b
 
 
 # ---------------------------------------------------------------------------
@@ -882,38 +875,44 @@ def rational_between(lo: AlgebraicNumber, hi: AlgebraicNumber) -> Fraction:
 
 def uisolate(p):
     """Ordered AlgebraicNumber list isolating every distinct real root of a
-    coefficient list (Sturm counts and bisection).
+    coefficient list (Sturm counts and bisection, ``_bisect``).
 
-    A rational list runs on integers: its square-free part is made an
-    integer list with content 1, which is the roots' defining list and
-    whose Sturm chain holds primitive integer lists.  Its rational roots
-    are certified exactly without any integer factorization: the interval
-    is narrowed below 1/(lead^2 + 1), the minimum spacing of rationals
-    whose denominator can divide the leading coefficient, at which point
-    the simplest rational inside is the only candidate left.  A list over
-    Q(alpha) takes the field route: it is made monic, narrowed below
-    1/1024 and the simplest rational inside is tried once; a rational root
-    this misses stays in interval form, which costs nothing in correctness.
+    A rational list runs on integers: its square-free part, an integer
+    list with content 1, defines the roots, and bisection starts at the
+    ceiling of its Cauchy bound.  Rational roots are certified without
+    factoring: below width 1/(lead^2 + 1), the least spacing of rationals
+    whose denominator divides the leading coefficient, the simplest
+    rational inside is the only candidate.
+
+    A list over Q(alpha) is made monic and gets one Sturm chain, which
+    counts its distinct roots at points that are not roots (Basu, Pollack
+    & Roy, ch. 2); the list divided by the chain's last entry, its gcd
+    with the derivative, defines the roots.  Bisection starts at
+    ``_count_start``, so the roots' intervals follow from exact signs, not
+    from alpha's box.  Below width 1/1024 the simplest rational inside is
+    tried once; a rational root this misses stays in interval form.
     """
     p = _trim(p)
     if not p:
         raise ZeroPolynomialError("cannot isolate roots of the zero polynomial")
     if len(p) == 1:
         return []
-    sq = _usquarefree(p)
-    if _rational(sq):
-        sq = _uint_primitive(sq)
-        gap = Fraction(1, sq[-1] ** 2 + 1)
-        bound = Fraction(ceil(_root_bound(sq)))
-    else:
-        sq = _umonic(sq)
-        gap = Fraction(1, 1024)
-        bound = _root_bound(sq)
-    chain = _usturm(sq)
-    roots = []
+    if _rational(p):
+        sq = _uint_primitive(_usquarefree(p))
+        # bisection from the ceiling of the Cauchy bound; sq[-1] > 0
+        bound = Fraction(1 - (-max(map(abs, sq[:-1])) // sq[-1]))
+        return _bisect(sq, _usturm(sq), bound, Fraction(1, sq[-1] ** 2 + 1))
+    p = _umonic(p)
+    chain = _usturm(p)
+    sq = p if _udeg(chain[-1]) == 0 else _udivmod(p, chain[-1])[0]
+    return _bisect(sq, chain, _count_start(chain, sq), Fraction(1, 1024))
 
-    def sgn(x):
-        return _usign(sq, x)
+
+def _bisect(sq, chain, bound, gap):
+    """The roots of the square-free sq, all in (-bound, bound), neither end
+    a root, by bisection on the counts of chain; each is narrowed below
+    gap and the simplest rational inside is tried once."""
+    roots = []
 
     def finalize(a, b):
         # exactly one root in (a, b); endpoints are not roots.  Each refine
@@ -928,7 +927,7 @@ def uisolate(p):
         for _ in range(k):
             r.refine()
         cand = simplest_between(r.lo, r.hi)
-        if r.lo < cand < r.hi and sgn(cand) == 0:
+        if r.lo < cand < r.hi and _usign(sq, cand) == 0:
             r = AlgebraicNumber(sq, cand, cand)
         roots.append(r)
 
@@ -940,7 +939,7 @@ def uisolate(p):
             finalize(a, b)
             return
         m = (a + b) / 2
-        if sgn(m) != 0:
+        if _usign(sq, m) != 0:
             split(a, m)
             split(m, b)
             return
@@ -948,7 +947,7 @@ def uisolate(p):
         step = (b - a) / 8
         while True:
             l2, r2 = m - step, m + step
-            if (a < l2 and r2 < b and sgn(l2) != 0 and sgn(r2) != 0
+            if (a < l2 and r2 < b and _usign(sq, l2) and _usign(sq, r2)
                     and sturm_count(chain, l2, r2) == 1):
                 break
             step /= 2
@@ -970,50 +969,64 @@ def isolate_real_roots(p: Polynomial):
     return uisolate(p.univariate_coeffs())
 
 
-class ListSigns:
-    """Exact signs of one coefficient list at rationals and AlgebraicNumbers.
-
-    A nontrivial gcd with a root's defining list certifies the zero case
-    through a sign change over the isolating interval; otherwise the
-    interval is refined until the list has no root on it.  The trimmed
-    list, its Sturm chain and its gcd with the last defining list are
-    kept, so signing one list at every root of another costs one chain
-    and one gcd.
-    """
-
-    __slots__ = ("q", "chain", "defining", "g")
-
-    def __init__(self, q):
-        self.q = _trim(q)
-        self.chain = self.defining = self.g = None
-
-    def at(self, root) -> int:
-        q = self.q
-        if not q:
-            return 0
-        if isinstance(root, (int, Fraction)):
-            return _usign(q, Fraction(root))
-        if root.is_rational:
-            return _usign(q, root.value)
-        if len(q) == 1:
-            return _sign(q[0])
-        if self.defining is not root.defining:
-            self.defining, self.g = root.defining, _ugcd(q, root.coeffs)
-        if _udeg(self.g) >= 1:
-            # roots of g are also roots of the defining list, so the interval
-            # endpoints are never roots of g; a sign change certifies 0
-            if _usign(self.g, root.lo) * _usign(self.g, root.hi) < 0:
-                return 0
-        if self.chain is None:
-            self.chain = sturm_chain(q)
-        refine_root_free(self.chain, root)
-        return _usign(q, (root.lo + root.hi) / 2)
+def _vanishes_at(g, root) -> bool:
+    """Whether a divisor g of an irrational root's defining list vanishes
+    at the root: the roots of g are roots of that list, so neither end of
+    the isolating interval is one, and a sign change over it certifies 0."""
+    return _udeg(g) >= 1 and _usign(g, root.lo) * _usign(g, root.hi) < 0
 
 
 def usign_at(q, root) -> int:
-    """Exact sign of a coefficient list at a rational or an AlgebraicNumber
-    (see ``ListSigns``)."""
-    return ListSigns(q).at(root)
+    """Exact sign of a coefficient list at a rational or an AlgebraicNumber:
+    at an irrational root, the gcd with the defining list is the zero test
+    and a nonzero sign is read once the interval holds no root of q."""
+    q = _trim(q)
+    if not q:
+        return 0
+    if isinstance(root, (int, Fraction)):
+        return _usign(q, Fraction(root))
+    if root.is_rational:
+        return _usign(q, root.value)
+    if len(q) == 1:
+        return _sign(q[0])
+    if _vanishes_at(_ugcd(q, root.coeffs, monic=False), root):
+        return 0
+    refine_root_free(sturm_chain(q), root)
+    return _usign(q, (root.lo + root.hi) / 2)
+
+
+def ulevel_signs(q, sections, fences):
+    """Signs of a coefficient list at the 2K+1 levels of a line: level 2j
+    at fences[j], level 2j+1 at sections[j], K ordered roots of one
+    defining list (one ``uisolate``) interleaved by K+1 rationals.
+
+    Every root of q must be a section, so a fence signs its whole level
+    and no section is refined.  A section reads 0 when the fences beside
+    it differ in sign, else their sign unless its zero test finds a root:
+    an exact section is signed directly, an irrational one by
+    ``_vanishes_at`` on the gcd of q with its defining list, taken once
+    per line and only if a section between fences of one sign needs it;
+    then every section is tested.  A test that finds no root between
+    fences of different signs raises ArithError.
+    """
+    q = _trim(q)
+    if len(q) <= 1:
+        return [_sign(q[0]) if q else 0] * (2 * len(sections) + 1)
+    signs = [_usign(q, e) for e in fences]
+    need = any(a == b and not r.is_rational for r, a, b in zip(sections, signs, signs[1:]))
+    g, out = None, [signs[0]]
+    for r, a, b in zip(sections, signs, signs[1:]):
+        if r.is_rational:
+            zero = not _usign(q, r.value)
+        elif need:
+            g = g or _ugcd(q, r.coeffs, monic=False)  # never [] for q != 0
+            zero = _vanishes_at(g, r)
+        else:
+            zero = a != b
+        if a != b and not zero:
+            raise ArithError("the list changes sign across a section it does not vanish on")
+        out += [0 if zero else a, b]
+    return out
 
 
 def sign_at(p: Polynomial, a) -> int:

@@ -19,7 +19,9 @@ x = alpha enters as the generator of a NumberField.  Both kinds go
 through the same coefficient-list engine of arith, and their sections are
 AlgebraicNumbers either way.  Every cut of a polynomial along a line, be it
 a vertical stack, a horizontal separator in adjacency certification or the
-cut of locate, goes through _slice.
+cut of locate, goes through _slice.  An atom is signed once per stack at
+all levels (ysign_at): its roots are sections, so fences sign the open
+levels and a section needs at most a gcd zero test, never a refinement.
 
 A cell is (stack, level), named c<stack>_<level>.  Cells of the outer
 stacks 0 and 2n and the outer levels 0 and 2K of a stack are unbounded:
@@ -43,7 +45,7 @@ from functools import cmp_to_key
 from . import _numfield as nf
 from .arith import (
     AlgebraicNumber,
-    ListSigns,
+    ArithError,
     Polynomial,
     _trim,
     _udeg,
@@ -314,17 +316,7 @@ class Stack:
     at: object
     sections: list
     fences: list
-    _cache: dict = _dcfield(default_factory=dict, repr=False)
     _fence_cuts: dict = _dcfield(default_factory=dict, repr=False)
-
-    def ysigns(self, p: Polynomial) -> ListSigns:
-        """The slice of p on this line, ready to be signed at its heights."""
-        key = p.key()
-        out = self._cache.get(key)
-        if out is None:
-            out = ListSigns(_slice(p, "x", self.at))
-            self._cache[key] = out
-        return out
 
     def fence_cuts(self, p: Polynomial):
         """(cut, Sturm chain) of p along each fence height where the cut, a
@@ -480,7 +472,8 @@ def decompose(formula) -> Decomposition:
     """Cell complex of the bounded set described by the formula.
 
     Raises UnboundedInput when some satisfied cell is unbounded, and
-    CadError on malformed formulas or a failed adjacency certification.
+    CadError on malformed formulas or a failed sign or adjacency
+    certification.
     """
     _check_variables(formula)
     working = map_polys(formula, _embed_xy)
@@ -508,14 +501,16 @@ def decompose(formula) -> Decomposition:
         stacks.append(_build_stack(i, xval, basis))
 
     smax = 2 * len(xroots)
-    ambient = {}
-    samples = {}
-    bounded = {}
-    faces = []
+    ambient, samples, bounded, faces = {}, {}, {}, []
     for st in stacks:
         K = len(st.sections)
         on_root = st.index % 2 == 1
         inner = 0 < st.index < smax
+        try:  # each atom is signed once per stack, at all levels
+            signs = {id(p): nf.ysign_at(_slice(p, "x", st.at), st.sections, st.fences)
+                     for p in atom_polys}
+        except ArithError as e:
+            raise CadError(f"sign certification failed on stack {st.index}: {e}") from e
         for lv in range(2 * K + 1):
             cid = f"c{st.index}_{lv}"
             if lv % 2 == 1:
@@ -527,8 +522,7 @@ def decompose(formula) -> Decomposition:
             else:
                 yval = st.fences[lv // 2]
                 dim = 1 if on_root else 2
-            sat = eval_formula(working,
-                               lambda p: nf.ysign_at(st.ysigns(p), yval))
+            sat = eval_formula(working, lambda p: signs[id(p)][lv])
             outer = not inner or lv in (0, 2 * K)
             if sat and outer:
                 raise UnboundedInput(

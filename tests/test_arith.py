@@ -19,7 +19,6 @@ from hypothesis import given, settings, strategies as st
 from specta.arith import (
     AlgebraicNumber,
     ArithError,
-    ListSigns,
     Polynomial,
     ZeroPolynomialError,
     coprime_squarefree_basis,
@@ -35,6 +34,7 @@ from specta.arith import (
     sturm_chain,
     sturm_count,
     uisolate,
+    ulevel_signs,
     usign_at,
 )
 from specta import arith, cad2d
@@ -631,16 +631,16 @@ def test_integer_sign_matches_fraction_horner(cs, x):
     assert _usign(cs, x) == (v > 0) - (v < 0)
 
 
-def test_list_signs_keep_gcd_and_chain(monkeypatch):
+def test_level_signs_take_one_gcd_and_no_chain(monkeypatch):
     roots = uisolate([Fraction(c) for c in (0, -3, 0, 1)])  # -sqrt3, 0, sqrt3
+    fences = [Fraction(c) for c in (-2, -1, 1, 2)]
     defining = roots[0].coeffs
     calls = {"gcd": 0, "chain": 0}
     gcd_, chain_ = arith._ugcd, arith.sturm_chain
 
-    def counted_gcd(a, b):
-        # gcds with the roots' defining list; Sturm chains take others
+    def counted_gcd(a, b, **kw):
         calls["gcd"] += b == defining
-        return gcd_(a, b)
+        return gcd_(a, b, **kw)
 
     def counted_chain(cs):
         calls["chain"] += 1
@@ -649,28 +649,46 @@ def test_list_signs_keep_gcd_and_chain(monkeypatch):
     monkeypatch.setattr(arith, "_ugcd", counted_gcd)
     monkeypatch.setattr(arith, "sturm_chain", counted_chain)
     assert [r.is_rational for r in roots] == [False, True, False]
-    cases = {(-3, 0, 1): [0, -1, 0], (-2, 0, 1): [1, -1, 1], (1, 1): [-1, 1, 1]}
-    for q, want in cases.items():
+    # (list, levels, gcds): a section between fences of one sign takes the
+    # line's one gcd, a sign change across a section takes none
+    cases = [((-3, 0, 1), [1, 0, -1, -1, -1, 0, 1], 0),
+             ((9, 0, -6, 0, 1), [1, 0, 1, 1, 1, 0, 1], 1),
+             ((1, 0, 1), [1] * 7, 1),
+             ((0, 1), [-1, -1, -1, 0, 1, 1, 1], 1),
+             ((-5,), [-1] * 7, 0)]
+    for q, want, gcds in cases:
         q = [Fraction(c) for c in q]
         before = dict(calls)
-        signs = ListSigns(q)
-        assert [signs.at(r) for r in roots] == want
-        assert [usign_at(q, r.copy()) for r in roots] == want
-        # one gcd for the two irrational roots, one chain at most; the
-        # fresh usign_at calls above take their own
-        fresh = sum(1 for r in roots if not r.is_rational)
-        assert calls["gcd"] - before["gcd"] == 1 + fresh
-        assert calls["chain"] - before["chain"] <= 1 + fresh
+        assert ulevel_signs(q, roots, fences) == want
+        assert calls["gcd"] - before["gcd"] == gcds
+        assert calls["chain"] == before["chain"]
+        assert want[1::2] == [usign_at(q, r.copy()) for r in roots]
+
+
+def test_level_signs_reject_a_root_off_the_sections():
+    roots = uisolate([Fraction(c) for c in (6, 0, -5, 0, 1)])  # -+sqrt3, -+sqrt2
+    fences = [Fraction(-2), Fraction(-8, 5), Fraction(0), Fraction(8, 5), Fraction(2)]
+    # 3/2 lies between sqrt2 and sqrt3: the fences around sqrt2 differ in
+    # sign, and the gcd, which -sqrt3 needs, says sqrt2 is no root
+    q = _umul([Fraction(c) for c in (9, 0, -6, 0, 1)], [Fraction(-3, 2), Fraction(1)])
+    with pytest.raises(ArithError):
+        ulevel_signs(q, roots, fences)
+    # an exact section is signed directly: 1/2 between fences -1 and 1
+    with pytest.raises(ArithError):
+        ulevel_signs([Fraction(-1, 2), Fraction(1)],
+                     uisolate([Fraction(c) for c in (0, -3, 0, 1)]),
+                     [Fraction(c) for c in (-2, -1, 1, 2)])
 
 
 def test_list_signs_follow_the_defining_list():
-    # the gcd kept for sqrt2 must not answer for sqrt3, whose wide
-    # isolating interval (1, 2) also holds sqrt2
+    # a gcd with sqrt2's defining list must not answer for sqrt3, whose
+    # wide isolating interval (1, 2) also holds sqrt2
     sqrt2 = AlgebraicNumber([Fraction(-2), 0, Fraction(1)], 1, 2)
     sqrt3 = AlgebraicNumber([Fraction(-3), 0, Fraction(1)], 1, 2)
-    signs = ListSigns([Fraction(-2), 0, Fraction(1)])
-    assert signs.at(sqrt2) == 0
-    assert signs.at(sqrt3) == 1
+    q = [Fraction(-2), 0, Fraction(1)]
+    assert usign_at(q, sqrt2) == 0
+    assert usign_at(q, sqrt3) == 1
+    assert ulevel_signs(q, [sqrt2], [Fraction(0), Fraction(2)]) == [-1, 0, 1]
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ through the same univariate engine as rational lists.
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from specta.arith import (
     AlgebraicNumber,
@@ -23,15 +23,32 @@ from specta.arith import (
     _udeg,
     _udivmod,
     _ueval,
+    _umonic,
     _umul,
     _usign,
     _usquarefree,
+    _usturm,
     isolate_real_roots,
+    real_compare,
     uisolate,
     usign_at,
 )
-from specta import _numfield
-from specta._numfield import FieldElement, NumberField
+from specta import _numfield, arith
+from specta._numfield import FieldElement, NumberField, _box_value
+
+
+def interval(e):
+    """Rational interval containing an element's value, from the current
+    alpha interval: interval Horner of the reduced representative."""
+    nums, den = e.field._remainder(e.nums, e.den)
+    if not nums:
+        return (Fraction(0), Fraction(0))
+    a = e.field.alpha
+    if a.is_rational:
+        v = _ueval(nums, a.value) / den
+        return (v, v)
+    lo, hi, scale = _box_value(nums, a)
+    return Fraction(lo, den * scale), Fraction(hi, den * scale)
 
 
 def ypoly(field, coeffs):
@@ -127,10 +144,10 @@ def test_element_interval_contains_value():
     F = sqrt2_field()
     a = F.generator()
     e = a * a * a  # 2*sqrt(2) ~ 2.8284
-    lo, hi = e.interval()
+    lo, hi = interval(e)
     while hi - lo > Fraction(1, 10 ** 8):
         F.alpha.refine()
-        lo, hi = e.interval()
+        lo, hi = interval(e)
     assert 0 < lo and lo * lo < 8 < hi * hi
 
 
@@ -276,7 +293,7 @@ def test_integer_field_arithmetic_matches_rational_route(name, xs, ys):
     for _ in range(3):
         rep = reduce_in(F, x.coeffs)
         want = _fraction_interval(rep, F.alpha) if rep else (0, 0)
-        assert x.interval() == want
+        assert interval(x) == want
         F.alpha.refine()
 
 
@@ -440,3 +457,106 @@ def test_isolation_agrees_over_q_and_q_sqrt2(coeffs):
     assert len(over_q) == len(over_field)
     for a, b in zip(over_q, over_field):
         assert max(a.lo, b.lo) <= min(a.hi, b.hi)
+
+
+# ---------------------------------------------------------------------------
+# one Sturm chain per list over Q(alpha), bisection from counts only; the
+# reference is the route before it: a square-free part by a gcd with the
+# derivative and a division, the Sturm chain of its monic form, and a
+# Cauchy bound read off the element intervals on alpha's box
+
+
+def cubic_field():
+    """The largest root of t^3 - 3t - 1, near 1.879."""
+    p = Polynomial.from_univariate("x", [-1, -3, 0, 1])
+    return NumberField(AlgebraicNumber(p, 1, 2))
+
+
+def _ref_root_bound(cs):
+    lead = abs(interval(cs[-1])[0])
+    m = max([Fraction(0)] + [abs(v) for c in cs[:-1] for v in interval(c)])
+    return 1 + m / lead
+
+
+def _ref_uisolate(p):
+    sq = _umonic(_usquarefree(_trim(p)))
+    return arith._bisect(sq, _usturm(sq), _ref_root_bound(sq), Fraction(1, 1024))
+
+
+def _nested(u, v):
+    """Whether copies of two roots, refined the wider first, come to lie
+    one inside the other: each isolates one root of lists with the same
+    roots, so nesting proves that they are the same root."""
+    u, v = u.copy(), v.copy()
+    for _ in range(80):
+        if v.lo <= u.lo and u.hi <= v.hi or u.lo <= v.lo and v.hi <= u.hi:
+            return True
+        if u.hi <= v.lo or v.hi <= u.lo:
+            return False
+        (u if u.hi - u.lo > v.hi - v.lo else v).refine()
+    return False
+
+
+# a factor y - c or y^2 - c, c = r0 + r1*alpha, with a multiplicity
+_factors = st.tuples(st.booleans(), small, small, st.integers(min_value=1, max_value=3))
+
+
+def _drawn_list(F, factors, lead):
+    a = F.generator()
+    p = [F.element([lead])]
+    for quadratic, r0, r1, k in factors:
+        c = a * r1 + r0
+        f = [-c, F.element([0]), F.element([1])] if quadratic else [-c, F.element([1])]
+        for _ in range(k):
+            p = _umul(p, f)
+    return p
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(["sqrt2", "cubic"]), st.lists(_factors, min_size=1, max_size=3),
+       st.sampled_from([1, -2, Fraction(3, 5)]))
+def test_one_chain_isolation_matches_the_two_gcd_route(name, factors, lead):
+    F = {"sqrt2": sqrt2_field, "cubic": cubic_field}[name]()
+    p = _drawn_list(F, factors, lead)
+    mine, ref = uisolate(p), _ref_uisolate(p)
+    assert len(mine) == len(ref)
+    for u, v in zip(mine, ref):
+        assert _nested(u, v)
+        if u.is_rational:
+            assert _usign(p, u.value) == 0
+    if mine:  # the defining list is square-free
+        sq = mine[0].coeffs
+        assert _udeg(_trim(_udivmod(sq, _usquarefree(sq))[0])) == 0
+
+
+def _admissible(b, p, roots):
+    """Neither -b nor b is a root of p, and every root lies inside (-b, b)."""
+    return (_usign(p, b) != 0 and _usign(p, -b) != 0
+            and all(real_compare(r.copy(), b) < 0 < real_compare(r.copy(), -b) for r in roots))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(["sqrt2", "cubic"]), st.lists(_factors, min_size=1, max_size=3),
+       st.sampled_from([1, -2, Fraction(3, 5)]))
+@example("sqrt2", [(False, 2, 0, 1), (True, 1, 0, 2)], 1)  # roots 2 and +-1 on the ends
+def test_bisection_starts_at_the_least_admissible_power_of_two(name, factors, lead):
+    F = {"sqrt2": sqrt2_field, "cubic": cubic_field}[name]()
+    p = _umonic(_drawn_list(F, factors, lead))
+    start = arith._count_start(_usturm(p), p)
+    assert start.denominator == 1 and start.numerator & (start.numerator - 1) == 0
+    roots = uisolate(p)
+    assert _admissible(start, p, roots)
+    assert start == 1 or not _admissible(start / 2, p, roots)
+
+
+def test_isolation_does_not_read_alphas_box():
+    # the same list, in fields whose alpha was refined 0 to 16 times
+    # beforehand, gives the same root intervals
+    seen = set()
+    for k in range(17):
+        F = cubic_field()
+        for _ in range(k):
+            F.alpha.refine()
+        p = _drawn_list(F, [(True, 1, 1, 2), (False, -1, 1, 1), (False, 0, 3, 1)], -2)
+        seen.add(tuple((r.lo, r.hi) for r in uisolate(p)))
+    assert len(seen) == 1
