@@ -15,11 +15,12 @@ element takes the Fraction and field arithmetic of its entries.  All
 operations are pure and exact; no floating point enters any decision.
 
 Values go into polynomials two ways only: ``Polynomial.evaluate`` is the
-one multivariate evaluator (``eval_at``, ``substitute`` and the series
-evaluation of ``paths`` delegate to it), which forms each power of a value
-once, as the power below it times the value; ``_ueval`` is the one
-univariate, Horner evaluator of coefficient lists; ``_usign`` is its
-sign-only form at a rational, which never builds the value.
+one multivariate evaluator (``eval_at``, ``substitute`` and, off the plane
+normal form, the series evaluation of ``paths`` delegate to it), which
+forms each power of a value once, as the power below it times the value;
+``_ueval`` is the one univariate, Horner evaluator of coefficient lists;
+``_usign`` is its sign-only form at a rational, which never builds the
+value.
 
 ``_over_common`` (rationals as integer numerators over their least common
 denominator) also serves ``_numfield`` and ``paths``; ``binary_power`` is
@@ -52,6 +53,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import zip_longest
 from math import gcd, lcm
+from operator import add
 
 
 class ArithError(ValueError):
@@ -254,15 +256,22 @@ class Polynomial:
         return b + (-a)
 
     def __mul__(self, other):
+        """The product on integer numerators: each operand over its least
+        common denominator, one Fraction per nonzero coefficient.  Terms
+        are convolved in (self, other) term order, so the product's terms
+        keep the order of the pair-by-pair Fraction product."""
         if not isinstance(other, _OPERANDS):
             return NotImplemented
         a, b = self._aligned(other)
-        terms = {}
-        for e1, c1 in a.terms.items():
-            for e2, c2 in b.terms.items():
-                e = tuple(x + y for x, y in zip(e1, e2))
-                terms[e] = terms.get(e, Fraction(0)) + c1 * c2
-        return Polynomial(a.variables, _strip_terms(terms))
+        ia, da = _over_common(a.terms.values())
+        ib, db = _over_common(b.terms.values())
+        out = {}
+        for e1, c1 in zip(a.terms, ia):
+            for e2, c2 in zip(b.terms, ib):
+                e = tuple(map(add, e1, e2))
+                out[e] = out.get(e, 0) + c1 * c2
+        den = da * db
+        return Polynomial(a.variables, {e: Fraction(v, den) for e, v in out.items() if v})
 
     __rmul__ = __mul__
 
@@ -270,6 +279,9 @@ class Polynomial:
         n = int(n)
         if n < 0:
             raise ArithError("negative power")
+        if len(self.terms) == 1:
+            ((e, c),) = self.terms.items()
+            return Polynomial(self.variables, {tuple(k * n for k in e): c ** n})
         return binary_power(self, n, Polynomial.const(1, self.variables))
 
     def __eq__(self, other):
@@ -282,20 +294,15 @@ class Polynomial:
 
     # -- evaluation and substitution --------------------------------------
 
-    def evaluate(self, values, zero=Fraction(0), outer=None):
+    def evaluate(self, values, zero=Fraction(0)):
         """Value with values[name] put for every variable that occurs.
 
         The values may lie in any ring that mixes with Fractions (Fractions,
         Polynomials, PuiseuxSeries) and zero is that ring's zero.  Terms are
-        taken in order; each starts as zero + c and is multiplied by
-        values[name] ** k in variable order.  Each variable keeps one row of
-        powers, each formed once as the one below it times the value.
-
-        With ``outer`` a variable name, the powers of that variable are left
-        out of the terms: the terms are summed per exponent j of ``outer``
-        and each sum is multiplied once by values[outer] ** j.  The value is
-        the same; in a ring that tracks error bounds (truncated series) the
-        bound can be sharper, so the caller decides when to group.
+        taken in order; each starts as zero + c, is multiplied by
+        values[name] ** k in variable order and is added to the running sum,
+        which starts at zero.  Each variable keeps one row of powers, each
+        formed once as the one below it times the value.
         """
         rows = {}
 
@@ -305,19 +312,13 @@ class Polynomial:
                 row.append(row[-1] * row[0])
             return row[k - 1]
 
-        sums = {}
+        out = zero
         for e, c in self.terms.items():
             term = zero + c
-            j = 0
             for name, k in zip(self.variables, e):
-                if name == outer:
-                    j = k
-                elif k:
+                if k:
                     term = term * power(name, k)
-            sums[j] = sums.get(j, zero) + term
-        out = sums.pop(0, zero)
-        for j, s in sums.items():
-            out = out + s * power(outer, j)
+            out = out + term
         return out
 
     def eval_at(self, assignment) -> Fraction:
@@ -744,10 +745,12 @@ class AlgebraicNumber:
     """A real root of a square-free univariate polynomial over Q or Q(alpha).
 
     ``defining`` is a Polynomial over Q or a trimmed coefficient list (see
-    above); ``coeffs`` caches its coefficient list.  ``lo == hi`` encodes an
-    exact rational root.  Otherwise exactly one real root of ``defining``
-    lies in the open interval (lo, hi) and neither endpoint is a root.
-    ``refine`` halves the interval in place; everything else is read-only.
+    above); ``coeffs`` is its coefficient list, the given list itself, which
+    no caller mutates, so the roots of one list and their copies share it.
+    ``lo == hi`` encodes an exact rational root.  Otherwise exactly one
+    real root of ``defining`` lies in the open interval (lo, hi) and
+    neither endpoint is a root.  ``refine`` halves the interval in place;
+    everything else is read-only.
     """
 
     __slots__ = ("defining", "coeffs", "lo", "hi", "_lo_sign")
@@ -757,7 +760,7 @@ class AlgebraicNumber:
         if isinstance(defining, Polynomial):
             self.coeffs = _trim(defining.univariate_coeffs())
         else:
-            self.coeffs = list(defining)
+            self.coeffs = defining
         self.lo = Fraction(lo)
         self.hi = Fraction(hi)
         if self.lo > self.hi:
@@ -798,7 +801,10 @@ class AlgebraicNumber:
             self.lo = mid
 
     def copy(self) -> "AlgebraicNumber":
-        return AlgebraicNumber(self.defining, self.lo, self.hi)
+        twin = object.__new__(AlgebraicNumber)
+        twin.defining, twin.coeffs = self.defining, self.coeffs
+        twin.lo, twin.hi, twin._lo_sign = self.lo, self.hi, self._lo_sign
+        return twin
 
     def approx(self, width=Fraction(1, 1 << 20)) -> Fraction:
         while not self.is_rational and self.hi - self.lo > width:

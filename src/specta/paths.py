@@ -733,17 +733,20 @@ def _value(f, env, cap) -> PuiseuxSeries:
     """The series of an expression or a polynomial at the series in env."""
     if isinstance(f, SAFunction):
         return f.evaluate(env, cap)
-    return f.evaluate(env, PuiseuxSeries.zero(), _dense(f, env))
+    plane = _dense(f, env)
+    if plane is None:
+        return f.evaluate(env, PuiseuxSeries.zero())
+    return _by_rows(f, env, *plane)
 
 
 def _dense(p: Polynomial, env):
-    """The coordinate to sum a polynomial's terms per power of, or None.
+    """(light, dense) when exactly two coordinates occur in p and light is
+    an exact c*t^e with e != 0 (the plane normal form), else None.
 
-    On a plane path whose other coordinate is an exact c*t^e with e != 0,
-    the powers of that monomial have pairwise distinct orders, so no
-    per-power sum cancels and every product keeps the truncation it has
-    term by term: grouping gives the same coefficients and truncation.
-    Elsewhere a grouped sum can cancel and report a sharper truncation.
+    The powers of that monomial have pairwise distinct orders, so a sum of
+    terms a*light^i*dense^j with one j cannot cancel, and multiplying it
+    by dense^j keeps the truncation the terms have one by one.  Elsewhere
+    such a sum can cancel and report a sharper truncation.
     """
     names = _occurring(p)
     if len(names) != 2:
@@ -752,8 +755,32 @@ def _dense(p: Polynomial, env):
     for light, dense in ((a, b), (b, a)):
         s = env[light]
         if s.exact and len(s.coeffs) == 1 and 0 not in s.coeffs:
-            return dense
+            return light, dense
     return None
+
+
+def _by_rows(p: Polynomial, env, light, dense) -> PuiseuxSeries:
+    """p on the plane normal form of ``_dense`` as S_0 + sum_j S_j*y^j,
+    y the dense series and j in the order the terms first name it.
+
+    The row S_j = sum_i a_ij*c^i*t^(n*i/ram) of light = c*t^(n/ram) is one
+    exact series, built as one dict: its exponents n*i are distinct.  Each
+    power of y is formed once, as the power below it times y, and each
+    row is multiplied by its power once.
+    """
+    ram, ((n, c),) = env[light].ram, env[light].coeffs.items()
+    il, iy = p.variables.index(light), p.variables.index(dense)
+    rows = {}
+    for e, a in p.terms.items():
+        i = e[il]
+        rows.setdefault(e[iy], {})[n * i] = a * c ** i
+    out = PuiseuxSeries._make(ram, rows.pop(0), None) if 0 in rows else PuiseuxSeries.zero()
+    ys = [env[dense]]
+    for j, row in rows.items():
+        while len(ys) < j:
+            ys.append(ys[-1] * ys[0])
+        out = out + PuiseuxSeries._make(ram, row, None) * ys[j - 1]
+    return out
 
 
 @dataclass(frozen=True)

@@ -854,3 +854,66 @@ def test_rational_sturm_chains_hold_primitive_integers():
         for entry in chain[1:]:
             assert all(type(c) is int for c in entry)
             assert math.gcd(*entry) == 1
+
+
+# ---------------------------------------------------------------------------
+# Polynomial products run on integer numerators, with the terms and the
+# term order of the pair-by-pair Fraction product
+
+
+def _ref_poly_mul(p, q):
+    """The pair-by-pair Fraction product that Polynomial.__mul__ replaced."""
+    a, b = p._aligned(q)
+    terms = {}
+    for e1, c1 in a.terms.items():
+        for e2, c2 in b.terms.items():
+            e = tuple(x + y for x, y in zip(e1, e2))
+            terms[e] = terms.get(e, Fraction(0)) + c1 * c2
+    return Polynomial(a.variables, {e: c for e, c in terms.items() if c != 0})
+
+
+_MUL_Q = st.fractions(min_value=-5, max_value=5, max_denominator=12)
+
+
+@st.composite
+def _mul_operand(draw, max_terms=6):
+    """A polynomial in one to three of x, y, z, in drawn order, with
+    rational coefficients; it can be zero."""
+    names = draw(st.lists(st.sampled_from("xyz"), min_size=1, max_size=3, unique=True))
+    exps = st.tuples(*[st.integers(0, 3)] * len(names))
+    return Polynomial.make(names, draw(st.dictionaries(exps, _MUL_Q, max_size=max_terms)))
+
+
+def _same_terms(got, want):
+    assert got.variables == want.variables
+    assert list(got.terms.items()) == list(want.terms.items())
+    assert all(type(c) is Fraction for c in got.terms.values())
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(_mul_operand(), _mul_operand(), _MUL_Q)
+def test_integer_product_matches_the_fraction_reference(p, q, c):
+    zero = Polynomial.const(0, q.variables)
+    # (p + q)(p - q) cancels its cross terms; p and q may lie on different
+    # variable tuples, and each may be zero
+    for a, b in ((p, q), (q, p), (p + q, p - q), (p, zero), (zero, p), (p, p)):
+        _same_terms(a * b, _ref_poly_mul(a, b))
+    _same_terms(p * c, _ref_poly_mul(p, Polynomial.const(c, p.variables)))
+    _same_terms(c * p, _ref_poly_mul(p, Polynomial.const(c, p.variables)))
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(_mul_operand(max_terms=1), st.integers(0, 6))
+def test_one_term_power_matches_binary_powering(m, n):
+    _same_terms(m ** n, arith.binary_power(m, n, Polynomial.const(1, m.variables)))
+
+
+def test_roots_and_copies_share_one_defining_list():
+    roots = uisolate([Fraction(c) for c in (0, -3, 0, 1)])  # -sqrt3, 0, sqrt3
+    assert all(r.coeffs is roots[0].coeffs for r in roots)
+    root = roots[2]
+    twin = root.copy()
+    assert twin.coeffs is root.coeffs and (twin.lo, twin.hi) == (root.lo, root.hi)
+    width = root.hi - root.lo
+    twin.refine()
+    assert twin.hi - twin.lo == width / 2 and root.hi - root.lo == width

@@ -750,55 +750,55 @@ def _plane_path(draw):
     c = draw(_SMALL_Q.filter(bool))
     light = draw(st.sampled_from("xy"))
     dense = "y" if light == "x" else "x"
-    return {light: PuiseuxSeries(ram, {n: c}), dense: draw(_eval_series())}, dense
+    return {light: PuiseuxSeries(ram, {n: c}), dense: draw(_eval_series())}
 
 
 @settings(max_examples=150, deadline=None)
 @given(terms=st.dictionaries(st.tuples(st.integers(0, 3), st.integers(0, 3)),
                              _SMALL_Q, max_size=8),
-       plane=_plane_path())
-def test_grouping_by_the_dense_coordinate_matches_the_per_term_loop(terms, plane):
-    # with the other coordinate an exact monomial, summing per power of the
-    # dense one keeps every coefficient and the truncation of the term loop
+       env=_plane_path())
+def test_grouping_by_the_dense_coordinate_matches_the_per_term_loop(terms, env):
+    # with the other coordinate an exact monomial, evaluating by rows of
+    # the dense one keeps every coefficient and the truncation of the term
+    # loop
     p = Polynomial.make(("x", "y"), terms)
-    env, dense = plane
     ref = _ref_series_evaluate(p, env)
     want = (ref.items(), ref.trunc)
-    zero = PuiseuxSeries.zero()
-    for got in (p.evaluate(env, zero), p.evaluate(env, zero, dense), _value(p, env, None)):
+    for got in (p.evaluate(env, PuiseuxSeries.zero()), _value(p, env, None)):
         assert (got.items(), got.trunc) == want
 
 
 def test_grouping_is_refused_off_the_plane_normal_form():
-    # grouped by y, x*y - x^2*y = (x - x^2)*y reads O(t^11); term by term,
-    # as the reference, it reads O(t^3), and evaluation must keep that
+    # by rows of y, x*y - x^2*y = (x - x^2)*y would read O(t^11); term by
+    # term, as the reference, it reads O(t^3), and evaluation must keep that
     p = parse_polynomial("x*y - x^2*y", ("x", "y"))
     env = {"x": S([(0, 1)], 10), "y": S([(1, 1), (2, 1)], 3)}
-    grouped = p.evaluate(env, PuiseuxSeries.zero(), "y")
-    assert grouped.vanishes_so_far() and grouped.trunc == 11
+    row = parse_polynomial("x - x^2", ("x",))
+    by_row = _ref_series_evaluate(row, env) * env["y"]
+    assert by_row.vanishes_so_far() and by_row.trunc == 11
     got, ref = _value(p, env, None), _ref_series_evaluate(p, env)
     assert got.vanishes_so_far() and got.trunc == 3
     assert (got.items(), got.trunc) == (ref.items(), ref.trunc)
-    # an exact constant is a monomial of order 0: grouped by y, the same
-    # polynomial at x = 1 cancels to the exact zero
+    # an exact constant is a monomial of order 0, so x = 1 is refused too:
+    # its row of y cancels to the exact zero, and the terms read O(t^3)
     env["x"] = PuiseuxSeries.constant(1)
-    assert p.evaluate(env, PuiseuxSeries.zero(), "y").is_zero()
+    assert _ref_series_evaluate(row, env).is_zero()
     got, ref = _value(p, env, None), _ref_series_evaluate(p, env)
     assert (got.items(), got.trunc) == (ref.items(), ref.trunc)
     assert got.trunc == 3
 
 
 def test_eval_multiplies_each_power_of_the_dense_coordinate_once(monkeypatch):
-    # along (t, sum n! t^n) the separator's polynomials are summed per power
-    # of y; summed term by term, the same evaluation forms 26 products and 66
-    # sums with an operand of more than 20 stored terms
-    big = {"mul": 0, "add": 0}
+    # along (t, sum n! t^n) each of the separator's two polynomials is
+    # S_0 + S_1*y + S_2*y^2 by rows of y: y^2, S_1*y and S_2*y^2 are its
+    # products and two additions its sums.  Summed term by term, the same
+    # evaluation forms 116 products and 136 sums
+    count = {"mul": 0, "add": 0}
     mul, add = PuiseuxSeries.__mul__, PuiseuxSeries.__add__
 
     def counted(op, fn):
         def wrapper(self, other):
-            if max(len(self.coeffs), len(getattr(other, "coeffs", ()))) > 20:
-                big[op] += 1
+            count[op] += 1
             return fn(self, other)
         return wrapper
 
@@ -806,7 +806,7 @@ def test_eval_multiplies_each_power_of_the_dense_coordinate_once(monkeypatch):
     monkeypatch.setattr(PuiseuxSeries, "__add__", counted("add", add))
     s = eval_on_path(appendix_separator(12), FormalPath.factorial_path(64))
     assert s.order() == 2
-    assert big["mul"] <= 6 and big["add"] <= 6
+    assert count["mul"] <= 6 and count["add"] <= 4
 
 
 def test_eval_polynomial_on_path():

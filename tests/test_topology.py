@@ -704,6 +704,20 @@ def test_verdicts_are_read_off_their_evidence():
         assert ("N non-compact" in r.evidence["S(N)~S*(M)"]) == (not f1.data.compact)
 
 
+def test_corpus_self_comparison_reads_consistent_on_every_channel():
+    # S(M) and S*(M) are isomorphic exactly when M is compact, so a complex
+    # compared with itself is consistent everywhere except on the mixed
+    # channel of a non-compact M
+    compact = 0
+    for K in CORPUS:
+        r = compare_spectral_types(K, K)
+        assert r.s == r.s_star == r.beta_star == "CONSISTENT"
+        assert spectral_fingerprint(K).data.compact == is_compact(K)
+        assert (r.s_vs_s_star == "CONSISTENT") == is_compact(K)
+        compact += is_compact(K)
+    assert 0 < compact < len(CORPUS)
+
+
 def test_corpus_verdict_implications():
     # full match implies bounded-ring match; the mixed verdict implies it too
     for A, B in zip(CORPUS[::5], CORPUS[2::5]):
