@@ -1,18 +1,19 @@
 """Exact rational and polynomial arithmetic foundation.
 
 Sparse multivariate polynomials over Q with fractions.Fraction
-coefficients, resultants, gcds and coprime square-free bases, and one
-univariate engine for little-endian coefficient lists: division, gcd,
-square-free part, Sturm chains and root counts on (a, b], root isolation
-and sign at a real algebraic point.  That engine takes entries in Q or in
-Q(alpha) (field elements of ``_numfield``), so roots over both come back
-as the same ``AlgebraicNumber``.  A list with only rational entries runs
-on integer numerators over one denominator: division, gcds, square-free
-parts, Sturm chains and Horner values go through integer kernels
-(``_idivmod``, ``_iprs``, ``_ihorner``), and a Fraction is built only per
-output coefficient that a caller reads.  Only a list that holds a field
-element takes the Fraction and field arithmetic of its entries.  All
-operations are pure and exact; no floating point enters any decision.
+coefficients, and one univariate engine for little-endian coefficient
+lists: division, gcd, square-free part, Sturm chains and root counts on
+(a, b], root isolation and sign at a real algebraic point.  That engine
+takes entries in Q or in Q(alpha) (field elements of ``_numfield``), so
+roots over both come back as the same ``AlgebraicNumber``.  A list with
+only rational entries runs on integer numerators over one denominator:
+division, gcds, square-free parts, Sturm chains and Horner values go
+through integer kernels (``_idivmod``, ``_iprs``, ``_ihorner``), and a
+Fraction is built only per output coefficient that a caller reads.  Only a
+list that holds a field element takes the Fraction and field arithmetic of
+its entries.  Resultants, gcds and coprime square-free bases run on
+integer rows in two variables.  All operations are pure and exact; no
+floating point enters any decision.
 
 Values go into polynomials two ways only: ``Polynomial.evaluate`` is the
 one multivariate evaluator (``eval_at``, ``substitute`` and, off the plane
@@ -32,15 +33,15 @@ Conventions
 * The zero polynomial is an input error for the public operations, never a
   silent zero.
 * Univariate coefficient lists are little-endian: ``cs[i]`` multiplies ``x**i``.
-* One remainder sequence in a variable v serves Q[..][v], the subresultant
-  sequence of ``_subresultant_steps``.  ``resultant`` and ``discriminant``
-  read the value off its last step with one sign and one exact division,
-  the Sylvester determinant with the rows of the first argument on top
-  (``tests/test_arith.py`` keeps that route as a reference); ``poly_gcd``
-  takes the primitive part of its last nonzero element.
-* ``content_and_primitive`` is the one content routine (the content in v
-  is the gcd of the coefficients in v).  Gcds and square-free parts treat
-  contents and primitive parts apart, so no factor free of v is lost.
+* Algebra in two variables runs on integer rows: ``rows[j]`` is the
+  trimmed integer list in u of the coefficient of v^j (``_rows``, ``_poly``
+  convert).  One remainder sequence in v serves Q[u][v], the subresultant
+  sequence of ``_subresultant_steps``.  ``_bres`` reads the resultant off
+  its last step with one sign and one exact division, the Sylvester
+  determinant with the rows of the first argument on top
+  (``tests/test_arith.py`` keeps that route as a reference); ``_bgcd``
+  takes the primitive part of its last nonzero element and the gcd of the
+  contents in v (``_bcontent``) apart, so no factor free of v is lost.
 * For inputs primitive in v, a nonzero discriminant in v proves square-free
   and a nonzero resultant in v proves coprime (Brown & Traub, JACM 1971).
 * An ``AlgebraicNumber`` whose interval has width zero is an exact rational
@@ -51,6 +52,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from itertools import zip_longest
 from math import gcd, lcm
 from operator import add
@@ -200,10 +202,6 @@ class Polynomial:
             raise ZeroPolynomialError("degree of zero polynomial")
         i = self.variables.index(name)
         return max(e[i] for e in self.terms)
-
-    def key(self):
-        """Hashable canonical key; Polynomial itself is not hashable."""
-        return (self.variables, tuple(sorted(self.terms.items())))
 
     # -- arithmetic --------------------------------------------------------
 
@@ -358,16 +356,6 @@ class Polynomial:
         if not live:
             return [self.constant_value()]
         return [c.constant_value() for c in self.coeffs_in(live[0])]
-
-    def derivative(self, name) -> "Polynomial":
-        i = self.variables.index(name)
-        terms = {}
-        for e, c in self.terms.items():
-            if e[i] == 0:
-                continue
-            ne = tuple(k - 1 if j == i else k for j, k in enumerate(e))
-            terms[ne] = terms.get(ne, Fraction(0)) + c * e[i]
-        return Polynomial(self.variables, _strip_terms(terms))
 
     # -- text --------------------------------------------------------------
 
@@ -1042,130 +1030,235 @@ def sign_at(p: Polynomial, a) -> int:
     return usign_at(p.univariate_coeffs(), a)
 
 
+
+
 # ---------------------------------------------------------------------------
-# resultants
+# polynomials in two variables as integer rows
+#
+# A content, gcd, square-free part or quotient matters only up to a nonzero
+# rational factor: the _b routines may return any such multiple, and
+# _bnorm makes it canonical.
 
 
-def _ptrim(cs):
-    cs = list(cs)
-    while cs and cs[-1].is_zero():
-        cs.pop()
-    return cs
+def _rows(p: Polynomial, v="y", u="x"):
+    """(rows, den): den*p as rows in v of integer lists in u, den > 0 the
+    least common denominator of p's coefficients.  A variable other than u
+    and v that occurs raises ArithError."""
+    nums, den = _over_common(p.terms.values())
+    rows = []
+    for e, c in zip(p.terms, nums):
+        exps = dict(zip(p.variables, e))
+        i, j = exps.pop(u, 0), exps.pop(v, 0)
+        if any(exps.values()):
+            raise ArithError(f"a variable other than {u} and {v} occurs")
+        rows += [[] for _ in range(j + 1 - len(rows))]
+        rows[j] += [0] * (i + 1 - len(rows[j]))
+        rows[j][i] = c
+    return rows, den
 
 
-def _from_coeffs(cs, var, variables) -> Polynomial:
-    """The Polynomial over variables whose coefficient of var**k is cs[k],
-    a Polynomial over the other variables in their order."""
-    i = variables.index(var)
-    return Polynomial(variables, {e[:i] + (k,) + e[i:]: c
-                                  for k, f in enumerate(cs) for e, c in f.terms.items()})
+def _poly(rows, variables=("x", "y")) -> Polynomial:
+    """The Polynomial over (u, v), or over (u,) for one row, whose
+    coefficient of u^i v^j is rows[j][i]."""
+    return Polynomial(tuple(variables), {(i, j)[:len(variables)]: Fraction(c)
+                                         for j, row in enumerate(rows)
+                                         for i, c in enumerate(row) if c})
 
 
-def _poly_exact_div(a: Polynomial, b: Polynomial) -> Polynomial:
-    """Exact division in Q[vars]; raises if b does not divide a."""
-    if b.is_zero():
-        raise ZeroDivisionError("exact division by zero polynomial")
-    if a.is_zero():
-        return Polynomial.const(0, a.variables)
-    a2, b2 = a._aligned(b)
-    if b2.is_constant():
-        c = b2.constant_value()
-        return Polynomial(a2.variables, {e: v / c for e, v in a2.terms.items()})
-    name = next(v for v in b2.variables if b2.degree_in(v) > 0)
-    ac = _ptrim(a2.coeffs_in(name))
-    bc = _ptrim(b2.coeffs_in(name))
-    q = [Polynomial.const(0, bc[0].variables)] * max(0, len(ac) - len(bc) + 1)
-    rem = list(ac)
-    while rem and len(rem) >= len(bc):
-        k = _poly_exact_div(rem[-1], bc[-1])
-        d = len(rem) - len(bc)
-        q[d] = k
-        for i, c in enumerate(bc):
-            rem[d + i] = rem[d + i] - k * c
-        rem = _ptrim(rem)
-    if rem:
+def _iexact(a, b):
+    """a / b for integer lists whose quotient is an integer list."""
+    q, r, s = _idivmod(a, b)
+    if r or s != 1:
         raise ArithError("inexact polynomial division")
-    return _from_coeffs(q, name, a2.variables)
+    return q
 
 
-def _prem(a, b):
-    """Pseudo-remainder of Polynomial coefficient lists: lc(b)^(da-db+1) a mod b."""
-    a = list(a)
-    da, db = len(a) - 1, len(b) - 1
-    if da < db:
-        return a
-    lb = b[-1]
-    steps = 0
-    while a and len(a) - 1 >= db:
-        la = a[-1]
-        d = len(a) - 1 - db
-        a = [c * lb for c in a]
-        for i, c in enumerate(b):
-            a[d + i] = a[d + i] - la * c
-        steps += 1
-        a = _ptrim(a)
-    for _ in range(da - db + 1 - steps):
-        a = [c * lb for c in a]
-    return a
+def _ipow(a, n):
+    return reduce(_umul, [a] * n, [1])
 
 
-def _subresultant_steps(a, b, one):
-    """The subresultant remainder sequence of Polynomial coefficient lists
-    with len(a) >= len(b) >= 2 (Brown & Traub); one is the unit of the
-    coefficient ring.
+def _bkey(p):
+    """Sort key of rows: their terms ((i, j), coefficient) in order."""
+    return tuple(sorted(((i, j), c) for j, row in enumerate(p) for i, c in enumerate(row) if c))
+
+
+def _bnorm(p):
+    """The multiple of nonzero rows with content 1 whose leading term, by
+    total degree, then degree in u, is positive."""
+    *_, j = max((len(row) + j, len(row), j) for j, row in enumerate(p) if row)
+    g = gcd(*(c for row in p for c in row)) * (-1 if p[j][-1] < 0 else 1)
+    return [[c // g for c in row] for row in p]
+
+
+def _pack(p, k):
+    """Rows under u^i v^j -> t^(i + k j), k past their degree in u (Kronecker)."""
+    return [c for row in p[:-1] for c in row + [0] * (k - len(row))] + p[-1]
+
+
+def _bmul(a, b):
+    k = max(map(len, a)) + max(map(len, b)) - 1
+    cs = _umul(_pack(a, k), _pack(b, k))
+    return [_trim(cs[i:i + k]) for i in range(0, len(cs), k)]
+
+
+def _bquo(a, b):
+    """A positive integer multiple of a / b for rows b dividing a: one
+    ``_idivmod`` of their Kronecker images, which a's degree in u bounds."""
+    k = max(map(len, a))
+    q, r, _ = _idivmod(_pack(a, k), _pack(b, k))
+    if r:
+        raise ArithError("inexact polynomial division")
+    return [_trim(q[i:i + k]) for i in range(0, len(q), k)]
+
+
+def _bderiv(p):
+    return [[c * j for c in row] for j, row in enumerate(p)][1:]
+
+
+def _bcontent(p):
+    """(c, q): c the gcd of the nonzero rows p with content 1 and a positive
+    leading coefficient, q a positive multiple of p / c (p if c is 1)."""
+    c = None
+    for row in reversed(p):  # from the top: a constant gcd is 1 for good
+        if row:
+            c = _uint_primitive(row if c is None else _ugcd(c, row, monic=False))
+            if len(c) == 1:
+                return [1], p
+    return c, _bquo(p, [c])
+
+
+def _bprem(a, b):
+    """Pseudo-remainder lc(b)^(deg a - deg b + 1) a mod b of rows, in v."""
+    lb, n = b[-1], len(b) - 1
+    r, steps = list(a), len(a) - n
+    while len(r) > n:
+        t = r.pop()
+        d = len(r) - n
+        r = [_umul(row, lb) for row in r]
+        for i in range(n):
+            tb = _umul(t, b[i])
+            r[d + i] = _trim([x - y for x, y in zip_longest(r[d + i], tb, fillvalue=0)])
+        steps -= 1
+        while r and not r[-1]:
+            r.pop()
+    for _ in range(steps):
+        r = [_umul(row, lb) for row in r]
+    return r
+
+
+def _subresultant_steps(a, b):
+    """The subresultant remainder sequence of rows with len(a) >= len(b) >= 2
+    (Brown & Traub).
 
     Yields (a, b, r, h) per step and goes on with (b, r) until r is zero
-    or constant: r = prem(a, b) / (g h^d) for d = deg a - deg b, then g
-    becomes lc(b) and h becomes g^d / h^(d-1), an exact division.  r is
-    proportional to the subresultant of its degree, so the last nonzero b
-    or r is the gcd of the inputs times a factor free of the variable.
+    or constant in v: r = prem(a, b) / (g h^d) for d = deg a - deg b, then g
+    becomes lc(b) and h becomes g^d / h^(d-1), both divisions exact in Z[u].
+    r is proportional to the subresultant of its degree, so the last
+    nonzero b or r is the gcd of the inputs times a factor free of v.
     """
-    g = h = one
+    g = h = [1]
     while True:
-        r = _prem(a, b)
+        r = _bprem(a, b)
         delta = len(a) - len(b)
-        divisor = g * h ** delta
-        if r and divisor != one:
-            r = [_poly_exact_div(c, divisor) for c in r]
+        divisor = _umul(g, _ipow(h, delta))
+        if divisor != [1]:
+            r = [_iexact(row, divisor) for row in r]
         g = b[-1]
-        if delta == 1:
-            h = g
-        elif delta > 1:
-            h = _poly_exact_div(g ** delta, h ** (delta - 1))
+        if delta:
+            h = _iexact(_ipow(g, delta), _ipow(h, delta - 1))
         yield a, b, r, h
         if len(r) <= 1:
             return
         a, b = b, r
 
 
-def _resultant_prs(p: Polynomial, q: Polynomial, var) -> Polynomial:
-    """Resultant read off the subresultant sequence (Cohen, Alg. 3.3.7):
-    the sign flips when inputs of odd degrees are swapped and at each step
-    whose a and b have odd degrees, and the value is r^n / h^(n-1) for the
-    last step's constant r, n the degree of its b and h the scale it yields.
-    It equals the Sylvester determinant of the inputs, sign included.
-    """
-    pa, qa = p._aligned(q)
-    rest = tuple(v for v in pa.variables if v != var)
-    a = _ptrim(pa.coeffs_in(var))
-    b = _ptrim(qa.coeffs_in(var))
+def _bres(a, b):
+    """Resultant in v of rows of degree >= 1 in v (Cohen, Alg. 3.3.7): the
+    sign flips when inputs of odd degrees are swapped and at each step
+    whose a and b have odd degrees; the value is r^n / h^(n-1) for the last
+    step's constant r, n the degree of its b and h the scale it yields."""
     sign = 1
     if len(a) < len(b):
-        a, b = b, a
-        if (len(a) - 1) * (len(b) - 1) % 2:
-            sign = -sign
-    for a, b, r, h in _subresultant_steps(a, b, Polynomial.const(1, rest)):
+        a, b, sign = b, a, (-1) ** ((len(a) - 1) * (len(b) - 1))
+    for a, b, r, h in _subresultant_steps(a, b):
         if not r:
-            return Polynomial.const(0, rest)
-        if (len(a) - 1) * (len(b) - 1) % 2:
-            sign = -sign
+            return []
+        sign *= (-1) ** ((len(a) - 1) * (len(b) - 1))
     n = len(b) - 1
-    out = _poly_exact_div(r[0] ** n, h ** (n - 1))
-    return out if sign == 1 else -out
+    return [sign * c for c in _iexact(_ipow(r[0], n), _ipow(h, n - 1))]
+
+
+def _bdisc(p):
+    """Discriminant in v of rows of degree n >= 1 in v: (-1)^(n(n-1)/2)
+    res(p, dp/dv) / lc(p), and [1] for n = 1."""
+    n = len(p) - 1
+    if n == 1:
+        return [1]
+    sign = (-1) ** (n * (n - 1) // 2)
+    return [sign * c for c in _iexact(_bres(p, _bderiv(p)), p[-1])]
+
+
+def _bgcd(a, b):
+    """Normalized gcd of nonzero rows: the gcd of the contents in v times
+    the primitive part of the last nonzero element of the subresultant
+    sequence of the primitive parts."""
+    (ca, a), (cb, b) = _bcontent(a), _bcontent(b)
+    g = [_uint_primitive(_ugcd(ca, cb, monic=False))]
+    if len(b) > len(a):
+        a, b = b, a
+    if len(b) > 1:
+        *_, (_, last, r, _) = _subresultant_steps(a, b)
+        if not r:
+            g = _bmul(g, _bcontent(last)[1])
+    return _bnorm(g)
+
+
+def _bsquarefree(p):
+    """Normalized product of the distinct irreducible factors of nonzero
+    rows: the square-free part of the content in v times prim / gcd(prim,
+    d prim/dv) for prim the primitive part."""
+    c, prim = _bcontent(p)
+    if len(prim) > 1:
+        prim = _bquo(prim, _bgcd(prim, _bderiv(prim)))
+    return _bnorm(_bmul(prim, [_uint_primitive(_usquarefree(c))]))
+
+
+def _bbasis(polys):
+    """A square-free pairwise-coprime basis of nonzero rows, normalized and
+    sorted by ``_bkey``.
+
+    A work list starts from the ``_bsquarefree`` of each input.  An element
+    p taken off it is tested once against each kept one: coprime to all, it
+    is kept; sharing g with a kept q, g and q/g replace q, being coprime to
+    every other kept element, and p/g goes back on the list.  Constants and
+    elements already taken or kept drop out, so no pair is tested twice.
+    """
+    work, out, seen = [_bsquarefree(p) for p in polys], {}, set()
+    while work:
+        p = work.pop()
+        key = _bkey(p)
+        if p == [[1]] or key in seen:
+            continue
+        keep = [p]
+        for k, q in out.items():
+            g = _bgcd(p, q)
+            if g != [[1]]:
+                del out[k]
+                work.append(_bnorm(_bquo(p, g)))
+                keep = [g, _bnorm(_bquo(q, g))]
+                break
+        out.update((_bkey(f), f) for f in keep if f != [[1]])
+        seen.update(out, [key])
+    return sorted(out.values(), key=_bkey)
+
+
+# ---------------------------------------------------------------------------
+# the same on Polynomials in x and y: a third variable raises ArithError
 
 
 def resultant(p: Polynomial, q: Polynomial, var) -> Polynomial:
-    """Resultant of p and q with respect to ``var``.
+    """Resultant of p and q with respect to ``var``, a Polynomial in the
+    other of x and y; a third variable raises ArithError.
 
     Equals the determinant of the Sylvester matrix with the rows of p on
     top, including sign (``sylvester_resultant`` in tests/test_arith.py
@@ -1176,138 +1269,44 @@ def resultant(p: Polynomial, q: Polynomial, var) -> Polynomial:
         raise ZeroPolynomialError("resultant of zero polynomial")
     if p.degree_in(var) < 1 or q.degree_in(var) < 1:
         raise ArithError("resultant arguments must both involve the variable")
-    return _resultant_prs(p, q, var)
+    u = "y" if var == "x" else "x"
+    (a, da), (b, db) = _rows(p, var, u), _rows(q, var, u)
+    scale = da ** (len(b) - 1) * db ** (len(a) - 1)
+    return _poly([[Fraction(c, scale) for c in _bres(a, b)]], (u,))
 
 
 def discriminant(p: Polynomial, var) -> Polynomial:
-    """disc(p) = (-1)^(n(n-1)/2) resultant(p, dp/dvar) / lc(p)."""
+    """disc(p) = (-1)^(n(n-1)/2) resultant(p, dp/dvar) / lc(p) for p of
+    degree n >= 1 in var, in x and y (a third variable raises ArithError)."""
     if p.is_zero():
         raise ZeroPolynomialError("discriminant of zero polynomial")
     n = p.degree_in(var)
     if n < 1:
         raise ArithError("discriminant needs positive degree in the variable")
-    lc = _ptrim(p.coeffs_in(var))[-1]
-    if n == 1:
-        return Polynomial.const(1, lc.variables)
-    res = _resultant_prs(p, p.derivative(var), var)
-    out = _poly_exact_div(res, lc)
-    if (n * (n - 1) // 2) % 2 == 1:
-        out = -out
-    return out
-
-
-# ---------------------------------------------------------------------------
-# gcd, square-free parts, coprime bases (univariate and bivariate)
-
-
-def normalize_primitive(p: Polynomial) -> Polynomial:
-    """Integer-primitive form with positive leading coefficient (canonical order)."""
-    if p.is_zero():
-        return p
-    ints, den = _over_common(p.terms.values())
-    scale = Fraction(den, gcd(*ints))
-    lead = max(p.terms, key=lambda e: (sum(e), e))
-    if p.terms[lead] < 0:
-        scale = -scale
-    return Polynomial(p.variables, {e: c * scale for e, c in p.terms.items()})
-
-
-def content_and_primitive(f: Polynomial, var):
-    """(content, primitive part) of a nonzero f in var.
-
-    The content is the gcd of f's coefficients in var, a normalized
-    Polynomial over the other variables (1 when f is primitive), and f is
-    content * primitive part.
-    """
-    cs = f.coeffs_in(var)
-    cont = Polynomial.const(0, cs[0].variables)
-    for c in reversed(cs):  # from the nonzero top: a constant gcd is 1 for good
-        cont = poly_gcd(cont, c)
-        if cont.is_constant():
-            return cont, f
-    return cont, _from_coeffs([_poly_exact_div(c, cont) for c in cs], var, f.variables)
+    u = "y" if var == "x" else "x"
+    a, den = _rows(p, var, u)
+    return _poly([[Fraction(c, den ** (2 * n - 2)) for c in _bdisc(a)]], (u,))
 
 
 def poly_gcd(p: Polynomial, q: Polynomial) -> Polynomial:
-    """Gcd over Q, normalized via normalize_primitive.
-
-    With one live variable this is the univariate gcd.  With two or more,
-    the last live variable v is eliminated: the gcd is the gcd of the
-    contents in v times the primitive part of the last nonzero element of
-    the subresultant sequence of the primitive parts.
-
-    Internal helper; a zero argument acts as the neutral element so contents
-    can be folded starting from zero.
-    """
-    if p.is_zero():
-        return normalize_primitive(q)
-    if q.is_zero():
-        return normalize_primitive(p)
-    pa, qa = p._aligned(q)
-    live = [v for v in pa.variables
-            if pa.degree_in(v) > 0 or qa.degree_in(v) > 0]
-    if not live:
-        return Polynomial.const(1, pa.variables)
-    if len(live) == 1:
-        ua = [c.constant_value() for c in pa.coeffs_in(live[0])]
-        ub = [c.constant_value() for c in qa.coeffs_in(live[0])]
-        cs = _ugcd(ua, ub)
-        return normalize_primitive(Polynomial.from_univariate(live[0], cs).embed(pa.variables))
-    var = live[-1]
-    ca, a = content_and_primitive(pa, var)
-    cb, b = content_and_primitive(qa, var)
-    out = poly_gcd(ca, cb).embed(pa.variables)
-    a, b = a.coeffs_in(var), b.coeffs_in(var)
-    if len(b) > len(a):
-        a, b = b, a
-    if len(b) > 1:
-        *_, (_, last, r, _) = _subresultant_steps(a, b, Polynomial.const(1, b[0].variables))
-        if not r:
-            out = out * content_and_primitive(_from_coeffs(last, var, pa.variables), var)[1]
-    return normalize_primitive(out)
+    """Gcd of nonzero p and q in x and y (others raise ArithError), with
+    content 1 and a positive leading term by total degree, then x-degree."""
+    if p.is_zero() or q.is_zero():
+        raise ZeroPolynomialError("gcd of zero polynomial")
+    return _poly(_bgcd(_rows(p)[0], _rows(q)[0]))
 
 
 def squarefree_part(p: Polynomial) -> Polynomial:
-    """Normalized product of the distinct irreducible factors of p.
-
-    For v the last live variable this is the square-free part of the
-    content of p in v times prim / gcd(prim, d prim/dv) for prim the
-    primitive part, so factors free of v are kept.
-    """
+    """Product of the distinct irreducible factors of p in x and y (others
+    raise ArithError), factors free of y included, normalized as by ``poly_gcd``."""
     if p.is_zero():
         raise ZeroPolynomialError("square-free part of zero polynomial")
-    live = [v for v in p.variables if p.degree_in(v) > 0]
-    if not live:
-        return Polynomial.const(1, p.variables)
-    cont, prim = content_and_primitive(p, live[-1])
-    g = poly_gcd(prim, prim.derivative(live[-1]))
-    out = _poly_exact_div(prim, g.embed(p.variables)) * squarefree_part(cont).embed(p.variables)
-    return normalize_primitive(out)
+    return _poly(_bsquarefree(_rows(p)[0]))
 
 
 def coprime_squarefree_basis(polys):
-    """Reduce a list of polynomials to a square-free pairwise-coprime basis.
-
-    A work list starts from the ``squarefree_part`` of each input, content
-    included.  An element p taken off it is tested once against each kept
-    one: coprime to all, it is kept; sharing g with a kept q, g and q/g
-    replace q, being coprime to every other kept element, and p/g goes back
-    on the list.  Constants and elements already taken or kept drop out, so
-    no pair is tested twice.  Output is normalized and sorted.
-    """
-    work, out, seen = [squarefree_part(p) for p in polys], {}, set()
-    while work:
-        p = work.pop()
-        if p.is_constant() or p.key() in seen:
-            continue
-        keep = [p]
-        for k, q in out.items():
-            g = poly_gcd(p, q)
-            if not g.is_constant():
-                del out[k]
-                work.append(normalize_primitive(_poly_exact_div(p, g)))
-                keep = [g, normalize_primitive(_poly_exact_div(q, g))]
-                break
-        out.update((f.key(), f) for f in keep if not f.is_constant())
-        seen.update(out, [p.key()])
-    return sorted(out.values(), key=lambda f: f.key())
+    """A square-free pairwise-coprime basis of nonzero Polynomials in x and
+    y, normalized as by ``poly_gcd`` (``_bbasis``)."""
+    if any(p.is_zero() for p in polys):
+        raise ZeroPolynomialError("square-free part of zero polynomial")
+    return [_poly(b) for b in _bbasis([_rows(p)[0] for p in polys])]

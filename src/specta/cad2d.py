@@ -9,8 +9,12 @@ value of the input formula, the satisfied cells become the marked part M
 of the complex, and cell adjacency is certified by exact root counting
 rather than floating point tracking.
 
-The y-basis and the projection come out of one pass (_project): each
-discriminant and resultant the projection needs also tests the basis.
+The projection runs on integer rows: each atom is read once into rows
+in y of integer lists in x (arith._rows), and the y-basis and the
+projection come out of one pass (_project) of arith's two-variable
+routines on them: each discriminant and resultant the projection needs
+also tests the basis.  Polynomials remain only at the edges: parsing, the
+shear, contains_point and the basis and projection a Decomposition shows.
 
 A stack is one vertical line: x is substituted into the basis, giving
 polynomials in y over Q at a rational x (every sector sample and every
@@ -19,7 +23,8 @@ x = alpha enters as the generator of a NumberField.  Both kinds go
 through the same coefficient-list engine of arith, and their sections are
 AlgebraicNumbers either way.  Every cut of a polynomial along a line, be it
 a vertical stack, a horizontal separator in adjacency certification or the
-cut of locate, goes through _slice.  An atom is signed once per stack at
+cut of locate, goes through _slice, which gives a positive multiple of
+the cut: no sign or root moves.  An atom is signed once per stack at
 all levels (ysign_at): its roots are sections, so fences sign the open
 levels and a section needs at most a gcd zero test, never a refinement.
 
@@ -41,27 +46,34 @@ recorded on the result and sample points then live in the sheared frame.
 from dataclasses import dataclass, field as _dcfield
 from fractions import Fraction
 from functools import cmp_to_key
+from itertools import zip_longest
 
 from . import _numfield as nf
 from .arith import (
     AlgebraicNumber,
     ArithError,
     Polynomial,
+    _bbasis,
+    _bcontent,
+    _bdisc,
+    _bkey,
+    _bmul,
+    _bnorm,
+    _bres,
+    _ihorner,
+    _poly,
+    _rows,
     _trim,
     _udeg,
     _ueval,
     _usign,
-    content_and_primitive,
-    coprime_squarefree_basis,
-    discriminant,
     isolate_real_roots,
-    normalize_primitive,
     rational_between,
     real_compare,
     refine_root_free,
-    resultant,
     sturm_chain,
     sturm_count,
+    uisolate,
 )
 from .topology import CellComplex, restrict, serialize_complex
 
@@ -167,10 +179,6 @@ def _check_variables(f):
                     f"formula mentions variable {v!r}; only x and y are allowed")
 
 
-def _embed_xy(p: Polynomial) -> Polynomial:
-    return p if p.variables == XY else p.embed(XY)
-
-
 def contains_point(formula, point) -> bool:
     """Exact membership of a rational point in the set the formula describes."""
     _check_variables(formula)
@@ -188,16 +196,17 @@ def contains_point(formula, point) -> bool:
 
 
 def _prepare(polys):
-    """The x-parts (x-only inputs, y-contents) and normalized y-primitive parts."""
+    """The x-parts (x-only inputs, y-contents) and normalized y-primitive
+    parts of a list of rows."""
     xparts, yparts = [], []
     for p in polys:
-        if p.is_zero():
+        if not p:
             raise CadError("the zero polynomial has no sign-invariant cells")
-        cont, prim = content_and_primitive(_embed_xy(p), "y")
-        if not cont.is_constant():
+        cont, prim = _bcontent(p)
+        if len(cont) > 1:
             xparts.append(cont)
-        if not prim.is_constant():
-            yparts.append(normalize_primitive(prim))
+        if len(prim) > 1:
+            yparts.append(_bnorm(prim))
     return xparts, yparts
 
 
@@ -206,37 +215,39 @@ def _project(xparts, yparts):
 
     An element is kept once its discriminant and its resultants with the
     kept elements are nonzero: it is then square-free and coprime to them.
-    A zero value sends it, or it and that kept element, through
-    coprime_squarefree_basis and the pieces back on the list.  Each value
-    is computed once, under the keys of its elements; the x-basis comes
-    from the x-parts, the leading coefficients and the values of the basis.
+    A zero value sends it, or it and that kept element, through _bbasis
+    and the pieces back on the list.  Each value is computed once, under
+    the keys of its elements; the x-basis comes from the x-parts, the
+    leading coefficients and the values of the basis.  The basis is rows,
+    the projection integer lists in x.
     """
     kept, vals, work = {}, {}, list(yparts)
 
     def value(fn, *ps):
-        k = frozenset(p.key() for p in ps)
+        k = frozenset(map(_bkey, ps))
         if k not in vals:
-            vals[k] = fn(*ps, "y")
+            vals[k] = fn(*ps)
         return vals[k]
 
     while work:
         p = work.pop()
-        if p.key() in kept:
+        key = _bkey(p)
+        if key in kept:
             continue
-        if value(discriminant, p).is_zero():
-            work += coprime_squarefree_basis([p])
+        if not value(_bdisc, p):
+            work += _bbasis([p])
             continue
         for k, q in kept.items():
-            if value(resultant, p, q).is_zero():
+            if not value(_bres, p, q):
                 del kept[k]
-                work += coprime_squarefree_basis([p, q])
+                work += _bbasis([p, q])
                 break
         else:
-            kept[p.key()] = p
-    basis = sorted(kept.values(), key=Polynomial.key)
-    univ = xparts + [b.coeffs_in("y")[-1] for b in basis]
+            kept[key] = p
+    basis = sorted(kept.values(), key=_bkey)
+    univ = xparts + [b[-1] for b in basis]
     univ += [v for k, v in vals.items() if k <= kept.keys()]
-    return basis, coprime_squarefree_basis(univ)
+    return basis, [b[0] for b in _bbasis([[u] for u in univ])]
 
 
 def projection_phase(polys):
@@ -247,7 +258,7 @@ def projection_phase(polys):
     pairwise y-resultants of the y-primitive basis of the inputs, which
     _project builds alongside.
     """
-    return _project(*_prepare(polys))[1]
+    return [_poly([q], ("x",)) for q in _project(*_prepare([_rows(p)[0] for p in polys]))[1]]
 
 
 # ---------------------------------------------------------------------------
@@ -257,11 +268,7 @@ def projection_phase(polys):
 def _needs_shear(yparts) -> bool:
     # the leading coefficient of a y-part is the product of those of its
     # basis factors, so it has the same real roots
-    for b in yparts:
-        lc = b.coeffs_in("y")[-1]
-        if not lc.is_constant() and isolate_real_roots(lc):
-            return True
-    return False
+    return any(uisolate(b[-1]) for b in yparts)
 
 
 def _top_form_value(p: Polynomial, lam: Fraction) -> Fraction:
@@ -289,7 +296,7 @@ def _choose_shear(polys) -> Fraction:
 def _shear_poly(p: Polynomial, lam: Fraction) -> Polynomial:
     x = Polynomial.var("x", XY)
     y = Polynomial.var("y", XY)
-    return _embed_xy(p.substitute({"x": x + Polynomial.const(lam, XY) * y}))
+    return p.substitute({"x": x + Polynomial.const(lam, XY) * y})
 
 
 # ---------------------------------------------------------------------------
@@ -316,38 +323,28 @@ class Stack:
     at: object
     sections: list
     fences: list
-    _fence_cuts: dict = _dcfield(default_factory=dict, repr=False)
+    _cuts: tuple = _dcfield(default=(None, None), repr=False)
 
-    def fence_cuts(self, p: Polynomial):
-        """(cut, Sturm chain) of p along each fence height where the cut, a
-        list in x, is not constant; both sectors beside a root line read
-        the same ones."""
-        key = p.key()
-        out = self._fence_cuts.get(key)
-        if out is None:
-            cuts = [_trim(_slice(p, "y", e)) for e in self.fences]
-            out = [(h, sturm_chain(h)) for h in cuts if _udeg(h) >= 1]
-            self._fence_cuts[key] = out
-        return out
+    def fence_cuts(self, Q):
+        """(cut, Sturm chain) of the curve's rows Q along each fence height
+        where the cut, a list in x sliced off Q's rows turned to rows in x,
+        is not constant; both sectors beside a root line read the same ones."""
+        if self._cuts[0] is not Q:
+            cols = [_trim(c) for c in zip_longest(*Q, fillvalue=0)]
+            cuts = [_trim(_slice(cols, e)) for e in self.fences]
+            self._cuts = Q, [(h, sturm_chain(h)) for h in cuts if _udeg(h) >= 1]
+        return self._cuts[1]
 
 
-def _slice(p: Polynomial, var, at):
-    """Coefficient list of p in the other variable on the line var = at.
-
-    at is a rational or, for var = "x" on an irrational root line, the
-    generator of Q(x); each coefficient is a Horner value at it.  The terms
-    of p are read once into one row of Fractions per power of the other
-    variable, each row running up to its own degree in var ([0] for a
-    missing power), so the Horner values keep their representation.
-    """
-    i = p.variables.index(var)
-    j = p.variables.index("y" if var == "x" else "x")
-    rows = [[] for _ in range(max((e[j] for e in p.terms), default=0) + 1)]
-    for e, c in p.terms.items():
-        row = rows[e[j]]
-        row.extend([Fraction(0)] * (e[i] + 1 - len(row)))
-        row[e[i]] = c
-    return [_ueval(row or [Fraction(0)], at) for row in rows]
+def _slice(rows, at):
+    """A positive multiple of the coefficient list of rows on the line where
+    the variable of their lists is at: at a rational n/d, one ``_ihorner``
+    per row over the one scale d^D, D the longest row's degree (integers);
+    at the generator of Q(x), each row's Horner value."""
+    if isinstance(at, Fraction):
+        top = max(map(len, rows))
+        return [_ihorner(r, at) * at.denominator ** (top - len(r)) for r in rows]
+    return [_ueval(r or [0], at) for r in rows]
 
 
 def _fences(roots):
@@ -371,7 +368,7 @@ def _build_stack(index, xval, basis) -> Stack:
         at = nf.NumberField(xval.copy()).generator()
     prod = [Fraction(1)]
     for b in basis:
-        prod = nf.ymul(prod, _slice(b, "x", at))
+        prod = nf.ymul(prod, _slice(b, at))
     sections = nf.yisolate(prod)
     return Stack(index, xval, at, sections, _fences(sections))
 
@@ -420,7 +417,7 @@ def _limit_assignment(Q, rstack, sstack, side):
     xstar = sstack.x
     for h, chain in rstack.fence_cuts(Q):
         xstar = _approach(h, chain, rstack.x, xstar, side)
-    chain = sturm_chain(_trim(_slice(Q, "x", xstar)))
+    chain = sturm_chain(_trim(_slice(Q, xstar)))
     total = sturm_count(chain, None, None)
     counts = [sturm_count(chain, a, b) for a, b in zip(seps, seps[1:])]
     if total != K or sum(counts) != K:
@@ -476,18 +473,21 @@ def decompose(formula) -> Decomposition:
     certification.
     """
     _check_variables(formula)
-    working = map_polys(formula, _embed_xy)
+    working = formula
     atom_polys = [a.poly for a in formula_atoms(working)]
     lam = None
-    xparts, yparts = _prepare(atom_polys)
+    atom_rows = [_rows(p)[0] for p in atom_polys]
+    xparts, yparts = _prepare(atom_rows)
     if _needs_shear(yparts):
         lam = _choose_shear(atom_polys)
         working = map_polys(working, lambda p: _shear_poly(p, lam))
         atom_polys = [a.poly for a in formula_atoms(working)]
-        xparts, yparts = _prepare(atom_polys)
+        atom_rows = [_rows(p)[0] for p in atom_polys]
+        xparts, yparts = _prepare(atom_rows)
         if _needs_shear(yparts):  # pragma: no cover
             raise CadError("shear failed to remove leading coefficient roots")
     basis, proj = _project(xparts, yparts)
+    proj = [_poly([q], ("x",)) for q in proj]
 
     xroots = []
     for q in proj:
@@ -507,8 +507,8 @@ def decompose(formula) -> Decomposition:
         on_root = st.index % 2 == 1
         inner = 0 < st.index < smax
         try:  # each atom is signed once per stack, at all levels
-            signs = {id(p): nf.ysign_at(_slice(p, "x", st.at), st.sections, st.fences)
-                     for p in atom_polys}
+            signs = {id(p): nf.ysign_at(_slice(rows, st.at), st.sections, st.fences)
+                     for p, rows in zip(atom_polys, atom_rows)}
         except ArithError as e:
             raise CadError(f"sign certification failed on stack {st.index}: {e}") from e
         for lv in range(2 * K + 1):
@@ -534,7 +534,7 @@ def decompose(formula) -> Decomposition:
 
     Q = None
     for b in basis:
-        Q = b if Q is None else Q * b
+        Q = b if Q is None else _bmul(Q, b)
     for st in stacks[2:smax:2]:
         for rs in (stacks[st.index - 1], stacks[st.index + 1]):
             ms = _limit_assignment(Q, rs, st, st.index - rs.index)
@@ -550,7 +550,7 @@ def decompose(formula) -> Decomposition:
         complex=complex_,
         samples=samples,
         shear=lam,
-        basis=basis,
+        basis=[_poly(b) for b in basis],
         projection=proj,
         ambient_cells=ambient,
         _stacks=stacks,
@@ -586,7 +586,7 @@ def locate(dec: Decomposition, point) -> str:
     # query x at or below py (one Sturm chain), py is on branch k or above it
     if dec._curve is None:
         return f"c{st.index}_0"
-    cut = _trim(_slice(dec._curve, "x", px))
+    cut = _trim(_slice(dec._curve, px))
     chain = sturm_chain(cut)
     if sturm_count(chain, None, None) != len(st.sections):  # pragma: no cover
         raise CadError("curve family is not delineable over a sector")

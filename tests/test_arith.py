@@ -40,8 +40,6 @@ from specta.arith import (
 from specta import arith, cad2d
 from specta.arith import (
     _ext_gcd,
-    _poly_exact_div,
-    _ptrim,
     _sign,
     _udivmod,
     _ueval,
@@ -325,6 +323,20 @@ def sylvester_matrix(p: Polynomial, q: Polynomial, var):
     return rows
 
 
+def _ptrim(cs):
+    cs = list(cs)
+    while cs and cs[-1].is_zero():
+        cs.pop()
+    return cs
+
+
+def _exact_div(a: Polynomial, b: Polynomial) -> Polynomial:
+    """a / b for Polynomials in x alone (or constants), b dividing a."""
+    q, r = _udivmod(a.univariate_coeffs(), b.univariate_coeffs())
+    assert not r
+    return Polynomial.from_univariate("x", q).embed(a.variables)
+
+
 def _bareiss_det(rows):
     """Fraction-free determinant over a polynomial ring (Bareiss elimination)."""
     n = len(rows)
@@ -346,7 +358,7 @@ def _bareiss_det(rows):
         for i in range(k + 1, n):
             for j in range(k + 1, n):
                 num = a[i][j] * a[k][k] - a[i][k] * a[k][j]
-                a[i][j] = _poly_exact_div(num, prev)
+                a[i][j] = _exact_div(num, prev)
             a[i][k] = Polynomial.const(0, vars0)
         prev = a[k][k]
     det = a[n - 1][n - 1]
@@ -382,6 +394,12 @@ def test_discriminant_of_circle():
 def test_resultant_requires_the_variable():
     with pytest.raises(ArithError):
         resultant(XY + 1, YY, "y")
+    # the algebra runs on rows in two variables: a third one is an error
+    p = Polynomial.var("z", ("x", "y", "z")) * YY ** 2 + XY
+    for call in (lambda: resultant(p, YY, "y"), lambda: discriminant(p, "y"),
+                 lambda: poly_gcd(p, YY), lambda: squarefree_part(p)):
+        with pytest.raises(ArithError, match="other than x and y"):
+            call()
 
 
 def test_resultant_zero_iff_common_factor():
@@ -455,14 +473,40 @@ def _planted_gap_pair(b, s, t, c):
 ])
 def test_resultant_after_a_degree_gap_matches_sylvester(b, s, t, c):
     p, q = _planted_gap_pair(b, s, t, c)
-    steps = list(arith._subresultant_steps(
-        _ptrim(p.coeffs_in("y")), _ptrim(q.coeffs_in("y")), Polynomial.const(1, ("x",))))
+    steps = list(arith._subresultant_steps(arith._rows(p)[0], arith._rows(q)[0]))
     a_last, b_last, r_last, _ = steps[-1]
     assert len(r_last) == 1 and len(b_last) - 1 == b.degree_in("y") >= 2
     assert len(a_last) - len(b_last) >= 2
     assert resultant(p, q, "y") == sylvester_resultant(p, q, "y")
     assert resultant(q, p, "y") == sylvester_resultant(q, p, "y")
     assert to_sympy(discriminant(p, "y")) == sp.expand(sp.discriminant(to_sympy(p), SY))
+
+
+# ---------------------------------------------------------------------------
+# the integer rows of the two-variable algebra
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.dictionaries(st.tuples(st.integers(0, 3), st.integers(0, 3)),
+                       st.fractions(min_value=-9, max_value=9, max_denominator=12),
+                       min_size=1, max_size=6),
+       st.sampled_from(["xy", "x", "y", ""]),
+       st.fractions(min_value=-3, max_value=3, max_denominator=16))
+def test_rows_round_trip_and_slice_a_positive_multiple(terms, live, a):
+    # the draws collapse to x-only, y-only and constant polynomials as well
+    p = Polynomial.make(("x", "y"), {(i * ("x" in live), j * ("y" in live)): c
+                                     for (i, j), c in terms.items()})
+    if p.is_zero():
+        return
+    rows, den = arith._rows(p)
+    assert den > 0 and all(type(c) is int for row in rows for c in row)
+    assert arith._poly(rows) == den * p
+    cut = cad2d._slice(rows, a)
+    ref = [c.eval_at({"x": a}) for c in p.coeffs_in("y")]
+    assert all(type(c) is int for c in cut) and len(cut) == len(ref)
+    assert [bool(c) for c in cut] == [bool(c) for c in ref]
+    ratios = {Fraction(c) / r for c, r in zip(cut, ref) if r}
+    assert len(ratios) <= 1 and all(k > 0 for k in ratios)
 
 
 # ---------------------------------------------------------------------------
@@ -529,14 +573,14 @@ def test_gcd_and_squarefree_agree_with_sympy(seed):
 def _basis_and_tested_pairs(polys):
     """coprime_squarefree_basis(polys) and the pairs its loop takes gcds of."""
     pairs = []
-    gcd = arith.poly_gcd
+    gcd = arith._bgcd
 
     def spy(p, q):
-        if sys._getframe(1).f_code is coprime_squarefree_basis.__code__:
-            pairs.append(frozenset((p.key(), q.key())))
+        if sys._getframe(1).f_code is arith._bbasis.__code__:
+            pairs.append(frozenset((arith._bkey(p), arith._bkey(q))))
         return gcd(p, q)
 
-    with mock.patch.object(arith, "poly_gcd", spy):
+    with mock.patch.object(arith, "_bgcd", spy):
         return coprime_squarefree_basis(polys), pairs
 
 
@@ -563,9 +607,11 @@ def test_planted_projection_matches_basis_first_route(seed):
     g, a, b, c = (_planted_factor(rng) for _ in range(4))
     family = [g * a, g * b, g * g * c] + rng.sample([g * a, a * b, c, g], rng.randint(0, 2))
     rng.shuffle(family)
-    xparts, yparts = cad2d._prepare(family)
+    xparts, yparts = cad2d._prepare([arith._rows(p)[0] for p in family])
     basis, proj = cad2d._project(xparts, yparts)
-    ref_basis, ref_proj = _basis_first_projection(xparts, yparts)
+    basis, proj = [arith._poly(b) for b in basis], [arith._poly([q], ("x",)) for q in proj]
+    yparts = [arith._poly(p) for p in yparts]
+    ref_basis, ref_proj = _basis_first_projection([arith._poly([q], ("x",)) for q in xparts], yparts)
     assert [p.to_text() for p in basis] == [p.to_text() for p in ref_basis]
     assert [p.to_text() for p in proj] == [p.to_text() for p in ref_proj]
     for i, p in enumerate(basis):
