@@ -795,9 +795,20 @@ class AlgebraicNumber:
         return twin
 
     def approx(self, width=Fraction(1, 1 << 20)) -> Fraction:
-        while not self.is_rational and self.hi - self.lo > width:
+        """The midpoint once the interval is at most width wide: each refine
+        halves the width until the root is exact, so that takes the least
+        k with (hi - lo) / 2^k <= width refines, found on integers."""
+        lo, hi = self.lo, self.hi
+        x = (hi.numerator * lo.denominator - lo.numerator * hi.denominator) * width.denominator
+        y = width.numerator * lo.denominator * hi.denominator
+        k = max(0, x.bit_length() - y.bit_length())
+        while x > y << k:
+            k += 1
+        for _ in range(k):
             self.refine()
-        return (self.lo + self.hi) / 2
+        lo, hi = self.lo, self.hi
+        return Fraction(lo.numerator * hi.denominator + hi.numerator * lo.denominator,
+                        2 * lo.denominator * hi.denominator)
 
     def __float__(self):
         return float(self.approx())

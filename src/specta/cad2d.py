@@ -7,7 +7,9 @@ curves defined by the family slice the vertical line into points, arcs and
 bands.  Every cell carries an exact sample point and a definite truth
 value of the input formula, the satisfied cells become the marked part M
 of the complex, and cell adjacency is certified by exact root counting
-rather than floating point tracking.
+rather than floating point tracking: from the count of critical sections
+on a root line where it has at most one, else by moving toward the line
+until Sturm counts certify where each branch ends.
 
 The projection runs on integer rows: each atom is read once into rows
 in y of integer lists in x (arith._rows), and the y-basis and the
@@ -33,7 +35,13 @@ stacks 0 and 2n and the outer levels 0 and 2K of a stack are unbounded:
 they get an ambient entry and a sample but stay out of the complex.  Faces
 follow from level arithmetic: a section bounds the levels beside it, and
 across a root line a bounded sector level meets a run of root-line levels
-read off the limit assignment.  The complex is the restriction of the
+read off the limit assignment.  That assignment needs no approach when
+the line has at most one critical section, a root of gcd(Q, Q_y) for Q
+the product of the basis: one branch from each side ends at every other
+section, and the rest at the critical one (_sector_limits).  Each stack
+counts its critical sections off the isolation of its slice product,
+whose defining list is the product over that gcd; only a line with two or
+more runs _limit_assignment.  The complex is the restriction of the
 bounded cells to the closure of the satisfied ones.
 
 The described set must be bounded; decompose raises UnboundedInput as
@@ -65,8 +73,10 @@ from .arith import (
     _rows,
     _trim,
     _udeg,
+    _udivmod,
     _ueval,
     _usign,
+    _usturm,
     isolate_real_roots,
     rational_between,
     real_compare,
@@ -316,6 +326,9 @@ class Stack:
     levels 0 and 2K, and every level of the outer stacks, are unbounded.
     fences are rational heights, one inside each even level: its sample
     height, and on a root line a separator for adjacency certification.
+    critical holds the indices of the critical sections, the roots of
+    gcd(Q, Q_y) on the line for Q the product of the basis: () or one
+    index, or None when there are two or more, which are not placed.
     """
 
     index: int
@@ -323,6 +336,7 @@ class Stack:
     at: object
     sections: list
     fences: list
+    critical: tuple = ()
     _cuts: tuple = _dcfield(default=(None, None), repr=False)
 
     def fence_cuts(self, Q):
@@ -370,7 +384,35 @@ def _build_stack(index, xval, basis) -> Stack:
     for b in basis:
         prod = nf.ymul(prod, _slice(b, at))
     sections = nf.yisolate(prod)
-    return Stack(index, xval, at, sections, _fences(sections))
+    fences = _fences(sections)
+    return Stack(index, xval, at, sections, fences, _critical(prod, sections, fences))
+
+
+def _critical(prod, sections, fences):
+    """Stack.critical of a line whose slice product prod has the given
+    sections and fences.
+
+    The sections' defining list is prod over gcd(prod, prod'), so that
+    gcd G is the exact quotient of prod by it, up to a nonzero scale, and
+    has degree 0 when the two have the same length.  One Sturm chain of G
+    counts its distinct real roots, all of them sections; a single one is
+    placed among the fences by bisection on the counts below them.
+    """
+    prod = _trim(prod)
+    if not sections or len(sections[0].coeffs) == len(prod):
+        return ()
+    chain = _usturm(_udivmod(prod, sections[0].coeffs)[0])
+    n = sturm_count(chain, None, None)
+    if n != 1:
+        return () if n == 0 else None
+    lo, hi = 0, len(fences) - 1  # the root lies above fences[lo], not above fences[hi]
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if sturm_count(chain, None, fences[mid]):
+            hi = mid
+        else:
+            lo = mid
+    return (lo,)
 
 
 # ---------------------------------------------------------------------------
@@ -396,8 +438,39 @@ def _approach(h, chain, alpha, xstar, side):
         xstar = (xstar + near) / 2
 
 
+def _sector_limits(Q, rstack, sstack, side):
+    """For each section of the sector, the root-stack point it converges to,
+    as 1-based section indices of the root stack, from the counts of the
+    root line's critical sections where it has at most one.
+
+    Q is square-free and no branch escapes vertically, so at a section
+    where Q_y != 0 exactly one branch arrives from each side (implicit
+    function theorem), and the limits of the sector's branches are
+    monotone: they fill the other sections in order from the bottom and
+    from the top, and every remaining branch tends to the one critical
+    section, if any (Arnon, Collins & McCallum, SIAM J. Comput. 13, 1984).
+    A line with two or more critical sections goes to _limit_assignment.
+    A count that does not add up raises CadError.
+    """
+    crit = rstack.critical
+    if crit is None:
+        return _limit_assignment(Q, rstack, sstack, side)
+    K, m = len(sstack.sections), len(rstack.sections)
+    extra = K - m + len(crit)  # the branches tending to the critical section
+    if extra < 0 or (extra and not crit):
+        raise CadError(
+            f"adjacency certification failed: {K} curve branches beside the "
+            f"root line x={rstack.x} with {m} sections, {len(crit)} of them critical")
+    if not crit:
+        return list(range(1, m + 1))
+    c = crit[0] + 1
+    return list(range(1, c)) + [c] * extra + list(range(c + 1, m + 1))
+
+
 def _limit_assignment(Q, rstack, sstack, side):
-    """For each section of the sector, the root-stack point it converges to.
+    """For each section of the sector, the root-stack point it converges to:
+    the fallback of _sector_limits on a line with two or more critical
+    sections, where counts alone do not say how many branches reach each.
 
     side is -1 when the sector lies left of the root line alpha, +1 when
     right.  The root stack's fences are the separator heights e that split
@@ -537,7 +610,7 @@ def decompose(formula) -> Decomposition:
         Q = b if Q is None else _bmul(Q, b)
     for st in stacks[2:smax:2]:
         for rs in (stacks[st.index - 1], stacks[st.index + 1]):
-            ms = _limit_assignment(Q, rs, st, st.index - rs.index)
+            ms = _sector_limits(Q, rs, st, st.index - rs.index)
             # section j of the sector tends to root-line level lim[j]; a band
             # meets every level from the limit below it to the one above it
             lim = [0] + [2 * m - 1 for m in ms] + [2 * len(rs.sections)]

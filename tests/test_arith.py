@@ -232,6 +232,27 @@ def test_refine_matches_reference_halving(factors, k):
             assert (r.lo, r.hi) == want
 
 
+def _reference_approx(root, width):
+    # the halving loop approx replaced: one Fraction width test per refine
+    while not root.is_rational and root.hi - root.lo > width:
+        root.refine()
+    return (root.lo + root.hi) / 2
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(planted_factors, min_size=1, max_size=4),
+       st.sampled_from([Fraction(1, 1 << 20), Fraction(1, 3), Fraction(5, 7), Fraction(1, 1000),
+                        Fraction(4), Fraction(3, 1 << 40)]))
+def test_approx_matches_the_halving_loop(factors, width):
+    cs = [Fraction(1)]
+    for f in factors:
+        cs = _umul(cs, [Fraction(c) for c in f])
+    for root in uisolate(cs):
+        ref = root.copy()
+        assert root.approx(width) == _reference_approx(ref, width)
+        assert (root.lo, root.hi) == (ref.lo, ref.hi)
+
+
 def test_equality_across_defining_polynomials():
     # sqrt(2) described by x^2-2 and by (x^2-2)(x^2-3) must compare equal
     small = isolate_real_roots(X * X - 2)[1]

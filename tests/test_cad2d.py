@@ -7,6 +7,7 @@ before the engine existed, then frozen here.
 
 import hashlib
 import random
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 
@@ -413,17 +414,68 @@ def test_complex_matches_closure_walk_reference(text):
 @pytest.mark.parametrize("text", [DISK, ANNULUS, STRIP, TWO_ELLIPSES, SHIFTED_ANNULUS])
 def test_limit_assignment_runs_on_inner_sectors_only(text, monkeypatch):
     seen = []
-    real = cad2d._limit_assignment
+    real = cad2d._sector_limits
 
     def counted(Q, rstack, sstack, side):
         seen.append(sstack.index)
         return real(Q, rstack, sstack, side)
 
-    monkeypatch.setattr(cad2d, "_limit_assignment", counted)
+    monkeypatch.setattr(cad2d, "_sector_limits", counted)
     dec = cad2d.decompose(parse_formula(text))
     n = len(dec._xroots)
     assert n >= 2 and len(seen) == 2 * n - 2
     assert 0 not in seen and 2 * n not in seen
+
+
+def _check_counted_limits(dec, kinds):
+    """On every root line whose critical sections the stack places, the
+    count rule of _sector_limits gives _limit_assignment's answer for both
+    inner sectors beside it; kinds counts the lines by (rational x, number
+    of critical sections, 2 standing for two or more)."""
+    stacks, n = dec._stacks, len(dec._xroots)
+    for ri in range(n):
+        rstack = stacks[2 * ri + 1]
+        crit = rstack.critical
+        kinds[rstack.x.is_rational, 2 if crit is None else len(crit)] += 1
+        if crit is None:
+            continue
+        for side in (-1, 1):
+            sstack = stacks[2 * ri + 1 + side]
+            if 0 < sstack.index < 2 * n:
+                assert (cad2d._sector_limits(dec._curve, rstack, sstack, side)
+                        == cad2d._limit_assignment(dec._curve, rstack, sstack, side)), (ri, side)
+
+
+def test_counted_limits_match_limit_assignment():
+    # fresh decompositions: _limit_assignment refines the x-roots in place
+    kinds = Counter()
+    for text in list(PINNED_TEXT) + list(PINNED_DEGENERATE):
+        _check_counted_limits(cad2d.decompose(parse_formula(text)), kinds)
+    assert set(kinds) == {(r, c) for r in (True, False) for c in (0, 1, 2)}, kinds
+
+
+def _forged(sections, critical):
+    # a stack whose sections are only counted: the count rule reads
+    # nothing but their number and the critical indices
+    return cad2d.Stack(1, Fraction(0), Fraction(0), [None] * sections,
+                       [Fraction(k) for k in range(sections + 1)], critical)
+
+
+@pytest.mark.parametrize("m, critical, K, want", [
+    (3, (), 3, [1, 2, 3]),
+    (3, (1,), 2, [1, 3]),
+    (3, (1,), 5, [1, 2, 2, 2, 3]),
+    (1, (0,), 0, []),
+    (0, (), 0, []),
+])
+def test_counted_limits_fill_the_sections_in_order(m, critical, K, want):
+    assert cad2d._sector_limits(None, _forged(m, critical), _forged(K, ()), 1) == want
+
+
+@pytest.mark.parametrize("m, critical, K", [(3, (), 2), (3, (), 4), (0, (), 1), (3, (0,), 1)])
+def test_counted_limits_that_do_not_add_up_raise(m, critical, K):
+    with pytest.raises(CadError, match="adjacency certification failed"):
+        cad2d._sector_limits(None, _forged(m, critical), _forged(K, ()), 1)
 
 
 def _root_free_between(h, xstar, alpha):
@@ -565,6 +617,12 @@ def test_random_quadratic_formulas_decompose_and_locate(clause):
         point = (x if dec.shear is None else x + dec.shear * y, y)
         assert cad2d.contains_point(f, point) == dec.ambient_cells[cid][1], (f, cid)
         assert cad2d.locate(dec, point) == cid, (f, cid)
+
+
+@settings(max_examples=20, deadline=None)
+@given(_clauses)
+def test_counted_limits_match_limit_assignment_on_drawn_formulas(clause):
+    _check_counted_limits(cad2d.decompose(And((_RADIUS_TWO, clause))), Counter())
 
 
 def test_sign_vectors_constant_per_cell():
