@@ -46,6 +46,7 @@ from math import gcd, lcm
 from .arith import (
     AlgebraicNumber,
     _ext_gcd,
+    _ihorner,
     _over_common,
     _sign,
     _trim,
@@ -93,6 +94,17 @@ class NumberField:
     def __init__(self, alpha: AlgebraicNumber):
         self.alpha = alpha
         self._int_of = self._int_defining = None
+        self._near_of = self._near_value = None
+
+    def _near(self) -> Fraction:
+        """A rational within 2^-64 of alpha, for the float guesses of
+        ``FieldElement._guess`` only.  It is read off a narrowed copy of
+        alpha, once per alpha object, so alpha's own box does not move."""
+        a = self.alpha
+        if self._near_of is not a:
+            self._near_of = a
+            self._near_value = a.value if a.is_rational else a.copy().approx(Fraction(1, 1 << 64))
+        return self._near_value
 
     def _remainder(self, nums, den):
         """(r, den') with r/den' the remainder of nums/den modulo the
@@ -283,6 +295,16 @@ class FieldElement:
 
     def __bool__(self):
         return self.sign() != 0
+
+    def _guess(self) -> float:
+        """The representative's value at ``NumberField._near``, rounded once:
+        a guess that decides only which cell ``AlgebraicNumber.narrow``
+        signs, never a sign or an output, so it is no ``__float__`` and
+        ``float()`` of an element stays a TypeError.  Raises OverflowError
+        beyond float range."""
+        x = self.field._near()
+        n, d = x.numerator, x.denominator
+        return _ihorner(self.nums, n, d) / (self.den * d ** max(len(self.nums) - 1, 0))
 
     def inverse(self) -> "FieldElement":
         """1/value, from the extended gcd of the integer representative

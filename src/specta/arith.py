@@ -26,7 +26,10 @@ value.
 ``_over_common`` (rationals as integer numerators over their least common
 denominator) also serves ``_numfield`` and ``paths``; ``binary_power`` is
 the one power routine of Polynomial and PuiseuxSeries.
-``AlgebraicNumber.refine`` is the one bisection of real roots.
+``AlgebraicNumber.refine`` is the one halving of a real root's interval,
+the step of every loop that refines until a test holds;
+``AlgebraicNumber.narrow`` takes a known number of halvings at once, by
+certified jumps.
 
 Conventions
 -----------
@@ -54,7 +57,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from itertools import zip_longest
-from math import gcd, lcm
+from math import floor, gcd, isfinite, lcm, log2
 from operator import add
 
 
@@ -447,10 +450,9 @@ def _udeg(cs):
     return len(cs) - 1
 
 
-def _ihorner(nums, x) -> int:
-    """d^deg times the value at x = n/d of an integer list: the sum of
+def _ihorner(nums, n, d) -> int:
+    """d^deg times the value at n/d of an integer list: the sum of
     nums[i] n^i d^(deg-i), by Horner on bare integers."""
-    n, d = x.numerator, x.denominator
     acc, dk = 0, 1
     for c in reversed(nums):
         acc = acc * n + c * dk
@@ -465,7 +467,8 @@ def _ueval(cs, x):
     represents."""
     if isinstance(x, (int, Fraction)) and _rational(cs):
         nums, den = _over_common(cs)
-        return Fraction(_ihorner(nums, x), den * x.denominator ** max(len(cs) - 1, 0))
+        return Fraction(_ihorner(nums, x.numerator, x.denominator),
+                        den * x.denominator ** max(len(cs) - 1, 0))
     out = x * 0
     for c in reversed(cs):
         out = out * x + c
@@ -678,12 +681,14 @@ def sturm_chain(cs):
     return _usturm(_usquarefree(cs))
 
 
-def _variations(chain, x, end) -> int:
-    # x = None stands for the infinity on the side of end (+1 or -1)
+def _variations(chain, x, end):
+    """(sign variations of chain at x, sign of chain[0] at x); x = None
+    stands for the infinity on the side of end (+1 or -1)."""
     signs = [_sign(p[-1]) * end ** (len(p) - 1) if x is None else _usign(p, x)
              for p in chain]
+    head = signs[0]
     signs = [s for s in signs if s]
-    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+    return sum(1 for a, b in zip(signs, signs[1:]) if a != b), head
 
 
 def sturm_count(chain, a, b) -> int:
@@ -693,7 +698,7 @@ def sturm_count(chain, a, b) -> int:
     root: one at b is counted, one at a is not.  None stands for -inf as a
     and for +inf as b, read off the leading coefficients.
     """
-    return _variations(chain, a, -1) - _variations(chain, b, 1)
+    return _variations(chain, a, -1)[0] - _variations(chain, b, 1)[0]
 
 
 def refine_root_free(chain, root):
@@ -714,19 +719,173 @@ def _uint_primitive(cs):
     return [-v for v in ints] if ints and ints[-1] < 0 else ints
 
 
-def _count_start(chain, sq) -> Fraction:
-    """The least 2^k, k >= 0, with neither -2^k nor 2^k a root of sq and
-    the count of chain (a Sturm chain of a list with sq's real roots) over
-    (-2^k, 2^k) the total count: a bisection start from exact signs."""
+def _at(chain, memo, x):
+    """(variations, sign of chain[0]) of a Sturm chain at a rational x, as
+    ``_variations`` gives them: signed once per point and memo, the dict
+    that one isolation's ``_count_start`` and ``_bisect`` share."""
+    got = memo.get(x)
+    if got is None:
+        got = memo[x] = _variations(chain, x, 1)
+    return got
+
+
+def _count_start(chain, memo) -> Fraction:
+    """The least 2^k, k >= 0, with neither -2^k nor 2^k a root of chain[0]
+    and the count of chain over (-2^k, 2^k) the total count: a bisection
+    start from exact signs, each point signed once per memo (``_at``)."""
     total = sturm_count(chain, None, None)
     b = Fraction(1)
-    while not (_usign(sq, b) and _usign(sq, -b) and sturm_count(chain, -b, b) == total):
+    while True:
+        (vl, sl), (vr, sr) = _at(chain, memo, -b), _at(chain, memo, b)
+        if sl and sr and vl - vr == total:
+            return b
         b *= 2
-    return b
 
 
 # ---------------------------------------------------------------------------
 # real algebraic numbers
+
+
+class _Bracket:
+    """A root's interval while ``AlgebraicNumber.narrow(k)`` runs.
+
+    A point is an integer position x in [0, 2^k] that stands for
+    lo + x (hi - lo) / 2^k, so the points of the level-t dyadic grid of
+    (lo, hi) are the multiples of 2^(k - t).  The root lies strictly
+    between the positions p and r, and the list's exact value is kept at
+    both: over Q an integer of the value's sign, on one scale for every
+    point, which the secant reads; over Q(alpha) the sign alone.  Every
+    point at or below p has p's sign and every one at or above r has r's,
+    so only a point inside (p, r) is ever signed.
+    """
+
+    __slots__ = ("k", "cs", "nums", "base", "w", "den", "p", "r", "vp", "vr", "sp",
+                 "root", "floats")
+
+    def __init__(self, number, k):
+        lo, hi = number.lo, number.hi
+        self.k, self.cs = k, number.coeffs
+        self.nums = _over_common(self.cs)[0] if _rational(self.cs) else None
+        # position x stands for (base + x w) / den
+        self.base = lo.numerator * hi.denominator << k
+        self.w = hi.numerator * lo.denominator - lo.numerator * hi.denominator
+        self.den = lo.denominator * hi.denominator << k
+        self.p, self.r, self.root, self.floats = 0, 1 << k, None, None
+        if self.nums is not None:
+            self.vp, self.vr = self.value(0), self.value(1 << k)
+            self.sp = (self.vp > 0) - (self.vp < 0)
+        else:
+            if number._lo_sign is None:
+                number._lo_sign = _usign(self.cs, lo)
+            self.sp = self.vp = number._lo_sign
+            self.vr = -self.sp
+
+    def value(self, x):
+        n = self.base + x * self.w
+        if self.nums is not None:
+            return _ihorner(self.nums, n, self.den)
+        return _usign(self.cs, Fraction(n, self.den))
+
+    def point(self, x) -> Fraction:
+        return Fraction(self.base + x * self.w, self.den)
+
+    def level(self) -> int:
+        """The deepest level, up to k, whose dyadic cell holds [p, r]."""
+        return self.k - (self.p ^ (self.r - 1)).bit_length()
+
+    def sign(self, x) -> int:
+        """The list's sign at x.  Signing a point inside (p, r) moves p or
+        r to it, or makes it the root at a zero."""
+        if x <= self.p:
+            return self.sp
+        if x >= self.r:
+            return -self.sp
+        v = self.value(x)
+        s = (v > 0) - (v < 0)
+        if s == self.sp:
+            self.p, self.vp = x, v
+        elif s:
+            self.r, self.vr = x, v
+        else:
+            self.root = x
+        return s
+
+    def halve(self) -> int:
+        """One plain halving: the sign at the midpoint of the level's cell
+        that holds [p, r]."""
+        e = self.k - self.level() - 1
+        return self.sign((self.p >> e | 1) << e)
+
+    def guess(self, t):
+        """(t', num, den): the root guessed at position num/den, den > 0,
+        to be jumped to at level t' <= t; t' is 0 when there is no guess.
+
+        Over Q, the secant through the exact values at p and r.  Over
+        Q(alpha), a Newton root of the entries as floats, with t' the
+        deepest level whose cells are twice as wide as its error estimate.
+        The estimate counts float rounding only, not the entries' error
+        from being evaluated near alpha rather than at it; a guess it
+        misjudges costs a halving, never a wrong cell, since exact signs
+        decide every jump."""
+        p, r, vp, vr = self.p, self.r, self.vp, self.vr
+        if self.nums is not None:
+            num, den = r * vp - p * vr, vp - vr
+            return (t, num, den) if den > 0 else (t, -num, -den)
+        if self.floats is None:
+            try:
+                self.floats = [float(c) if isinstance(c, (int, Fraction)) else c._guess()
+                               for c in self.cs]
+            except OverflowError:  # an entry beyond float range
+                self.floats = ()
+        try:
+            x, err = _newton(self.floats, (self.base + p * self.w) / self.den,
+                             (self.base + r * self.w) / self.den, self.sp)
+        except OverflowError:  # the floats gave out
+            return 0, 0, 1
+        q = self.den >> self.k
+        t = min(t, floor(log2(self.w) - log2(q) - log2(2 * err)))
+        f = Fraction(x)
+        return t, f.numerator * self.den - self.base * f.denominator, f.denominator * self.w
+
+
+# the spacing of floats at 1, and the least positive float
+_EPS, _TINY = 2.0 ** -52, 2.0 ** -1074
+
+
+def _newton(cs, a, b, sa):
+    """(x, err): a float x near the one root in (a, b) of a list of floats
+    whose sign at a is sa, and err > 0 an estimate of the distance that
+    counts the rounding of the floats and of Horner's rule alone, not any
+    error the entries carry in.  Raises OverflowError when the floats
+    give out.
+
+    Newton steps from the midpoint, kept inside the bracket that the float
+    signs narrow (rtsafe; Press et al., Numerical Recipes, sec. 9.4).
+    """
+    x = (a + b) / 2
+    for _ in range(100):
+        v = d = m = 0.0
+        ax = abs(x)
+        for c in reversed(cs):
+            d = d * x + v
+            v = v * x + c
+            m = m * ax + abs(c)
+        if not (isfinite(m) and isfinite(d)):
+            raise OverflowError("no float guess")
+        nx = x - v / d if d else a
+        if not v or abs(nx - x) <= 4 * _EPS * ax:
+            break
+        if (v > 0) == (sa > 0):
+            a = x
+        else:
+            b = x
+        x = nx if a < nx < b else (a + b) / 2
+    if not d:
+        raise OverflowError("no float guess")
+    err = 4 * (abs(v) + _EPS * len(cs) * m) / abs(d) + 4 * _EPS * ax + _TINY
+    if not isfinite(err):
+        raise OverflowError("no float guess")
+    return x, err
 
 
 class AlgebraicNumber:
@@ -737,8 +896,12 @@ class AlgebraicNumber:
     no caller mutates, so the roots of one list and their copies share it.
     ``lo == hi`` encodes an exact rational root.  Otherwise exactly one
     real root of ``defining`` lies in the open interval (lo, hi) and
-    neither endpoint is a root.  ``refine`` halves the interval in place;
-    everything else is read-only.
+    neither endpoint is a root.  ``refine`` halves the interval in place,
+    and ``narrow(k)`` leaves the state of k halvings by certified jumps:
+    a jump into a cell of the dyadic grid is taken only when the exact
+    signs at the cell's ends are opposite, and a miss falls back to one
+    halving, so no guess shows in the state.  Everything else is
+    read-only.
     """
 
     __slots__ = ("defining", "coeffs", "lo", "hi", "_lo_sign")
@@ -768,9 +931,9 @@ class AlgebraicNumber:
 
     def refine(self):
         """Halve the interval, keeping the half with the root (or the exact
-        root at the midpoint); ``uisolate`` narrows through it too.  The
-        list is signed at lo once per object: the root stays strictly
-        inside (lo, hi), so that sign never changes."""
+        root at the midpoint): the one step of the loops that refine until
+        a test holds.  The list is signed at lo once per object: the root
+        stays strictly inside (lo, hi), so that sign never changes."""
         if self.is_rational:
             return
         lo, hi = self.lo, self.hi
@@ -794,18 +957,58 @@ class AlgebraicNumber:
         twin.lo, twin.hi, twin._lo_sign = self.lo, self.hi, self._lo_sign
         return twin
 
+    def narrow(self, k):
+        """Leave the state of k calls of ``refine``: the level-k dyadic cell
+        of (lo, hi) that holds the root, or lo == hi at a dyadic root that
+        the halving would have stopped on.
+
+        It gets there by jumps (quadratic interval refinement: Abbott, ACM
+        CCA 2014; Kerber & Sagraloff, ISSAC 2011).  A guess of the root
+        picks a point of a deeper level's grid and the cell beside it on
+        the root's side; the jump is taken only when the exact signs at
+        both ends of that cell are nonzero and opposite, which certifies
+        that the one root of (lo, hi) is inside, and a zero at either end
+        is the root itself.  Otherwise one plain halving is taken and the
+        next jump is half as deep.  Over Q the guess is the secant of the
+        exact integer values at the ends, and the jump depth doubles after
+        each one taken; over Q(alpha) it is a Newton iteration on floats of
+        the entries (``_newton``), and the jump goes as deep as its error
+        estimate allows.  A float decides only which cell is signed, so the
+        state left is the same whatever the guesses; entries beyond float
+        range leave no guess and halving alone.
+        """
+        if k <= 0 or self.is_rational:
+            return
+        b = _Bracket(self, k)
+        jump = 2 if b.nums is not None else k
+        while b.root is None and (level := b.level()) < k:
+            t, num, den = b.guess(min(k, level + jump))
+            if t > level:
+                step = 1 << (k - t)
+                g = (2 * num + den * step) // (2 * den * step) * step  # the nearest level-t point
+                s = b.sign(g)
+                if s and b.sign(g + step if s == b.sp else g - step) and b.level() >= t:
+                    jump *= 2
+                    continue
+                jump = max(1, (t - level) // 2)
+            if b.root is None:
+                b.halve()
+        x = b.root
+        self.lo, self.hi = (b.point(b.p), b.point(b.r)) if x is None else (b.point(x),) * 2
+        self._lo_sign = b.sp
+
     def approx(self, width=Fraction(1, 1 << 20)) -> Fraction:
-        """The midpoint once the interval is at most width wide: each refine
-        halves the width until the root is exact, so that takes the least
-        k with (hi - lo) / 2^k <= width refines, found on integers."""
+        """The midpoint once the interval is at most width wide: each
+        halving halves the width until the root is exact, so that takes
+        ``narrow(k)`` for the least k with (hi - lo) / 2^k <= width, found
+        on integers."""
         lo, hi = self.lo, self.hi
         x = (hi.numerator * lo.denominator - lo.numerator * hi.denominator) * width.denominator
         y = width.numerator * lo.denominator * hi.denominator
         k = max(0, x.bit_length() - y.bit_length())
         while x > y << k:
             k += 1
-        for _ in range(k):
-            self.refine()
+        self.narrow(k)
         lo, hi = self.lo, self.hi
         return Fraction(lo.numerator * hi.denominator + hi.numerator * lo.denominator,
                         2 * lo.denominator * hi.denominator)
@@ -843,8 +1046,7 @@ def real_compare(u, v) -> int:
             u.refine()
             if u.is_rational:
                 return _sign(u.value - c)
-    g = _ugcd(u.coeffs, v.coeffs)
-    gchain = _usturm(g) if _udeg(g) >= 1 else None
+    gchain = None  # the chain of gcd(u, v), built once the intervals first overlap
     while True:
         if u.is_rational or v.is_rational:
             return real_compare(u, v)
@@ -852,11 +1054,12 @@ def real_compare(u, v) -> int:
             return -1
         if v.hi <= u.lo:
             return 1
-        olo, ohi = max(u.lo, v.lo), min(u.hi, v.hi)
-        if gchain is not None and olo < ohi:
-            # a root of g in the overlap is a common root, hence both numbers
-            if sturm_count(gchain, olo, ohi) >= 1:
-                return 0
+        if gchain is None:
+            g = _ugcd(u.coeffs, v.coeffs)
+            gchain = _usturm(g) if _udeg(g) >= 1 else []
+        # a root of g in the overlap is a common root, hence both numbers
+        if gchain and sturm_count(gchain, max(u.lo, v.lo), min(u.hi, v.hi)) >= 1:
+            return 0
         u.refine()
         v.refine()
 
@@ -896,6 +1099,15 @@ def uisolate(p):
     ``_count_start``, so the roots' intervals follow from exact signs, not
     from alpha's box.  Below width 1/1024 the simplest rational inside is
     tried once; a rational root this misses stays in interval form.
+
+    Bisection signs the chain once per point (``_at``).  Each root's
+    interval is narrowed below its width by ``AlgebraicNumber.narrow``:
+    jumps into a cell of the dyadic grid, guessed by a secant on exact
+    integer values over Q or by Newton on floats of the entries over
+    Q(alpha), each certified by nonzero opposite exact signs at the cell's
+    ends.  A zero at an end is the root; a jump that fails to certify
+    falls back to one plain halving, so the intervals are those that
+    halving alone gives.
     """
     p = _trim(p)
     if not p:
@@ -906,45 +1118,53 @@ def uisolate(p):
         sq = _uint_primitive(_usquarefree(p))
         # bisection from the ceiling of the Cauchy bound; sq[-1] > 0
         bound = Fraction(1 - (-max(map(abs, sq[:-1])) // sq[-1]))
-        return _bisect(sq, _usturm(sq), bound, Fraction(1, sq[-1] ** 2 + 1))
+        return _bisect(sq, _usturm(sq), {}, bound, Fraction(1, sq[-1] ** 2 + 1))
     p = _umonic(p)
-    chain = _usturm(p)
+    chain, memo = _usturm(p), {}
     sq = p if _udeg(chain[-1]) == 0 else _udivmod(p, chain[-1])[0]
-    return _bisect(sq, chain, _count_start(chain, sq), Fraction(1, 1024))
+    return _bisect(sq, chain, memo, _count_start(chain, memo), Fraction(1, 1024))
 
 
-def _bisect(sq, chain, bound, gap):
+def _bisect(sq, chain, memo, bound, gap):
     """The roots of the square-free sq, all in (-bound, bound), neither end
-    a root, by bisection on the counts of chain; each is narrowed below
-    gap and the simplest rational inside is tried once."""
+    a root, by bisection on the counts of chain, a Sturm chain whose
+    chain[0] has sq's real roots; each point's chain is signed once per
+    memo (``_at``).  Each root is narrowed below gap by
+    ``AlgebraicNumber.narrow``, whose jumps count only when exact signs of
+    sq at both ends of the new cell are nonzero and opposite and which
+    otherwise falls back to one plain halving; then the simplest rational
+    inside is tried once."""
     roots = []
 
+    def count(a, b):
+        return _at(chain, memo, a)[0] - _at(chain, memo, b)[0]
+
     def finalize(a, b):
-        # exactly one root in (a, b); endpoints are not roots.  Each refine
-        # halves the width until the root is exact, so the width is below
-        # gap after k refines for the least k with (b - a) / 2^k < gap
+        # exactly one root in (a, b); endpoints are not roots.  Each
+        # halving halves the width until the root is exact, so the width
+        # is below gap after k halvings for the least k with
+        # (b - a) / 2^k < gap
         r = AlgebraicNumber(sq, a, b)
         w = b - a
         x, y = w.numerator * gap.denominator, gap.numerator * w.denominator
         k = max(0, x.bit_length() - y.bit_length())
         while x >= y << k:
             k += 1
-        for _ in range(k):
-            r.refine()
+        r.narrow(k)
         cand = simplest_between(r.lo, r.hi)
         if r.lo < cand < r.hi and _usign(sq, cand) == 0:
             r = AlgebraicNumber(sq, cand, cand)
         roots.append(r)
 
     def split(a, b):
-        n = sturm_count(chain, a, b)
+        n = count(a, b)
         if n == 0:
             return
         if n == 1:
             finalize(a, b)
             return
         m = (a + b) / 2
-        if _usign(sq, m) != 0:
+        if _at(chain, memo, m)[1]:
             split(a, m)
             split(m, b)
             return
@@ -952,8 +1172,8 @@ def _bisect(sq, chain, bound, gap):
         step = (b - a) / 8
         while True:
             l2, r2 = m - step, m + step
-            if (a < l2 and r2 < b and _usign(sq, l2) and _usign(sq, r2)
-                    and sturm_count(chain, l2, r2) == 1):
+            if (a < l2 and r2 < b and _at(chain, memo, l2)[1] and _at(chain, memo, r2)[1]
+                    and count(l2, r2) == 1):
                 break
             step /= 2
         split(a, l2)

@@ -74,7 +74,6 @@ from .arith import (
     _trim,
     _udeg,
     _udivmod,
-    _ueval,
     _usign,
     _usturm,
     isolate_real_roots,
@@ -354,11 +353,14 @@ def _slice(rows, at):
     """A positive multiple of the coefficient list of rows on the line where
     the variable of their lists is at: at a rational n/d, one ``_ihorner``
     per row over the one scale d^D, D the longest row's degree (integers);
-    at the generator of Q(x), each row's Horner value."""
+    at the generator of Q(x), each row reduced once modulo x's defining
+    list (``NumberField.element``), the unique reduced representative of
+    the row's value."""
     if isinstance(at, Fraction):
         top = max(map(len, rows))
-        return [_ihorner(r, at) * at.denominator ** (top - len(r)) for r in rows]
-    return [_ueval(r or [0], at) for r in rows]
+        n, d = at.numerator, at.denominator
+        return [_ihorner(r, n, d) * d ** (top - len(r)) for r in rows]
+    return [at.field.element(r) for r in rows]
 
 
 def _fences(roots):

@@ -9,8 +9,11 @@ printed with ``decomposition_text`` under a deadline of SECONDS of process
 CPU time (default 10), set by a profiling timer.  The script checks the
 sha256 prefix of the full text, then prints per formula the CPU seconds,
 the (inner sector, root line) pairs whose limits the critical-section
-counts gave and the pairs that fell back to ``_limit_assignment``.  It
-exits 1 on any miss: a passed deadline, an error or a wrong digest.
+counts gave and the pairs that fell back to ``_limit_assignment``, and
+the interval narrowings (``AlgebraicNumber.narrow``) that took only
+certified jumps and those that fell back to one or more plain halvings;
+the script counts these by wrapping ``narrow`` and ``_Bracket.halve``.
+It exits 1 on any miss: a passed deadline, an error or a wrong digest.
 """
 
 import hashlib
@@ -47,16 +50,43 @@ def pairs(dec):
     return counted, fallback
 
 
+def count_narrowings(arith):
+    """Wrap ``narrow`` and ``_Bracket.halve``; the returned dict counts
+    the narrowings that moved an interval as "jumps" when they took no
+    plain halving and as "halved" when they took one or more."""
+    counts = {"jumps": 0, "halved": 0}
+    narrow, halve = arith.AlgebraicNumber.narrow, arith._Bracket.halve
+    halvings = [0]
+
+    def counted_halve(bracket):
+        halvings[0] += 1
+        return halve(bracket)
+
+    def counted_narrow(number, k):
+        if k > 0 and not number.is_rational:
+            before = halvings[0]
+            narrow(number, k)
+            counts["halved" if halvings[0] > before else "jumps"] += 1
+        else:
+            narrow(number, k)
+
+    arith.AlgebraicNumber.narrow, arith._Bracket.halve = counted_narrow, counted_halve
+    return counts
+
+
 def main(argv) -> int:
     seconds = float(argv[0]) if argv else 10.0
     sys.path.insert(0, HERE)
     from test_cad2d import SLOW_FORMULAS
-    from specta import cad2d
+    from specta import arith, cad2d
     from specta._expr import parse_formula
+
+    narrowings = count_narrowings(arith)
 
     signal.signal(signal.SIGPROF, _expire)
     misses = 0
     for text, want in zip(SLOW_FORMULAS, WANT):
+        narrowings.update(jumps=0, halved=0)
         start = time.process_time()
         signal.setitimer(signal.ITIMER_PROF, seconds)
         try:
@@ -73,6 +103,7 @@ def main(argv) -> int:
         misses += not ok
         counted, fallback = pairs(dec) if ok else (0, 0)
         print(f"{'ok' if ok else 'MISS'} {cpu:.2f}s counted={counted} fallback={fallback}"
+              f" narrow_jumps={narrowings['jumps']} narrow_halved={narrowings['halved']}"
               f" {digest[:16] if ok else digest} {text}")
     return 1 if misses else 0
 

@@ -9,6 +9,7 @@ re-run the sympy comparison on every test run.
 import math
 import random
 import sys
+from collections import Counter
 from fractions import Fraction
 from unittest import mock
 
@@ -38,6 +39,7 @@ from specta.arith import (
     usign_at,
 )
 from specta import arith, cad2d
+from test_numfield import cubic_field, sqrt2_field
 from specta.arith import (
     _ext_gcd,
     _sign,
@@ -232,6 +234,21 @@ def test_refine_matches_reference_halving(factors, k):
             assert (r.lo, r.hi) == want
 
 
+def _planted(domain, factors):
+    """The product of planted factors over Q, or over Q(alpha) with alpha
+    added to each constant term, so that the roots are irrational over Q."""
+    if domain == "Q":
+        lists = [[Fraction(c) for c in f] for f in factors]
+    else:
+        field = {"sqrt2": sqrt2_field, "cubic": cubic_field}[domain]()
+        a = field.generator()
+        lists = [[a + f[0]] + [field.element([c]) for c in f[1:]] for f in factors]
+    cs = [Fraction(1)]
+    for f in lists:
+        cs = _umul(cs, f)
+    return cs
+
+
 def _reference_approx(root, width):
     # the halving loop approx replaced: one Fraction width test per refine
     while not root.is_rational and root.hi - root.lo > width:
@@ -239,18 +256,105 @@ def _reference_approx(root, width):
     return (root.lo + root.hi) / 2
 
 
-@settings(max_examples=40, deadline=None)
-@given(st.lists(planted_factors, min_size=1, max_size=4),
-       st.sampled_from([Fraction(1, 1 << 20), Fraction(1, 3), Fraction(5, 7), Fraction(1, 1000),
-                        Fraction(4), Fraction(3, 1 << 40)]))
-def test_approx_matches_the_halving_loop(factors, width):
-    cs = [Fraction(1)]
-    for f in factors:
-        cs = _umul(cs, [Fraction(c) for c in f])
+approx_widths = st.sampled_from([Fraction(1, 1 << 20), Fraction(1, 3), Fraction(5, 7),
+                                 Fraction(1, 1000), Fraction(4), Fraction(3, 1 << 40)])
+
+
+def _check_approx(cs, width):
     for root in uisolate(cs):
         ref = root.copy()
         assert root.approx(width) == _reference_approx(ref, width)
         assert (root.lo, root.hi) == (ref.lo, ref.hi)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(planted_factors, min_size=1, max_size=4), approx_widths)
+def test_approx_matches_the_halving_loop(factors, width):
+    _check_approx(_planted("Q", factors), width)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(["sqrt2", "cubic"]), st.lists(planted_factors, min_size=1, max_size=4),
+       approx_widths)
+def test_approx_matches_the_halving_loop_over_a_field(domain, factors, width):
+    _check_approx(_planted(domain, factors), width)
+
+
+def _check_narrow(root, ks):
+    """narrow(k) leaves what k halvings of the reference loop leave."""
+    for k in ks:
+        got = root.copy()
+        got.narrow(k)
+        assert (got.lo, got.hi) == _reference_refine(root.coeffs, root.lo, root.hi, k), k
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(["Q", "sqrt2", "cubic"]), st.lists(planted_factors, min_size=1, max_size=4),
+       st.lists(st.integers(0, 70), min_size=1, max_size=3))
+def test_narrow_matches_the_halving_reference(domain, factors, ks):
+    for root in uisolate(_planted(domain, factors)):
+        _check_narrow(root, ks)
+
+
+def test_narrow_stops_on_a_planted_dyadic_root():
+    # (2y - 1)(4y + 3)(y^2 - 2): 1/2 is a grid point of (0, 1) at level 1,
+    # -3/4 one of (-1, 1/3) at level 4 (an interval that is not dyadic);
+    # and over Q(sqrt2), (2y - 1)(y^2 - sqrt2) puts 1/2 at level 2 of (-1, 1)
+    cs = _umul(_umul([Fraction(-1), Fraction(2)], [Fraction(3), Fraction(4)]),
+               [Fraction(-2), 0, Fraction(1)])
+    field = sqrt2_field()
+    a = field.generator()
+    over = _umul([field.element([-1]), field.element([2])], [-a, 0, field.element([1])])
+    for coeffs, lo, hi, level in ((cs, 0, 1, 1), (cs, -1, Fraction(1, 3), 4), (over, -1, 1, 2)):
+        root = AlgebraicNumber(coeffs, lo, hi)
+        _check_narrow(root, range(8))
+        root.narrow(level + 3)
+        assert root.is_rational and _usign(coeffs, root.value) == 0
+    # the secant over Q starts on 2^60 + 1 and goes on past 100 halvings
+    big = _umul([Fraction(-1), Fraction(2 ** 60 + 1)], [Fraction(-2), 0, Fraction(1)])
+    for root in uisolate(big):
+        _check_narrow(root, (101, 130))
+
+
+def test_narrow_beyond_float_range_halves():
+    # entries past float range leave Q(alpha) without a float guess and
+    # the narrowing halves; over Q the guess is exact and never a float
+    field = sqrt2_field()
+    a = field.generator()
+    huge = 10 ** 400
+    over = [c * huge for c in _umul([field.element([-1]), field.element([2])],
+                                    [-a, 0, field.element([1])])]
+    with pytest.raises(OverflowError):
+        over[0]._guess()
+    _check_narrow(AlgebraicNumber(over, 1, 2), (1, 9, 40))  # the root 2^(1/4)
+    far = _umul([Fraction(-huge), Fraction(1)], [Fraction(-2), 0, Fraction(3)])
+    for root in uisolate(far):
+        _check_narrow(root, (5, 60))
+
+
+@pytest.mark.parametrize("domain", ["Q", "sqrt2", "cubic"])
+def test_isolation_signs_each_point_once(domain, monkeypatch):
+    # _count_start and _bisect share one memo of the isolation chain's
+    # signs per point (the field's zero tests sign chains of their own)
+    calls, chains = [], []
+    variations, bisect = arith._variations, arith._bisect
+
+    def counted(chain, x, end):
+        calls.append((chain, x))
+        return variations(chain, x, end)
+
+    def seen(sq, chain, *rest):
+        chains.append(chain)
+        return bisect(sq, chain, *rest)
+
+    monkeypatch.setattr(arith, "_variations", counted)
+    monkeypatch.setattr(arith, "_bisect", seen)
+    for factors in ([[-1, 2], [3, 4], [-2, 0, 1]], [[-2, 0, 1], [-3, 0, 1], [-1, 1], [5, 3]],
+                    [[0, 1], [-1, 0, 2], [-7, 5]]):
+        calls.clear()
+        assert uisolate(_planted(domain, factors))
+        points = Counter(x for chain, x in calls if chain is chains[-1] and x is not None)
+        assert len(points) > 4 and max(points.values()) == 1
 
 
 def test_equality_across_defining_polynomials():

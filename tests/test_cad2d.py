@@ -1042,6 +1042,49 @@ def test_output_does_not_depend_on_alphas_refinement(text, monkeypatch):
         assert _text_after(monkeypatch, text, k, refinements) == want, (k, refinements)
 
 
+# direction 1(a)'s dyadic batch: lines through dyadic points, circles
+# centred at dyadic points (irrational x-roots where the squared radius is
+# no square) and rational roots on the ends of bisection intervals
+DYADIC_BATCH = [
+    "(x-1/2)^2+(y+3/4)^2 <= 2 AND 8*y-4*x+3 >= 0",
+    "(x+1/4)^2+(y-1/8)^2 <= 3 AND y+x-1/2 <= 0 AND x^2+y^2 <= 4",
+    "(x-1)^2+y^2 <= 1 AND (x+1)^2+y^2 >= 1/4 AND x^2+y^2 <= 4",
+    "x^2+y^2 <= 1 AND 2*y-x >= 0",
+    "(x-1/2)^2+(y-1/2)^2 <= 1/2 AND (x+1/2)^2+(y+1/2)^2 <= 2",
+    "(4*x-1)*(8*y+3) >= 0 AND x^2+y^2 <= 2",
+    "(x-3/4)^2+(y+1/2)^2 <= 5/4 AND (x+1/8)^2+y^2 >= 1/2 AND x^2+y^2 <= 4",
+]
+
+
+def _halvings(self, k):
+    for _ in range(k):
+        self.refine()
+
+
+def test_narrowing_leaves_the_dyadic_batch_text_unchanged(monkeypatch):
+    # narrow must leave exactly what k halvings leave, so no printed byte
+    # moves; the batch narrows over Q and Q(alpha) and stops on exact roots
+    seen = Counter()
+    narrow = arith.AlgebraicNumber.narrow
+
+    def counted(self, k):
+        if not self.is_rational:
+            narrow(self, k)
+            seen["Q" if arith._rational(self.coeffs) else "Q(alpha)", self.is_rational] += 1
+
+    def text(t):
+        return cad2d.decomposition_text(cad2d.decompose(parse_formula(t)))
+
+    with monkeypatch.context() as m:
+        m.setattr(arith.AlgebraicNumber, "narrow", counted)
+        got = [text(t) for t in DYADIC_BATCH]
+    with monkeypatch.context() as m:
+        m.setattr(arith.AlgebraicNumber, "narrow", _halvings)
+        want = [text(t) for t in DYADIC_BATCH]
+    assert got == want
+    assert all(seen[d, e] for d in ("Q", "Q(alpha)") for e in (False, True)), seen
+
+
 def test_first_slow_formula():
     # 13 s at the parent of the one-chain lift, under 5 s since
     dec = _dec(SLOW_FORMULAS[0])

@@ -121,6 +121,14 @@ def test_inverse_of_zero_raises():
         (a * a - 2).inverse()
 
 
+def test_elements_have_no_float():
+    # the narrowing's float guess is private; no float of an element may
+    # reach a decision or an output
+    F = sqrt2_field()
+    with pytest.raises(TypeError):
+        float(F.generator() + 1)
+
+
 def test_reducible_presentation_narrows_on_inverse():
     F = reducible_field()
     a = F.generator()
@@ -480,7 +488,7 @@ def _ref_root_bound(cs):
 
 def _ref_uisolate(p):
     sq = _umonic(_usquarefree(_trim(p)))
-    return arith._bisect(sq, _usturm(sq), _ref_root_bound(sq), Fraction(1, 1024))
+    return arith._bisect(sq, _usturm(sq), {}, _ref_root_bound(sq), Fraction(1, 1024))
 
 
 def _nested(u, v):
@@ -542,7 +550,7 @@ def _admissible(b, p, roots):
 def test_bisection_starts_at_the_least_admissible_power_of_two(name, factors, lead):
     F = {"sqrt2": sqrt2_field, "cubic": cubic_field}[name]()
     p = _umonic(_drawn_list(F, factors, lead))
-    start = arith._count_start(_usturm(p), p)
+    start = arith._count_start(_usturm(p), {})
     assert start.denominator == 1 and start.numerator & (start.numerator - 1) == 0
     roots = uisolate(p)
     assert _admissible(start, p, roots)
