@@ -6,12 +6,20 @@ and ``3/4 x y`` mean what they look like.  Formula syntax combines
 polynomial comparisons (<, <=, = or ==, >=, >) with AND, OR, NOT (case
 insensitive) and parentheses.  All errors carry 1-based line and column
 positions of the offending token.
+
+The text's names, in first-appearance order, give every monomial one
+exponent tuple.  A polynomial being parsed is {exponent tuple: int
+numerator} over one positive int denominator, with the names occurring
+in it in first-appearance order, and becomes a ``Polynomial`` over those
+names (or over ``variables``, where names with exponent 0 drop out) once.
 """
 
 import re
 from fractions import Fraction
+from math import gcd
+from operator import add
 
-from .arith import Polynomial
+from .arith import Polynomial, binary_power
 from .cad2d import And, Atom, CadError, Not, Or
 
 
@@ -31,8 +39,9 @@ _TOKEN = re.compile(
       | (?P<name>[A-Za-z_][A-Za-z_0-9]*)
       | (?P<rel><=|>=|==|=|<|>)
       | (?P<op>[-+*/^(),])
+      | (?P<bad>.)
     """,
-    re.VERBOSE,
+    re.VERBOSE | re.DOTALL,
 )
 
 _KEYWORDS = {"AND", "OR", "NOT"}
@@ -40,24 +49,68 @@ _KEYWORDS = {"AND", "OR", "NOT"}
 
 def _tokenize(text):
     out = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if m is None:
-            raise ExprError(text, pos, f"unexpected character {text[pos]!r}")
-        pos = m.end()
+    for m in _TOKEN.finditer(text):
         kind = m.lastgroup
         if kind == "ws":
             continue
         value = m.group()
         if kind == "name" and value.upper() in _KEYWORDS:
-            out.append(("kw", value.upper(), m.start()))
-        elif kind == "rel":
-            out.append(("rel", "=" if value == "==" else value, m.start()))
-        else:
-            out.append((kind, value, m.start()))
+            kind, value = "kw", value.upper()
+        elif kind == "rel" and value == "==":
+            value = "="
+        elif kind == "bad":
+            raise ExprError(text, m.start(), f"unexpected character {value!r}")
+        out.append((kind, value, m.start()))
     out.append(("end", "", len(text)))
     return out
+
+
+def _merged(a, b):
+    """The names of a followed by those of b not in a."""
+    return a if a is b or not b else a + tuple(v for v in b if v not in a)
+
+
+class _Sum:
+    """A polynomial being parsed: {exponent tuple: nonzero int numerator}
+    over the int den > 0, and the names that occur in it.  Each operation
+    lists its terms in the order of the Polynomial operation it stands for."""
+
+    __slots__ = ("terms", "den", "names")
+
+    def __init__(self, terms, den, names):
+        self.terms, self.den, self.names = terms, den, names
+
+    def plus(self, other, sign):
+        da, db = self.den, other.den
+        den = da * db // gcd(da, db)
+        terms = {e: c * (den // da) for e, c in self.terms.items()}
+        for e, c in other.terms.items():
+            terms[e] = terms.get(e, 0) + sign * (den // db) * c
+        return _Sum({e: c for e, c in terms.items() if c}, den, _merged(self.names, other.names))
+
+    def __mul__(self, other):
+        out = {}
+        for e1, c1 in self.terms.items():
+            for e2, c2 in other.terms.items():
+                e = tuple(map(add, e1, e2))
+                out[e] = out.get(e, 0) + c1 * c2
+        return _Sum({e: c for e, c in out.items() if c}, self.den * other.den,
+                    _merged(self.names, other.names))
+
+    def __neg__(self):
+        return _Sum({e: -c for e, c in self.terms.items()}, self.den, self.names)
+
+    def power(self, n, zero):
+        """self ** n; zero is the all-zero exponent tuple."""
+        if len(self.terms) == 1:
+            ((e, c),) = self.terms.items()
+            return _Sum({tuple(k * n for k in e): c ** n}, self.den ** n, self.names)
+        return binary_power(self, n, _Sum({zero: 1}, 1, self.names))
+
+    def constant(self):
+        """The value as a Fraction when no exponent is positive, else None."""
+        one = len(self.terms) < 2 and not any(next(iter(self.terms), ()))
+        return Fraction(sum(self.terms.values()), self.den) if one else None
 
 
 class _Parser:
@@ -65,6 +118,10 @@ class _Parser:
         self.text = text
         self.toks = _tokenize(text)
         self.i = 0
+        names = dict.fromkeys(tok[1] for tok in self.toks if tok[0] == "name")
+        self.index = {v: i for i, v in enumerate(names)}
+        self.zero = (0,) * len(names)
+        self.units = {v: self.zero[:i] + (1,) + self.zero[i + 1:] for v, i in self.index.items()}
 
     def _peek(self):
         return self.toks[self.i]
@@ -91,12 +148,36 @@ class _Parser:
 
     # -- polynomials -------------------------------------------------------
 
+    def _number(self, q):
+        """The constant q (an int or a Fraction) as a _Sum."""
+        return _Sum({self.zero: q.numerator} if q else {}, q.denominator, ())
+
+    def _settled(self, value, variables=None):
+        """The Polynomial of a _Sum over its names, or over the variables
+        tuple when one is given; any other value as it is."""
+        if type(value) is not _Sum:
+            return value
+        variables = value.names if variables is None else tuple(variables)
+        for v in value.names:
+            if v not in variables and any(e[self.index[v]] for e in value.terms):
+                raise ExprError(self.text, 0, f"unexpected variable {v!r}")
+        pick = [self.index.get(v) for v in variables]
+        terms = {tuple(0 if i is None else e[i] for i in pick): Fraction(c, value.den)
+                 for e, c in value.terms.items()}
+        return Polynomial(variables, terms)
+
+    def _combine(self, op, a, b):
+        """a op b for op one of + - * ^ (b an int for ^)."""
+        if op == "^":
+            return a.power(b, self.zero)
+        return a * b if op == "*" else a.plus(b, 1 if op == "+" else -1)
+
     def _base(self):
         tok = self._next()
         if tok[0] == "num":
-            return Polynomial.const(Fraction(int(tok[1])), ())
+            return self._number(int(tok[1]))
         if tok[0] == "name":
-            return Polynomial.var(tok[1], (tok[1],))
+            return _Sum({self.units[tok[1]]: 1}, 1, (tok[1],))
         if tok[0] == "op" and tok[1] == "(":
             p = self._poly()
             self._expect_op(")")
@@ -119,7 +200,7 @@ class _Parser:
             if e[0] != "num":
                 self._error(e[2], "expected an integer exponent")
             self._next()
-            base = base ** int(e[1])
+            base = self._combine("^", base, int(e[1]))
         return base if sign > 0 else -base
 
     def _term(self):
@@ -129,16 +210,18 @@ class _Parser:
             if tok[0] == "op" and tok[1] in "*/":
                 self._next()
                 rhs = self._factor()
-                out = self._divide(out, rhs, tok[2]) if tok[1] == "/" else out * rhs
+                out = (self._divide(out, rhs, tok[2]) if tok[1] == "/"
+                       else self._combine("*", out, rhs))
             elif tok[0] in ("num", "name") or (tok[0] == "op" and tok[1] == "("):
-                out = out * self._factor()
+                out = self._combine("*", out, self._factor())
             else:
                 return out
 
     def _divide(self, out, rhs, pos):
-        if not rhs.is_constant() or rhs.constant_value() == 0:
+        c = rhs.constant()
+        if not c:
             self._error(pos, "division only by a nonzero constant")
-        return out * Polynomial.const(1 / rhs.constant_value(), ())
+        return self._combine("*", out, self._number(1 / c))
 
     def _poly(self):
         out = self._term()
@@ -146,8 +229,7 @@ class _Parser:
             tok = self._peek()
             if tok[0] == "op" and tok[1] in "+-":
                 self._next()
-                rhs = self._term()
-                out = out + rhs if tok[1] == "+" else out - rhs
+                out = self._combine(tok[1], out, self._term())
             else:
                 return out
 
@@ -162,7 +244,7 @@ class _Parser:
         self._next()
         right = self._poly()
         try:
-            return Atom(left - right, tok[1])
+            return Atom(self._settled(left.plus(right, -1)), tok[1])
         except CadError as exc:
             self._error(start, str(exc))
 
@@ -190,36 +272,17 @@ class _Parser:
 
     def _and(self):
         parts = [self._unit()]
-        while True:
-            tok = self._peek()
-            if tok[0] == "kw" and tok[1] == "AND":
-                self._next()
-                parts.append(self._unit())
-            else:
-                break
+        while self._peek()[:2] == ("kw", "AND"):
+            self._next()
+            parts.append(self._unit())
         return parts[0] if len(parts) == 1 else And(tuple(parts))
 
     def _or(self):
         parts = [self._and()]
-        while True:
-            tok = self._peek()
-            if tok[0] == "kw" and tok[1] == "OR":
-                self._next()
-                parts.append(self._and())
-            else:
-                break
+        while self._peek()[:2] == ("kw", "OR"):
+            self._next()
+            parts.append(self._and())
         return parts[0] if len(parts) == 1 else Or(tuple(parts))
-
-
-def _on_variables(p: Polynomial, variables, text) -> Polynomial:
-    variables = tuple(variables)
-    for v in tuple(p.variables):
-        if v in variables:
-            continue
-        if p.degree_in(v) > 0:
-            raise ExprError(text, 0, f"unexpected variable {v!r}")
-        p = p.coeffs_in(v)[0]
-    return p if p.variables == variables else p.embed(variables)
 
 
 def parse_polynomial(text: str, variables=None) -> Polynomial:
@@ -227,22 +290,18 @@ def parse_polynomial(text: str, variables=None) -> Polynomial:
     parser = _Parser(text)
     p = parser._poly()
     parser._expect_end()
-    if variables is not None:
-        p = _on_variables(p, variables, text)
-    return p
+    return parser._settled(p, variables)
 
 
 def parse_polynomial_list(text: str, variables=None):
     """Comma separated polynomials, same conventions as parse_polynomial."""
     parser = _Parser(text)
     out = [parser._poly()]
-    while parser._peek()[0] == "op" and parser._peek()[1] == ",":
+    while parser._peek()[:2] == ("op", ","):
         parser._next()
         out.append(parser._poly())
     parser._expect_end()
-    if variables is not None:
-        out = [_on_variables(p, variables, text) for p in out]
-    return out
+    return [parser._settled(p, variables) for p in out]
 
 
 def parse_formula(text: str):

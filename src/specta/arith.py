@@ -332,33 +332,18 @@ class Polynomial:
         values.update(assignment)
         return self.evaluate(values, Polynomial.const(0, remaining))
 
-    def coeffs_in(self, name):
-        """Little-endian coefficient list with respect to one variable.
-
-        Entries are Polynomials in the remaining variables.
-        """
-        i = self.variables.index(name)
-        rest = tuple(v for j, v in enumerate(self.variables) if j != i)
-        if not self.terms:
-            return [Polynomial.const(0, rest)]
-        deg = max(e[i] for e in self.terms)
-        out = [dict() for _ in range(deg + 1)]
-        for e, c in self.terms.items():
-            re = tuple(k for j, k in enumerate(e) if j != i)
-            out[e[i]][re] = c
-        return [Polynomial(rest, _strip_terms(d)) for d in out]
-
     def univariate_coeffs(self):
         """Fraction coefficient list; at most one variable may occur."""
-        if not self.terms:
-            return [Fraction(0)]
-        live = [v for i, v in enumerate(self.variables)
-                if any(e[i] for e in self.terms)]
+        live = {i for e in self.terms for i, k in enumerate(e) if k}
         if len(live) > 1:
             raise ArithError("polynomial is not univariate")
         if not live:
             return [self.constant_value()]
-        return [c.constant_value() for c in self.coeffs_in(live[0])]
+        (i,) = live
+        out = [Fraction(0)] * (max(e[i] for e in self.terms) + 1)
+        for e, c in self.terms.items():
+            out[e[i]] = c
+        return out
 
     # -- text --------------------------------------------------------------
 
@@ -706,9 +691,13 @@ def refine_root_free(chain, root):
     on the closed interval [root.lo, root.hi], or until root is rational.
 
     An endpoint is never a root of root.defining but may be one of chain[0].
+    A refinement moves one end, so each end is signed once per memo (``_at``).
     """
-    while not root.is_rational and (sturm_count(chain, root.lo, root.hi)
-                                    or not _usign(chain[0], root.lo)):
+    memo = {}
+    while not root.is_rational:
+        (vl, sl), (vh, _) = _at(chain, memo, root.lo), _at(chain, memo, root.hi)
+        if sl and vl == vh:
+            return
         root.refine()
 
 

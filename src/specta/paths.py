@@ -38,8 +38,9 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arith import Polynomial, _over_common, binary_power, signed_sum
-from ._expr import ExprError, _Parser, parse_polynomial, parse_polynomial_list
+from .arith import (ArithError, Polynomial, _over_common, _poly, _umul, binary_power,
+                    signed_sum)
+from ._expr import ExprError, _Parser, _Sum, parse_polynomial, parse_polynomial_list
 
 
 DEFAULT_TRUNCATION = Fraction(32)
@@ -166,11 +167,10 @@ class PuiseuxSeries:
 
     @staticmethod
     def from_polynomial(p: Polynomial) -> "PuiseuxSeries":
-        if len(p.variables) > 1 and p.total_degree() > 0:
-            live = [v for v in p.variables if p.degree_in(v) > 0]
-            if len(live) > 1:
-                raise PathError(f"{p.to_text()} is not univariate")
-        coeffs = p.univariate_coeffs()
+        try:
+            coeffs = p.univariate_coeffs()
+        except ArithError:
+            raise PathError(f"{p.to_text()} is not univariate") from None
         return PuiseuxSeries(1, {i: c for i, c in enumerate(coeffs)}, None)
 
     # -- structure ---------------------------------------------------------
@@ -852,7 +852,8 @@ def _operand(f):
 
 class _FnParser(_Parser):
     """Expression parser: the polynomial grammar plus general division
-    and the abs(...)/sqrt(...) calls."""
+    and the abs(...)/sqrt(...) calls; a polynomial meeting a node becomes
+    a Polynomial, and the node operators build the result."""
 
     def _base(self):
         tok = self._peek()
@@ -865,14 +866,23 @@ class _FnParser(_Parser):
         self._next()
         inner = self._poly()
         self._expect_op(")")
-        return SAFunction(tok[1], (inner,))
+        return SAFunction(tok[1], (self._settled(inner),))
+
+    def _combine(self, op, a, b):
+        if SAFunction not in (type(a), type(b)):
+            return super()._combine(op, a, b)
+        if op == "^":
+            return a ** b if b else self._number(1)
+        a, b = self._settled(a), self._settled(b)
+        return a * b if op == "*" else a + b if op == "+" else a - b
 
     def _divide(self, out, rhs, pos):
-        if not (isinstance(rhs, Polynomial) and rhs.is_constant()):
-            return SAFunction("/", (out, rhs))
-        if rhs.constant_value() == 0:
+        c = rhs.constant() if type(rhs) is _Sum else None
+        if c is None:
+            return SAFunction("/", (self._settled(out), self._settled(rhs)))
+        if c == 0:
             self._error(pos, "division by the constant zero")
-        return out * Polynomial.const(1 / rhs.constant_value(), ())
+        return self._combine("*", out, self._number(1 / c))
 
 
 def parse_function(text: str):
@@ -881,7 +891,7 @@ def parse_function(text: str):
     parser = _FnParser(text)
     node = parser._poly()
     parser._expect_end()
-    return node
+    return parser._settled(node)
 
 
 # -- evaluation along a path -----------------------------------------------
@@ -1150,13 +1160,14 @@ def truncated_factorial(k: int) -> Polynomial:
 def appendix_separator(k: int) -> SAFunction:
     """The bounded quotient (y - p_k(x))^2 / ((y - p_k(x))^2 + x^(2k))
     with p_k the degree-k truncation of sum n!*x^n; takes values in [0,1)
-    and vanishes along the graph of p_k."""
+    and vanishes along the graph of p_k.  Built as int rows [p*p, -2p, [1]] in y."""
     if not isinstance(k, int) or k < 2:
         raise PathError("separating quotients are defined for integers k >= 2")
-    x = Polynomial.var("x", ("x", "y"))
-    y = Polynomial.var("y", ("x", "y"))
-    num = (y - truncated_factorial(k).embed(("x", "y"))) ** 2
-    return SAFunction("/", (num, num + x ** (2 * k)))
+    p = [0, 0] + [math.factorial(n) for n in range(2, k + 1)]
+    rows = [_umul(p, p), [-2 * c for c in p], [1]]
+    num = _poly(rows)
+    rows[0][2 * k] += 1  # + x^(2k): p*p has degree 2k
+    return SAFunction("/", (num, _poly(rows)))
 
 
 @dataclass(frozen=True)

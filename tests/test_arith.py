@@ -39,6 +39,7 @@ from specta.arith import (
     usign_at,
 )
 from specta import arith, cad2d
+from reference import coeffs_in
 from test_numfield import cubic_field, sqrt2_field
 from specta.arith import (
     _ext_gcd,
@@ -173,6 +174,26 @@ def test_refine_root_free_moves_an_endpoint_off_a_root():
     one = AlgebraicNumber(X - 1, 1, 1)
     refine_root_free(chain, one)  # a rational root is left as it is
     assert one.is_rational and one.value == 1
+
+
+def test_refine_root_free_signs_each_end_once(monkeypatch):
+    # a refinement moves one end, and the end that stays keeps its signs
+    calls = []
+    variations = arith._variations
+
+    def counted(chain, x, end):
+        calls.append(x)
+        return variations(chain, x, end)
+
+    monkeypatch.setattr(arith, "_variations", counted)
+    for q in (X * 70 - 99, X * X * 100 - 199, (X * 12 - 17) * (X * 29 - 41)):
+        sqrt2 = AlgebraicNumber(X * X - 2, Fraction(1), Fraction(3, 2))
+        chain = sturm_chain(q.univariate_coeffs())
+        calls.clear()
+        refine_root_free(chain, sqrt2)
+        points = Counter(calls)
+        assert len(points) > 4 and max(points.values()) == 1
+        assert sturm_count(chain, sqrt2.lo, sqrt2.hi) == 0
 
 
 def _reference_refine(coeffs, lo, hi, k):
@@ -432,8 +453,8 @@ def sylvester_matrix(p: Polynomial, q: Polynomial, var):
     the sign convention: ``resultant(p, q, var)`` equals its determinant.
     """
     pa, qa = p._aligned(q)
-    pc = _ptrim(pa.coeffs_in(var))
-    qc = _ptrim(qa.coeffs_in(var))
+    pc = _ptrim(coeffs_in(pa, var))
+    qc = _ptrim(coeffs_in(qa, var))
     m = len(pc) - 1
     n = len(qc) - 1
     rest = pc[0].variables
@@ -627,7 +648,7 @@ def test_rows_round_trip_and_slice_a_positive_multiple(terms, live, a):
     assert den > 0 and all(type(c) is int for row in rows for c in row)
     assert arith._poly(rows) == den * p
     cut = cad2d._slice(rows, a)
-    ref = [c.eval_at({"x": a}) for c in p.coeffs_in("y")]
+    ref = [c.eval_at({"x": a}) for c in coeffs_in(p, "y")]
     assert all(type(c) is int for c in cut) and len(cut) == len(ref)
     assert [bool(c) for c in cut] == [bool(c) for c in ref]
     ratios = {Fraction(c) / r for c, r in zip(cut, ref) if r}
@@ -716,7 +737,7 @@ def _basis_first_projection(xparts, yparts):
     assert len(pairs) == len(set(pairs))
     univ = list(xparts)
     for i, b in enumerate(basis):
-        univ.append(b.coeffs_in("y")[-1])
+        univ.append(coeffs_in(b, "y")[-1])
         if b.degree_in("y") >= 2:
             univ.append(discriminant(b, "y"))
         univ += [resultant(b, c, "y") for c in basis[i + 1:]]

@@ -500,6 +500,15 @@ def test_path_eval(workdir, capsys):
     assert out == "series exact=1 trunc=-\nterm e=2 c=1\n"
 
 
+def test_path_zero_times_a_name_is_the_zero_component(workdir, capsys):
+    # "poly: 0*x" used to exit 1 with "degree of zero polynomial"
+    src = workdir / "zero.path"
+    for line in ("0*x", "0", "x^0 - 1"):
+        src.write_text(f"path m=2 T=8\npoly: {line}\npoly: t\n")
+        code, out, err = run(capsys, "path", str(src), "eval", "--fn", "x + y")
+        assert (code, out, err) == (0, "value: t\n", "")
+
+
 def test_path_eval_truncation_flag_and_env(workdir, capsys, monkeypatch):
     args = ("path", str(workdir / "factorial.path"), "eval", "--fn", "y")
     code, out, _ = run(capsys, *args, "--truncation", "5")

@@ -539,6 +539,13 @@ def test_path_text_round_trip():
     assert p.series()[3] == S([(F(1, 2), 1), (F(3, 2), F(-2, 3))], 16)
 
 
+def test_parse_path_reads_zero_times_a_name_as_zero():
+    zero = parse_path("path m=2 T=8\npoly: 0*x\nratio: (0 y + 1)/(1 + t)").series()
+    assert zero[0].is_zero() and zero[0].exact
+    assert zero[1] == parse_path("path m=1 T=8\nratio: 1/(1 + t)").series()[0]
+    assert parse_polynomial("0*x", ("t",)) == Polynomial.const(0, ("t",))
+
+
 def test_parse_path_errors():
     with pytest.raises(PathError):
         parse_path("poly: t")
