@@ -1149,14 +1149,6 @@ def neighborhood_element(alpha: FormalPath, ell: int, k: int) -> Neighborhood:
 # -- separating quotients --------------------------------------------------
 
 
-def truncated_factorial(k: int) -> Polynomial:
-    """sum of n!*x^n for 2 <= n <= k."""
-    coeffs = [Fraction(0)] * (max(k, 1) + 1)
-    for n in range(2, k + 1):
-        coeffs[n] = Fraction(math.factorial(n))
-    return Polynomial.from_univariate("x", coeffs)
-
-
 def appendix_separator(k: int) -> SAFunction:
     """The bounded quotient (y - p_k(x))^2 / ((y - p_k(x))^2 + x^(2k))
     with p_k the degree-k truncation of sum n!*x^n; takes values in [0,1)

@@ -22,6 +22,14 @@ Bricks, rho, eta, compactness and a Fingerprint's sets are index sets.
 All of them take the flagged set M (the inM cells by default) and ignore
 the cells outside Cl(M), so they answer on (K, S) as on ``restrict(K, S)``.
 
+Closure rule: faces decrease dimension, so a vertex has an empty closure
+and a 1-cell's closure is its direct faces; the constructor unions the
+closures of direct faces only from dimension 2 up.  Component rule: a cell
+meets the cells of its closure.  If c lies in Cl(c') and both are in S,
+both lie in the brick of the local dimension of c', so a fingerprint
+traverses each brick once and counts the components of S by joining the
+brick components that share a cell.
+
 Text format (one record per line, '#' starts a comment):
 
     complex ambient=<m> bounded=<0|1>
@@ -29,9 +37,11 @@ Text format (one record per line, '#' starts a comment):
     face <id_small> <id_big>
 
 ``face a b`` puts cell ``a`` in the closure of cell ``b``; any generating
-set is accepted.  A record's key=value fields may come in either order, each
-exactly once.  Serialization emits the strict closure relation in canonical
-id order, so parse -> serialize is byte-identical on canonical files.
+set is accepted.  Records may come in any order, and a record's key=value
+fields in either order, each exactly once.  Ids are whitespace-free tokens
+without '#'; their decimal digit runs sort numerically.  Serialization emits
+the strict closure relation in canonical id order, so parse -> serialize is
+byte-identical on canonical files.
 """
 
 from __future__ import annotations
@@ -53,13 +63,18 @@ class RegularityViolation(TopologyError):
     """The complex is not a regular cell complex (or an axiom check failed)."""
 
 
+_DIGIT_RUNS = re.compile(r"(\d+)")
+
+
 def _id_key(cid: str):
     """Numeric-aware sort key so s2 < s10 and plain numbers order naturally.
 
-    The id itself breaks ties such as s1, s01, so the order is total.
+    The odd tokens of the split are the decimal digit runs; any other digit
+    character, such as a superscript, sorts as text.  The id itself breaks
+    ties such as s1, s01, so the order is total.
     """
-    return (tuple((0, int(tok)) if tok.isdigit() else (1, tok)
-                  for tok in re.split(r"(\d+)", cid) if tok != ""), cid)
+    return (tuple((0, int(tok)) if i & 1 else (1, tok)
+                  for i, tok in enumerate(_DIGIT_RUNS.split(cid)) if tok != ""), cid)
 
 
 class CellComplex:
@@ -106,9 +121,12 @@ class CellComplex:
         closure = [()] * len(dims)
         star = [[] for _ in dims]
         for c in sorted(range(len(dims)), key=dims.__getitem__):
-            acc = set(direct[c]).union(*map(closure.__getitem__, direct[c]))
-            # faces decrease dimension, so a 1-cell's closure is its endpoints
-            if dims[c] == 1 and len(acc) != 2:
+            # faces decrease dimension, so a vertex has none and a 1-cell's
+            # closure is its direct faces, its endpoints: unions start at 2
+            acc = set(direct[c])
+            if dims[c] > 1:
+                acc.update(*map(closure.__getitem__, direct[c]))
+            elif dims[c] == 1 and len(acc) != 2:
                 raise RegularityViolation(
                     f"1-cell {ids[c]!r} has {len(acc)} distinct endpoints, need 2")
             closure[c] = tuple(acc)
@@ -158,6 +176,11 @@ class CellComplex:
         """Every cell index, to check caller-given index sets against."""
         return frozenset(range(len(self.ids)))
 
+    @cached_property
+    def _odd(self):
+        """The cells of odd dimension, for Euler characteristics."""
+        return frozenset(c for c, d in enumerate(self.dims) if d & 1)
+
     def _carrier(self, cells):
         """The indices in cells with all their faces."""
         return set(cells).union(*map(self._closure.__getitem__, cells))
@@ -190,7 +213,16 @@ def parse_complex(text: str) -> CellComplex:
     cells = []
     faces = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        parts = raw.split("#", 1)[0].split()
+        parts = (raw[:raw.index("#")] if "#" in raw else raw).split()
+        # the two well-formed record shapes of almost every line, directly;
+        # anything else takes the general branch below
+        if len(parts) == 3 and parts[0] == "face":
+            faces.append((parts[1], parts[2]))
+            continue
+        if (len(parts) == 4 and parts[0] == "cell" and parts[2][:4] == "dim="
+                and parts[2][4:].isdecimal() and parts[3] in ("inM=0", "inM=1")):
+            cells.append((parts[1], int(parts[2][4:]), parts[3][4] == "1"))
+            continue
         if not parts:
             continue
         kind = parts[0]
@@ -441,26 +473,57 @@ class Fingerprint:
     eta: set = field(compare=False, repr=False)
 
 
-def _component_count(K: CellComplex, cells) -> int:
-    """Components of a set of cell indices, where a cell meets the cells of its closure.
+def _components(K: CellComplex, cells):
+    """Components of a set of cell indices, as sets; a cell meets the cells of its closure.
 
     One traversal over faces and cofaces inside cells, a front at a time: a
     boundary vertex meets an open 2-cell across a dimension gap of 2, which
     the codimension-one graph alone would miss.
     """
     todo = set(cells)
-    count = 0
+    out = []
     while todo:
-        count += 1
-        front = {todo.pop()}
+        part = front = {todo.pop()}
         while front:
             front = K._carrier(front).union(*map(K._star.__getitem__, front)) & todo
             todo -= front
+            part |= front
+        out.append(part)
+    return out
+
+
+def _joined_count(found, parts) -> int:
+    """Components of the union S of the bricks found; parts holds each brick's components.
+
+    If c lies in Cl(c') and both are in S, both lie in the brick of the
+    local dimension of c', so every meeting of two cells of S happens inside
+    one brick: the components of S are the brick components joined along
+    the cells that two bricks share.
+    """
+    seen, shared = set(), set()
+    for b in found:
+        shared |= seen & b.cells
+        seen |= b.cells
+    owner, parent = {}, {}
+
+    def root(i):
+        while i in parent:
+            i = parent[i]
+        return i
+
+    count = 0
+    for i, part in enumerate(p for brick_parts in parts for p in brick_parts):
+        count += 1
+        for c in part & shared:
+            a, b = root(owner.setdefault(c, i)), root(i)
+            if a != b:
+                parent[a] = b
+                count -= 1
     return count
 
 
 def _euler(K: CellComplex, cells) -> int:
-    return len(cells) - 2 * sum(K.dims[c] & 1 for c in cells)
+    return len(cells) - 2 * len(K._odd & cells)
 
 
 def _fingerprint(K: CellComplex, S):
@@ -471,19 +534,20 @@ def _fingerprint(K: CellComplex, S):
         return FingerprintData(dim=-1, compact=True, locally_compact=True, euler=0,
                                components=0, eta_count=0, bricks=()), rho, [], eta
     found = bricks(K, S)
+    parts = [_components(K, b.cells) for b in found]
     records = tuple(BrickRecord(
         dimension=b.dimension,
-        components=_component_count(K, b.cells),
+        components=len(brick_parts),
         euler=_euler(K, b.cells),
         compact=is_compact(K, b.cells),
         eta_count=len(eta_set(K, b.cells)),
-    ) for b in found)
+    ) for b, brick_parts in zip(found, parts))
     data = FingerprintData(
         dim=max(map(K.dims.__getitem__, S)),
         compact=K.bounded and not rho[0],  # is_compact(K, S) for S inside M
         locally_compact=not rho[1],
         euler=_euler(K, S),
-        components=_component_count(K, S),
+        components=_joined_count(found, parts),
         eta_count=len(eta),
         bricks=records,
     )

@@ -7,16 +7,18 @@ numerators.  The tests check that the library gives the same
 Polynomials (variables, terms and, for the parser, term order), node
 trees and errors.  The grammar is a copy of the one in ``specta._expr``;
 only the tokenizer and the error class are shared.  ``coeffs_in`` splits
-a Polynomial by powers of one variable, for the tests' own reference
-computations.
+a Polynomial by powers of one variable, and ``truncated_factorial``
+builds the Polynomial p_k of the separating quotients, for the tests' own
+reference computations.
 """
 
+import math
 from fractions import Fraction
 
 from specta._expr import ExprError, _tokenize
 from specta.arith import Polynomial
 from specta.cad2d import And, Atom, CadError, Not, Or
-from specta.paths import SAFunction, truncated_factorial
+from specta.paths import SAFunction
 
 
 def coeffs_in(p, name):
@@ -234,6 +236,14 @@ def parse_function(text):
     node = parser._poly()
     parser._expect_end()
     return node
+
+
+def truncated_factorial(k):
+    """sum of n!*x^n for 2 <= n <= k."""
+    coeffs = [Fraction(0)] * (max(k, 1) + 1)
+    for n in range(2, k + 1):
+        coeffs[n] = Fraction(math.factorial(n))
+    return Polynomial.from_univariate("x", coeffs)
 
 
 def appendix_separator(k):

@@ -185,6 +185,15 @@ def test_analyze_records(workdir, capsys):
     assert code == 0 and "compact value=0" in out.splitlines()
 
 
+def test_analyze_ids_with_non_decimal_digits(workdir, capsys):
+    # '²' is a digit but not a decimal one: the id sorts as text
+    src = workdir / "superscript.complex"
+    src.write_text(INTERVAL.replace("cell b", "cell 1²").replace("face b", "face 1²"))
+    code, out, err = run(capsys, "analyze", str(src), "--format", "records")
+    assert (code, err) == (0, "")
+    assert "eta count=2 ids=1²,a" in out.splitlines()
+
+
 def test_analyze_irregular_is_exit_2(workdir, capsys):
     bad = workdir / "loop.complex"
     bad.write_text("complex ambient=1 bounded=1\n"
@@ -227,8 +236,13 @@ def test_analyze_fingerprints_each_set_once(workdir, capsys, monkeypatch):
     for K in corpus.full_corpus():
         m_cells = frozenset(K.m_cells())
         minus_eta = m_cells - K._names(topology.eta_set(K))
-        distinct = len({m_cells, minus_eta, frozenset(topology.core(K).m_cells())})
+        sets = {m_cells, minus_eta, frozenset(topology.core(K).m_cells())}
+        distinct = len(sets)
         passes[distinct] += 1
+        # one component traversal per brick of each distinct set, none for
+        # the set itself: its components are joined from the bricks'
+        traversals = sum(len(topology.bricks(K, {K._index[c] for c in S}))
+                         for S in sets if S)
         src.write_text(topology.serialize_complex(K))
         calls = collections.Counter()
 
@@ -239,7 +253,8 @@ def test_analyze_fingerprints_each_set_once(workdir, capsys, monkeypatch):
             return wrapper
 
         with monkeypatch.context() as patch:
-            for name in ("restrict", "rho_sequence", "bricks", "spectral_fingerprint"):
+            for name in ("restrict", "rho_sequence", "bricks", "spectral_fingerprint",
+                         "_components"):
                 wrapper = counted(name, getattr(topology, name))
                 patch.setattr(topology, name, wrapper)
                 if hasattr(cli, name):
@@ -249,7 +264,7 @@ def test_analyze_fingerprints_each_set_once(workdir, capsys, monkeypatch):
                 code, _, _ = run(capsys, "analyze", str(src), "--format", fmt)
                 assert code == 0
                 assert calls == {"rho_sequence": distinct, "bricks": distinct,
-                                 "spectral_fingerprint": 1}
+                                 "spectral_fingerprint": 1, "_components": traversals}
     # the corpus holds every case: the disk with whisker has two sets (its
     # core set is M minus eta), and some complexes have one or three
     assert set(passes) == {1, 2, 3}
@@ -310,6 +325,83 @@ def test_answers_do_not_depend_on_record_order_or_ids(tmp_path, capsys):
             assert want[0] == 0
             assert run(capsys, "compare", str(files["b"]), str(files["next_b"]),
                        "--format", fmt) == want
+
+
+def _grid_text(n, m, hole, whisker):
+    """A closed triangulated n x m grid, all of it in M, written without specta.
+
+    Each unit square is cut along its diagonal into two triangles; the
+    square hole (its two triangles and diagonal) is left out, a path of
+    whisker edges hangs off the corner (n, m), and one isolated point is
+    added.
+    """
+    lines = ["complex ambient=2 bounded=1"]
+
+    def cell(cid, dim, *faces):
+        lines.append(f"cell {cid} dim={dim} inM=1")
+        lines.extend(f"face {f} {cid}" for f in faces)
+
+    for i in range(n + 1):
+        for j in range(m + 1):
+            cell(f"v{i}_{j}", 0)
+            if i < n:
+                cell(f"h{i}_{j}", 1, f"v{i}_{j}", f"v{i + 1}_{j}")
+            if j < m:
+                cell(f"u{i}_{j}", 1, f"v{i}_{j}", f"v{i}_{j + 1}")
+            if i < n and j < m and (i, j) != hole:
+                cell(f"d{i}_{j}", 1, f"v{i}_{j}", f"v{i + 1}_{j + 1}")
+                cell(f"ta{i}_{j}", 2, f"h{i}_{j}", f"u{i + 1}_{j}", f"d{i}_{j}")
+                cell(f"tb{i}_{j}", 2, f"u{i}_{j}", f"h{i}_{j + 1}", f"d{i}_{j}")
+    end = f"v{n}_{m}"
+    for k in range(1, whisker + 1):
+        cell(f"w{k}", 0)
+        cell(f"we{k}", 1, end, f"w{k}")
+        end = f"w{k}"
+    cell("p", 0)
+    return "\n".join(lines) + "\n"
+
+
+def test_analyze_and_compare_a_grid_of_ten_thousand_cells(tmp_path, capsys):
+    n = m = 40
+    whisker = 3
+    text = _grid_text(n, m, hole=(20, 20), whisker=whisker)
+    # read off the construction: vertices, edges (horizontal, vertical,
+    # diagonal) and triangles of the grid, less the hole's three open cells
+    cells = ((n + 1) * (m + 1) + n * (m + 1) + (n + 1) * m + 3 * n * m - 3
+             + 2 * whisker + 1)
+    assert text.count("\ncell ") == cells and cells > 9_700
+    # the closed disk has Euler characteristic 1, the hole takes one away,
+    # the whisker adds as many vertices as edges, and the point adds one;
+    # the disk with its whisker and the point are the two components, the
+    # whisker's tip is the one dangling endpoint, and the bricks have
+    # dimensions 2 (the disk), 1 (the whisker) and 0 (the point)
+    whole = "dim=2 compact=1 lc=1 euler=1 components=2 eta=1 bricks=3"
+    # without its tip the whisker is a half-open arc: not compact
+    less_tip = "dim=2 compact=0 lc=1 euler=0 components=2 eta=0 bricks=3"
+    src = tmp_path / "grid.complex"
+    src.write_text(text)
+    code, out, _ = run(capsys, "analyze", str(src), "--format", "records")
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[0] == f"analyze cells={cells} inM={cells}"
+    assert lines[1:4] == ["brick index=1 dim=2 cells={}".format(cells - 2 * whisker - 1),
+                          f"brick index=2 dim=1 cells={2 * whisker + 1}",
+                          "brick index=3 dim=0 cells=1"]
+    assert lines[4:] == [
+        "rho0 count=0", "rho1 count=0", f"mlc count={cells}",
+        f"eta count=1 ids=w{whisker}", "compact value=1", "lc value=1",
+        f"fingerprint section=M {whole}",
+        f"fingerprint section=M-eta {less_tip}",
+        f"fingerprint section=core {less_tip}",
+    ]
+    # relabelled, and its records in another order: every channel consistent
+    rng = random.Random(30)
+    other = tmp_path / "relabelled.complex"
+    other.write_text(_shuffled_records(_renamed(text, rng), rng))
+    code, out, _ = run(capsys, "compare", str(src), str(other), "--format", "records")
+    assert code == 0
+    assert out.splitlines() == [f"compare channel={channel} verdict=CONSISTENT evidence="
+                                for channel in ("S", "S*", "S(N)~S*(M)", "beta*")]
 
 
 _HINT = "; hint: raise --truncation or SPECTA_TRUNCATION"

@@ -15,6 +15,7 @@ from functools import reduce
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from reference import truncated_factorial
 from specta._expr import ExprError, parse_polynomial, parse_polynomial_list
 from specta.arith import Polynomial, _over_common
 from specta.paths import (
@@ -52,7 +53,6 @@ from specta.paths import (
     series_div,
     series_sqrt,
     slot_names,
-    truncated_factorial,
 )
 
 

@@ -24,7 +24,8 @@ from specta.topology import (
     NotInM,
     RegularityViolation,
     TopologyError,
-    _component_count,
+    _components,
+    _joined_count,
     barycentric_subdivision,
     bricks,
     compare_spectral_types,
@@ -157,6 +158,92 @@ def test_round_trip_is_byte_identical():
         assert serialize_complex(K2) == text
 
 
+# -- line parser reference ------------------------------------------------------
+# parse_complex as it was before well-formed face and cell records took a
+# direct branch: every line through the one general branch.
+
+
+def _reference_fields(parts, key, flag):
+    first, second = sorted(parts)
+    if not first.startswith(key + "=") or second not in (flag + "=0", flag + "=1"):
+        raise ValueError("unknown, missing or repeated field, or a flag not 0 or 1")
+    return int(first[len(key) + 1:]), second[-1] == "1"
+
+
+def _reference_parse_complex(text):
+    header = None
+    cells = []
+    faces = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        parts = raw.split("#", 1)[0].split()
+        if not parts:
+            continue
+        kind = parts[0]
+        if kind not in ("face", "cell", "complex"):
+            raise TopologyError(f"unknown record {kind!r}")
+        if kind == "complex" and header is not None:
+            raise TopologyError("duplicate complex header")
+        try:
+            if kind == "face":
+                _, small, big = parts
+                faces.append((small, big))
+            elif kind == "cell":
+                cells.append((parts[1], *_reference_fields(parts[2:], "dim", "inM")))
+            else:
+                header = _reference_fields(parts[1:], "ambient", "bounded")
+        except (IndexError, ValueError) as exc:
+            raise TopologyError(f"malformed line {lineno}: {raw!r}") from exc
+    if header is None:
+        raise TopologyError("missing complex header")
+    return CellComplex(*header, cells, faces)
+
+
+def _parse_outcome(parse, text):
+    """The parsed tables, or the type and text of the error raised."""
+    try:
+        K = parse(text)
+    except TopologyError as exc:
+        return type(exc), str(exc)
+    return (K.ambient_dim, K.bounded, K.ids, K.dims, K.flags, K._closure, K._star)
+
+
+# (first word of the record, function of the line's fields -> mutated line)
+PARSE_MUTATIONS = [
+    ("cell", lambda f: f"cell {f[1]} {f[3]} {f[2]}"),                # reversed fields
+    ("complex", lambda f: f"complex {f[2]} {f[1]}"),
+    ("cell", lambda f: f"cell {f[1]} dim=+{f[2][4:]} {f[3]}"),
+    ("cell", lambda f: f"cell {f[1]} dim=² {f[3]}"),
+    ("cell", lambda f: f"cell {f[1]} {f[2]} inM=2"),
+    ("face", lambda f: f"face {f[1]} {f[2]}  # comment"),
+    ("cell", lambda f: "\t".join(f)),
+    ("face", lambda f: "\tface\t" + "\t".join(f[1:])),
+    ("face", lambda f: f"face {f[1]} {f[2]} {f[1]}"),
+    ("cell", lambda f: f"cell {f[1]} {f[2]}"),
+]
+
+
+def test_parse_matches_reference_line_parser():
+    texts = [serialize_complex(K) for K in CORPUS] + [INTERVAL_TEXT]
+    accepted = rejected = 0
+    for text in texts:
+        assert _parse_outcome(parse_complex, text) == _parse_outcome(
+            _reference_parse_complex, text)
+        lines = text.splitlines()
+        for kind, mutate in PARSE_MUTATIONS:
+            at = next(i for i, ln in enumerate(lines) if ln.startswith(kind + " "))
+            mutated = "\n".join(lines[:at] + [mutate(lines[at].split())]
+                                + lines[at + 1:]) + "\n"
+            outcome = _parse_outcome(parse_complex, mutated)
+            assert outcome == _parse_outcome(_reference_parse_complex, mutated), mutated
+            if isinstance(outcome[0], type):
+                rejected += 1
+            else:
+                accepted += 1
+    # both outcomes occur: reversed fields, dim=+1, comments and tabs read
+    # as the record; dim=², inM=2 and a wrong field count are malformed
+    assert accepted == 6 * len(texts) and rejected == 4 * len(texts)
+
+
 def test_serialize_orders_numeric_ids_naturally():
     cells = {f"v{i}": (0, True) for i in (2, 10, 1)}
     K = CellComplex(1, True, cells, [])
@@ -186,6 +273,29 @@ def test_id_order_is_total_across_hash_seeds():
     assert len(outs) == 1
     cells = [ln.split()[1] for ln in outs.pop().splitlines() if ln.startswith("cell")]
     assert cells == ["p001", "p01", "p1", "q01", "q1"]
+
+
+SUPERSCRIPT_TEXT = """\
+complex ambient=1 bounded=1
+cell v0 dim=0 inM=1
+cell 1² dim=0 inM=1
+cell e dim=1 inM=1
+face v0 e
+face 1² e
+"""
+
+
+def test_ids_with_non_decimal_digits_sort_as_text():
+    # '²' is a digit to str.isdigit but not a decimal one, so int() refuses
+    # it: only the decimal runs of an id are read as numbers
+    K = parse_complex(SUPERSCRIPT_TEXT)
+    text = serialize_complex(K)
+    assert [ln.split()[1] for ln in text.splitlines() if ln.startswith("cell")] \
+        == ["1²", "e", "v0"]
+    assert parse_complex(text) == K
+    sub = barycentric_subdivision(K)
+    assert sorted(sub.ids) == sorted(["1²", "e", "v0", "1²|e", "v0|e"])
+    assert spectral_fingerprint(sub) == spectral_fingerprint(K)
 
 
 # ---------------------------------------------------------------------------
@@ -558,9 +668,9 @@ def _check_against_restrict_reference(K, rng):
         assert by_id.eta_set(K, subset) == _reference_eta_set(sub)
         assert fingerprint_data(K, subset) == _reference_fingerprint_data(sub)
         cells = set(rng.sample(sorted(K.cells), rng.randint(0, len(K.cells))))
-        # _component_count takes cell indices; the reference takes ids
+        # _components takes cell indices; the reference takes ids
         ix = {K._index[c] for c in cells}
-        assert _component_count(K, ix) == _reference_component_count(K, cells)
+        assert len(_components(K, ix)) == _reference_component_count(K, cells)
 
 
 def test_fingerprint_matches_restrict_reference():
@@ -574,6 +684,49 @@ def test_fingerprint_matches_restrict_reference_on_subdivisions():
     rng = random.Random(6)
     for K in CORPUS:
         _check_against_restrict_reference(barycentric_subdivision(K), rng)
+
+
+def _check_joined_components(K, S):
+    """Components of S joined from its bricks', each against the reference; returns S's."""
+    found = bricks(K, S)
+    parts = [_components(K, b.cells) for b in found]
+    for b, brick_parts in zip(found, parts):
+        # the parts of a brick partition it, one per component
+        assert set().union(*brick_parts) == b.cells
+        assert sum(map(len, brick_parts)) == len(b.cells)
+        assert len(brick_parts) == _reference_component_count(K, K._names(b.cells))
+    count = _joined_count(found, parts)
+    assert count == _reference_component_count(K, K._names(S))
+    return count
+
+
+@pytest.mark.parametrize("make, cells, count", [
+    # a vertex of an open 2-cell: one brick, joined across the gap
+    (corpus.closed_disk, {"f", "a"}, 1),
+    (corpus.open_disk_plus_boundary_point, {"f", "b"}, 1),
+    # the disk's brick and the whisker's share only p1, a face of dU across
+    # a dimension gap of 2; with p2 instead they do not meet
+    (corpus.disk_with_whisker, {"dU", "p1", "whisk"}, 1),
+    (corpus.disk_with_whisker, {"dU", "p2", "whisk"}, 2),
+    (corpus.disk_with_whisker, {"dU", "dL", "pm1", "whisk", "p2"}, 2),
+    (corpus.sphere_shell, {"c0_1_2", "c0", "c0_3", "c3", "c1_3"}, 1),
+    (corpus.sphere_shell, {"c0_1_2", "c3"}, 2),
+])
+def test_components_join_across_a_dimension_gap_of_two(make, cells, count):
+    K = make()
+    S = {K._index[c] for c in cells}
+    assert _check_joined_components(K, S) == count
+
+
+def test_components_joined_from_bricks_match_reference():
+    rng = random.Random(8)
+    several = 0
+    for K in CORPUS + [barycentric_subdivision(K) for K in CORPUS[:20]]:
+        for _ in range(4):
+            S = set(rng.sample(range(len(K.ids)), rng.randint(1, len(K.ids))))
+            _check_joined_components(K, S)
+            several += len(bricks(K, S)) > 1
+    assert several > 50
 
 
 def test_restrict_keeps_parent_cell_order():
