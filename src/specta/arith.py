@@ -1070,21 +1070,32 @@ def rational_between(lo: AlgebraicNumber, hi: AlgebraicNumber) -> Fraction:
     return simplest_between(lo.hi + g / 4, hi.lo - g / 4)
 
 
+class Roots(list):
+    """The ordered roots of one ``uisolate`` and chain, the Sturm chain of
+    the list they were counted on; chain[-1] is its gcd with the derivative."""
+
+    __slots__ = ("chain",)
+
+    def __init__(self, chain):
+        super().__init__()
+        self.chain = chain
+
+
 def uisolate(p):
-    """Ordered AlgebraicNumber list isolating every distinct real root of a
-    coefficient list (Sturm counts and bisection, ``_bisect``).
+    """``Roots`` isolating every distinct real root of a coefficient list
+    (Sturm counts and bisection, ``_bisect``).
 
-    A rational list runs on integers: its square-free part, an integer
-    list with content 1, defines the roots, and bisection starts at the
-    ceiling of its Cauchy bound.  Rational roots are certified without
-    factoring: below width 1/(lead^2 + 1), the least spacing of rationals
-    whose denominator divides the leading coefficient, the simplest
-    rational inside is the only candidate.
+    The list gets one Sturm chain, square-free or not: at points that are
+    not roots it counts the distinct roots (Basu, Pollack & Roy, ch. 2).
+    The list over the chain's last entry, its square-free part, defines
+    the roots.  A rational list runs on integers with content 1, and
+    bisection starts at the ceiling of the square-free part's Cauchy
+    bound.  Rational roots are certified without factoring: below width
+    1/(lead^2 + 1), the least spacing of rationals whose denominator
+    divides that part's leading coefficient, the simplest rational inside
+    is the only candidate.
 
-    A list over Q(alpha) is made monic and gets one Sturm chain, which
-    counts its distinct roots at points that are not roots (Basu, Pollack
-    & Roy, ch. 2); the list divided by the chain's last entry, its gcd
-    with the derivative, defines the roots.  Bisection starts at
+    A list over Q(alpha) is made monic.  Bisection starts at
     ``_count_start``, so the roots' intervals follow from exact signs, not
     from alpha's box.  Below width 1/1024 the simplest rational inside is
     tried once; a rational root this misses stays in interval form.
@@ -1102,12 +1113,14 @@ def uisolate(p):
     if not p:
         raise ZeroPolynomialError("cannot isolate roots of the zero polynomial")
     if len(p) == 1:
-        return []
+        return Roots([p])
     if _rational(p):
-        sq = _uint_primitive(_usquarefree(p))
+        a = _uint_primitive(p)
+        chain = _usturm(a)
+        sq = a if len(chain[-1]) == 1 else _uint_primitive(_idivmod(a, chain[-1])[0])
         # bisection from the ceiling of the Cauchy bound; sq[-1] > 0
         bound = Fraction(1 - (-max(map(abs, sq[:-1])) // sq[-1]))
-        return _bisect(sq, _usturm(sq), {}, bound, Fraction(1, sq[-1] ** 2 + 1))
+        return _bisect(sq, chain, {}, bound, Fraction(1, sq[-1] ** 2 + 1))
     p = _umonic(p)
     chain, memo = _usturm(p), {}
     sq = p if _udeg(chain[-1]) == 0 else _udivmod(p, chain[-1])[0]
@@ -1115,15 +1128,15 @@ def uisolate(p):
 
 
 def _bisect(sq, chain, memo, bound, gap):
-    """The roots of the square-free sq, all in (-bound, bound), neither end
-    a root, by bisection on the counts of chain, a Sturm chain whose
+    """The ``Roots`` of the square-free sq, all in (-bound, bound), neither
+    end a root, by bisection on the counts of chain, a Sturm chain whose
     chain[0] has sq's real roots; each point's chain is signed once per
     memo (``_at``).  Each root is narrowed below gap by
     ``AlgebraicNumber.narrow``, whose jumps count only when exact signs of
     sq at both ends of the new cell are nonzero and opposite and which
     otherwise falls back to one plain halving; then the simplest rational
     inside is tried once."""
-    roots = []
+    roots = Roots(chain)
 
     def count(a, b):
         return _at(chain, memo, a)[0] - _at(chain, memo, b)[0]
@@ -1514,14 +1527,6 @@ def poly_gcd(p: Polynomial, q: Polynomial) -> Polynomial:
     if p.is_zero() or q.is_zero():
         raise ZeroPolynomialError("gcd of zero polynomial")
     return _poly(_bgcd(_rows(p)[0], _rows(q)[0]))
-
-
-def squarefree_part(p: Polynomial) -> Polynomial:
-    """Product of the distinct irreducible factors of p in x and y (others
-    raise ArithError), factors free of y included, normalized as by ``poly_gcd``."""
-    if p.is_zero():
-        raise ZeroPolynomialError("square-free part of zero polynomial")
-    return _poly(_bsquarefree(_rows(p)[0]))
 
 
 def coprime_squarefree_basis(polys):

@@ -39,9 +39,9 @@ read off the limit assignment.  That assignment needs no approach when
 the line has at most one critical section, a root of gcd(Q, Q_y) for Q
 the product of the basis: one branch from each side ends at every other
 section, and the rest at the critical one (_sector_limits).  Each stack
-counts its critical sections off the isolation of its slice product,
-whose defining list is the product over that gcd; only a line with two or
-more runs _limit_assignment.  The complex is the restriction of the
+counts its critical sections on that gcd, the last entry of the one Sturm
+chain that isolated the sections of its slice product; only a line with
+two or more runs _limit_assignment.  The complex is the restriction of the
 bounded cells to the closure of the satisfied ones.
 
 The described set must be bounded; decompose raises UnboundedInput as
@@ -73,7 +73,6 @@ from .arith import (
     _rows,
     _trim,
     _udeg,
-    _udivmod,
     _usign,
     _usturm,
     isolate_real_roots,
@@ -82,7 +81,6 @@ from .arith import (
     refine_root_free,
     sturm_chain,
     sturm_count,
-    uisolate,
 )
 from .topology import CellComplex, restrict, serialize_complex
 
@@ -259,25 +257,14 @@ def _project(xparts, yparts):
     return basis, [b[0] for b in _bbasis([[u] for u in univ])]
 
 
-def projection_phase(polys):
-    """Univariate x-polynomials whose roots delineate the input family.
-
-    The output is a coprime square-free basis collecting the x-only inputs
-    and contents, nonconstant leading y-coefficients, y-discriminants and
-    pairwise y-resultants of the y-primitive basis of the inputs, which
-    _project builds alongside.
-    """
-    return [_poly([q], ("x",)) for q in _project(*_prepare([_rows(p)[0] for p in polys]))[1]]
-
-
 # ---------------------------------------------------------------------------
 # shear
 
 
 def _needs_shear(yparts) -> bool:
     # the leading coefficient of a y-part is the product of those of its
-    # basis factors, so it has the same real roots
-    return any(uisolate(b[-1]) for b in yparts)
+    # basis factors, so it has the same real roots, which one Sturm chain counts
+    return any(len(b[-1]) > 1 and sturm_count(_usturm(b[-1]), None, None) for b in yparts)
 
 
 def _top_form_value(p: Polynomial, lam: Fraction) -> Fraction:
@@ -326,8 +313,9 @@ class Stack:
     fences are rational heights, one inside each even level: its sample
     height, and on a root line a separator for adjacency certification.
     critical holds the indices of the critical sections, the roots of
-    gcd(Q, Q_y) on the line for Q the product of the basis: () or one
-    index, or None when there are two or more, which are not placed.
+    gcd(Q, Q_y) on the line for Q the product of the basis, a gcd read off
+    the last entry of the Sturm chain that isolated the sections: () or
+    one index, or None when there are two or more, which are not placed.
     """
 
     index: int
@@ -387,23 +375,22 @@ def _build_stack(index, xval, basis) -> Stack:
         prod = nf.ymul(prod, _slice(b, at))
     sections = nf.yisolate(prod)
     fences = _fences(sections)
-    return Stack(index, xval, at, sections, fences, _critical(prod, sections, fences))
+    return Stack(index, xval, at, sections, fences, _critical(sections, fences))
 
 
-def _critical(prod, sections, fences):
-    """Stack.critical of a line whose slice product prod has the given
-    sections and fences.
+def _critical(sections, fences):
+    """Stack.critical of a line from its sections, the ``Roots`` of its
+    slice product prod, and its fences.
 
-    The sections' defining list is prod over gcd(prod, prod'), so that
-    gcd G is the exact quotient of prod by it, up to a nonzero scale, and
-    has degree 0 when the two have the same length.  One Sturm chain of G
-    counts its distinct real roots, all of them sections; a single one is
-    placed among the fences by bisection on the counts below them.
+    The last entry of the Sturm chain that isolated the sections is the
+    gcd G of prod and prod', up to a nonzero factor, so the critical
+    sections are the real roots of G and there are none when G is a
+    constant.  One Sturm chain of G counts them; a single one is placed
+    among the fences by bisection on the counts below them.
     """
-    prod = _trim(prod)
-    if not sections or len(sections[0].coeffs) == len(prod):
+    if not sections or _udeg(sections.chain[-1]) == 0:
         return ()
-    chain = _usturm(_udivmod(prod, sections[0].coeffs)[0])
+    chain = _usturm(sections.chain[-1])
     n = sturm_count(chain, None, None)
     if n != 1:
         return () if n == 0 else None

@@ -10,13 +10,23 @@ only the tokenizer and the error class are shared.  ``coeffs_in`` splits
 a Polynomial by powers of one variable, and ``truncated_factorial``
 builds the Polynomial p_k of the separating quotients, for the tests' own
 reference computations.
+
+The isolation of a rational list and the critical sections of a stack
+are kept on the route before they shared one Sturm chain: a square-free
+part by a gcd with the derivative and a division, then a second remainder
+sequence for that part's chain (``two_gcd_uisolate``), and the gcd G of
+a stack's slice product prod and prod' as prod over the sections'
+defining list (``division_critical``).  ``projection_phase`` and
+``squarefree_part`` give the x-basis of a family and the square-free
+part of one polynomial as Polynomials, for the tests that pin them.
 """
 
 import math
 from fractions import Fraction
 
+from specta import arith, cad2d
 from specta._expr import ExprError, _tokenize
-from specta.arith import Polynomial
+from specta.arith import Polynomial, ZeroPolynomialError
 from specta.cad2d import And, Atom, CadError, Not, Or
 from specta.paths import SAFunction
 
@@ -251,3 +261,57 @@ def appendix_separator(k):
     y = Polynomial.var("y", ("x", "y"))
     num = (y - truncated_factorial(k).embed(("x", "y"))) ** 2
     return SAFunction("/", (num, num + x ** (2 * k)))
+
+
+def projection_phase(polys):
+    """Univariate x-polynomials whose roots delineate the input family: the
+    coprime square-free x-basis that ``cad2d._project`` builds beside the
+    y-basis, from the x-only inputs and contents, the nonconstant leading
+    y-coefficients, y-discriminants and pairwise y-resultants."""
+    rows = [arith._rows(p)[0] for p in polys]
+    return [arith._poly([q], ("x",)) for q in cad2d._project(*cad2d._prepare(rows))[1]]
+
+
+def squarefree_part(p):
+    """Product of the distinct irreducible factors of p in x and y (others
+    raise ArithError), factors free of y included, normalized as by
+    ``arith.poly_gcd``."""
+    if p.is_zero():
+        raise ZeroPolynomialError("square-free part of zero polynomial")
+    return arith._poly(arith._bsquarefree(arith._rows(p)[0]))
+
+
+def two_gcd_uisolate(p):
+    """The roots of a rational list as ``arith.uisolate`` isolated them
+    with a square-free part first: ``_usquarefree`` (one remainder
+    sequence for the gcd with the derivative), then the Sturm chain of
+    that part (a second one) to bisect on, from the same Cauchy bound and
+    gap."""
+    p = arith._trim(p)
+    if len(p) == 1:
+        return []
+    sq = arith._uint_primitive(arith._usquarefree(p))
+    bound = Fraction(1 - (-max(map(abs, sq[:-1])) // sq[-1]))
+    return list(arith._bisect(sq, arith._usturm(sq), {}, bound, Fraction(1, sq[-1] ** 2 + 1)))
+
+
+def division_critical(prod, sections, fences):
+    """``cad2d.Stack.critical`` of a line whose slice product prod has the
+    given sections and fences, with gcd(prod, prod') taken as the exact
+    quotient of prod by the sections' defining list (over Q(alpha) a
+    field division), counted and placed as ``cad2d._critical`` does."""
+    prod = arith._trim(prod)
+    if not sections or len(sections[0].coeffs) == len(prod):
+        return ()
+    chain = arith._usturm(arith._udivmod(prod, sections[0].coeffs)[0])
+    n = arith.sturm_count(chain, None, None)
+    if n != 1:
+        return () if n == 0 else None
+    lo, hi = 0, len(fences) - 1
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if arith.sturm_count(chain, None, fences[mid]):
+            hi = mid
+        else:
+            lo = mid
+    return (lo,)

@@ -13,9 +13,13 @@ counts gave and the pairs that fell back to ``_limit_assignment``, and
 the interval narrowings (``AlgebraicNumber.narrow``) that took only
 certified jumps and those that fell back to one or more plain halvings;
 the script counts these by wrapping ``narrow`` and ``_Bracket.halve``.
-It exits 1 on any miss: a passed deadline, an error or a wrong digest.
+It also checks every stack's critical sections against the division
+reference (``check_critical_against_division`` in ``tests/test_cad2d.py``).
+It exits 1 on any miss: a passed deadline, an error, a wrong digest or
+critical sections that differ from the reference.
 """
 
+from collections import Counter
 import hashlib
 import os
 import signal
@@ -77,7 +81,7 @@ def count_narrowings(arith):
 def main(argv) -> int:
     seconds = float(argv[0]) if argv else 10.0
     sys.path.insert(0, HERE)
-    from test_cad2d import SLOW_FORMULAS
+    from test_cad2d import SLOW_FORMULAS, check_critical_against_division
     from specta import arith, cad2d
     from specta._expr import parse_formula
 
@@ -100,6 +104,11 @@ def main(argv) -> int:
             signal.setitimer(signal.ITIMER_PROF, 0)
         cpu = time.process_time() - start
         ok = digest.startswith(want)
+        if ok:
+            try:
+                check_critical_against_division(dec, Counter())
+            except AssertionError as exc:
+                ok, digest = False, f"critical sections differ from the reference on stack {exc}"
         misses += not ok
         counted, fallback = pairs(dec) if ok else (0, 0)
         print(f"{'ok' if ok else 'MISS'} {cpu:.2f}s counted={counted} fallback={fallback}"

@@ -15,7 +15,7 @@ from unittest import mock
 
 import pytest
 import sympy as sp
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from specta.arith import (
     AlgebraicNumber,
@@ -31,15 +31,15 @@ from specta.arith import (
     resultant,
     sign_at,
     simplest_between,
-    squarefree_part,
     sturm_chain,
     sturm_count,
     uisolate,
     ulevel_signs,
     usign_at,
 )
-from specta import arith, cad2d
-from reference import coeffs_in
+from specta import _numfield, arith, cad2d
+from specta._expr import parse_formula
+from reference import coeffs_in, squarefree_part, two_gcd_uisolate
 from test_numfield import cubic_field, sqrt2_field
 from specta.arith import (
     _ext_gcd,
@@ -376,6 +376,87 @@ def test_isolation_signs_each_point_once(domain, monkeypatch):
         assert uisolate(_planted(domain, factors))
         points = Counter(x for chain, x in calls if chain is chains[-1] and x is not None)
         assert len(points) > 4 and max(points.values()) == 1
+
+
+# a rational factor with a multiplicity: x - c for c an integer or a
+# dyadic, which bisection from an integer bound lands on as a midpoint,
+# or an irreducible quadratic, with two real roots or none
+_q_factors = st.tuples(
+    st.one_of(st.builds(lambda c: [-Fraction(c), Fraction(1)], st.integers(-4, 4)),
+              st.builds(lambda k, j: [-_dyadic(k, j), Fraction(1)],
+                        st.integers(-15, 15), st.integers(1, 3)),
+              st.sampled_from([[Fraction(c) for c in q]
+                               for q in ([-2, 0, 1], [-3, 0, 1], [-1, -1, 1], [1, 0, 1],
+                                         [1, 1, 1], [-5, 0, 4])])),
+    st.integers(1, 3))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(_q_factors, min_size=1, max_size=4),
+       st.sampled_from([Fraction(1), Fraction(-2), Fraction(3, 5)]))
+@example([([Fraction(0), Fraction(1)], 2), ([Fraction(-2), Fraction(0), Fraction(1)], 1),
+          ([Fraction(-1, 2), Fraction(1)], 3)], Fraction(1))
+@example([([Fraction(-3, 8), Fraction(1)], 1), ([Fraction(1), Fraction(0), Fraction(1)], 2)],
+         Fraction(-2))
+def test_one_chain_isolation_matches_the_two_gcd_route_over_q(factors, lead):
+    # bisection on the chain of the list itself, square-free or not, and
+    # on the chain of its square-free part meets the same counts at every
+    # point that is not a root, so the intervals are equal, not only nested
+    p = [lead]
+    for f, k in factors:
+        for _ in range(k):
+            p = _umul(p, f)
+    mine, ref = uisolate(p), two_gcd_uisolate(p)
+    assert len(mine) == len(ref)
+    for u, v in zip(mine, ref):
+        assert (u.lo, u.hi, u.is_rational, u.coeffs) == (v.lo, v.hi, v.is_rational, v.coeffs)
+    # the chain's last entry is the gcd of the list and its derivative
+    assert arith._umonic(mine.chain[-1]) == _ugcd(p, arith._uderiv(p))
+
+
+def _count_sequences(monkeypatch):
+    """A Counter of the remainder sequences (``_iprs``) and square-free
+    parts (``_usquarefree``) that arith runs from here on."""
+    runs = Counter()
+    for name in ("_iprs", "_usquarefree"):
+        def counted(*args, _real=getattr(arith, name), _name=name):
+            runs[_name] += 1
+            return _real(*args)
+        monkeypatch.setattr(arith, name, counted)
+    return runs
+
+
+@pytest.mark.parametrize("coeffs", [
+    [-2, 0, 1], [0, 1], [6, -11, 6, -1],
+    _umul(_umul([-1, 1], [-1, 1]), [-2, 0, 1]),
+    _umul(_umul([1, 2], [1, 2]), _umul([1, 2], [Fraction(-1, 2), 0, 0, 1])),
+])
+def test_rational_isolation_runs_one_sequence(coeffs, monkeypatch):
+    # the Sturm chain of the list is its one remainder sequence: a
+    # square-free part by a gcd of its own ran the sequence twice
+    runs = _count_sequences(monkeypatch)
+    assert uisolate([Fraction(c) for c in coeffs])
+    assert runs == {"_iprs": 1}
+
+
+def test_rational_lines_of_a_decomposition_run_one_sequence(monkeypatch):
+    # every rational line of a decomposition isolates on one remainder
+    # sequence, the lines where the circle x^2 + y^2 = 1 is cut at x = +-1
+    # into a squared slice among them
+    runs, lines = _count_sequences(monkeypatch), []
+    yisolate = _numfield.yisolate
+
+    def lifted(p):
+        runs.clear()
+        roots = yisolate(p)
+        if arith._rational(p) and len(arith._trim(p)) > 1:
+            lines.append((dict(runs), arith._udeg(roots.chain[-1])))
+        return roots
+
+    monkeypatch.setattr(_numfield, "yisolate", lifted)
+    cad2d.decompose(parse_formula("x^2+y^2 <= 4 AND (x^2+y^2-1)*(y-x) >= 0"))
+    assert lines and all(got == {"_iprs": 1} for got, _ in lines)
+    assert any(g > 0 for _, g in lines)
 
 
 def test_equality_across_defining_polynomials():

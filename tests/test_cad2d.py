@@ -16,6 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 import by_id
 import corpus
+from reference import division_critical, projection_phase
 from specta import _numfield, arith, cad2d, topology
 from specta._expr import parse_formula, parse_polynomial
 from specta.arith import (
@@ -107,28 +108,28 @@ def _p(text):
 
 
 def test_projection_circle_gives_discriminant_roots():
-    out = cad2d.projection_phase([_p("x^2 + y^2 - 1")])
+    out = projection_phase([_p("x^2 + y^2 - 1")])
     assert [q.to_text() for q in out] == ["x^2 - 1"]
 
 
 def test_projection_of_horizontal_line_is_empty():
-    assert cad2d.projection_phase([_p("y")]) == []
+    assert projection_phase([_p("y")]) == []
 
 
 def test_projection_crossing_lines_gives_resultant():
-    out = cad2d.projection_phase([_p("y - x"), _p("y + x")])
+    out = projection_phase([_p("y - x"), _p("y + x")])
     assert [q.to_text() for q in out] == ["x"]
 
 
 def test_projection_splits_content():
     # x(y - 1): vertical line content x plus the horizontal line y = 1
-    out = cad2d.projection_phase([_p("x y - x")])
+    out = projection_phase([_p("x y - x")])
     assert [q.to_text() for q in out] == ["x"]
 
 
 def test_projection_rejects_zero():
     with pytest.raises(CadError):
-        cad2d.projection_phase([Polynomial.const(0, ("x", "y"))])
+        projection_phase([Polynomial.const(0, ("x", "y"))])
 
 
 # ---------------------------------------------------------------------------
@@ -261,7 +262,7 @@ def test_leading_coefficient_without_real_roots():
     # no real root: it adds no stack and needs no shear
     text = "(x^2+1)*y^2 <= 1 AND x^2 <= 1"
     dec = _dec(text)
-    assert [str(q) for q in cad2d.projection_phase(
+    assert [str(q) for q in projection_phase(
         [parse_polynomial("(x^2+1)*y^2 - 1"), parse_polynomial("x^2 - 1")])] == \
         ["x^2 - 1", "x^2 + 1"]
     assert dec.shear is None
@@ -1092,6 +1093,29 @@ def test_first_slow_formula():
     head = cad2d.decomposition_text(dec).split("# sample", 1)[0]
     assert (hashlib.sha256(head.encode()).hexdigest()
             == "b1582500a5fa9f0da481f6ddc8d86885809a2c2dd9cdd049f2afc21305399dc0")
+
+
+def check_critical_against_division(dec, kinds):
+    """Every stack's critical sections, read off the last entry of the
+    chain that isolated its sections, are those that gcd(prod, prod')
+    gives as prod over the sections' defining list, prod the cut of the
+    curve along the line (a nonzero multiple of the slice product); kinds
+    counts the stacks by (rational line, number of critical sections, 2
+    standing for two or more)."""
+    for st in dec._stacks:
+        prod = [Fraction(1)] if dec._curve is None else cad2d._slice(dec._curve, st.at)
+        assert st.critical == division_critical(prod, st.sections, st.fences), st.index
+        crit = st.critical
+        kinds[isinstance(st.at, Fraction), 2 if crit is None else len(crit)] += 1
+
+
+def test_critical_sections_match_the_division_reference():
+    # the first slow formula is the cached decomposition of
+    # test_first_slow_formula; tests/slow_profile.py checks both
+    kinds = Counter()
+    for text in list(PINNED_TEXT) + list(PINNED_DEGENERATE) + SLOW_FORMULAS[:1]:
+        check_critical_against_division(_dec(text), kinds)
+    assert set(kinds) == {(r, c) for r in (True, False) for c in (0, 1, 2)}, kinds
 
 
 def test_failed_sign_certification_is_a_cad_error(monkeypatch):
