@@ -1,18 +1,23 @@
 """Truncated Puiseux series and formal paths with exactness bookkeeping.
 
-A series is stored as integer exponents over one ramification index e:
-the map {n: c} stands for the terms c*t^(n/e), kept with e minimal, plus a
-truncation exponent T: the coefficients below T are exact, everything at
-or above T is unknown.  A series flagged exact (T is None) has no unknown
-tail at all.  Ring operations lift both operands to a common ramification
-once and work on integer exponents, cutting at the integer ceil(T*e);
-products stop at that cut instead of forming every pair, and products
-and long division run on integer numerators over one denominator per
-operand (a product with a one-term operand is a shifted, scaled copy of
-the other operand).  Every operation propagates the sharpest truncation it can
-certify, so a result is only ever as precise as its inputs allow, and
-zero tests on truncated data are always reported as "zero so far", never
-as exact.
+A series is stored as integer exponents over one ramification index e
+and integer numerators over one positive denominator d: the map
+{n: c} stands for the terms (c/d)*t^(n/e), kept with e and d minimal,
+plus a truncation exponent T: the coefficients below T are exact,
+everything at or above T is unknown.  A series flagged exact (T is None)
+has no unknown tail at all.  That normal form is unique, so equality is
+structural; ``coeffs`` is a read-only view of the terms as Fraction
+coefficients, built on first read.  Ring operations lift both operands
+to a common ramification once and work on integers: a sum
+cross-multiplies the numerators by the quotients of the denominators'
+lcm, a product convolves them over the product of the denominators
+(reduced by one gcd), stopping at the integer cut ceil(T*e) instead of
+forming every pair (a product with a one-term operand is a shifted,
+scaled copy of the other operand), and long division puts its quotient
+over one denominator.  Every operation propagates the sharpest
+truncation it can certify, so a result is only ever as precise as its
+inputs allow, and zero tests on truncated data are always reported as
+"zero so far", never as exact.
 
 On top of the series sit formal paths (tuples of series generated by
 polynomials, rational functions, explicit coefficient lists, or the
@@ -30,16 +35,21 @@ polynomially generated ones by a family of bounded quotients.
 
 A path carries its working truncation (``FormalPath.default_trunc``), and
 every routine here evaluates at it; to work at another truncation T,
-build ``FormalPath(path.parts, T)``.
+build ``FormalPath(path.parts, T)``.  One evaluation forms each power of
+a path coordinate once, and the polynomials of an expression share it;
+the routines that evaluate several expressions along one path (the
+separating search, positivity bounds, tube certificates) share the
+path's series and those powers across them.
 """
 
 import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from types import MappingProxyType
 
-from .arith import (ArithError, Polynomial, _over_common, _poly, _umul, binary_power,
-                    signed_sum)
+from .arith import ArithError, Polynomial, _poly, _umul, binary_power, signed_sum
 from ._expr import ExprError, _Parser, _Sum, parse_polynomial, parse_polynomial_list
 
 
@@ -104,53 +114,75 @@ def _cut(trunc: Fraction, ram: int) -> int:
     return -(-trunc.numerator * ram // trunc.denominator)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class PuiseuxSeries:
     """Finitely many exact terms c*t^(n/ram) below a truncation exponent.
 
-    ``coeffs`` maps int exponents n over ``ram`` to nonzero Fraction
-    coefficients; ``trunc`` is the Fraction exponent up to which they are
-    exact, and ``trunc is None`` means the stored terms are the whole
-    series.  Exponents may be negative (the series lives in the fraction
-    field).  Every instance is normalised the same way: zero coefficients
-    and every n >= ceil(trunc*ram) are dropped and ``ram`` is reduced to
-    the least index that carries the exponents, so equality is structural.
-    The public constructor coerces its arguments first; internal results
-    go through ``_make``, which trusts int keys over ``ram``, Fraction
-    coefficients and ``trunc`` a Fraction or None.
+    ``nums`` maps int exponents n over ``ram`` to nonzero int numerators
+    over one positive int ``den``, so the term at n is nums[n]/den;
+    ``trunc`` is the Fraction exponent up to which the terms are exact, and
+    ``trunc is None`` means the stored terms are the whole series.
+    Exponents may be negative (the series lives in the fraction field).
+    Every instance is normalised the same way: zero numerators and every
+    n >= ceil(trunc*ram) are dropped, ``ram`` is reduced to the least
+    index that carries the exponents and ``den`` to the least one that
+    carries the coefficients (gcd(den, *nums.values()) == 1, and den == 1
+    for no terms), so equality is structural.  ``coeffs`` is a read-only
+    view {n: Fraction coefficient}, built on first read.  The public
+    constructor takes that Fraction form and coerces its arguments;
+    internal results go through ``_make``, which trusts int keys over
+    ``ram``, int numerators over a positive int ``den`` and ``trunc`` a
+    Fraction or None.
     """
 
     ram: int
-    coeffs: dict
-    trunc: object = None
+    nums: dict
+    den: int
+    trunc: object
 
-    def __post_init__(self):
-        ram = int(self.ram)
+    def __init__(self, ram, coeffs, trunc=None):
+        ram = int(ram)
         if ram < 1:
             raise PathError("ramification index must be a positive integer")
-        trunc = None if self.trunc is None else Fraction(self.trunc)
-        coeffs = {int(n): Fraction(c) for n, c in self.coeffs.items()}
-        self._normalise(ram, coeffs, trunc)
+        trunc = None if trunc is None else Fraction(trunc)
+        coeffs = {int(n): Fraction(c) for n, c in coeffs.items()}
+        den = math.lcm(*(c.denominator for c in coeffs.values()))
+        self._normalise(ram, {n: c.numerator * (den // c.denominator)
+                              for n, c in coeffs.items()}, den, trunc)
 
     @classmethod
-    def _make(cls, ram, coeffs, trunc) -> "PuiseuxSeries":
+    def _make(cls, ram, nums, den, trunc) -> "PuiseuxSeries":
         s = object.__new__(cls)
-        s._normalise(ram, coeffs, trunc)
+        s._normalise(ram, nums, den, trunc)
         return s
 
-    def _normalise(self, ram, coeffs, trunc):
+    def _normalise(self, ram, nums, den, trunc):
         if trunc is None:
-            kept = {n: c for n, c in coeffs.items() if c}
+            kept = {n: c for n, c in nums.items() if c}
         else:
             cut = _cut(trunc, ram)
-            kept = {n: c for n, c in coeffs.items() if c and n < cut}
-        g = math.gcd(ram, *kept) if kept else ram
-        if g > 1:
-            kept = {n // g: c for n, c in kept.items()}
-            ram //= g
+            kept = {n: c for n, c in nums.items() if c and n < cut}
+        if not kept:
+            ram = den = 1
+        else:
+            g = math.gcd(ram, *kept) if ram > 1 else 1
+            if g > 1:
+                kept = {n // g: c for n, c in kept.items()}
+                ram //= g
+            g = math.gcd(den, *kept.values()) if den > 1 else 1
+            if g > 1:
+                kept = {n: c // g for n, c in kept.items()}
+                den //= g
         object.__setattr__(self, "ram", ram)
-        object.__setattr__(self, "coeffs", kept)
+        object.__setattr__(self, "nums", kept)
+        object.__setattr__(self, "den", den)
         object.__setattr__(self, "trunc", trunc)
+
+    @cached_property
+    def coeffs(self):
+        """Read-only {exponent over ram: Fraction coefficient}."""
+        den = self.den
+        return MappingProxyType({n: Fraction(c, den) for n, c in self.nums.items()})
 
     @staticmethod
     def zero(trunc=None) -> "PuiseuxSeries":
@@ -158,7 +190,8 @@ class PuiseuxSeries:
 
     @staticmethod
     def constant(c) -> "PuiseuxSeries":
-        return PuiseuxSeries(1, {0: Fraction(c)})
+        c = Fraction(c)
+        return PuiseuxSeries._make(1, {0: c.numerator}, c.denominator, None)
 
     @staticmethod
     def monomial(exponent, coeff=1) -> "PuiseuxSeries":
@@ -181,15 +214,14 @@ class PuiseuxSeries:
 
     def items(self):
         """Sorted (exponent, coefficient) pairs with Fraction exponents."""
-        return tuple(
-            (Fraction(n, self.ram), c) for n, c in sorted(self.coeffs.items())
-        )
+        ram, den = self.ram, self.den
+        return tuple((Fraction(n, ram), Fraction(c, den)) for n, c in sorted(self.nums.items()))
 
     def is_zero(self) -> bool:
-        return self.exact and not self.coeffs
+        return self.exact and not self.nums
 
     def vanishes_so_far(self) -> bool:
-        return not self.coeffs
+        return not self.nums
 
     def order(self):
         """Least exponent with a nonzero coefficient.
@@ -197,28 +229,28 @@ class PuiseuxSeries:
         Returns math.inf for the exact zero series and INDETERMINATE when
         every known coefficient vanishes but the tail is unknown.
         """
-        if self.coeffs:
-            return Fraction(min(self.coeffs), self.ram)
+        if self.nums:
+            return Fraction(min(self.nums), self.ram)
         return math.inf if self.exact else INDETERMINATE
 
     def order_lower_bound(self):
-        if self.coeffs:
-            return Fraction(min(self.coeffs), self.ram)
+        if self.nums:
+            return Fraction(min(self.nums), self.ram)
         return math.inf if self.exact else self.trunc
 
     def leading_coefficient(self):
-        if not self.coeffs:
+        if not self.nums:
             return None
-        return self.coeffs[min(self.coeffs)]
+        return Fraction(self.nums[min(self.nums)], self.den)
 
     def leading(self, what):
         """(order, coefficient) of the leading term, or (math.inf, 0) for
         the exact zero series.  Raises IndeterminateOrder, naming what was
         asked for, when every known coefficient vanishes but the tail is
         unknown."""
-        if self.coeffs:
-            n = min(self.coeffs)
-            return Fraction(n, self.ram), self.coeffs[n]
+        if self.nums:
+            n = min(self.nums)
+            return Fraction(n, self.ram), Fraction(self.nums[n], self.den)
         if self.exact:
             return math.inf, Fraction(0)
         raise IndeterminateOrder(f"{what} not determined at truncation {self.trunc}")
@@ -234,7 +266,7 @@ class PuiseuxSeries:
             )
         if self.ram % e.denominator == 0:
             n = e.numerator * (self.ram // e.denominator)
-            return self.coeffs.get(n, Fraction(0))
+            return Fraction(self.nums.get(n, 0), self.den)
         return Fraction(0)
 
     # -- ring operations ---------------------------------------------------
@@ -248,7 +280,8 @@ class PuiseuxSeries:
         return NotImplemented
 
     def _lift(self, other):
-        """(ram, coeffs of self, coeffs of other) over lcm of the two rams."""
+        """(ram, numerators of self, numerators of other) over lcm of the
+        two rams."""
         ram = math.lcm(self.ram, other.ram)
         return ram, _lifted(self, ram), _lifted(other, ram)
 
@@ -257,16 +290,24 @@ class PuiseuxSeries:
         if other is NotImplemented:
             return NotImplemented
         ram, a, b = self._lift(other)
-        out = dict(a)
+        da, db = self.den, other.den
+        if da == db:
+            out, kb = dict(a), 1
+        else:
+            # cross-multiply by the quotients of the denominators' lcm
+            g = math.gcd(da, db)
+            ka, kb = db // g, da // g
+            out = {n: c * ka for n, c in a.items()}
+            da *= ka
         for n, c in b.items():
-            out[n] = out.get(n, 0) + c
-        return PuiseuxSeries._make(ram, out, _trunc_min(self.trunc, other.trunc))
+            out[n] = out.get(n, 0) + c * kb
+        return PuiseuxSeries._make(ram, out, da, _trunc_min(self.trunc, other.trunc))
 
     __radd__ = __add__
 
     def __neg__(self):
         return PuiseuxSeries._make(
-            self.ram, {n: -c for n, c in self.coeffs.items()}, self.trunc)
+            self.ram, {n: -c for n, c in self.nums.items()}, self.den, self.trunc)
 
     def __sub__(self, other):
         other = PuiseuxSeries._coerce(other)
@@ -290,28 +331,25 @@ class PuiseuxSeries:
                         ta + tb)
             trunc = None if bound == math.inf else bound
         ram, a, b = self._lift(other)
+        den = self.den * other.den
         if len(a) == 1 or len(b) == 1:
             # a one-term operand c*t^m shifts the other's exponents by m
-            # and scales its coefficients by c; _make cuts at trunc
+            # and scales its numerators by c; _make cuts at trunc
             ((m, c),), rest = (a.items(), b) if len(a) == 1 else (b.items(), a)
             return PuiseuxSeries._make(
-                ram, {m + n: v * c for n, v in sorted(rest.items())}, trunc)
+                ram, {m + n: v * c for n, v in rest.items()}, den, trunc)
         cut = math.inf if trunc is None else _cut(trunc, ram)
-        ea, eb = sorted(a), sorted(b)
-        ia, da = _over_common([a[n] for n in ea])
-        ib, db = _over_common([b[n] for n in eb])
+        eb = sorted(b.items())
         out = {}
-        for na, ca in zip(ea, ia):
-            if not eb or na + eb[0] >= cut:
+        for na, ca in sorted(a.items()):
+            if not eb or na + eb[0][0] >= cut:
                 break
-            for nb, cb in zip(eb, ib):
+            for nb, cb in eb:
                 n = na + nb
                 if n >= cut:
                     break
                 out[n] = out.get(n, 0) + ca * cb
-        den = da * db
-        return PuiseuxSeries._make(
-            ram, {n: Fraction(v, den) for n, v in out.items()}, trunc)
+        return PuiseuxSeries._make(ram, out, den, trunc)
 
     __rmul__ = __mul__
 
@@ -326,12 +364,12 @@ class PuiseuxSeries:
             raise PathError("reparametrization exponent must be a positive integer")
         trunc = None if self.trunc is None else self.trunc * p
         return PuiseuxSeries._make(
-            self.ram, {n * p: c for n, c in self.coeffs.items()}, trunc)
+            self.ram, {n * p: c for n, c in self.nums.items()}, self.den, trunc)
 
     def truncated(self, T) -> "PuiseuxSeries":
         T = Fraction(T)
         trunc = T if self.trunc is None else min(self.trunc, T)
-        return PuiseuxSeries._make(self.ram, self.coeffs, trunc)
+        return PuiseuxSeries._make(self.ram, self.nums, self.den, trunc)
 
     # -- text --------------------------------------------------------------
 
@@ -352,10 +390,10 @@ class PuiseuxSeries:
 
 
 def _lifted(s: PuiseuxSeries, ram: int) -> dict:
-    """The coefficients of s keyed by integer exponents over ram, a
+    """The numerators of s keyed by integer exponents over ram, a
     multiple of s.ram."""
     k = ram // s.ram
-    return s.coeffs if k == 1 else {n * k: c for n, c in s.coeffs.items()}
+    return s.nums if k == 1 else {n * k: c for n, c in s.nums.items()}
 
 
 def _trunc_min(a, b):
@@ -391,18 +429,13 @@ def series_div(num: PuiseuxSeries, den: PuiseuxSeries, cap=None) -> PuiseuxSerie
             return PuiseuxSeries.zero()
         return PuiseuxSeries.zero(bound)
     ram, a, b = num._lift(den)
-    ea, eb = sorted(a), sorted(b)
-    ia, da = _over_common([a[n] for n in ea])
-    ib, db = _over_common([b[n] for n in eb])
     # num = A/da and den = B/db over integers; after the i-th quotient term
     # the remainder is kept as lead^i times the remainder of A by B, so the
-    # i-th term of A/B is its popped entry over lead^i
-    remainder = dict(zip(ea, ia))
-    d0, lead = eb[0], ib[0]
-    rest = list(zip(eb[1:], ib[1:]))
+    # i-th term of A/B is its popped entry over lead^(i+1)
+    remainder = dict(a)
+    (d0, lead), *rest = sorted(b.items())
     cut = _cut(bound, ram)
-    out = {}
-    scale = da
+    terms = []
     exact = num.exact and den.exact
     while remainder:
         n = min(remainder)
@@ -411,9 +444,9 @@ def series_div(num: PuiseuxSeries, den: PuiseuxSeries, cap=None) -> PuiseuxSerie
             exact = False
             break
         c = remainder.pop(n)
-        scale *= lead
-        out[shift] = Fraction(c * db, scale)
-        remainder = {k: v * lead for k, v in remainder.items()}
+        terms.append((shift, c))
+        if lead != 1:
+            remainder = {k: v * lead for k, v in remainder.items()}
         for nd, cd in rest:
             key = shift + nd
             val = remainder.get(key, 0) - c * cd
@@ -421,7 +454,16 @@ def series_div(num: PuiseuxSeries, den: PuiseuxSeries, cap=None) -> PuiseuxSerie
                 remainder.pop(key, None)
             else:
                 remainder[key] = val
-    return PuiseuxSeries._make(ram, out, None if exact else bound)
+    # the quotient over one denominator: term i is c_i*db/(da*lead^(i+1)),
+    # that is c_i*db*lead^(N-1-i) over da*lead^N for N terms
+    out, power, db = {}, 1, den.den
+    for shift, c in reversed(terms):
+        out[shift] = c * db * power
+        power *= lead
+    scale = num.den * power
+    if scale < 0:
+        out, scale = {k: -v for k, v in out.items()}, -scale
+    return PuiseuxSeries._make(ram, out, scale, None if exact else bound)
 
 
 def _fraction_sqrt(c: Fraction):
@@ -437,7 +479,8 @@ def series_sqrt(s: PuiseuxSeries, cap=None) -> PuiseuxSeries:
 
     Requires a positive leading coefficient that is the square of a
     rational (the coefficient recurrence then stays rational throughout);
-    odd orders double the ramification.
+    odd orders double the ramification.  The recurrence reads the
+    coefficients as Fractions, from the ``coeffs`` view.
     """
     if s.vanishes_so_far():
         if s.exact:
@@ -452,23 +495,22 @@ def series_sqrt(s: PuiseuxSeries, cap=None) -> PuiseuxSeries:
     root = _fraction_sqrt(c)
     if root is None:
         raise PathError(f"leading coefficient {c} is not the square of a rational")
-    if len(s.coeffs) == 1 and s.exact:
+    if len(s.nums) == 1 and s.exact:
         return PuiseuxSeries.monomial(q / 2, root)
     cap = DEFAULT_TRUNCATION if cap is None else Fraction(cap)
     bound = cap if s.exact else min(s.trunc - q / 2, cap)
     # s = t^(n0/ram) * sum s_i t^(i/ram) and r = t^(n0/(2 ram)) * sum r_i t^(i/ram)
     # with r*r = s: 2 r_0 r_i = s_i - sum_{0<j<i} r_j r_(i-j)
-    n0 = min(s.coeffs)
+    n0, coeffs = min(s.nums), s.coeffs
     terms = [root]
     for i in range(1, (_cut(bound, 2 * s.ram) - n0 + 1) // 2):
-        acc = s.coeffs.get(n0 + i, 0)
+        acc = coeffs.get(n0 + i, 0)
         for j in range(1, (i + 1) // 2):
             acc -= 2 * terms[j] * terms[i - j]
         if i % 2 == 0:
             acc -= terms[i // 2] ** 2
         terms.append(acc / (2 * root))
-    return PuiseuxSeries._make(
-        2 * s.ram, {n0 + 2 * i: r for i, r in enumerate(terms)}, bound)
+    return PuiseuxSeries(2 * s.ram, {n0 + 2 * i: r for i, r in enumerate(terms)}, bound)
 
 
 def series_abs(s: PuiseuxSeries) -> PuiseuxSeries:
@@ -502,7 +544,7 @@ class PathComponent:
         if not isinstance(self.power, int) or self.power < 1:
             raise PathError("component power must be a positive integer")
         for s in self.data:
-            if s.coeffs and min(s.coeffs) < 0:
+            if s.nums and min(s.nums) < 0:
                 raise PathError("path components must not have negative exponents")
             if self.tag in ("polynomial", "ratio") and s.ram != 1:
                 raise PathError(f"{self.tag} components need integer exponents")
@@ -524,8 +566,8 @@ class PathComponent:
         elif self.tag == "ratio":
             s = series_div(self.data[0], self.data[1], inner)
         elif self.tag == "factorial":
-            s = PuiseuxSeries._make(1, {n: Fraction(math.factorial(n))
-                                        for n in range(2, _cut(inner, 1))}, inner)
+            s = PuiseuxSeries._make(1, {n: math.factorial(n)
+                                        for n in range(2, _cut(inner, 1))}, 1, inner)
         else:
             s = self.data[0].truncated(inner)
         return s.compose_power(self.power) if self.power > 1 else s
@@ -551,16 +593,16 @@ def _component_text(part: PathComponent, T: Fraction) -> str:
 
 
 def _poly_text_t(s: PuiseuxSeries) -> str:
-    return _poly_below(s, max(s.coeffs, default=-1) + 1).to_text()
+    return _poly_below(s, max(s.nums, default=-1) + 1).to_text()
 
 
 def _poly_below(s: PuiseuxSeries, n: int, var="t") -> Polynomial:
     """The terms of an integer-exponent power series below t^n, as a
     polynomial in var."""
     coeffs = [Fraction(0)] * n
-    for e, c in s.coeffs.items():
+    for e, c in s.nums.items():
         if e < n:
-            coeffs[e] = c
+            coeffs[e] = Fraction(c, s.den)
     return Polynomial.from_univariate(var, coeffs)
 
 
@@ -729,14 +771,21 @@ def _occurring(f) -> set:
     return {v for v in f.variables if f.degree_in(v) > 0}
 
 
-def _value(f, env, cap) -> PuiseuxSeries:
-    """The series of an expression or a polynomial at the series in env."""
+def _value(f, env, cap, powers=None) -> PuiseuxSeries:
+    """The series of an expression or a polynomial at the series in env.
+
+    ``powers`` maps a coordinate name to the list [y, y^2, ...] of the
+    powers of its series formed so far; every polynomial leaf of one
+    evaluation extends and reads the same lists, so each power is formed
+    once however many polynomials use it."""
+    if powers is None:
+        powers = {}
     if isinstance(f, SAFunction):
-        return f.evaluate(env, cap)
+        return f.evaluate(env, cap, powers)
     plane = _dense(f, env)
     if plane is None:
         return f.evaluate(env, PuiseuxSeries.zero())
-    return _by_rows(f, env, *plane)
+    return _by_rows(f, env, *plane, powers)
 
 
 def _dense(p: Polynomial, env):
@@ -754,33 +803,42 @@ def _dense(p: Polynomial, env):
     a, b = sorted(names)
     for light, dense in ((a, b), (b, a)):
         s = env[light]
-        if s.exact and len(s.coeffs) == 1 and 0 not in s.coeffs:
+        if s.exact and len(s.nums) == 1 and 0 not in s.nums:
             return light, dense
     return None
 
 
-def _by_rows(p: Polynomial, env, light, dense) -> PuiseuxSeries:
+def _by_rows(p: Polynomial, env, light, dense, powers) -> PuiseuxSeries:
     """p on the plane normal form of ``_dense`` as S_0 + sum_j S_j*y^j,
     y the dense series and j in the order the terms first name it.
 
     The row S_j = sum_i a_ij*c^i*t^(n*i/ram) of light = c*t^(n/ram) is one
-    exact series, built as one dict: its exponents n*i are distinct.  Each
-    power of y is formed once, as the power below it times y, and each
-    row is multiplied by its power once.
+    exact series, built as one dict of integer numerators over the row's
+    least common denominator: its exponents n*i are distinct.  Each power
+    of y is formed once, as the power below it times y, in the list
+    ``powers[dense]`` that ``_value`` shares, and each row is multiplied
+    by its power once.
     """
-    ram, ((n, c),) = env[light].ram, env[light].coeffs.items()
+    s = env[light]
+    ram, den, ((n, c),) = s.ram, s.den, s.nums.items()
     il, iy = p.variables.index(light), p.variables.index(dense)
     rows = {}
     for e, a in p.terms.items():
         i = e[il]
-        rows.setdefault(e[iy], {})[n * i] = a * c ** i
-    out = PuiseuxSeries._make(ram, rows.pop(0), None) if 0 in rows else PuiseuxSeries.zero()
-    ys = [env[dense]]
+        rows.setdefault(e[iy], {})[n * i] = (a.numerator * c ** i, a.denominator * den ** i)
+    out = _row(ram, rows.pop(0)) if 0 in rows else PuiseuxSeries.zero()
+    ys = powers.setdefault(dense, [env[dense]])
     for j, row in rows.items():
         while len(ys) < j:
             ys.append(ys[-1] * ys[0])
-        out = out + PuiseuxSeries._make(ram, row, None) * ys[j - 1]
+        out = out + _row(ram, row) * ys[j - 1]
     return out
+
+
+def _row(ram, row) -> PuiseuxSeries:
+    """The exact series of {exponent: (numerator, denominator)}."""
+    den = math.lcm(*(d for _, d in row.values()))
+    return PuiseuxSeries._make(ram, {n: c * (den // d) for n, (c, d) in row.items()}, den, None)
 
 
 @dataclass(frozen=True)
@@ -796,8 +854,9 @@ class SAFunction:
     def variables(self) -> set:
         return set().union(*map(_occurring, self.args))
 
-    def evaluate(self, env, cap) -> PuiseuxSeries:
-        vals = [_value(f, env, cap) for f in self.args]
+    def evaluate(self, env, cap, powers=None) -> PuiseuxSeries:
+        powers = {} if powers is None else powers
+        vals = [_value(f, env, cap, powers) for f in self.args]
         if self.op == "abs":
             return series_abs(vals[0])
         if self.op == "sqrt":
@@ -925,36 +984,48 @@ def slot_names(m: int):
     return tuple(f"x{i}" for i in range(1, m + 1))
 
 
-def eval_on_path(f, alpha: FormalPath) -> PuiseuxSeries:
+def eval_on_path(f, alpha: FormalPath, shared=None) -> PuiseuxSeries:
     """Substitute the path components into the expression.
 
     When a denominator's order is not determined at the path's
     truncation, the truncation is doubled once before the error
-    surfaces.
+    surfaces.  Callers that evaluate several expressions along one path
+    pass the same dict as ``shared`` to each call; the path's series and
+    the powers of its coordinates are then formed once per truncation.
     """
+    shared = {} if shared is None else shared
     try:
-        return _eval_once(f, alpha)
+        return _eval_once(f, alpha, shared)
     except IndeterminateDenominator:
-        return _eval_once(f, FormalPath(alpha.parts, 2 * alpha.default_trunc))
+        return _eval_once(f, FormalPath(alpha.parts, 2 * alpha.default_trunc), shared)
 
 
-def _eval_once(f, alpha: FormalPath) -> PuiseuxSeries:
-    comps = alpha.series()
+def _eval_once(f, alpha: FormalPath, shared) -> PuiseuxSeries:
+    comps, powers = _expanded(alpha, shared)
     env = {}
     for name in _occurring(f):
         env[name] = comps[_variable_slot(name, alpha.dimension)]
-    return _value(f, env, alpha.default_trunc)
+    return _value(f, env, alpha.default_trunc, powers)
 
 
-def constant_term(f, alpha: FormalPath) -> Fraction:
+def _expanded(alpha: FormalPath, shared):
+    """(component series, coordinate powers) of alpha at its truncation,
+    kept in shared under that truncation."""
+    got = shared.get(alpha.default_trunc)
+    if got is None:
+        got = shared[alpha.default_trunc] = (alpha.series(), {})
+    return got
+
+
+def constant_term(f, alpha: FormalPath, shared=None) -> Fraction:
     """Value of the expression at the basepoint: the t^0 coefficient of
-    its series along the path."""
-    return _value_at_zero(eval_on_path(f, alpha))
+    its series along the path (``shared`` as for ``eval_on_path``)."""
+    return _value_at_zero(eval_on_path(f, alpha, shared))
 
 
 def _value_at_zero(s: PuiseuxSeries) -> Fraction:
     """The t^0 coefficient of a series that is bounded at t = 0."""
-    if s.coeffs and min(s.coeffs) < 0:
+    if s.nums and min(s.nums) < 0:
         raise UnboundedAlongPath(
             f"series along the path has negative order {s.order()}"
         )
@@ -985,7 +1056,7 @@ def ideal_membership(f, alpha: FormalPath, which="m_star") -> IdealVerdict:
         raise PathError(f"unknown ideal selector {which!r}")
     s = eval_on_path(f, alpha)
     if which == "p_alpha":
-        if s.coeffs:
+        if s.nums:
             return IdealVerdict(NOT_IN_IDEAL, s.order(), s.leading_coefficient(), s.trunc)
         if s.exact:
             return IdealVerdict(EXACTLY_IN_IDEAL)
@@ -1006,8 +1077,9 @@ def positivity_bound(polys, alpha: FormalPath) -> int:
     keeps all the polynomials strictly positive: one more than the
     largest vanishing order along the path."""
     worst = Fraction(0)
+    shared = {}
     for p in polys:
-        q, c = eval_on_path(p, alpha).leading(f"order of {p}")
+        q, c = eval_on_path(p, alpha, shared).leading(f"order of {p}")
         if c == 0:
             raise NotPositiveOnPath(f"{p} vanishes identically along the path")
         if c < 0:
@@ -1036,7 +1108,7 @@ def compact_carrier(alpha: FormalPath, polys, g=None, seed=0) -> CarrierData:
             raise PathError("compact carrier data needs integer-exponent components")
     if g is not None:
         sg = eval_on_path(g, alpha)
-        if sg.coeffs:
+        if sg.nums:
             raise PathError(
                 f"equation {g} does not vanish along the path "
                 f"(order {sg.order()})"
@@ -1106,7 +1178,8 @@ class Neighborhood:
 
     def certificate(self, mu: FormalPath):
         """(member, inner leading coefficient, window leading coefficient)."""
-        leads = [eval_on_path(fn, mu).leading("tube test sign")[1]
+        shared = {}
+        leads = [eval_on_path(fn, mu, shared).leading("tube test sign")[1]
                  for fn in (self.inner, self.window)]
         member = leads[0] > 0 and leads[1] > 0
         return member, leads[0], leads[1]
@@ -1180,16 +1253,17 @@ def separate_from_algebraic(mu: FormalPath, k_max=12):
     if not isinstance(k_max, int) or k_max < 2:
         raise PathError("separating quotients are defined for integers k >= 2,"
                         f" so k_max={k_max} leaves nothing to search")
-    first = mu.series()[0]
+    shared = {}
+    first = _expanded(mu, shared)[0][0]
     j = first.order()
-    if not (first.exact and len(first.coeffs) == 1
+    if not (first.exact and len(first.nums) == 1
             and first.leading_coefficient() == 1
             and isinstance(j, Fraction) and j.denominator == 1 and j >= 1):
         raise NormalizationRequired(
             "first component must be t^j for an integer j >= 1"
         )
     for k in range(2, k_max + 1):
-        value = constant_term(appendix_separator(k), mu)
+        value = constant_term(appendix_separator(k), mu, shared)
         if value != 0:
             return SeparationResult(k, value)
     return None

@@ -87,30 +87,45 @@ class CellComplex:
     """
 
     def __init__(self, ambient_dim: int, bounded: bool, cells, faces):
-        if int(ambient_dim) < 1:
-            raise TopologyError("ambient dimension must be positive")
-        self.ambient_dim = int(ambient_dim)
-        self.bounded = bool(bounded)
         if isinstance(cells, dict):
             cells = ((cid, dim, in_m) for cid, (dim, in_m) in cells.items())
-        ids, dims, flags, index = [], [], [], {}
+        ids, dims, flags = [], [], []
         for cid, dim, in_m in cells:
-            cid = str(cid)
+            ids.append(str(cid))
+            dims.append(int(dim))
+            flags.append(bool(in_m))
+        smalls, bigs = [], []
+        for small, big in faces:
+            smalls.append(str(small))
+            bigs.append(str(big))
+        self._build(int(ambient_dim), bool(bounded), ids, dims, flags, smalls, bigs)
+
+    @classmethod
+    def _from_tables(cls, ambient_dim, bounded, ids, dims, flags, smalls, bigs):
+        """The complex of typed tables: str ids, int dims, bool flags, and
+        the face pairs (smalls[i], bigs[i]) as str ids; no coercion."""
+        K = cls.__new__(cls)
+        K._build(ambient_dim, bounded, ids, dims, flags, smalls, bigs)
+        return K
+
+    def _build(self, ambient_dim, bounded, ids, dims, flags, smalls, bigs):
+        """Validate typed tables record by record, then compute closures
+        and stars."""
+        if ambient_dim < 1:
+            raise TopologyError("ambient dimension must be positive")
+        self.ambient_dim, self.bounded = ambient_dim, bounded
+        index = {}
+        for cid, dim in zip(ids, dims):
             if cid in index:
                 raise TopologyError(f"duplicate cell id {cid!r}")
-            dim = int(dim)
             if dim < 0:
                 raise TopologyError(f"negative dimension for cell {cid!r}")
-            if dim > self.ambient_dim:
+            if dim > ambient_dim:
                 raise TopologyError(
-                    f"cell {cid!r} has dimension {dim} above ambient {self.ambient_dim}")
-            index[cid] = len(ids)
-            ids.append(cid)
-            dims.append(dim)
-            flags.append(bool(in_m))
+                    f"cell {cid!r} has dimension {dim} above ambient {ambient_dim}")
+            index[cid] = len(index)
         direct = [[] for _ in dims]
-        for small, big in faces:
-            small, big = str(small), str(big)
+        for small, big in zip(smalls, bigs):
             s, b = index.get(small), index.get(big)
             if s is None or b is None:
                 raise TopologyError(f"face pair ({small!r}, {big!r}) references unknown cell")
@@ -210,18 +225,20 @@ def _fields(parts, key, flag):
 
 def parse_complex(text: str) -> CellComplex:
     header = None
-    cells = []
-    faces = []
+    ids, dims, flags, smalls, bigs = [], [], [], [], []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         parts = (raw[:raw.index("#")] if "#" in raw else raw).split()
         # the two well-formed record shapes of almost every line, directly;
         # anything else takes the general branch below
         if len(parts) == 3 and parts[0] == "face":
-            faces.append((parts[1], parts[2]))
+            smalls.append(parts[1])
+            bigs.append(parts[2])
             continue
         if (len(parts) == 4 and parts[0] == "cell" and parts[2][:4] == "dim="
                 and parts[2][4:].isdecimal() and parts[3] in ("inM=0", "inM=1")):
-            cells.append((parts[1], int(parts[2][4:]), parts[3][4] == "1"))
+            ids.append(parts[1])
+            dims.append(int(parts[2][4:]))
+            flags.append(parts[3][4] == "1")
             continue
         if not parts:
             continue
@@ -233,16 +250,20 @@ def parse_complex(text: str) -> CellComplex:
         try:
             if kind == "face":
                 _, small, big = parts  # exactly two ids, else ValueError
-                faces.append((small, big))
+                smalls.append(small)
+                bigs.append(big)
             elif kind == "cell":
-                cells.append((parts[1], *_fields(parts[2:], "dim", "inM")))
+                dim, in_m = _fields(parts[2:], "dim", "inM")
+                ids.append(parts[1])
+                dims.append(dim)
+                flags.append(in_m)
             else:
                 header = _fields(parts[1:], "ambient", "bounded")
         except (IndexError, ValueError) as exc:
             raise TopologyError(f"malformed line {lineno}: {raw!r}") from exc
     if header is None:
         raise TopologyError("missing complex header")
-    return CellComplex(*header, cells, faces)
+    return CellComplex._from_tables(*header, ids, dims, flags, smalls, bigs)
 
 
 def _id_order(K: CellComplex):

@@ -19,6 +19,11 @@ a stack's slice product prod and prod' as prod over the sections'
 defining list (``division_critical``).  ``projection_phase`` and
 ``squarefree_part`` give the x-basis of a family and the square-free
 part of one polynomial as Polynomials, for the tests that pin them.
+
+``series_add``, ``series_mul``, ``series_div``, ``series_sqrt`` and
+``series_abs`` are PuiseuxSeries arithmetic on Fraction coefficients,
+the route before series were stored as integer numerators over one
+denominator.
 """
 
 import math
@@ -28,7 +33,9 @@ from specta import arith, cad2d
 from specta._expr import ExprError, _tokenize
 from specta.arith import Polynomial, ZeroPolynomialError
 from specta.cad2d import And, Atom, CadError, Not, Or
-from specta.paths import SAFunction
+from specta.paths import (DEFAULT_TRUNCATION, IndeterminateDenominator, IndeterminateOrder,
+                          NegativeLeadingSqrt, PathError, PuiseuxSeries, SAFunction, _cut,
+                          _fraction_sqrt)
 
 
 def coeffs_in(p, name):
@@ -315,3 +322,132 @@ def division_critical(prod, sections, fences):
         else:
             lo = mid
     return (lo,)
+
+
+# -- series arithmetic on Fraction coefficients ----------------------------
+#
+# PuiseuxSeries arithmetic as it ran before series were stored as integer
+# numerators over one denominator: every coefficient a Fraction, read from
+# the ``coeffs`` view, and every result built by the public constructor.
+
+
+def _fraction_lift(a, b):
+    ram = math.lcm(a.ram, b.ram)
+    return ram, *({n * (ram // s.ram): c for n, c in s.coeffs.items()} for s in (a, b))
+
+
+def _trunc_min(a, b):
+    return b if a is None else a if b is None else min(a, b)
+
+
+def series_add(a, b):
+    ram, ca, cb = _fraction_lift(a, b)
+    out = dict(ca)
+    for n, c in cb.items():
+        out[n] = out.get(n, 0) + c
+    return PuiseuxSeries(ram, out, _trunc_min(a.trunc, b.trunc))
+
+
+def series_mul(a, b):
+    trunc = None
+    if a.trunc is not None or b.trunc is not None:
+        ta = math.inf if a.trunc is None else a.trunc
+        tb = math.inf if b.trunc is None else b.trunc
+        bound = min(a.order_lower_bound() + tb, b.order_lower_bound() + ta, ta + tb)
+        trunc = None if bound == math.inf else bound
+    ram, ca, cb = _fraction_lift(a, b)
+    if len(ca) == 1 or len(cb) == 1:
+        ((m, c),), rest = (ca.items(), cb) if len(ca) == 1 else (cb.items(), ca)
+        return PuiseuxSeries(ram, {m + n: v * c for n, v in sorted(rest.items())}, trunc)
+    cut = math.inf if trunc is None else _cut(trunc, ram)
+    ea, eb = sorted(ca), sorted(cb)
+    ia, da = arith._over_common([ca[n] for n in ea])
+    ib, db = arith._over_common([cb[n] for n in eb])
+    out = {}
+    for na, x in zip(ea, ia):
+        if not eb or na + eb[0] >= cut:
+            break
+        for nb, y in zip(eb, ib):
+            n = na + nb
+            if n >= cut:
+                break
+            out[n] = out.get(n, 0) + x * y
+    return PuiseuxSeries(ram, {n: Fraction(v, da * db) for n, v in out.items()}, trunc)
+
+
+def series_div(num, den, cap=None):
+    if den.vanishes_so_far():
+        if den.exact:
+            raise ZeroDivisionError("division by the zero series")
+        raise IndeterminateDenominator(f"denominator vanishes up to truncation {den.trunc}")
+    q = den.order()
+    cap = DEFAULT_TRUNCATION if cap is None else Fraction(cap)
+    tn = math.inf if num.trunc is None else num.trunc
+    td = math.inf if den.trunc is None else den.trunc
+    bound = min(num.order_lower_bound() + td - 2 * q, tn - q, cap)
+    if num.vanishes_so_far():
+        return PuiseuxSeries.zero(None if num.exact else bound)
+    ram, a, b = _fraction_lift(num, den)
+    ea, eb = sorted(a), sorted(b)
+    ia, da = arith._over_common([a[n] for n in ea])
+    ib, db = arith._over_common([b[n] for n in eb])
+    remainder = dict(zip(ea, ia))
+    d0, lead = eb[0], ib[0]
+    rest = list(zip(eb[1:], ib[1:]))
+    cut = _cut(bound, ram)
+    out = {}
+    scale = da
+    exact = num.exact and den.exact
+    while remainder:
+        n = min(remainder)
+        shift = n - d0
+        if shift >= cut:
+            exact = False
+            break
+        c = remainder.pop(n)
+        scale *= lead
+        out[shift] = Fraction(c * db, scale)
+        remainder = {k: v * lead for k, v in remainder.items()}
+        for nd, cd in rest:
+            key = shift + nd
+            val = remainder.get(key, 0) - c * cd
+            if val == 0:
+                remainder.pop(key, None)
+            else:
+                remainder[key] = val
+    return PuiseuxSeries(ram, out, None if exact else bound)
+
+
+def series_sqrt(s, cap=None):
+    if s.vanishes_so_far():
+        if s.exact:
+            return PuiseuxSeries.zero()
+        raise IndeterminateOrder(
+            f"square root of a series that vanishes up to truncation {s.trunc}")
+    q = s.order()
+    c = s.leading_coefficient()
+    if c < 0:
+        raise NegativeLeadingSqrt(f"leading term {c}*t^{q} is negative")
+    root = _fraction_sqrt(c)
+    if root is None:
+        raise PathError(f"leading coefficient {c} is not the square of a rational")
+    if len(s.coeffs) == 1 and s.exact:
+        return PuiseuxSeries.monomial(q / 2, root)
+    cap = DEFAULT_TRUNCATION if cap is None else Fraction(cap)
+    bound = cap if s.exact else min(s.trunc - q / 2, cap)
+    n0 = min(s.coeffs)
+    terms = [root]
+    for i in range(1, (_cut(bound, 2 * s.ram) - n0 + 1) // 2):
+        acc = s.coeffs.get(n0 + i, 0)
+        for j in range(1, (i + 1) // 2):
+            acc -= 2 * terms[j] * terms[i - j]
+        if i % 2 == 0:
+            acc -= terms[i // 2] ** 2
+        terms.append(acc / (2 * root))
+    return PuiseuxSeries(2 * s.ram, {n0 + 2 * i: r for i, r in enumerate(terms)}, bound)
+
+
+def series_abs(s):
+    if s.vanishes_so_far() or s.leading_coefficient() > 0:
+        return s
+    return PuiseuxSeries(s.ram, {n: -c for n, c in s.coeffs.items()}, s.trunc)

@@ -6,6 +6,7 @@ computed independently with sympy and by hand order bookkeeping, then
 frozen here as exact rationals.
 """
 
+import hashlib
 import math
 import operator
 import random
@@ -15,6 +16,7 @@ from functools import reduce
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import reference
 from reference import truncated_factorial
 from specta._expr import ExprError, parse_polynomial, parse_polynomial_list
 from specta.arith import Polynomial, _over_common
@@ -26,6 +28,7 @@ from specta.paths import (
     NOT_IN_IDEAL,
     CarrierData,
     FormalPath,
+    IdealVerdict,
     IndeterminateDenominator,
     IndeterminateOrder,
     NegativeLeadingSqrt,
@@ -365,23 +368,20 @@ def test_product_matches_fraction_convolution(exact, a, b):
 
 def _convolution_mul(a, b):
     """The product by the general loop of ``PuiseuxSeries.__mul__``, which
-    took one-term operands too: integer numerators over one denominator
-    per operand, every pair below the cut."""
+    took one-term operands too: the operands' integer numerators over the
+    product of their denominators, every pair below the cut."""
     ta = math.inf if a.trunc is None else a.trunc
     tb = math.inf if b.trunc is None else b.trunc
     bound = min(a.order_lower_bound() + tb, b.order_lower_bound() + ta, ta + tb)
     trunc = None if bound == math.inf else bound
     ram, ca, cb = a._lift(b)
     cut = math.inf if trunc is None else _cut(trunc, ram)
-    ea, eb = sorted(ca), sorted(cb)
-    ia, da = _over_common([ca[n] for n in ea])
-    ib, db = _over_common([cb[n] for n in eb])
     out = {}
-    for na, x in zip(ea, ia):
-        for nb, y in zip(eb, ib):
+    for na, x in ca.items():
+        for nb, y in cb.items():
             if na + nb < cut:
                 out[na + nb] = out.get(na + nb, 0) + x * y
-    return PuiseuxSeries(ram, {n: F(v, da * db) for n, v in out.items()}, trunc)
+    return PuiseuxSeries(ram, {n: F(v, a.den * b.den) for n, v in out.items()}, trunc)
 
 
 @st.composite
@@ -402,6 +402,75 @@ def test_monomial_products_match_the_general_loop(m, exact, a):
         for got, want in ((m * x, _convolution_mul(m, x)), (x * m, _convolution_mul(x, m))):
             assert (got.items(), got.trunc, got.exact) == (want.items(), want.trunc, want.exact)
             assert got == _ref_mul(m, x)
+
+
+@st.composite
+def _stored(draw):
+    """Series over ram 1 to 6 with exponents down to -6, coefficients over
+    denominators that share factors with the numerators (6/4, 3/6, ...),
+    one term now and then; exact, or truncated at a fraction."""
+    ram = draw(st.integers(1, 6))
+    lo = draw(st.integers(-6, 4))
+    coeff = st.builds(F, st.integers(-12, 12), st.sampled_from([1, 2, 3, 4, 6, 12]))
+    size = draw(st.sampled_from([0, 1, 1, 2, 4, 6]))
+    coeffs = draw(st.dictionaries(st.integers(lo, lo + 12), coeff,
+                                  min_size=size, max_size=size))
+    trunc = draw(st.none() | st.builds(F, st.integers(-6, 24), st.sampled_from([1, 2, 3, 4])))
+    return PuiseuxSeries(ram, coeffs, trunc)
+
+
+@st.composite
+def _stored_pair(draw):
+    """Two series; half the time the second is minus the first, plus at
+    most one term, so that their sum cancels to zero or to one term."""
+    a, b = draw(_stored()), draw(_stored())
+    if draw(st.booleans()):
+        extra = draw(_stored().filter(lambda s: len(s.nums) <= 1))
+        b = PuiseuxSeries(a.ram, {n: -c for n, c in a.coeffs.items()}, a.trunc) + extra
+    return a, b
+
+
+def _stored_outcome(fn, *args):
+    try:
+        out = fn(*args)
+    except (PathError, ZeroDivisionError) as exc:
+        return type(exc)
+    # the normal form: least positive denominator, and the one the public
+    # constructor gives for the same terms
+    assert out.den > 0 and math.gcd(out.den, *out.nums.values()) == 1
+    assert out == PuiseuxSeries(out.ram, out.coeffs, out.trunc)
+    return out.ram, dict(out.coeffs), out.trunc, out.to_text()
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(pair=_stored_pair(),
+       cap=st.builds(F, st.integers(1, 12), st.sampled_from([1, 2, 3])))
+def test_integer_storage_matches_fraction_coefficients(pair, cap):
+    # reference.series_* run the Fraction-coefficient arithmetic that the
+    # integer numerators replaced; both must give the same (ram, coeffs,
+    # trunc) and the same text
+    a, b = pair
+    for s in (a, b):
+        assert s.coeffs == {n: F(c, s.den) for n, c in s.nums.items()}
+    cases = [
+        (operator.add, reference.series_add, (a, b)),
+        (operator.mul, reference.series_mul, (a, b)),
+        (operator.mul, reference.series_mul, (b, a)),
+        (series_div, reference.series_div, (a, b, cap)),
+        (series_div, reference.series_div, (b, a, cap)),
+        (series_sqrt, reference.series_sqrt, (a, cap)),
+        (series_abs, reference.series_abs, (b,)),
+    ]
+    for engine, fraction_route, args in cases:
+        assert _stored_outcome(engine, *args) == _stored_outcome(fraction_route, *args)
+
+
+def test_coefficient_view_is_read_only():
+    s = S([(F(1, 2), F(3, 4)), (2, F(-1, 6))], 5)
+    assert (s.ram, s.nums, s.den) == (2, {1: 9, 4: -2}, 12)
+    with pytest.raises(TypeError):
+        s.coeffs[1] = F(1)
+    assert s == S([(F(1, 2), F(3, 4)), (2, F(-1, 6))], 5)
 
 
 @pytest.mark.parametrize("base, one", [
@@ -1160,6 +1229,59 @@ def test_separation_requires_power_first_component():
         separate_from_algebraic(path("t + t^2, t"))
     with pytest.raises(NormalizationRequired):
         separate_from_algebraic(path("2t, t"))
+
+
+def _counted_squares(monkeypatch):
+    """Wrap PuiseuxSeries.__mul__ (and its __rmul__ alias) and collect
+    the left operand of every product of two equal series."""
+    squares = []
+    mul = PuiseuxSeries.__mul__
+
+    def counted(a, b):
+        if a == b:
+            squares.append(a)
+        return mul(a, b)
+
+    monkeypatch.setattr(PuiseuxSeries, "__mul__", counted)
+    monkeypatch.setattr(PuiseuxSeries, "__rmul__", counted)
+    return squares
+
+
+def _separator_text(k):
+    p = " + ".join(f"{math.factorial(n)}*x^{n}" for n in range(2, k + 1))
+    return f"(y - ({p}))^2 / ((y - ({p}))^2 + x^{2 * k})"
+
+
+def test_separation_squares_y_once(monkeypatch):
+    # every k's numerator and denominator hold y^2; one evaluation shares
+    # the powers of y, and the search evaluates every k on one series tuple
+    w = 9
+    mu = path("t, " + " + ".join(f"{math.factorial(n)}*t^{n}" for n in range(2, w)))
+    square = math.factorial(w) ** 2
+    unshared = [constant_term(appendix_separator(k), mu) for k in range(2, w + 1)]
+    assert unshared == [0] * (w - 2) + [F(square, square + 1)]
+    squares = _counted_squares(monkeypatch)
+    result = separate_from_algebraic(mu)
+    assert (result.k, result.value) == (w, F(square, square + 1))
+    assert squares == [mu.series()[1]]
+
+
+def test_separator_membership_on_the_factorial_path_squares_y_once(monkeypatch):
+    alpha = FormalPath.factorial_path(64)
+    f = parse_function(_separator_text(12))
+    comps = alpha.series()
+    env = {"x": comps[0], "y": comps[1]}
+    # each side evaluated with powers of its own, as before they were shared
+    num, den = (_value(g, env, alpha.default_trunc, {}) for g in f.args)
+    want = series_div(num, den, alpha.default_trunc)
+    squares = _counted_squares(monkeypatch)
+    verdict = ideal_membership(f, alpha)
+    assert squares == [comps[1]]
+    assert eval_on_path(f, alpha) == want
+    assert verdict == IdealVerdict(IN_IDEAL_UP_TO_T, truncation=want.trunc)
+    # the series as the Fraction-coefficient engine printed it
+    assert (want.trunc, want.order(), len(want.nums)) == (42, 2, 40)
+    assert hashlib.sha256(want.to_text().encode()).hexdigest()[:16] == "30ba2766eac1b2c1"
 
 
 def test_slot_names():

@@ -150,6 +150,42 @@ def test_face_pairs_must_decrease_dimension():
     assert str(info.value) == "face pair ('v', 'v') does not decrease dimension"
 
 
+# (records after the header, ambient dimension, error text): several
+# faults in one text, so the first in record order must be the one named
+BUILDER_FAULTS = [
+    (["cell a dim=0 inM=1", "cell a dim=0 inM=1", "cell b dim=-1 inM=1"], 1,
+     "duplicate cell id 'a'"),
+    (["cell b dim=-1 inM=1", "cell a dim=0 inM=1", "cell a dim=0 inM=1"], 1,
+     "negative dimension for cell 'b'"),
+    (["cell a dim=0 inM=1", "cell f dim=2 inM=1", "cell a dim=0 inM=1"], 1,
+     "cell 'f' has dimension 2 above ambient 1"),
+    (["cell v dim=0 inM=1", "cell w dim=0 inM=1", "face v w", "face v zz"], 1,
+     "face pair ('v', 'w') does not decrease dimension"),
+    (["cell v dim=0 inM=1", "cell w dim=0 inM=1", "face zz w", "face v w"], 1,
+     "face pair ('zz', 'w') references unknown cell"),
+    (["cell v dim=0 inM=1", "cell e dim=1 inM=1", "face v e"], 2,
+     "1-cell 'e' has 1 distinct endpoints, need 2"),
+    (["cell v dim=0 inM=1", "cell v dim=0 inM=1"], 0,
+     "ambient dimension must be positive"),
+]
+
+
+@pytest.mark.parametrize("records, ambient, message", BUILDER_FAULTS)
+def test_parser_and_constructor_raise_the_first_fault_in_record_order(records, ambient, message):
+    # parse_complex hands typed tables to the builder that the public
+    # constructor also ends in; both name the fault a record-by-record
+    # check meets first
+    text = "\n".join([f"complex ambient={ambient} bounded=1"] + records) + "\n"
+    with pytest.raises(TopologyError) as parsed:
+        parse_complex(text)
+    cells = [r.split() for r in records if r.startswith("cell")]
+    faces = [r.split()[1:] for r in records if r.startswith("face")]
+    with pytest.raises(TopologyError) as built:
+        CellComplex(str(ambient), 1, [(f[1], f[2][4:], f[3] == "inM=1") for f in cells], faces)
+    assert str(parsed.value) == str(built.value) == message
+    assert type(parsed.value) is type(built.value)
+
+
 def test_round_trip_is_byte_identical():
     for K in CORPUS:
         text = serialize_complex(K)
