@@ -1,19 +1,21 @@
 """Exact rational and polynomial arithmetic foundation.
 
-Sparse multivariate polynomials over Q with fractions.Fraction
-coefficients, and one univariate engine for little-endian coefficient
-lists: division, gcd, square-free part, Sturm chains and root counts on
-(a, b], root isolation and sign at a real algebraic point.  That engine
-takes entries in Q or in Q(alpha) (field elements of ``_numfield``), so
-roots over both come back as the same ``AlgebraicNumber``.  A list with
-only rational entries runs on integer numerators over one denominator:
-division, gcds, square-free parts, Sturm chains and Horner values go
-through integer kernels (``_idivmod``, ``_iprs``, ``_ihorner``), and a
-Fraction is built only per output coefficient that a caller reads.  Only a
-list that holds a field element takes the Fraction and field arithmetic of
-its entries.  Resultants, gcds and coprime square-free bases run on
-integer rows in two variables.  All operations are pure and exact; no
-floating point enters any decision.
+Sparse multivariate polynomials over Q, as integer numerators over one
+denominator (the kernels ``_nadd``, ``_nmul`` and ``_npow`` also serve
+the parser of ``_expr``), and one univariate engine for little-endian
+coefficient lists: division, gcd, square-free part, Sturm chains and
+root counts on (a, b], root isolation and sign at a real algebraic
+point.  That engine takes entries in Q or in Q(alpha) (field elements of
+``_numfield``), so roots over both come back as the same
+``AlgebraicNumber``.  A list with only rational entries runs on integer
+numerators over one denominator: division, gcds, square-free parts,
+Sturm chains and Horner values go through integer kernels (``_idivmod``,
+``_iprs``, ``_ihorner``), and a Fraction is built only per output
+coefficient that a caller reads.  Only a list that holds a field element
+takes the Fraction and field arithmetic of its entries.  Resultants,
+gcds and coprime square-free bases run on integer rows in two variables.
+All operations are pure and exact; no floating point enters any
+decision.
 
 Values go into polynomials two ways only: ``Polynomial.evaluate`` is the
 one multivariate evaluator (``eval_at``, ``substitute`` and, off the plane
@@ -24,7 +26,7 @@ forms each power of a value once, as the power below it times the value;
 value.
 
 ``_over_common`` (rationals as integer numerators over their least common
-denominator) also serves ``_numfield`` and ``paths``; ``binary_power`` is
+denominator) also serves ``_numfield``; ``binary_power`` is
 the one power routine of Polynomial and PuiseuxSeries.
 ``AlgebraicNumber.refine`` is the one halving of a real root's interval,
 the step of every loop that refines until a test holds;
@@ -55,10 +57,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
+from functools import cached_property, reduce
 from itertools import zip_longest
 from math import floor, gcd, isfinite, lcm, log2
-from operator import add
+from operator import add, mul
+from types import MappingProxyType
 
 
 class ArithError(ValueError):
@@ -109,39 +112,132 @@ def _over_common(cs):
     return [c.numerator * (den // c.denominator) for c in cs], den
 
 
-def binary_power(base, n: int, one):
-    """base ** n for an int n >= 0 in any ring whose unit is one, by
-    binary powering; the base is squared only while bits of n remain."""
+def binary_power(base, n: int, one, mul=mul):
+    """base ** n for an int n >= 0 in any ring with unit one and product
+    mul, by binary powering; the base is squared only while bits of n remain."""
     out = one
     while n:
         if n & 1:
-            out = out * base
+            out = mul(out, base)
         n >>= 1
         if n:
-            base = base * base
+            base = mul(base, base)
     return out
 
 
 # ---------------------------------------------------------------------------
 # multivariate polynomials
+#
+# The kernels below work on {exponent tuple: int numerator} maps with keys
+# of one length (a caller keeps the denominators).  Polynomial's operators
+# and the parser of ``_expr`` share them, so both list terms in one order.
 
 
-def _strip_terms(terms):
-    return {e: c for e, c in terms.items() if c != 0}
+def _merged(a, b):
+    """The names of a followed by those of b not in a."""
+    if a is b or not b:
+        return a
+    if not a:
+        return b
+    extra = tuple(v for v in b if v not in a)
+    return a + extra if extra else a
 
 
-@dataclass(frozen=True)
+def _picked(nums, pick):
+    """nums re-keyed: entry k of a new key is old entry pick[k], 0 for None."""
+    return {tuple([0 if j is None else e[j] for j in pick]): c for e, c in nums.items()}
+
+
+def _nadd(nums, den, other, oden, sign=1) -> int:
+    """Add sign*other/oden into nums/den in place and return the new
+    denominator, lcm(den, oden).  The terms of other that nums lacks
+    follow those of nums, in other's order; terms that cancel are dropped."""
+    g = gcd(den, oden)
+    ka, kb = oden // g, sign * (den // g)
+    if ka != 1:
+        for e in nums:
+            nums[e] *= ka
+    for e, c in other.items():
+        v = nums.get(e, 0) + c * kb
+        if v:
+            nums[e] = v
+        else:
+            del nums[e]
+    return den * ka
+
+
+def _nmul(a, b) -> dict:
+    """The product of two numerator maps, convolved in (a, b) term order and
+    cancelled terms dropped.  A one-term factor shifts the other's terms in
+    order; a square takes each pair of distinct terms once, in that order."""
+    if len(b) == 1:
+        ((f, d),) = b.items()
+        return {tuple(map(add, e, f)): c * d for e, c in a.items()}
+    if len(a) == 1:
+        ((f, d),) = a.items()
+        return {tuple(map(add, f, e)): d * c for e, c in b.items()}
+    out = {}
+    get = out.get
+    items = list(b.items())
+    for i, (e1, c1) in enumerate(a.items()):
+        if a is b:
+            e = tuple(map(add, e1, e1))
+            out[e] = get(e, 0) + c1 * c1
+            c1, i = 2 * c1, i + 1
+        for e2, c2 in items[i:] if a is b else items:
+            e = tuple(map(add, e1, e2))
+            out[e] = get(e, 0) + c1 * c2
+    return out if all(out.values()) else {e: c for e, c in out.items() if c}
+
+
+def _npow(nums, n: int, zero) -> dict:
+    """nums ** n for an int n >= 0; zero is the all-zero exponent tuple."""
+    if len(nums) == 1:
+        ((e, c),) = nums.items()
+        return {tuple(k * n for k in e): c ** n}
+    return binary_power(nums, n, {zero: 1}, _nmul)
+
+
+@dataclass(frozen=True, init=False, eq=False)
 class Polynomial:
     """Sparse multivariate polynomial over Q.
 
-    ``variables`` is an ordered tuple of symbol names and ``terms`` maps
-    exponent tuples (length == len(variables)) to nonzero Fraction
-    coefficients.  Instances are treated as immutable; prefer the
-    classmethods over the raw constructor.
+    ``variables`` is an ordered tuple of symbol names and ``nums`` maps
+    exponent tuples (length == len(variables)) to nonzero int numerators
+    over one int ``den`` > 0, in the normal form gcd(den, *nums.values())
+    == 1 (den == 1 for zero).  ``terms`` is a read-only view of them as
+    Fraction coefficients, built on first read.  Instances are immutable.
+    The public constructor takes Fraction coefficients (prefer the
+    classmethods); internal results go through ``_of``.
     """
 
     variables: tuple
-    terms: dict
+    nums: dict
+    den: int
+
+    def __init__(self, variables, terms):
+        terms = {e: Fraction(c) for e, c in terms.items()}
+        den = lcm(*(c.denominator for c in terms.values()))
+        self._set(tuple(variables), {e: c.numerator * (den // c.denominator)
+                                     for e, c in terms.items() if c}, den)
+
+    @classmethod
+    def _of(cls, variables, nums, den) -> "Polynomial":
+        p = object.__new__(cls)
+        p._set(variables, nums, den)
+        return p
+
+    def _set(self, variables, nums, den):
+        g = gcd(den, *nums.values()) if nums else den
+        if g > 1:
+            nums = {e: c // g for e, c in nums.items()}
+        self.__dict__.update(variables=variables, nums=nums, den=den // g)
+
+    @cached_property
+    def terms(self):
+        """Read-only {exponent tuple: Fraction coefficient}."""
+        den = self.den
+        return MappingProxyType({e: Fraction(c, den) for e, c in self.nums.items()})
 
     # -- constructors ------------------------------------------------------
 
@@ -150,33 +246,27 @@ class Polynomial:
         variables = tuple(variables)
         clean = {}
         for e, c in terms.items():
-            c = Fraction(c)
-            if c == 0:
+            if not (c := Fraction(c)):
                 continue
             e = tuple(int(k) for k in e)
             if len(e) != len(variables):
                 raise ArithError("exponent length does not match variables")
             if any(k < 0 for k in e):
                 raise ArithError("negative exponent")
-            clean[e] = clean.get(e, Fraction(0)) + c
-        return Polynomial(variables, _strip_terms(clean))
+            clean[e] = clean.get(e, 0) + c
+        return Polynomial(variables, clean)
 
     @staticmethod
     def const(c, variables=()) -> "Polynomial":
-        variables = tuple(variables)
-        c = Fraction(c)
-        if c == 0:
-            return Polynomial(variables, {})
-        return Polynomial(variables, {(0,) * len(variables): c})
+        variables, c = tuple(variables), Fraction(c)
+        return Polynomial._of(variables, {(0,) * len(variables): c.numerator} if c else {},
+                              c.denominator)
 
     @staticmethod
     def var(name, variables=None) -> "Polynomial":
-        if variables is None:
-            variables = (name,)
-        variables = tuple(variables)
+        variables = (name,) if variables is None else tuple(variables)
         i = variables.index(name)
-        e = tuple(1 if j == i else 0 for j in range(len(variables)))
-        return Polynomial(variables, {e: Fraction(1)})
+        return Polynomial._of(variables, {tuple(int(j == i) for j in range(len(variables))): 1}, 1)
 
     @staticmethod
     def from_univariate(name, coeffs) -> "Polynomial":
@@ -185,26 +275,26 @@ class Polynomial:
     # -- structure ---------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.nums
 
     def is_constant(self) -> bool:
-        return all(all(k == 0 for k in e) for e in self.terms)
+        return not any(map(any, self.nums))
 
     def constant_value(self) -> Fraction:
         if not self.is_constant():
             raise ArithError("not a constant polynomial")
-        return next(iter(self.terms.values())) if self.terms else Fraction(0)
+        return Fraction(sum(self.nums.values()), self.den)
 
     def total_degree(self) -> int:
-        if not self.terms:
+        if not self.nums:
             raise ZeroPolynomialError("degree of zero polynomial")
-        return max(sum(e) for e in self.terms)
+        return max(map(sum, self.nums))
 
     def degree_in(self, name) -> int:
-        if not self.terms:
+        if not self.nums:
             raise ZeroPolynomialError("degree of zero polynomial")
         i = self.variables.index(name)
-        return max(e[i] for e in self.terms)
+        return max(e[i] for e in self.nums)
 
     # -- arithmetic --------------------------------------------------------
 
@@ -213,66 +303,42 @@ class Polynomial:
             other = Polynomial.const(other, self.variables)
         if self.variables == other.variables:
             return self, other
-        merged = list(self.variables)
-        for v in other.variables:
-            if v not in merged:
-                merged.append(v)
+        merged = _merged(self.variables, other.variables)
         return self.embed(merged), other.embed(merged)
 
     def embed(self, variables) -> "Polynomial":
+        """self over a tuple of variables that holds its own."""
         variables = tuple(variables)
-        pos = [variables.index(v) for v in self.variables]
-        terms = {}
-        for e, c in self.terms.items():
-            ne = [0] * len(variables)
-            for p, k in zip(pos, e):
-                ne[p] = k
-            terms[tuple(ne)] = c
-        return Polynomial(variables, terms)
+        pick = [None] * len(variables)
+        for i, v in enumerate(self.variables):
+            pick[variables.index(v)] = i
+        return Polynomial._of(variables, _picked(self.nums, pick), self.den)
 
     def __add__(self, other):
         if not isinstance(other, _OPERANDS):
             return NotImplemented
         a, b = self._aligned(other)
-        terms = dict(a.terms)
-        for e, c in b.terms.items():
-            terms[e] = terms.get(e, Fraction(0)) + c
-        return Polynomial(a.variables, _strip_terms(terms))
+        nums = dict(a.nums)
+        return Polynomial._of(a.variables, nums, _nadd(nums, a.den, b.nums, b.den))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Polynomial(self.variables, {e: -c for e, c in self.terms.items()})
+        return Polynomial._of(self.variables, {e: -c for e, c in self.nums.items()}, self.den)
 
     def __sub__(self, other):
-        if not isinstance(other, _OPERANDS):
-            return NotImplemented
-        a, b = self._aligned(other)
-        return a + (-b)
+        return self + (-other) if isinstance(other, _OPERANDS) else NotImplemented
 
     def __rsub__(self, other):
-        if not isinstance(other, _OPERANDS):
+        if not isinstance(other, (int, Fraction)):
             return NotImplemented
-        a, b = self._aligned(other)
-        return b + (-a)
+        return Polynomial.const(other, self.variables) - self
 
     def __mul__(self, other):
-        """The product on integer numerators: each operand over its least
-        common denominator, one Fraction per nonzero coefficient.  Terms
-        are convolved in (self, other) term order, so the product's terms
-        keep the order of the pair-by-pair Fraction product."""
         if not isinstance(other, _OPERANDS):
             return NotImplemented
         a, b = self._aligned(other)
-        ia, da = _over_common(a.terms.values())
-        ib, db = _over_common(b.terms.values())
-        out = {}
-        for e1, c1 in zip(a.terms, ia):
-            for e2, c2 in zip(b.terms, ib):
-                e = tuple(map(add, e1, e2))
-                out[e] = out.get(e, 0) + c1 * c2
-        den = da * db
-        return Polynomial(a.variables, {e: Fraction(v, den) for e, v in out.items() if v})
+        return Polynomial._of(a.variables, _nmul(a.nums, b.nums), a.den * b.den)
 
     __rmul__ = __mul__
 
@@ -280,31 +346,24 @@ class Polynomial:
         n = int(n)
         if n < 0:
             raise ArithError("negative power")
-        if len(self.terms) == 1:
-            ((e, c),) = self.terms.items()
-            return Polynomial(self.variables, {tuple(k * n for k in e): c ** n})
-        return binary_power(self, n, Polynomial.const(1, self.variables))
+        zero = (0,) * len(self.variables)
+        return Polynomial._of(self.variables, _npow(self.nums, n, zero), self.den ** n)
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = Polynomial.const(other, self.variables)
-        if not isinstance(other, Polynomial):
+        if not isinstance(other, _OPERANDS):
             return NotImplemented
         a, b = self._aligned(other)
-        return a.terms == b.terms
+        return a.den == b.den and a.nums == b.nums
 
     # -- evaluation and substitution --------------------------------------
 
     def evaluate(self, values, zero=Fraction(0)):
-        """Value with values[name] put for every variable that occurs.
-
-        The values may lie in any ring that mixes with Fractions (Fractions,
-        Polynomials, PuiseuxSeries) and zero is that ring's zero.  Terms are
-        taken in order; each starts as zero + c, is multiplied by
-        values[name] ** k in variable order and is added to the running sum,
-        which starts at zero.  Each variable keeps one row of powers, each
-        formed once as the one below it times the value.
-        """
+        """Value with values[name] put for every variable that occurs, in a
+        ring that mixes with ints and Fractions (Fractions, Polynomials,
+        PuiseuxSeries) and whose zero is zero: the sum, in term order, of
+        zero + numerator times values[name] ** k in variable order, divided
+        by den.  Each power of a value is formed once, as the one below it
+        times the value."""
         rows = {}
 
         def power(name, k):
@@ -314,13 +373,13 @@ class Polynomial:
             return row[k - 1]
 
         out = zero
-        for e, c in self.terms.items():
+        for e, c in self.nums.items():
             term = zero + c
             for name, k in zip(self.variables, e):
                 if k:
                     term = term * power(name, k)
             out = out + term
-        return out
+        return out if self.den == 1 else out * Fraction(1, self.den)
 
     def eval_at(self, assignment) -> Fraction:
         return self.evaluate({n: Fraction(v) for n, v in assignment.items()})
@@ -332,23 +391,29 @@ class Polynomial:
         values.update(assignment)
         return self.evaluate(values, Polynomial.const(0, remaining))
 
-    def univariate_coeffs(self):
-        """Fraction coefficient list; at most one variable may occur."""
-        live = {i for e in self.terms for i, k in enumerate(e) if k}
+    def univariate_nums(self):
+        """(numerators, den): the little-endian coefficient list as int
+        numerators over den; at most one variable may occur."""
+        live = [i for i, ks in enumerate(zip(*self.nums)) if any(ks)]
         if len(live) > 1:
             raise ArithError("polynomial is not univariate")
         if not live:
-            return [self.constant_value()]
+            return [sum(self.nums.values())], self.den
         (i,) = live
-        out = [Fraction(0)] * (max(e[i] for e in self.terms) + 1)
-        for e, c in self.terms.items():
+        out = [0] * (max(e[i] for e in self.nums) + 1)
+        for e, c in self.nums.items():
             out[e[i]] = c
-        return out
+        return out, self.den
+
+    def univariate_coeffs(self):
+        """Fraction coefficient list; at most one variable may occur."""
+        nums, den = self.univariate_nums()
+        return [Fraction(c, den) for c in nums]
 
     # -- text --------------------------------------------------------------
 
     def to_text(self) -> str:
-        if not self.terms:
+        if not self.nums:
             return "0"
         items = sorted(self.terms.items(), key=lambda ec: (sum(ec[0]), ec[0]), reverse=True)
         return signed_sum((c, [(name, k) for name, k in zip(self.variables, e) if k])
@@ -1277,9 +1342,8 @@ def _rows(p: Polynomial, v="y", u="x"):
     """(rows, den): den*p as rows in v of integer lists in u, den > 0 the
     least common denominator of p's coefficients.  A variable other than u
     and v that occurs raises ArithError."""
-    nums, den = _over_common(p.terms.values())
     rows = []
-    for e, c in zip(p.terms, nums):
+    for e, c in p.nums.items():
         exps = dict(zip(p.variables, e))
         i, j = exps.pop(u, 0), exps.pop(v, 0)
         if any(exps.values()):
@@ -1287,15 +1351,15 @@ def _rows(p: Polynomial, v="y", u="x"):
         rows += [[] for _ in range(j + 1 - len(rows))]
         rows[j] += [0] * (i + 1 - len(rows[j]))
         rows[j][i] = c
-    return rows, den
+    return rows, p.den
 
 
-def _poly(rows, variables=("x", "y")) -> Polynomial:
+def _poly(rows, variables=("x", "y"), den=1) -> Polynomial:
     """The Polynomial over (u, v), or over (u,) for one row, whose
-    coefficient of u^i v^j is rows[j][i]."""
-    return Polynomial(tuple(variables), {(i, j)[:len(variables)]: Fraction(c)
-                                         for j, row in enumerate(rows)
-                                         for i, c in enumerate(row) if c})
+    coefficient of u^i v^j is rows[j][i]/den, for integer rows."""
+    return Polynomial._of(tuple(variables), {(i, j)[:len(variables)]: c
+                                             for j, row in enumerate(rows)
+                                             for i, c in enumerate(row) if c}, den)
 
 
 def _iexact(a, b):
@@ -1505,7 +1569,7 @@ def resultant(p: Polynomial, q: Polynomial, var) -> Polynomial:
     u = "y" if var == "x" else "x"
     (a, da), (b, db) = _rows(p, var, u), _rows(q, var, u)
     scale = da ** (len(b) - 1) * db ** (len(a) - 1)
-    return _poly([[Fraction(c, scale) for c in _bres(a, b)]], (u,))
+    return _poly([_bres(a, b)], (u,), scale)
 
 
 def discriminant(p: Polynomial, var) -> Polynomial:
@@ -1518,7 +1582,7 @@ def discriminant(p: Polynomial, var) -> Polynomial:
         raise ArithError("discriminant needs positive degree in the variable")
     u = "y" if var == "x" else "x"
     a, den = _rows(p, var, u)
-    return _poly([[Fraction(c, den ** (2 * n - 2)) for c in _bdisc(a)]], (u,))
+    return _poly([_bdisc(a)], (u,), den ** (2 * n - 2))
 
 
 def poly_gcd(p: Polynomial, q: Polynomial) -> Polynomial:

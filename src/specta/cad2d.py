@@ -269,7 +269,7 @@ def _needs_shear(yparts) -> bool:
 
 def _top_form_value(p: Polynomial, lam: Fraction) -> Fraction:
     d = p.total_degree()
-    top = Polynomial(p.variables, {e: c for e, c in p.terms.items() if sum(e) == d})
+    top = Polynomial._of(p.variables, {e: c for e, c in p.nums.items() if sum(e) == d}, p.den)
     return top.evaluate({"x": lam, "y": Fraction(1)})
 
 

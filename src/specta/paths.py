@@ -49,8 +49,8 @@ from fractions import Fraction
 from functools import cached_property
 from types import MappingProxyType
 
-from .arith import ArithError, Polynomial, _poly, _umul, binary_power, signed_sum
-from ._expr import ExprError, _Parser, _Sum, parse_polynomial, parse_polynomial_list
+from .arith import ArithError, Polynomial, _nadd, _poly, _umul, binary_power, signed_sum
+from ._expr import ExprError, _Parser, parse_polynomial, parse_polynomial_list
 
 
 DEFAULT_TRUNCATION = Fraction(32)
@@ -201,10 +201,10 @@ class PuiseuxSeries:
     @staticmethod
     def from_polynomial(p: Polynomial) -> "PuiseuxSeries":
         try:
-            coeffs = p.univariate_coeffs()
+            nums, den = p.univariate_nums()
         except ArithError:
             raise PathError(f"{p.to_text()} is not univariate") from None
-        return PuiseuxSeries(1, {i: c for i, c in enumerate(coeffs)}, None)
+        return PuiseuxSeries._make(1, dict(enumerate(nums)), den, None)
 
     # -- structure ---------------------------------------------------------
 
@@ -290,18 +290,9 @@ class PuiseuxSeries:
         if other is NotImplemented:
             return NotImplemented
         ram, a, b = self._lift(other)
-        da, db = self.den, other.den
-        if da == db:
-            out, kb = dict(a), 1
-        else:
-            # cross-multiply by the quotients of the denominators' lcm
-            g = math.gcd(da, db)
-            ka, kb = db // g, da // g
-            out = {n: c * ka for n, c in a.items()}
-            da *= ka
-        for n, c in b.items():
-            out[n] = out.get(n, 0) + c * kb
-        return PuiseuxSeries._make(ram, out, da, _trunc_min(self.trunc, other.trunc))
+        out = dict(a)  # cross-multiplied by the quotients of the denominators' lcm
+        return PuiseuxSeries._make(ram, out, _nadd(out, self.den, b, other.den),
+                                   _trunc_min(self.trunc, other.trunc))
 
     __radd__ = __add__
 
@@ -766,9 +757,7 @@ def _occurring(f) -> set:
     """The variables that occur in an expression or a polynomial."""
     if isinstance(f, SAFunction):
         return f.variables()
-    if not f.terms:
-        return set()
-    return {v for v in f.variables if f.degree_in(v) > 0}
+    return {v for v, ks in zip(f.variables, zip(*f.nums)) if any(ks)}
 
 
 def _value(f, env, cap, powers=None) -> PuiseuxSeries:
@@ -813,32 +802,28 @@ def _by_rows(p: Polynomial, env, light, dense, powers) -> PuiseuxSeries:
     y the dense series and j in the order the terms first name it.
 
     The row S_j = sum_i a_ij*c^i*t^(n*i/ram) of light = c*t^(n/ram) is one
-    exact series, built as one dict of integer numerators over the row's
-    least common denominator: its exponents n*i are distinct.  Each power
-    of y is formed once, as the power below it times y, in the list
-    ``powers[dense]`` that ``_value`` shares, and each row is multiplied
-    by its power once.
+    exact series (its exponents n*i are distinct) of integer numerators
+    over p.den*d^top, d the denominator of c and top the highest power of
+    light.  Each power of y is formed once, as the power below it times y,
+    in the list ``powers[dense]`` that ``_value`` shares, and each row is
+    multiplied by its power once.
     """
     s = env[light]
-    ram, den, ((n, c),) = s.ram, s.den, s.nums.items()
+    ram, d, ((n, c),) = s.ram, s.den, s.nums.items()
     il, iy = p.variables.index(light), p.variables.index(dense)
+    top = max(e[il] for e in p.nums)
     rows = {}
-    for e, a in p.terms.items():
+    for e, a in p.nums.items():
         i = e[il]
-        rows.setdefault(e[iy], {})[n * i] = (a.numerator * c ** i, a.denominator * den ** i)
-    out = _row(ram, rows.pop(0)) if 0 in rows else PuiseuxSeries.zero()
+        rows.setdefault(e[iy], {})[n * i] = a * c ** i * d ** (top - i)
+    den = p.den * d ** top
+    out = PuiseuxSeries._make(ram, rows.pop(0), den, None) if 0 in rows else PuiseuxSeries.zero()
     ys = powers.setdefault(dense, [env[dense]])
     for j, row in rows.items():
         while len(ys) < j:
             ys.append(ys[-1] * ys[0])
-        out = out + _row(ram, row) * ys[j - 1]
+        out = out + PuiseuxSeries._make(ram, row, den, None) * ys[j - 1]
     return out
-
-
-def _row(ram, row) -> PuiseuxSeries:
-    """The exact series of {exponent: (numerator, denominator)}."""
-    den = math.lcm(*(d for _, d in row.values()))
-    return PuiseuxSeries._make(ram, {n: c * (den // d) for n, (c, d) in row.items()}, den, None)
 
 
 @dataclass(frozen=True)
@@ -909,46 +894,11 @@ def _operand(f):
     return Polynomial.const(f, ()) if isinstance(f, (int, Fraction)) else f
 
 
-class _FnParser(_Parser):
-    """Expression parser: the polynomial grammar plus general division
-    and the abs(...)/sqrt(...) calls; a polynomial meeting a node becomes
-    a Polynomial, and the node operators build the result."""
-
-    def _base(self):
-        tok = self._peek()
-        if tok[0] != "name" or tok[1] not in ("abs", "sqrt"):
-            return super()._base()
-        self._next()
-        nxt = self._peek()
-        if nxt[0] != "op" or nxt[1] != "(":
-            self._error(tok[2], f"{tok[1]} needs a parenthesized argument")
-        self._next()
-        inner = self._poly()
-        self._expect_op(")")
-        return SAFunction(tok[1], (self._settled(inner),))
-
-    def _combine(self, op, a, b):
-        if SAFunction not in (type(a), type(b)):
-            return super()._combine(op, a, b)
-        if op == "^":
-            return a ** b if b else self._number(1)
-        a, b = self._settled(a), self._settled(b)
-        return a * b if op == "*" else a + b if op == "+" else a - b
-
-    def _divide(self, out, rhs, pos):
-        c = rhs.constant() if type(rhs) is _Sum else None
-        if c is None:
-            return SAFunction("/", (self._settled(out), self._settled(rhs)))
-        if c == 0:
-            self._error(pos, "division by the constant zero")
-        return self._combine("*", out, self._number(1 / c))
-
-
 def parse_function(text: str):
     """An SAFunction, or a Polynomial when the text has no general
     division, abs or sqrt."""
-    parser = _FnParser(text)
-    node = parser._poly()
+    parser = _Parser(text, SAFunction)
+    node = parser._sum(0)
     parser._expect_end()
     return parser._settled(node)
 

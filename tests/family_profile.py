@@ -10,9 +10,11 @@ directory, and calls ``specta.cli.main`` on each op in this process,
 timed in process CPU time.  It reads perfbench's modules and writes
 nothing under ``perfbench/`` (bytecode caching is off while it imports
 them).  It prints one line per slot (the op family): the number of ops,
-the CPU ms per op and the slot's share of all op CPU, then the CPU ms
-per op over all slots.  Each op's own ``check`` runs on its answer; the
-script exits 1 if any check fails, naming the op.
+the CPU ms per op, the slot's share of all op CPU and the share of the
+slot's op CPU spent inside the CLI's parse entry points (``PARSERS``,
+timed in process CPU time around the names ``specta.cli`` calls), then
+the same figures over all slots.  Each op's own ``check`` runs on its
+answer; the script exits 1 if any check fails, naming the op.
 
 CPU time on a shared host moves with the neighbours, so compare two
 trees by alternating runs of this script on each.
@@ -23,9 +25,24 @@ import os
 import shutil
 import sys
 import tempfile
+import time
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 PERFBENCH = os.path.join(os.path.dirname(HERE), "perfbench")
+# the parse entry points whose CPU time is reported, as specta.cli binds them
+PARSERS = ("parse_path", "parse_function", "parse_polynomial", "parse_polynomial_list",
+           "parse_formula", "parse_complex")
+
+
+def _timed(fn, spent):
+    """fn, adding the process CPU time of each call to spent[0]."""
+    def wrapper(*args, **kwargs):
+        start = time.process_time()
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            spent[0] += time.process_time() - start
+    return wrapper
 
 
 def main(argv) -> int:
@@ -46,8 +63,13 @@ def main(argv) -> int:
         return 2
     make_cycle = run.WORKLOADS[workload]
     cpu = defaultdict(float)
+    parse = defaultdict(float)
     count = defaultdict(int)
     failed = []
+    spent = [0.0]
+    originals = {name: getattr(cli, name) for name in PARSERS}
+    for name, fn in originals.items():
+        setattr(cli, name, _timed(fn, spent))
     work = tempfile.mkdtemp(prefix="family-profile-")
     try:
         for cycle in range(cycles):
@@ -56,7 +78,9 @@ def main(argv) -> int:
                 for path, text in op.inputs.items():
                     with open(path, "w", encoding="utf-8") as fh:
                         fh.write(text)
+                spent[0] = 0.0
                 rc, stdout, stderr, seconds, _ = run.call(cli, op.argv)
+                parse[op.slot] += spent[0]
                 files = {p: run._read(p) for p in op.outputs if os.path.exists(p)}
                 for path in list(op.inputs) + list(op.outputs):
                     if os.path.exists(path):
@@ -71,14 +95,18 @@ def main(argv) -> int:
                 cpu[op.slot] += seconds
                 count[op.slot] += 1
     finally:
+        for name, fn in originals.items():
+            setattr(cli, name, fn)
         shutil.rmtree(work, ignore_errors=True)
     total = sum(cpu.values())
     ops = sum(count.values())
     print(f"{workload} seed {seed}: {ops} ops in {cycles} cycles, {1000 * total:.1f} ms CPU")
     for slot in sorted(cpu, key=cpu.get, reverse=True):
         print(f"slot {slot}: {count[slot]} ops, {1000 * cpu[slot] / count[slot]:.3f} ms/op,"
-              f" {100 * cpu[slot] / total:.1f}% of CPU")
-    print(f"all slots: {1000 * total / ops:.3f} ms/op")
+              f" {100 * cpu[slot] / total:.1f}% of CPU,"
+              f" parse {100 * parse[slot] / cpu[slot]:.1f}%")
+    print(f"all slots: {1000 * total / ops:.3f} ms/op,"
+          f" parse {100 * sum(parse.values()) / total:.1f}%")
     for line in failed:
         print(f"FAILED {line}")
     return 1 if failed else 0

@@ -1,12 +1,12 @@
 """Reference routes built on Polynomial arithmetic.
 
 The parser builds every polynomial of the text one operator at a time,
-and the separating quotients are built the same way: the route
-``specta._expr`` and ``specta.paths`` took before they worked on integer
-numerators.  The tests check that the library gives the same
-Polynomials (variables, terms and, for the parser, term order), node
-trees and errors.  The grammar is a copy of the one in ``specta._expr``;
-only the tokenizer and the error class are shared.  ``coeffs_in`` splits
+by recursive descent over a tokenizer of one match per token, and the
+separating quotients are built the same way: the route ``specta._expr``
+and ``specta.paths`` took before they worked on integer numerators.  The
+tests check that the library gives the same Polynomials (variables, terms
+and, for the parser, term order), node trees and errors.  Only the error
+class is shared with ``specta._expr``.  ``coeffs_in`` splits
 a Polynomial by powers of one variable, and ``truncated_factorial``
 builds the Polynomial p_k of the separating quotients, for the tests' own
 reference computations.
@@ -23,14 +23,19 @@ part of one polynomial as Polynomials, for the tests that pin them.
 ``series_add``, ``series_mul``, ``series_div``, ``series_sqrt`` and
 ``series_abs`` are PuiseuxSeries arithmetic on Fraction coefficients,
 the route before series were stored as integer numerators over one
-denominator.
+denominator.  The ``poly_*`` functions are Polynomial's ``make``, ``+``,
+``-``, ``*``, ``**``, ``evaluate``, ``substitute`` and
+``univariate_coeffs`` on Fraction coefficients, the route before
+Polynomials were stored as integer numerators over one denominator.
 """
 
 import math
+import operator
+import re
 from fractions import Fraction
 
 from specta import arith, cad2d
-from specta._expr import ExprError, _tokenize
+from specta._expr import ExprError
 from specta.arith import Polynomial, ZeroPolynomialError
 from specta.cad2d import And, Atom, CadError, Not, Or
 from specta.paths import (DEFAULT_TRUNCATION, IndeterminateDenominator, IndeterminateOrder,
@@ -47,6 +52,38 @@ def coeffs_in(p, name):
     for e, c in p.terms.items():
         out[e[i]][e[:i] + e[i + 1:]] = c
     return [Polynomial(rest, d) for d in out]
+
+
+_TOKEN = re.compile(
+    r"""(?P<ws>\s+)
+      | (?P<num>\d+)
+      | (?P<name>[A-Za-z_][A-Za-z_0-9]*)
+      | (?P<rel><=|>=|==|=|<|>)
+      | (?P<op>[-+*/^(),])
+      | (?P<bad>.)
+    """,
+    re.VERBOSE | re.DOTALL,
+)
+
+_KEYWORDS = {"AND", "OR", "NOT"}
+
+
+def _tokenize(text):
+    out = []
+    for m in _TOKEN.finditer(text):
+        kind = m.lastgroup
+        if kind == "ws":
+            continue
+        value = m.group()
+        if kind == "name" and value.upper() in _KEYWORDS:
+            kind, value = "kw", value.upper()
+        elif kind == "rel" and value == "==":
+            value = "="
+        elif kind == "bad":
+            raise ExprError(text, m.start(), f"unexpected character {value!r}")
+        out.append((kind, value, m.start()))
+    out.append(("end", "", len(text)))
+    return out
 
 
 class Parser:
@@ -210,8 +247,10 @@ class FnParser(Parser):
         return out * Polynomial.const(1 / rhs.constant_value(), ())
 
 
-def _on_variables(p, variables, text):
-    """p over the given tuple; a zero p reads as the zero polynomial."""
+def _on_variables(p, variables, parser, start):
+    """p over the given tuple; a zero p reads as the zero polynomial.  A
+    variable outside the tuple that occurs is an error at its first token
+    from token start on."""
     variables = tuple(variables)
     if p.is_zero():
         return Polynomial(variables, {})
@@ -219,7 +258,8 @@ def _on_variables(p, variables, text):
         if v in variables:
             continue
         if p.degree_in(v) > 0:
-            raise ExprError(text, 0, f"unexpected variable {v!r}")
+            pos = next(t[2] for t in parser.toks[start:] if t[:2] == ("name", v))
+            parser._error(pos, f"unexpected variable {v!r}")
         p = coeffs_in(p, v)[0]
     return p if p.variables == variables else p.embed(variables)
 
@@ -228,17 +268,19 @@ def parse_polynomial(text, variables=None):
     parser = Parser(text)
     p = parser._poly()
     parser._expect_end()
-    return p if variables is None else _on_variables(p, variables, text)
+    return p if variables is None else _on_variables(p, variables, parser, 0)
 
 
 def parse_polynomial_list(text, variables=None):
     parser = Parser(text)
-    out = [parser._poly()]
+    out = [(0, parser._poly())]
     while parser._peek()[:2] == ("op", ","):
         parser._next()
-        out.append(parser._poly())
+        out.append((parser.i, parser._poly()))
     parser._expect_end()
-    return out if variables is None else [_on_variables(p, variables, text) for p in out]
+    if variables is None:
+        return [p for _, p in out]
+    return [_on_variables(p, variables, parser, start) for start, p in out]
 
 
 def parse_formula(text):
@@ -451,3 +493,128 @@ def series_abs(s):
     if s.vanishes_so_far() or s.leading_coefficient() > 0:
         return s
     return PuiseuxSeries(s.ram, {n: -c for n, c in s.coeffs.items()}, s.trunc)
+
+
+# -- Polynomial arithmetic on Fraction coefficients ------------------------
+#
+# Polynomial's operations as they ran before Polynomials were stored as
+# integer numerators over one denominator: every coefficient a Fraction,
+# read from the ``terms`` view, and every result built by the public
+# constructor.
+
+
+def poly_make(variables, terms):
+    variables = tuple(variables)
+    clean = {}
+    for e, c in terms.items():
+        c = Fraction(c)
+        if c == 0:
+            continue
+        e = tuple(int(k) for k in e)
+        if len(e) != len(variables):
+            raise arith.ArithError("exponent length does not match variables")
+        if any(k < 0 for k in e):
+            raise arith.ArithError("negative exponent")
+        clean[e] = clean.get(e, Fraction(0)) + c
+    return Polynomial(variables, {e: c for e, c in clean.items() if c != 0})
+
+
+def _poly_const(c, variables):
+    c = Fraction(c)
+    return Polynomial(variables, {(0,) * len(variables): c} if c else {})
+
+
+def _poly_embed(p, variables):
+    pos = [variables.index(v) for v in p.variables]
+    terms = {}
+    for e, c in p.terms.items():
+        ne = [0] * len(variables)
+        for i, k in zip(pos, e):
+            ne[i] = k
+        terms[tuple(ne)] = c
+    return Polynomial(variables, terms)
+
+
+def _poly_aligned(a, b):
+    if isinstance(b, (int, Fraction)):
+        b = _poly_const(b, a.variables)
+    if a.variables == b.variables:
+        return a, b
+    merged = a.variables + tuple(v for v in b.variables if v not in a.variables)
+    return _poly_embed(a, merged), _poly_embed(b, merged)
+
+
+def poly_add(a, b):
+    a, b = _poly_aligned(a, b)
+    terms = dict(a.terms)
+    for e, c in b.terms.items():
+        terms[e] = terms.get(e, Fraction(0)) + c
+    return Polynomial(a.variables, {e: c for e, c in terms.items() if c != 0})
+
+
+def poly_neg(a):
+    return Polynomial(a.variables, {e: -c for e, c in a.terms.items()})
+
+
+def poly_sub(a, b):
+    a, b = _poly_aligned(a, b)
+    return poly_add(a, poly_neg(b))
+
+
+def poly_mul(a, b):
+    """The pair-by-pair Fraction product."""
+    a, b = _poly_aligned(a, b)
+    terms = {}
+    for e1, c1 in a.terms.items():
+        for e2, c2 in b.terms.items():
+            e = tuple(x + y for x, y in zip(e1, e2))
+            terms[e] = terms.get(e, Fraction(0)) + c1 * c2
+    return Polynomial(a.variables, {e: c for e, c in terms.items() if c != 0})
+
+
+def poly_pow(a, n):
+    if len(a.terms) == 1:
+        ((e, c),) = a.terms.items()
+        return Polynomial(a.variables, {tuple(k * n for k in e): c ** n})
+    return arith.binary_power(a, n, _poly_const(1, a.variables), poly_mul)
+
+
+def poly_evaluate(p, values, zero=Fraction(0), add=operator.add, mul=operator.mul):
+    """Terms in order, each zero + c times the powers of its values, in
+    the ring whose sum and product are add and mul."""
+    rows = {}
+
+    def power(name, k):
+        row = rows.setdefault(name, [values[name]])
+        while len(row) < k:
+            row.append(mul(row[-1], row[0]))
+        return row[k - 1]
+
+    out = zero
+    for e, c in p.terms.items():
+        term = add(zero, c)
+        for name, k in zip(p.variables, e):
+            if k:
+                term = mul(term, power(name, k))
+        out = add(out, term)
+    return out
+
+
+def poly_substitute(p, assignment):
+    remaining = tuple(v for v in p.variables if v not in assignment)
+    values = {v: Polynomial.var(v, remaining) for v in remaining}
+    values.update(assignment)
+    return poly_evaluate(p, values, _poly_const(0, remaining), poly_add, poly_mul)
+
+
+def poly_univariate_coeffs(p):
+    live = {i for e in p.terms for i, k in enumerate(e) if k}
+    if len(live) > 1:
+        raise arith.ArithError("polynomial is not univariate")
+    if not live:
+        return [next(iter(p.terms.values()), Fraction(0))]
+    (i,) = live
+    out = [Fraction(0)] * (max(e[i] for e in p.terms) + 1)
+    for e, c in p.terms.items():
+        out[e[i]] = c
+    return out

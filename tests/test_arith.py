@@ -39,6 +39,8 @@ from specta.arith import (
 )
 from specta import _numfield, arith, cad2d
 from specta._expr import parse_formula
+from specta.paths import PuiseuxSeries
+import reference
 from reference import coeffs_in, squarefree_part, two_gcd_uisolate
 from test_numfield import cubic_field, sqrt2_field
 from specta.arith import (
@@ -1130,22 +1132,13 @@ def test_rational_sturm_chains_hold_primitive_integers():
 
 
 # ---------------------------------------------------------------------------
-# Polynomial products run on integer numerators, with the terms and the
-# term order of the pair-by-pair Fraction product
-
-
-def _ref_poly_mul(p, q):
-    """The pair-by-pair Fraction product that Polynomial.__mul__ replaced."""
-    a, b = p._aligned(q)
-    terms = {}
-    for e1, c1 in a.terms.items():
-        for e2, c2 in b.terms.items():
-            e = tuple(x + y for x, y in zip(e1, e2))
-            terms[e] = terms.get(e, Fraction(0)) + c1 * c2
-    return Polynomial(a.variables, {e: c for e, c in terms.items() if c != 0})
+# Polynomials hold integer numerators over one denominator, with the terms
+# and the term order of the Fraction-coefficient operations of
+# reference.poly_*
 
 
 _MUL_Q = st.fractions(min_value=-5, max_value=5, max_denominator=12)
+_EXPONENTS = st.tuples(*[st.integers(0, 3)] * 3)
 
 
 @st.composite
@@ -1158,9 +1151,16 @@ def _mul_operand(draw, max_terms=6):
 
 
 def _same_terms(got, want):
+    """Equal variables, terms, term order and text, and got in the normal
+    form: nonzero int numerators over a positive den prime to them, den 1
+    for the zero polynomial."""
     assert got.variables == want.variables
-    assert list(got.terms.items()) == list(want.terms.items())
+    assert tuple(got.terms.items()) == tuple(want.terms.items())
     assert all(type(c) is Fraction for c in got.terms.values())
+    assert got.to_text() == want.to_text()
+    assert type(got.den) is int and got.den > 0 and math.gcd(got.den, *got.nums.values()) == 1
+    assert all(type(c) is int and c and len(e) == len(got.variables)
+               for e, c in got.nums.items())
 
 
 @settings(derandomize=True, max_examples=200, deadline=None)
@@ -1170,9 +1170,55 @@ def test_integer_product_matches_the_fraction_reference(p, q, c):
     # (p + q)(p - q) cancels its cross terms; p and q may lie on different
     # variable tuples, and each may be zero
     for a, b in ((p, q), (q, p), (p + q, p - q), (p, zero), (zero, p), (p, p)):
-        _same_terms(a * b, _ref_poly_mul(a, b))
-    _same_terms(p * c, _ref_poly_mul(p, Polynomial.const(c, p.variables)))
-    _same_terms(c * p, _ref_poly_mul(p, Polynomial.const(c, p.variables)))
+        _same_terms(a * b, reference.poly_mul(a, b))
+    _same_terms(p * c, reference.poly_mul(p, c))
+    _same_terms(c * p, reference.poly_mul(p, c))
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(_mul_operand(), _mul_operand(), _mul_operand(max_terms=1), _MUL_Q, st.integers(0, 4),
+       st.dictionaries(_EXPONENTS, _MUL_Q | st.integers(-3, 3), max_size=6))
+def test_integer_polynomials_match_the_fraction_reference(p, q, m, c, n, raw):
+    # sums that cancel to zero, the zero polynomial over other variables,
+    # one-term operands, and coefficients over denominators that share
+    # factors with the numerators (the drawn fractions over 1..12)
+    zero = Polynomial.const(0, q.variables)
+    for a, b in ((p, q), (q, p), (p, -p), (p + q, p - q), (p, zero), (zero, q), (m, p), (p, m),
+                 (p - p, q), (m, m)):
+        _same_terms(a + b, reference.poly_add(a, b))
+        _same_terms(a - b, reference.poly_sub(a, b))
+        _same_terms(a * b, reference.poly_mul(a, b))
+    for a in (p, m, zero, p - p, p + q):
+        _same_terms(-a, reference.poly_neg(a))
+        _same_terms(a ** n, reference.poly_pow(a, n))
+        _same_terms(a + c, reference.poly_add(a, c))
+        _same_terms(c - a, reference.poly_sub(Polynomial.const(c, a.variables), a))
+    _same_terms(Polynomial.make("xyz", raw), reference.poly_make("xyz", raw))
+    point = {v: Fraction(2 * i - 3, i + 2) for i, v in enumerate("xyz")}
+    assert p.evaluate(point) == reference.poly_evaluate(p, point)
+    assert p.eval_at(point) == reference.poly_evaluate(p, point)
+    series = {v: PuiseuxSeries(1 + i, {1: Fraction(1, 2 + i), 2 + i: -1}, Fraction(3))
+              for i, v in enumerate("xyz")}
+    assert p.evaluate(series, PuiseuxSeries.zero()) == \
+        reference.poly_evaluate(p, series, PuiseuxSeries.zero())
+    assignment = {p.variables[0]: q}
+    _same_terms(p.substitute(assignment), reference.poly_substitute(p, assignment))
+    for a in (p, m, zero, q.substitute({v: c for v in q.variables[1:]})):
+        try:
+            want = reference.poly_univariate_coeffs(a)
+        except ArithError:
+            with pytest.raises(ArithError):
+                a.univariate_coeffs()
+        else:
+            assert a.univariate_coeffs() == want
+
+
+def test_terms_view_is_read_only():
+    p = Polynomial.make(("x",), {(1,): Fraction(1, 2), (0,): 3})
+    assert (p.nums, p.den) == ({(1,): 1, (0,): 6}, 2)
+    with pytest.raises(TypeError):
+        p.terms[(2,)] = Fraction(1)
+    assert p.terms is p.terms and dict(p.terms) == {(1,): Fraction(1, 2), (0,): Fraction(3)}
 
 
 @settings(derandomize=True, max_examples=100, deadline=None)

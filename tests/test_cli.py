@@ -18,7 +18,7 @@ from test_cad2d import GOLDEN
 from test_topology import MALFORMED_FIELDS
 import specta
 from specta import cad2d, cli, paths, topology
-from specta._expr import ExprError, parse_formula
+from specta._expr import MAX_DEPTH, ExprError, parse_formula
 from specta.arith import ArithError
 from specta.cli import main
 
@@ -905,6 +905,24 @@ def _run_cli(tmp_path, hash_seed, *argv):
     )
     assert proc.returncode == 0, proc.stderr
     return proc.stdout
+
+
+def test_deep_nesting_prints_one_parse_error_line(tmp_path):
+    # 300 nested parentheses or sqrt calls used to end in a RecursionError
+    # traceback
+    (tmp_path / "deep.formula").write_text("x^2+y^2<=" + "(" * 300 + "1" + ")" * 300 + "\n")
+    (tmp_path / "factorial.path").write_text(FACTORIAL_PATH)
+    env = dict(os.environ)
+    pkg_parent = os.path.dirname(os.path.dirname(os.path.abspath(specta.__file__)))
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (pkg_parent, env.get("PYTHONPATH")) if p)
+    for argv, column in ((["decompose", "deep.formula", "-o", "d.complex"], 10 + MAX_DEPTH),
+                         (["path", "factorial.path", "eval", "--fn",
+                           "sqrt(" * 300 + "x" + ")" * 300], 1 + 5 * MAX_DEPTH)):
+        proc = subprocess.run([sys.executable, "-m", "specta.cli", *argv],
+                              capture_output=True, text=True, env=env, cwd=tmp_path)
+        assert proc.returncode == 1 and proc.stdout == ""
+        assert proc.stderr.splitlines() == [
+            f"parse error: line 1, column {column}: nesting deeper than {MAX_DEPTH} levels"]
 
 
 def test_reports_are_byte_deterministic(tmp_path):

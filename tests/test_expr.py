@@ -6,14 +6,15 @@ import pytest
 import reference
 
 from specta._expr import (
+    MAX_DEPTH,
     ExprError,
     parse_formula,
     parse_polynomial,
     parse_polynomial_list,
 )
 from specta.arith import Polynomial
-from specta.cad2d import And, Atom, Not, Or
-from specta.paths import SAFunction, appendix_separator, parse_function
+from specta.cad2d import And, Atom, Not, Or, contains_point, formula_atoms
+from specta.paths import FormalPath, SAFunction, appendix_separator, eval_on_path, parse_function
 
 
 def test_basic_polynomial():
@@ -174,15 +175,30 @@ def _drawn(seed, count, calls=False):
 
 
 EDGES = ["(x-x)^0", "0^0", "(1/2 x)^3", "0*x", "x^0", "x^0 y - y", "(x - x)^2 + y",
-         "(1/2 x + 1/3 y)^3 - 1/9", "2/4 x/6", "x - x + y/3", "3 (x + y)^0 x"]
+         "(1/2 x + 1/3 y)^3 - 1/9", "2/4 x/6", "x - x + y/3", "3 (x + y)^0 x",
+         # tabs and newlines inside parentheses
+         "(x\t+\ty)\n(\n2 -\tx\n)^2", "(\n\t(x)\t\n)",
+         # a number next to a name: 1e5 reads as 1*e5, 3 4 as 12
+         "1e5", "3 4", "2x^2y", "3 4x 5y^2",
+         # a constant divisor adds no name; a leading zero in an exponent
+         "x / (y - y + 2)", "x^01", "(x + y)^02 / (2 y^0)",
+         # a sum of many terms
+         " + ".join(f"{i % 7 - 3}*x^{i}" for i in range(500)),
+         # Unicode whitespace and decimal digits
+         "x\u00a0+\u20031", "\u0663x + x\u0663",
+         # nesting up to the limit
+         "(" * MAX_DEPTH + "x + 1" + ")" * MAX_DEPTH]
 
 # one text per ExprError raised by the parsers, with the variables tuple
 # for parse_polynomial
 ERRORS = [("x & y", None), ("(x + 1", None), ("x + 1 )", None), ("x + * 2", None),
           ("x ^ y", None), ("x ^", None), ("1 / y", None), ("1 / (x - x)", None),
           ("z + 1", ("x", "y")), ("x y + 2", ("x",)), ("x^0 + w y", ("y",)),
-          ("", None), ("\n  x +\n )", None)]
-FN_ERRORS = ["abs x", "sqrt", "x/0", "x/(y - y)", "abs(x", "x +", "x ^ y", "1/(2 -"]
+          ("", None), ("\n  x +\n )", None), ("t +\n  x", ("t",)),
+          ("t, 2x y + x", ("t", "y")), ("x\u00b2 + 1", None), ("2 \u00f7 x", None),
+          ("x +\x00", None)]
+FN_ERRORS = ["abs x", "sqrt", "x/0", "x/(y - y)", "abs(x", "x +", "x ^ y", "1/(2 -",
+             "(x\t+\n", "sqrt\t\n(x", "1e5 / (e5 - e5 + 0)", "2x^2y^", "x^01^2", "3 4 / (3 - 3)"]
 FORMULA_ERRORS = ["x >", "x = x", "x > 0 AND\ny <", "(x > 0", "x > 0)", "NOT", "x 1 >",
                   "(x - y)^2 = (x - y)^2", "(x > 0 OR y) AND x < 1", "x < 1 OR"]
 
@@ -254,3 +270,57 @@ def test_zero_polynomial_takes_any_variables():
         assert p.variables == ("t",) and p.is_zero()
     with pytest.raises(ExprError, match="unexpected variable 'x'"):
         parse_polynomial("0*x + x", ("t",))
+
+
+def test_unexpected_variable_points_at_its_first_token():
+    with pytest.raises(ExprError, match="line 2, column 3: unexpected variable 'x'"):
+        parse_polynomial("t +\n  x", ("t",))
+    # in a list, the first token of the name within the item being settled
+    with pytest.raises(ExprError) as e:
+        parse_polynomial_list("x^0 t, t + x", ("t",))
+    assert e.value.position == 11
+
+
+# -- nesting deeper than MAX_DEPTH is an ExprError, never a RecursionError
+
+DEEP = 10_000
+
+
+def _opened_past_the_limit(parse, text, opener, count=MAX_DEPTH + 1):
+    """Parsing raises at the count-th occurrence of opener in the text."""
+    at = -1
+    for _ in range(count):
+        at = text.index(opener, at + 1)
+    with pytest.raises(ExprError, match=f"nesting deeper than {MAX_DEPTH} levels") as e:
+        parse(text)
+    assert e.value.position == at, (e.value.position, at)
+
+
+def test_deep_nesting_is_a_parse_error():
+    _opened_past_the_limit(parse_polynomial, "(" * DEEP + "x" + ")" * DEEP, "(")
+    _opened_past_the_limit(parse_polynomial_list, "1, " + "(" * DEEP + "x" + ")" * DEEP, "(")
+    _opened_past_the_limit(parse_formula, "NOT " * DEEP + "x > 0", "NOT")
+    _opened_past_the_limit(parse_formula, "(" * DEEP + "x > 0" + ")" * DEEP, "(")
+    _opened_past_the_limit(parse_formula, "(NOT " * DEEP + "x > 0" + ")" * DEEP, "(", 51)
+    _opened_past_the_limit(parse_formula, "x^2 + y^2 <= " + "(" * DEEP + "1" + ")" * DEEP, "(")
+    _opened_past_the_limit(parse_function, "sqrt(" * DEEP + "x" + ")" * DEEP, "sqrt")
+    _opened_past_the_limit(parse_function, "(abs(" * DEEP + "x" + "))" * DEEP, "(", 101)
+    # expression nodes chained without parentheses: a power and a product
+    _opened_past_the_limit(parse_function, f"abs(x)^{DEEP}", str(DEEP), 1)
+    _opened_past_the_limit(parse_function, " * ".join(["abs(x)"] * DEEP), "*", MAX_DEPTH)
+    # signs fold into one, so they open no level
+    assert parse_function("-" * (DEEP + 1) + "abs(x)") == -parse_function("abs(x)")
+
+
+def test_nesting_up_to_the_limit_parses_and_evaluates():
+    alpha = FormalPath.from_polynomials("t, -t^2")
+    deep = parse_function("abs(" * MAX_DEPTH + "y" + ")" * MAX_DEPTH)
+    assert eval_on_path(deep, alpha) == eval_on_path(parse_function("abs(y)"), alpha)
+    chain = parse_function(" * ".join(["abs(y)"] * MAX_DEPTH))
+    assert eval_on_path(chain, alpha).leading("value") == (2 * MAX_DEPTH, 1)
+    half = MAX_DEPTH // 2  # an even number of NOTs, then as many parentheses
+    formula = parse_formula("NOT " * half + "(" * half + "x > 0" + ")" * half)
+    assert len(list(formula_atoms(formula))) == 1
+    assert contains_point(formula, (1, 0)) and not contains_point(formula, (-1, 0))
+    assert parse_polynomial("(" * MAX_DEPTH + "x + 1" + ")" * MAX_DEPTH) == \
+        parse_polynomial("x + 1")
